@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,8 +143,10 @@ class BatchSummary:
         return [r["report"] for r in self.rows]
 
 
+# Rows also carry `wall_clock`; it differs between identical batches, so it is
+# neither aggregated nor written.
 _AGG_COLUMNS = ["global_replans", "path_time", "residual_time", "total_value",
-                "stations_visited", "total_cost", "wall_clock"]
+                "stations_visited", "total_cost"]
 
 
 def aggregate_rows(rows: list[dict]) -> dict:
@@ -165,7 +168,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
 def _trial_row(trial: int, seed: int, report: MissionReport | None, error: str = "") -> dict:
     if report is None:
         return {"trial": trial, "seed": seed, "success": False, "error": error,
-                **{col: math.nan for col in _AGG_COLUMNS}, "report": None}
+                **{col: math.nan for col in [*_AGG_COLUMNS, "wall_clock"]}, "report": None}
     return {"trial": trial, "seed": seed, "success": report.success,
             "error": report.failure_reason,
             "global_replans": report.global_replans, "path_time": report.path_time,
@@ -175,21 +178,23 @@ def _trial_row(trial: int, seed: int, report: MissionReport | None, error: str =
 
 
 def _run_trial(args) -> tuple[int, int, MissionReport | None, str]:
+    """One trial; any failure becomes the trial's error text, so the batch goes on."""
     sc, trial, seed = args
-    count = None
-    if sc.montecarlo.stations is not None:
-        lo, hi = (int(v) for v in sc.montecarlo.stations)
-        count = int(seeding.stream(seed, seeding.NETWORK, 9).integers(lo, hi + 1))
     try:
-        if count is None:
+        if sc.montecarlo.stations is None:
             report = run_mission(sc, seed)
         else:
+            lo, hi = (int(v) for v in sc.montecarlo.stations)
+            count = int(seeding.stream(seed, seeding.NETWORK, 9).integers(lo, hi + 1))
             cmap = build_map(sc, seed)
             net = build_network_from_spec(sc, cmap, seed, station_count=count)
             report = run_mission(sc, seed, network=net)
         return trial, seed, report, ""
     except UUVSimError as exc:
         return trial, seed, None, str(exc)
+    except Exception as exc:  # a fault in one trial must not discard the others
+        traceback.print_exc()
+        return trial, seed, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_monte_carlo(sc: Scenario, trials: int, base_seed: int, out_dir: Path | None = None,
@@ -236,11 +241,11 @@ def _cmd_plan(sc: Scenario, args) -> int:
     net = build_network_from_spec(sc, cmap, seed)
     cfg = de_config_from_spec(sc.de_global)
     rng = seeding.stream(seed, seeding.DE_GLOBAL, 0)
+    speed = sc.vehicle.cruise_speed * sc.mission.nominal_speed_factor  # as the mission plans
     try:
         plan = plan_global(net, net.start_id, net.goal_id,
                            sc.vehicle.time_budget * sc.mission.budget_margin,
-                           sc.vehicle.cruise_speed, cfg,
-                           restarts=sc.de_global.restarts, rng=rng)
+                           speed, cfg, restarts=sc.de_global.restarts, rng=rng)
     except NoFeasibleRouteError as exc:
         print(f"no feasible route: {exc}", file=sys.stderr)
         return 3
@@ -252,7 +257,7 @@ def _cmd_plan(sc: Scenario, args) -> int:
     print("leg,from,to,distance_m,time_s")
     rows = []
     for idx, (a, b) in enumerate(zip(route.sequence, route.sequence[1:])):
-        d, t = edge_metrics(net, a, b, sc.vehicle.cruise_speed)
+        d, t = edge_metrics(net, a, b, speed)
         rows.append((idx, a, b, d, t))
         print(f"{idx},{a},{b},{d:.1f},{t:.1f}")
     if args.out:

@@ -7,12 +7,17 @@ and the horizontal current adds vectorially, so favorable flow shortens the
 leg and adverse flow stretches or stalls it.  Cost is normalized travel time
 plus weighted worst-case violations of the surge/sway/yaw-rate limits and the
 collision fraction.
+
+Geometry, kinematics, collision fraction and cost are kernels over a leading
+candidate axis; `_batch_paths` runs them on a whole DE generation.  The scalar
+calls `build_path`, `path_states`, `violation_sum` and `path_cost` are the
+same kernels on a batch of one, so there is one implementation of each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -72,7 +77,11 @@ class LocalCostWeights:
 
 @dataclass
 class LocalPath:
-    """Sampled path; geometry first, kinematics after path_states()."""
+    """One sampled path: geometry first, kinematics after path_states().
+
+    The planner builds one only for a candidate it accepts; the scalar calls
+    fill the same fields from the batch kernels run on a batch of one.
+    """
 
     points: np.ndarray            # (S, 3)
     yaw: np.ndarray               # (S,)
@@ -139,17 +148,16 @@ def basis_matrix(config: SplineConfig) -> np.ndarray:
 
 
 def control_points(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:
-    """(control_count, 3) control polygon with pinned endpoints.
+    """(..., control_count, 3) control polygons with pinned endpoints.
 
-    Genes are blocked as (all x, all y, all z) over the interior points.
+    Genes (..., gene_length) are blocked as (all x, all y, all z) over the
+    interior points.
     """
-    m = config.interior
-    pts = np.empty((config.control_count, 3))
-    pts[0] = np.asarray(endpoint_i, dtype=float)
-    pts[-1] = np.asarray(endpoint_j, dtype=float)
-    pts[1:-1, 0] = genes[:m]
-    pts[1:-1, 1] = genes[m:2 * m]
-    pts[1:-1, 2] = genes[2 * m:]
+    genes = np.asarray(genes, dtype=float)
+    pts = np.empty(genes.shape[:-1] + (config.control_count, 3))
+    pts[..., 0, :] = endpoint_i
+    pts[..., -1, :] = endpoint_j
+    pts[..., 1:-1, :] = np.swapaxes(genes.reshape(genes.shape[:-1] + (3, config.interior)), -1, -2)
     return pts
 
 
@@ -186,10 +194,11 @@ def _geometry(ctrl: np.ndarray, config: SplineConfig):
     return pts, diffs, lens, yaw_seg, pitch_seg
 
 
-def _kinematics(pts, diffs, lens, yaw_seg, weights: LocalCostWeights, env: EnvSnapshot):
-    """Shared ground-frame kinematics for batched geometry.
+def _kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights, env: EnvSnapshot):
+    """Ground-frame kinematics for batched geometry; yaw is per sample (c,S).
 
-    Returns surge, sway, tz (c,S-1), seg_times, times (c,S), stalled (c,).
+    Returns the per-sample series surge, sway, v_z, yaw_rate (c,S), then
+    seg_times (c,S-1), times (c,S) and stalled (c,).
     """
     c, nseg = lens.shape
     safe = np.maximum(lens, _EPS_LEN)
@@ -197,18 +206,20 @@ def _kinematics(pts, diffs, lens, yaw_seg, weights: LocalCostWeights, env: EnvSn
     cur = current_grid(pts[:, :-1, :2].reshape(-1, 2), env.field).reshape(c, nseg, 2)
     along = tx * cur[..., 0] + ty * cur[..., 1]
     surge = weights.cruise_speed + along
+    yaw_seg = yaw[:, :-1]
     sway = -np.sin(yaw_seg) * cur[..., 0] + np.cos(yaw_seg) * cur[..., 1]
     moving = lens > _EPS_LEN
     stalled = np.any((surge <= 0.0) & moving, axis=1)
     eff = np.maximum(surge, 0.1 * weights.cruise_speed)
     seg_times = np.where(moving, lens / eff, 0.0)
     times = np.concatenate([np.zeros((c, 1)), np.cumsum(seg_times, axis=1)], axis=1)
-    return surge, sway, tz, seg_times, times, stalled
+    return (_pad(surge), _pad(sway), weights.cruise_speed * _pad(tz), yaw_rates(yaw, times),
+            seg_times, times, stalled)
 
 
 def _pad(seg_values: np.ndarray) -> np.ndarray:
-    """Per-sample series from per-segment values (last sample repeats)."""
-    return np.concatenate([seg_values, seg_values[-1:]])
+    """Per-sample series from per-segment values along the last axis (last sample repeats)."""
+    return np.concatenate([seg_values, seg_values[..., -1:]], axis=-1)
 
 
 def build_path(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> LocalPath:
@@ -218,7 +229,7 @@ def build_path(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) 
     if np.linalg.norm(p_j - p_i) < _EPS_LEN:
         return LocalPath(points=np.vstack([p_i, p_j]), yaw=np.zeros(2), pitch=np.zeros(2),
                          seg_lengths=np.zeros(1), length=0.0, degenerate=True)
-    ctrl = control_points(np.asarray(genes, dtype=float), p_i, p_j, config)
+    ctrl = control_points(genes, p_i, p_j, config)
     pts, _, lens, yaw_seg, pitch_seg = _geometry(ctrl[None], config)
     return LocalPath(points=pts[0], yaw=_pad(yaw_seg[0]), pitch=_pad(pitch_seg[0]),
                      seg_lengths=lens[0], length=float(lens[0].sum()))
@@ -233,42 +244,27 @@ def path_states(path: LocalPath, weights: LocalCostWeights, env: EnvSnapshot) ->
     drops to zero or below marks the whole path stalled (infeasible).
     """
     if path.degenerate:
-        path.surge = np.zeros(2)
-        path.sway = np.zeros(2)
-        path.v_z = np.zeros(2)
-        path.yaw_rate = np.zeros(2)
-        path.seg_times = np.zeros(1)
-        path.times = np.zeros(2)
-        path.duration = 0.0
+        path.surge, path.sway, path.v_z, path.yaw_rate, path.times = (np.zeros(2) for _ in range(5))
+        path.seg_times, path.duration = np.zeros(1), 0.0
         return path
-    pts = path.points[None]
-    diffs = np.diff(path.points, axis=0)[None]
-    lens = path.seg_lengths[None]
-    surge, sway, tz, seg_times, times, stalled = _kinematics(
-        pts, diffs, lens, path.yaw[None, :-1], weights, env)
-    path.surge = _pad(surge[0])
-    path.sway = _pad(sway[0])
-    path.v_z = weights.cruise_speed * _pad(tz[0])
-    path.yaw_rate = yaw_rates(path.yaw, times[0])
-    path.seg_times = seg_times[0]
-    path.times = times[0]
-    path.duration = float(times[0, -1])
-    path.stalled = bool(stalled[0])
+    states = _kinematics(path.points[None], np.diff(path.points, axis=0)[None],
+                         path.seg_lengths[None], path.yaw[None], weights, env)
+    (path.surge, path.sway, path.v_z, path.yaw_rate, path.seg_times, path.times,
+     stalled) = (a[0] for a in states)
+    path.duration = float(path.times[-1])
+    path.stalled = bool(stalled)
     return path
 
 
 def yaw_rates(yaw: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Central-difference yaw rate over the cumulative sample times."""
-    n = len(yaw)
-    rates = np.zeros(n)
-    if n < 2:
-        return rates
-    rates[0] = _wrap_angle(yaw[1] - yaw[0]) / max(times[1] - times[0], _EPS_LEN)
-    rates[-1] = _wrap_angle(yaw[-1] - yaw[-2]) / max(times[-1] - times[-2], _EPS_LEN)
-    if n > 2:
-        span = np.maximum(times[2:] - times[:-2], _EPS_LEN)
-        rates[1:-1] = _wrap_angle(yaw[2:] - yaw[:-2]) / span
-    return rates
+    """Central-difference yaw rate over the cumulative sample times (last axis).
+
+    The end samples take one-sided differences.
+    """
+    def spread(a):
+        return np.concatenate([a[..., 1:2] - a[..., :1], a[..., 2:] - a[..., :-2],
+                               a[..., -1:] - a[..., -2:-1]], axis=-1)
+    return _wrap_angle(spread(yaw)) / np.maximum(spread(times), _EPS_LEN)
 
 
 def _subdivided(points: np.ndarray, subdivide: int) -> np.ndarray:
@@ -282,6 +278,13 @@ def _subdivided(points: np.ndarray, subdivide: int) -> np.ndarray:
     return np.concatenate(chunks, axis=-2)
 
 
+def _violations(pts: np.ndarray, subdivide: int, env: EnvSnapshot, padded: bool) -> np.ndarray:
+    """Colliding fraction of each (c, S, 3) path's checkpoints, (c,)."""
+    check = _subdivided(pts, subdivide)
+    hits = points_in_collision(check.reshape(-1, 3), env.map, list(env.obstacles), padded=padded)
+    return hits.reshape(pts.shape[0], -1).mean(axis=1)
+
+
 def violation_sum(path: LocalPath, env: EnvSnapshot, subdivide: int = 1,
                   padded: bool = False) -> float:
     """Fraction of checked path points in collision with coast or obstacles.
@@ -292,43 +295,45 @@ def violation_sum(path: LocalPath, env: EnvSnapshot, subdivide: int = 1,
     occupancy; together these guarantee that a path accepted as clean cannot
     touch true coast anywhere between checkpoints.
     """
-    if path.degenerate:
-        path.violation = 0.0
-        return 0.0
-    pts = _subdivided(path.points, subdivide)
-    hits = points_in_collision(pts, env.map, list(env.obstacles), padded=padded)
-    frac = float(np.mean(hits))
-    path.violation = frac
-    return frac
+    path.violation = (0.0 if path.degenerate
+                      else float(_violations(path.points[None], subdivide, env, padded)[0]))
+    return path.violation
 
 
-def _aggregate(excess: np.ndarray, mode: str) -> float:
-    return float(np.max(excess)) if mode == "max" else float(np.sum(excess))
+def _costs(chord: float, duration, surge, sway, yaw_rate, stalled, violation,
+           weights: LocalCostWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Costs (c,) and (surge, sway, yaw-rate) excesses (c, 3) of c paths sharing a chord.
+
+    The series are per sample (c,S).  Time is normalized by the straight-line
+    still-water time, so an unobstructed straight leg scores exactly 1.0; a
+    stalled path costs +inf.
+    """
+    reduce = np.max if weights.aggregate == "max" else np.sum
+    excess = np.stack([reduce(np.maximum(0.0, surge - weights.surge_max), axis=1),
+                       reduce(np.maximum(0.0, np.abs(sway) - weights.sway_max), axis=1),
+                       reduce(np.maximum(0.0, np.abs(yaw_rate) - weights.yaw_rate_max), axis=1)],
+                      axis=1)
+    t_ref = chord / weights.cruise_speed
+    costs = (duration / t_ref + weights.w_surge * excess[:, 0] + weights.w_sway * excess[:, 1]
+             + weights.w_yaw * excess[:, 2] + weights.w_collision * violation)
+    excess[stalled] = (math.inf, 0.0, 0.0)
+    costs[stalled] = math.inf
+    return costs, excess
 
 
 def path_cost(path: LocalPath, weights: LocalCostWeights) -> float:
-    """Normalized time plus weighted constraint violations; +inf when stalled.
-
-    Time is normalized by the straight-line still-water time, so an
-    unobstructed straight leg scores exactly 1.0.
-    """
+    """Normalized time plus weighted constraint violations; +inf when stalled."""
     if path.degenerate:
         path.kin_excess = (0.0, 0.0, 0.0)
         return 0.0
-    if path.stalled:
-        path.kin_excess = (math.inf, 0.0, 0.0)
-        return math.inf
     if path.duration is None:
         raise ValueError("path_states must run before path_cost")
-    chord = float(np.linalg.norm(path.end - path.start))
-    t_ref = chord / weights.cruise_speed
-    surge_ex = _aggregate(np.maximum(0.0, path.surge - weights.surge_max), weights.aggregate)
-    sway_ex = _aggregate(np.maximum(0.0, np.abs(path.sway) - weights.sway_max), weights.aggregate)
-    yaw_ex = _aggregate(np.maximum(0.0, np.abs(path.yaw_rate) - weights.yaw_rate_max), weights.aggregate)
-    path.kin_excess = (surge_ex, sway_ex, yaw_ex)
-    violation = path.violation if path.violation is not None else 0.0
-    return (path.duration / t_ref + weights.w_surge * surge_ex + weights.w_sway * sway_ex
-            + weights.w_yaw * yaw_ex + weights.w_collision * violation)
+    costs, excess = _costs(float(np.linalg.norm(path.end - path.start)), path.duration,
+                           path.surge[None], path.sway[None], path.yaw_rate[None],
+                           np.array([path.stalled]),
+                           0.0 if path.violation is None else path.violation, weights)
+    path.kin_excess = tuple(float(e) for e in excess[0])
+    return float(costs[0])
 
 
 def corridor_bounds(endpoint_i, endpoint_j, env: EnvSnapshot, config: SplineConfig,
@@ -345,12 +350,8 @@ def corridor_bounds(endpoint_i, endpoint_j, env: EnvSnapshot, config: SplineConf
     ext = env.map.grid.extent
     lo_xy = np.maximum(np.minimum(p_i[:2], p_j[:2]) - pad, 0.0)
     hi_xy = np.minimum(np.maximum(p_i[:2], p_j[:2]) + pad, ext)
-    lo = np.concatenate([np.full(config.interior, lo_xy[0]),
-                         np.full(config.interior, lo_xy[1]),
-                         np.zeros(config.interior)])
-    hi = np.concatenate([np.full(config.interior, hi_xy[0]),
-                         np.full(config.interior, hi_xy[1]),
-                         np.full(config.interior, env.map.grid.depth_extent)])
+    lo = np.repeat([lo_xy[0], lo_xy[1], 0.0], config.interior)
+    hi = np.repeat([hi_xy[0], hi_xy[1], env.map.grid.depth_extent], config.interior)
     return lo, hi
 
 
@@ -364,54 +365,38 @@ def straight_genes(endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:
 
 
 def _batch_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
-                 config: SplineConfig, weights: LocalCostWeights,
-                 env: EnvSnapshot) -> tuple[np.ndarray, list]:
-    """Vectorized geometry/kinematics/cost for a (m, genes) candidate matrix.
+                 config: SplineConfig, weights: LocalCostWeights, env: EnvSnapshot):
+    """Costs (m,), clean mask (m,) and a LocalPath builder for a (m, genes) matrix.
 
     Collision checks subdivide every segment below the map cell size and use
     the dilated coast, so an accepted path cannot clip a coast corner between
-    checkpoints.
+    checkpoints.  The mask is LocalPath.is_clean over the candidate axis.
     """
-    m = mat.shape[0]
-    k = config.interior
-    S = config.samples
-    ctrl = np.empty((m, config.control_count, 3))
-    ctrl[:, 0, :] = p_i
-    ctrl[:, -1, :] = p_j
-    ctrl[:, 1:-1, 0] = mat[:, :k]
-    ctrl[:, 1:-1, 1] = mat[:, k:2 * k]
-    ctrl[:, 1:-1, 2] = mat[:, 2 * k:]
-
-    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(ctrl, config)
-    surge, sway, tz, seg_times, times, stalled = _kinematics(pts, diffs, lens, yaw_seg,
-                                                             weights, env)
-    cell = env.map.grid.cell_size
-    qs = np.clip(np.ceil(lens.max(axis=1) / cell).astype(int), 1, None)
-    violations = np.empty(m)
+    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(control_points(mat, p_i, p_j, config), config)
+    yaw, pitch = _pad(yaw_seg), _pad(pitch_seg)
+    surge, sway, v_z, yaw_rate, seg_times, times, stalled = _kinematics(
+        pts, diffs, lens, yaw, weights, env)
+    qs = np.clip(np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int), 1, None)
+    violation = np.empty(mat.shape[0])
     for q in np.unique(qs):
         rows = np.flatnonzero(qs == q)
-        check_pts = _subdivided(pts[rows], int(q))
-        hits = points_in_collision(check_pts.reshape(-1, 3), env.map,
-                                   list(env.obstacles), padded=True)
-        violations[rows] = hits.reshape(len(rows), -1).mean(axis=1)
+        violation[rows] = _violations(pts[rows], int(q), env, padded=True)
+    # The clamped basis is exactly 1 at both ends, so every row samples the
+    # pinned endpoints bit for bit and shares one chord.
+    chord = float(np.linalg.norm(pts[0, -1] - pts[0, 0]))
+    costs, excess = _costs(chord, times[:, -1], surge, sway, yaw_rate, stalled, violation,
+                           weights)
+    clean = ~stalled & (violation <= 0) & (excess.max(axis=1) == 0.0)
 
-    costs = np.empty(m)
-    paths: list = [None] * m
-    for i in range(m):
-        path = LocalPath(points=pts[i], yaw=_pad(yaw_seg[i]), pitch=_pad(pitch_seg[i]),
-                         seg_lengths=lens[i], length=float(lens[i].sum()))
-        path.surge = _pad(surge[i])
-        path.sway = _pad(sway[i])
-        path.v_z = weights.cruise_speed * _pad(tz[i])
-        path.yaw_rate = yaw_rates(path.yaw, times[i])
-        path.seg_times = seg_times[i]
-        path.times = times[i]
-        path.duration = float(times[i, -1])
-        path.stalled = bool(stalled[i])
-        path.violation = float(violations[i])
-        costs[i] = path_cost(path, weights)
-        paths[i] = path
-    return costs, paths
+    def path(i: int) -> LocalPath:
+        return LocalPath(points=pts[i], yaw=yaw[i], pitch=pitch[i], seg_lengths=lens[i],
+                         length=float(lens[i].sum()), surge=surge[i], sway=sway[i],
+                         v_z=v_z[i], yaw_rate=yaw_rate[i], seg_times=seg_times[i],
+                         times=times[i], duration=float(times[i, -1]),
+                         stalled=bool(stalled[i]), violation=float(violation[i]),
+                         kin_excess=tuple(float(e) for e in excess[i]))
+
+    return costs, clean, path
 
 
 @dataclass
@@ -436,21 +421,21 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
     p_i = np.asarray(endpoint_i, dtype=float)
     p_j = np.asarray(endpoint_j, dtype=float)
     lo, hi = corridor_bounds(p_i, p_j, env, spline)
-    cfg = de.DEConfig(population_size=config.population_size, generations=config.generations,
-                      scale=config.scale, crossover_rate=config.crossover_rate,
-                      seed=config.seed, lower=lo, upper=hi)
+    cfg = replace(config, lower=lo, upper=hi)
     seeds = [straight_genes(p_i, p_j, spline), *seed_genes]
 
     best_clean: dict = {"cost": math.inf, "path": None, "genes": None}
 
     def evaluate(mat: np.ndarray) -> tuple[np.ndarray, list]:
-        costs, paths = _batch_paths(mat, p_i, p_j, spline, weights, env)
-        for i, path in enumerate(paths):
-            if costs[i] < best_clean["cost"] and path.is_clean():
-                best_clean["cost"] = float(costs[i])
-                best_clean["path"] = path
-                best_clean["genes"] = mat[i].copy()
-        return costs, paths
+        # Keep the first cheapest clean candidate when it beats the best so far.
+        costs, clean, path = _batch_paths(mat, p_i, p_j, spline, weights, env)
+        clean_costs = np.where(clean, costs, math.inf)
+        i = int(np.argmin(clean_costs))
+        if clean_costs[i] < best_clean["cost"]:
+            best_clean["cost"] = float(clean_costs[i])
+            best_clean["path"] = path(i)
+            best_clean["genes"] = mat[i].copy()
+        return costs, [None] * mat.shape[0]
 
     result = de.optimize(evaluate, cfg, rng=rng, seed_genes=seeds, batch=True)
     if best_clean["path"] is None:

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 import yaml
 
+import uuvsim.cli as cli
+import uuvsim.mission as mission
 from uuvsim.cli import (aggregate_rows, field_dump, main, run_monte_carlo, run_once)
 from uuvsim.env import current_at
 from uuvsim.scenario import build_field, from_dict, resolve_scenario
@@ -106,6 +108,34 @@ def test_monte_carlo_records_trial_failures(tmp_path):
     assert all(not r["success"] and r["error"] for r in summary.rows)
 
 
+def test_monte_carlo_survives_unexpected_trial_error(monkeypatch):
+    sc = small_scenario()
+    run_mission = cli.run_mission
+
+    def flaky(sc, seed, **kw):
+        if seed == 11:
+            raise ValueError("bad draw")
+        return run_mission(sc, seed, **kw)
+
+    monkeypatch.setattr(cli, "run_mission", flaky)
+    summary = run_monte_carlo(sc, trials=3, base_seed=10, jobs=1)
+    assert [r["seed"] for r in summary.rows] == [10, 11, 12]
+    bad = summary.rows[1]
+    assert not bad["success"] and bad["report"] is None
+    assert bad["error"] == "ValueError: bad draw"
+    assert all(r["success"] and r["report"] for r in (summary.rows[0], summary.rows[2]))
+    assert summary.aggregates["successes"] == 2
+
+
+def test_monte_carlo_files_byte_identical(tmp_path):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    rows = run_monte_carlo(small_scenario(), trials=3, base_seed=7, out_dir=a_dir).rows
+    run_monte_carlo(small_scenario(), trials=3, base_seed=7, out_dir=b_dir)
+    for name in ("trials.csv", "summary.txt"):
+        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+    assert all(r["wall_clock"] > 0 for r in rows)
+
+
 def test_monte_carlo_station_redraw(tmp_path):
     sc = small_scenario()
     sc.network.records = None
@@ -172,6 +202,24 @@ def test_cli_plan_prints_route(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "route: 1-2" in out
+
+
+def test_cli_plan_matches_mission_initial_route(capsys, monkeypatch):
+    class FirstPlan(Exception):
+        pass
+
+    plan_global = mission.plan_global
+
+    def stop_at_first_plan(*args, **kwargs):
+        raise FirstPlan(plan_global(*args, **kwargs))
+
+    assert main(["plan", "--scenario", "paper_baseline", "--seed", "42"]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    monkeypatch.setattr(mission, "plan_global", stop_at_first_plan)
+    with pytest.raises(FirstPlan) as first:
+        mission.run_mission(resolve_scenario("paper_baseline"), 42)
+    sequence = first.value.args[0].route.sequence
+    assert printed == f"route: {'-'.join(str(s) for s in sequence)}"
 
 
 def test_cli_field_dump(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uuvsim.env import (ClusteredMap, GridMap, Obstacle, VortexField, VortexParams,
                         cluster_map, current_at, current_grid, load_raster,
@@ -143,6 +145,45 @@ def test_current_superposition():
     total = current_grid(pts, fld)
     parts = sum(current_grid(pts, VortexField(vortices=(v,))) for v in vortices)
     np.testing.assert_allclose(total, parts, atol=1e-12)
+
+
+def unblocked_current(pts, fld):
+    """Reference superposition: one (n, v) pass, exp evaluated for every pair."""
+    c = np.array([v.center for v in fld.vortices])
+    radii = np.array([v.radius for v in fld.vortices])
+    strengths = np.array([v.strength for v in fld.vortices])
+    dx = pts[:, 0:1] - c[None, :, 0]
+    dy = pts[:, 1:2] - c[None, :, 1]
+    r2 = dx * dx + dy * dy
+    core = r2 < (1e-9 * radii[None, :]) ** 2
+    r2_safe = np.where(core, 1.0, r2)
+    coeff = strengths[None, :] / (2.0 * np.pi * r2_safe) * (1.0 - np.exp(-r2_safe / radii[None, :] ** 2))
+    coeff = np.where(core, 0.0, coeff)
+    return np.column_stack([np.sum(-coeff * dy, axis=1), np.sum(coeff * dx, axis=1)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), v=st.integers(1, 90), n=st.integers(1, 1300))
+def test_current_grid_rows_exact(seed, v, n):
+    """Blocking and the skipped far-field exp change no bit of any row."""
+    rng = np.random.default_rng(seed)
+    vortices = tuple(VortexParams(center=tuple(rng.uniform(0, 5000, 2)),
+                                  radius=rng.uniform(50, 400),
+                                  strength=rng.uniform(-5000, 5000)) for _ in range(v))
+    fld = VortexField(vortices=vortices)
+    c = np.array([vo.center for vo in vortices])
+    ell = np.array([vo.radius for vo in vortices])
+    pick = rng.integers(v, size=n)
+    angle = rng.uniform(0, 2 * np.pi, n)
+    # r / ell spans the core, the exp cutoff sqrt(40) on both sides, and far field
+    r = ell[pick] * rng.choice([0.0, 1e-12, 0.5, 6.3245, 6.3246, 6.5, 30.0], size=n)
+    pts = c[pick] + r[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    loose = rng.random(n) < 0.3
+    pts[loose] = rng.uniform(-500, 5500, size=(int(loose.sum()), 2))
+    grid = current_grid(pts, fld)
+    np.testing.assert_array_equal(grid, unblocked_current(pts, fld))
+    for i in rng.choice(n, size=min(n, 40), replace=False):
+        np.testing.assert_array_equal(grid[i], current_grid(pts[i:i + 1], fld)[0])
 
 
 # --- field perturbation -----------------------------------------------------

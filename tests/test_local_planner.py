@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uuvsim.local_planner as lp
 from uuvsim.de import DEConfig
@@ -306,6 +308,15 @@ def test_replan_tracks_drifted_target():
     assert np.linalg.norm(second.path.end - drifted) <= 1e-6
 
 
+def scalar_pipeline(genes, p_i, p_j, w, env):
+    """build_path -> path_states -> violation_sum -> path_cost, as the planner checks."""
+    path = build_path(genes, p_i, p_j, SPL)
+    path_states(path, w, env)
+    subdivide = max(1, math.ceil(float(path.seg_lengths.max()) / env.map.grid.cell_size))
+    violation_sum(path, env, subdivide=subdivide, padded=True)
+    return path, path_cost(path, w)
+
+
 def test_batch_evaluator_agrees_with_scalar_pipeline():
     rng = np.random.default_rng(14)
     vort = VortexParams(center=(2600.0, 2400.0), radius=500.0, strength=1200.0)
@@ -316,13 +327,38 @@ def test_batch_evaluator_agrees_with_scalar_pipeline():
     w = still_weights(cruise=2.1)
     lo, hi = corridor_bounds(p_i, p_j, env, SPL)
     mat = rng.uniform(lo, hi, size=(16, SPL.gene_length))
-    costs, paths = lp._batch_paths(mat, p_i, p_j, SPL, w, env)
-    cell = env.map.grid.cell_size
-    for genes, cost, bpath in zip(mat, costs, paths):
-        path = build_path(genes, p_i, p_j, SPL)
-        path_states(path, w, env)
-        subdivide = max(1, math.ceil(float(path.seg_lengths.max()) / cell))
-        violation_sum(path, env, subdivide=subdivide, padded=True)
-        assert path_cost(path, w) == pytest.approx(cost, rel=1e-12)
-        np.testing.assert_allclose(path.points, bpath.points, atol=1e-9)
-        np.testing.assert_allclose(path.times, bpath.times, atol=1e-9)
+    costs, clean, path_of = lp._batch_paths(mat, p_i, p_j, SPL, w, env)
+    assert clean.any() and not clean.all()
+    for i, genes in enumerate(mat):
+        path, cost = scalar_pipeline(genes, p_i, p_j, w, env)
+        assert cost == costs[i]
+        bpath = path_of(i)
+        for name in ("points", "yaw", "pitch", "surge", "sway", "v_z", "yaw_rate", "times"):
+            np.testing.assert_array_equal(getattr(path, name), getattr(bpath, name))
+        assert (path.duration, path.violation, path.kin_excess, path.is_clean()) == \
+            (bpath.duration, bpath.violation, bpath.kin_excess, clean[i])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       aggregate=st.sampled_from(["max", "sum"]))
+def test_batched_cost_equals_m1_cost(seed, m, aggregate):
+    rng = np.random.default_rng(seed)
+    vortices = [VortexParams(center=tuple(rng.uniform(0, 6000, 2)), radius=rng.uniform(100, 600),
+                             strength=rng.uniform(-3000, 3000)) for _ in range(3)]
+    obs = Obstacle(id=1, kind="static", position=tuple(rng.uniform([0, 0, 0], [6000, 6000, 500])),
+                   radius=rng.uniform(50, 400))
+    env = open_env(vortices=vortices, obstacles=[obs])
+    p_i = rng.uniform([100, 100, 10], [5800, 5800, 900])
+    p_j = rng.uniform([100, 100, 10], [5800, 5800, 900])
+    # tight limits so that every excess term is exercised
+    w = still_weights(cruise=rng.uniform(0.5, 2.5), surge_max=rng.uniform(0.5, 3.0),
+                      sway_max=rng.uniform(0.0, 0.5), yaw_rate_max=rng.uniform(0.0, 0.05),
+                      aggregate=aggregate)
+    lo, hi = corridor_bounds(p_i, p_j, env, SPL)
+    mat = rng.uniform(lo, hi, size=(m, SPL.gene_length))
+    costs, clean, path_of = lp._batch_paths(mat, p_i, p_j, SPL, w, env)
+    for i, genes in enumerate(mat):
+        path, cost = scalar_pipeline(genes, p_i, p_j, w, env)
+        assert cost == costs[i]
+        assert (path.kin_excess, path.is_clean()) == (path_of(i).kin_excess, clean[i])

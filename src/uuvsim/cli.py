@@ -2,13 +2,15 @@
 
 Every output file starts with a comment line naming the artifact version,
 scenario and seed.  CSV files are comma-separated with '.' decimals and LF
-line endings; identical (scenario, seed) runs produce byte-identical files.
+line endings; text holding a comma, quote or newline is double-quoted.
+Identical (scenario, seed) runs produce byte-identical files.
 Exit codes: 0 success, 2 validation error, 3 mission failure, 4 IO error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 import traceback
@@ -44,9 +46,11 @@ def _header(sc: Scenario, seed: int) -> str:
 
 
 def _write_csv(path: Path, sc: Scenario, seed: int, columns: list[str], rows) -> None:
-    lines = [_header(sc, seed), ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        fh.write(_header(sc, seed) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_report_text(report: MissionReport, sc: Scenario, path: Path) -> None:

@@ -20,7 +20,7 @@ from . import seeding
 from .env import EnvSnapshot, point_in_collision, perturb_field, step_obstacles
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
-from .global_planner import GlobalPlan, Route, plan_global
+from .global_planner import GlobalPlan, Route, plan_global, walk_cost
 from .local_planner import LocalPath, LocalPlan, plan_local, replan_local
 from .network import Network, consume_edge, drift_stations, edge_metrics
 from .scenario import (Scenario, build_field, build_map, build_network_from_spec,
@@ -467,10 +467,8 @@ class _Executor:
         report.path_time = self.elapsed
         report.residual_time = self.budget - self.elapsed
         report.stations_visited = len(set(report.executed_sequence))
-        gap = abs(report.path_time - self.budget) / self.budget
-        over = max(0.0, (report.path_time - self.budget) / self.budget)
-        value_term = self.network.size / (report.total_value + 1.0)
-        report.total_cost = gap + value_term + (100.0 * (1.0 + over) if over > 0 else 0.0)
+        report.total_cost = walk_cost(report.path_time, report.total_value,
+                                      self.network.size, self.budget)
         return report
 
 

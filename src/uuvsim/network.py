@@ -151,36 +151,6 @@ def shortest_times_to(network: Network, target: int, speed: float,
     return dist
 
 
-def shortest_path(network: Network, src: int, dst: int, speed: float,
-                  blocked: frozenset[tuple[int, int]] = frozenset()) -> list[int] | None:
-    """Minimum-time station sequence src..dst over unused edges, or None."""
-    adj = network.available_adjacency()
-    dist = {src: 0.0}
-    prev: dict[int, int] = {}
-    heap = [(0.0, src)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == dst:
-            break
-        if d > dist.get(u, math.inf):
-            continue
-        pu = network.position(u)
-        for v in adj[u]:
-            if _pair(u, v) in blocked:
-                continue
-            nd = d + float(np.linalg.norm(pu - network.position(v))) / speed
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if dst not in dist:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
                    rng: np.random.Generator) -> Network:
     """One drift event: every drifting station jitters and rides the current.

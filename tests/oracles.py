@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
+
+from uuvsim.errors import UndecodableError
+from uuvsim.global_planner import Route
+from uuvsim.network import Network, _pair
 
 
 def walk_cost(time: float, value: float, n_stations: int, budget: float) -> float:
@@ -57,3 +62,112 @@ def best_walk_cost(network, speed: float, budget: float) -> float:
     walks = enumerate_edge_walks(network, speed)
     n = len(network.stations)
     return min(walk_cost(t, v, n, budget) for t, v in walks)
+
+
+# The decoder as it stood before the decode graph was built once per plan:
+# adjacency, edge lengths and the to-goal table rebuilt for every genome, and
+# a full-graph Dijkstra on every divert.  Kept verbatim as the exactness
+# reference for `decode_route`.
+
+
+def reference_dijkstra(adj: dict[int, list[tuple[int, float]]], src: int,
+                       blocked: set[tuple[int, int]]) -> tuple[dict[int, float], dict[int, int]]:
+    """Times and predecessors from src over the weighted adjacency, minus blocked pairs."""
+    dist = {src: 0.0}
+    prev: dict[int, int] = {}
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        for v, t in adj[u]:
+            if ((u, v) if u < v else (v, u)) in blocked:
+                continue
+            nd = d + t
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, prev
+
+
+def reference_decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
+                           time_budget: float, speed: float,
+                           visited: frozenset[int] = frozenset()) -> Route:
+    """Decode a key vector into a route; raises UndecodableError when cut off.
+
+    The budget check against the remaining shortest path uses a table
+    precomputed over the network's unused edges; edges consumed within the
+    walk are not re-blocked there (the overtime penalty absorbs the rare
+    decode this lets slip past the budget).  `visited` marks stations whose
+    value was already collected in earlier legs; they contribute nothing to
+    this route's value.
+    """
+    ids = sorted(network.stations)
+    key_of = {sid: float(keys[i]) for i, sid in enumerate(ids)}
+    pos = {sid: tuple(network.stations[sid].position) for sid in ids}
+
+    adj: dict[int, list[tuple[int, float]]] = {sid: [] for sid in ids}
+    dist_of: dict[tuple[int, int], float] = {}
+    for i, j in network.edges:
+        if (i, j) in network.used:
+            continue
+        pi, pj = pos[i], pos[j]
+        d = math.sqrt((pi[0] - pj[0]) ** 2 + (pi[1] - pj[1]) ** 2 + (pi[2] - pj[2]) ** 2)
+        dist_of[(i, j)] = d
+        t = d / speed
+        adj[i].append((j, t))
+        adj[j].append((i, t))
+    for lst in adj.values():
+        lst.sort()
+
+    to_goal = reference_dijkstra(adj, goal, set())[0]
+
+    used: set[tuple[int, int]] = set()
+    seq = [start]
+    elapsed = 0.0
+    distance = 0.0
+
+    while seq[-1] != goal:
+        cur = seq[-1]
+        moved = False
+        nbrs = [m for m, _ in adj[cur] if ((cur, m) if cur < m else (m, cur)) not in used]
+        if nbrs:
+            # Highest key wins; ties resolve to the lower id.
+            m = max(nbrs, key=lambda s: (key_of[s], -s))
+            p = (cur, m) if cur < m else (m, cur)
+            step_d = dist_of[p]
+            if elapsed + step_d / speed + to_goal.get(m, math.inf) <= time_budget:
+                used.add(p)
+                seq.append(m)
+                elapsed += step_d / speed
+                distance += step_d
+                moved = True
+        if not moved:
+            # Divert: minimum-time path to the goal over what is left.
+            dist, prev = reference_dijkstra(adj, cur, used)
+            if goal not in dist:
+                raise UndecodableError(f"goal {goal} unreachable from {cur}")
+            tail = [goal]
+            while tail[-1] != cur:
+                tail.append(prev[tail[-1]])
+            for nxt in tail[-2::-1]:
+                prev_node = seq[-1]
+                p = (prev_node, nxt) if prev_node < nxt else (nxt, prev_node)
+                used.add(p)
+                d = dist_of[p]
+                seq.append(nxt)
+                elapsed += d / speed
+                distance += d
+            break
+
+    value = 0.0
+    seen = set(visited) | {start}
+    edges = []
+    for a, b in zip(seq, seq[1:]):
+        edges.append(_pair(a, b))
+        if b not in seen:
+            value += network.stations[b].value
+            seen.add(b)
+    return Route(sequence=tuple(seq), edges=tuple(edges), distance=distance,
+                 time=distance / speed, total_value=value, station_total=network.size)

@@ -1,3 +1,4 @@
+import csv
 import math
 import numpy as np
 import pytest
@@ -195,6 +196,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     path.write_text(yaml.safe_dump(fail))
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "fail")])
     assert rc == 3
+    # The failure reason 'edge (2,3) failed' holds a comma; it must stay one field.
+    lines = (tmp_path / "fail" / "replans.csv").read_text().splitlines()
+    rows = list(csv.reader(lines[1:]))
+    assert rows[0] == ["t", "kind", "reason"]
+    assert any("," in row[2] for row in rows[1:])
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_cli_plan_prints_route(capsys):

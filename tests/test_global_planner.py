@@ -1,13 +1,18 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uuvsim.de import DEConfig
 from uuvsim.errors import NoFeasibleRouteError, UndecodableError
-from uuvsim.global_planner import Route, decode_route, plan_global, route_cost
+from uuvsim.global_planner import (Route, decode_graph, decode_route, plan_global,
+                                   route_cost)
 from uuvsim.network import consume_edge
-from tests.oracles import best_walk_cost, walk_cost
+from tests.oracles import best_walk_cost, reference_decode_route, walk_cost
 from tests.test_network import line_network
 
 
@@ -90,6 +95,69 @@ def test_decode_visited_stations_carry_no_value():
     assert fresh.total_value == 6.0 and replay.total_value == 1.0
 
 
+@st.composite
+def decode_cases(draw):
+    """A random network with consumed edges, plus one decode's arguments.
+
+    Positions sit on a coarse lattice and keys come partly from a three-value
+    set, so equal edge times, equal path times and tied keys are common.
+    """
+    n = draw(st.integers(2, 12))
+    lattice = st.tuples(*[st.integers(0, 4).map(lambda c: 500.0 * c)] * 3)
+    exact = st.tuples(*[st.floats(0.0, 4000.0)] * 3)
+    positions = draw(st.lists(st.one_of(lattice, exact), min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = [pr for pr in pairs if draw(st.booleans())]
+    values = draw(st.lists(st.integers(0, 5).map(float), min_size=n, max_size=n))
+    net = line_network(positions, edges, start=1, goal=n, values=values)
+    for pr in edges:
+        if draw(st.integers(0, 4)) == 0:
+            net = consume_edge(net, *pr)
+    ids = st.integers(1, n)
+    key = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    keys = np.array(draw(st.lists(key, min_size=n, max_size=n)))
+    speed = draw(st.sampled_from([0.5, 1.0, 2.2]))
+    budget = draw(st.floats(1.0, 30_000.0))
+    visited = frozenset(draw(st.lists(ids, max_size=n)))
+    return keys, net, draw(ids), draw(ids), budget, speed, visited
+
+
+def decode_outcome(decode, *args, **kwargs):
+    try:
+        return dataclasses.astuple(decode(*args, **kwargs))
+    except UndecodableError as err:
+        return ("UndecodableError", str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=decode_cases())
+def test_decode_matches_reference_decoder(case):
+    keys, net, start, goal, budget, speed, visited = case
+    ref = decode_outcome(reference_decode_route, keys, net, start, goal, budget, speed, visited)
+    assert decode_outcome(decode_route, keys, net, start, goal, budget, speed, visited) == ref
+    graph = decode_graph(net, goal, speed)
+    assert decode_outcome(decode_route, keys, net, start, goal, budget, speed, visited,
+                          graph=graph) == ref
+    if ref[0] == "UndecodableError":
+        return
+    route = Route(*ref)
+    assert route.sequence[0] == start and route.sequence[-1] == goal
+    assert route.edges == tuple((min(a, b), max(a, b))
+                                for a, b in zip(route.sequence, route.sequence[1:]))
+    assert len(set(route.edges)) == len(route.edges)
+    for a, b in route.edges:
+        assert net.has_edge(a, b) and not net.is_used(a, b)
+
+
+def test_decode_rejects_graph_of_another_goal_or_speed():
+    net = triangle()
+    keys = np.array([0.3, 0.8, 0.2])
+    with pytest.raises(ValueError):
+        decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(net, 2, 1.5))
+    with pytest.raises(ValueError):
+        decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(net, 3, 1.0))
+
+
 # --- route cost -------------------------------------------------------------
 
 
@@ -125,6 +193,18 @@ def test_route_cost_feasibility_dominance():
         overtime = make_route(1000.0 * (1 + rng.uniform(1e-9, 2.0)),
                               rng.uniform(0, n * 5), n)
         assert route_cost(feasible, 1000.0) < route_cost(overtime, 1000.0)
+
+
+def test_route_cost_overtime_dominates_on_150_stations():
+    # An on-budget cost reaches 1 + N (zero time, zero value); past 98
+    # stations a fixed overtime weight of 100 would fall below it.
+    budget, n = 1000.0, 150
+    values = (0.0, 1.0, 100.0, 5.0 * n, 1e9)
+    on_budget = [route_cost(make_route(t, v, n), budget)
+                 for t in (0.0, 1.0, 500.0, budget) for v in values]
+    overtime = [route_cost(make_route(t, v, n), budget)
+                for t in (math.nextafter(budget, math.inf), 1001.0, 3000.0) for v in values]
+    assert max(on_budget) < min(overtime)
 
 
 def test_route_cost_factors_through_decoded_route():

@@ -146,14 +146,11 @@ def select(parent: Individual, mutant: Individual, trial: Individual) -> Individ
 
 
 def optimize(cost_fn, config: DEConfig, decode_hook=None, rng: np.random.Generator | None = None,
-             seed_genes: Sequence[np.ndarray] = (), batch: bool = False,
-             candidate_sink=None) -> DEResult:
+             seed_genes: Sequence[np.ndarray] = (), batch: bool = False) -> DEResult:
     """Run the configured number of generations and return the best-ever individual.
 
     `cost_fn` is either per-candidate (optionally after `decode_hook`) or, with
     ``batch=True``, a callable mapping a (m, n) gene matrix to (costs, auxes).
-    `candidate_sink(cost, aux)` observes every evaluation (the local planner
-    uses it to track the best constraint-clean path seen anywhere).
     """
     if config.lower is None or config.upper is None:
         raise ValueError("config bounds are required")
@@ -165,9 +162,6 @@ def optimize(cost_fn, config: DEConfig, decode_hook=None, rng: np.random.Generat
 
     genes, costs, auxes = init_population(evaluate, config, rng, seed_genes)
     evaluations = pop_n
-    if candidate_sink is not None:
-        for c, a in zip(costs, auxes):
-            candidate_sink(float(c), a)
 
     best_i = int(np.argmin(costs))
     best = Individual(genes[best_i].copy(), float(costs[best_i]), auxes[best_i])
@@ -194,9 +188,6 @@ def optimize(cost_fn, config: DEConfig, decode_hook=None, rng: np.random.Generat
         cand = np.vstack([mutants, trials])
         cand_costs, cand_auxes = evaluate(cand)
         evaluations += cand.shape[0]
-        if candidate_sink is not None:
-            for c, a in zip(cand_costs, cand_auxes):
-                candidate_sink(float(c), a)
         m_costs, t_costs = cand_costs[:pop_n], cand_costs[pop_n:]
 
         t_wins = (t_costs <= m_costs) & (t_costs <= costs)

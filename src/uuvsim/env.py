@@ -26,6 +26,11 @@ _CORE_EPS = 1e-9
 _BLOCK = 512
 _EXP_CUTOFF = 40.0
 
+# ClusteredMap.coast_free answers per square tile of _TILE x _TILE cells.  The
+# tile table is tiny; an integral image at full cell resolution would cost
+# more memory than the whole leg planner.
+_TILE = 8
+
 # Two-sided 98% envelope z-score for obstacle position/radius uncertainty.
 CONFIDENCE_Z = 2.05
 
@@ -87,6 +92,33 @@ class ClusteredMap:
         padded[:-1, 1:] |= occ[1:, :-1]
         padded[:-1, :-1] |= occ[1:, 1:]
         return padded.astype(np.int8)
+
+    @functools.cached_property
+    def coast_tiles(self) -> np.ndarray:
+        """Integral image of the _TILE x _TILE-cell tiles holding a true coast cell.
+
+        Entry [i, j] counts the coast tiles among tile rows < i and tile
+        columns < j; tiles past the raster edge hold no coast.
+        """
+        h, w = self.grid.height, self.grid.width
+        th, tw = -(-h // _TILE), -(-w // _TILE)
+        occ = np.zeros((th * _TILE, tw * _TILE), dtype=bool)
+        occ[:h, :w] = self.occupancy == 1
+        coast = occ.reshape(th, _TILE, tw, _TILE).any(axis=(1, 3))
+        table = np.zeros((th + 1, tw + 1), dtype=np.int32)
+        table[1:, 1:] = coast.cumsum(axis=0).cumsum(axis=1)
+        return table
+
+    def coast_free(self, row0, row1, col0, col1) -> np.ndarray:
+        """Whether the inclusive cell ranges hold no true coast cell (arrays in, mask out).
+
+        Answered per tile, so conservative: a range that shares a tile with
+        coast is not free.  Every index must lie inside the raster.
+        """
+        t = self.coast_tiles
+        r0, r1 = row0 // _TILE, row1 // _TILE + 1
+        c0, c1 = col0 // _TILE, col1 // _TILE + 1
+        return t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0] == 0
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
         """(row, col) of a point, or None when outside the raster."""
@@ -400,23 +432,24 @@ def points_in_collision(points: np.ndarray, cmap: ClusteredMap,
     """Vectorized collision test for (n, 3) points.
 
     A point collides when its cell is coast, it lies outside the raster or the
-    depth range, or it is inside any obstacle's envelope (closed ball).  With
-    ``padded=True`` the coast test uses the one-cell-dilated occupancy.
+    depth range (non-finite coordinates included), or it is inside any
+    obstacle's envelope (closed ball).  With ``padded=True`` the coast test
+    uses the one-cell-dilated occupancy.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
-    cs = cmap.grid.cell_size
-    col = np.floor(pts[:, 0] / cs).astype(np.int64)
-    row = np.floor(pts[:, 1] / cs).astype(np.int64)
+    grid = cmap.grid
+    col = np.floor(pts[:, 0] / grid.cell_size)
+    row = np.floor(pts[:, 1] / grid.cell_size)
     z = pts[:, 2] if pts.shape[1] > 2 else np.zeros(n)
 
-    out = (col < 0) | (col >= cmap.grid.width) | (row < 0) | (row >= cmap.grid.height)
-    out |= (z < 0.0) | (z > cmap.grid.depth_extent)
-    inside = ~out
+    # Every comparison is false for NaN, so non-finite points fall outside.
+    inside = ((col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
+              & (z >= 0.0) & (z <= grid.depth_extent))
+    out = ~inside
     if np.any(inside):
         occ = cmap.padded_occupancy if padded else cmap.occupancy
-        hit = occ[row[inside], col[inside]] == 1
-        out[np.flatnonzero(inside)[hit]] = True
+        out[inside] = occ[row[inside].astype(np.int64), col[inside].astype(np.int64)] == 1
     for obs in obstacles:
         d2 = ((pts[:, 0] - obs.position[0]) ** 2 + (pts[:, 1] - obs.position[1]) ** 2
               + (z - obs.position[2]) ** 2)
@@ -425,11 +458,25 @@ def points_in_collision(points: np.ndarray, cmap: ClusteredMap,
 
 
 def point_in_collision(point, cmap: ClusteredMap, obstacles: list[Obstacle]) -> bool:
-    """Scalar form of points_in_collision; out-of-bounds is conservatively a hit."""
-    p = np.asarray(point, dtype=float)
-    if p.size == 2:
-        p = np.array([p[0], p[1], 0.0])
-    return bool(points_in_collision(p[None, :], cmap, obstacles)[0])
+    """Scalar form of points_in_collision, in plain floats with the same arithmetic.
+
+    Out-of-bounds and non-finite points are conservatively hits; a 2-D point
+    sits at depth 0.
+    """
+    x, y = float(point[0]), float(point[1])
+    z = float(point[2]) if len(point) > 2 else 0.0
+    grid = cmap.grid
+    gx, gy = x / grid.cell_size, y / grid.cell_size
+    if not (math.isfinite(gx) and math.isfinite(gy) and 0.0 <= z <= grid.depth_extent):
+        return True
+    col, row = math.floor(gx), math.floor(gy)
+    if not (0 <= col < grid.width and 0 <= row < grid.height) or cmap.occupancy[row, col] == 1:
+        return True
+    for obs in obstacles:
+        dx, dy, dz = x - obs.position[0], y - obs.position[1], z - obs.position[2]
+        if dx * dx + dy * dy + dz * dz <= obs.envelope_radius ** 2:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ Geometry, kinematics, collision fraction and cost are kernels over a leading
 candidate axis; `_batch_paths` runs them on a whole DE generation.  The scalar
 calls `build_path`, `path_states`, `violation_sum` and `path_cost` are the
 same kernels on a batch of one, so there is one implementation of each.
+
+The collision fraction counts a path's samples plus q - 1 evenly spaced
+checkpoints on each segment, q from the path's longest segment.  All samples
+are tested; a segment whose end samples certify it clear of raster edge,
+depth range, coast and every obstacle envelope counts its checkpoints as
+misses unbuilt, so only segments near coast or obstacles are subdivided.
 """
 
 from __future__ import annotations
@@ -27,6 +33,12 @@ from .env import EnvSnapshot, current_grid, points_in_collision
 from .errors import NoFeasiblePathError
 
 _EPS_LEN = 1e-12
+
+# Margin (m) by which the clear-segment certificate widens the box around a
+# segment's end samples and every obstacle envelope.  In exact arithmetic the
+# checkpoints a + (k/q)(b - a) lie in the unwidened box; the margin keeps the
+# certificate sound whatever their rounding.
+_CERT_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -267,22 +279,68 @@ def yaw_rates(yaw: np.ndarray, times: np.ndarray) -> np.ndarray:
     return _wrap_angle(spread(yaw)) / np.maximum(spread(times), _EPS_LEN)
 
 
-def _subdivided(points: np.ndarray, subdivide: int) -> np.ndarray:
-    """Insert `subdivide - 1` interpolated points per segment (batch-safe)."""
-    if subdivide <= 1:
-        return points
-    segs = points[..., 1:, :] - points[..., :-1, :]
-    chunks = [points]
-    for k in range(1, subdivide):
-        chunks.append(points[..., :-1, :] + (k / subdivide) * segs)
-    return np.concatenate(chunks, axis=-2)
+def _certified(pts: np.ndarray, env: EnvSnapshot) -> np.ndarray:
+    """(c, S-1) mask of the segments of (c, S, 3) paths whose every checkpoint surely misses.
+
+    The box around a segment's two end samples, widened by _CERT_MARGIN, must
+    lie inside the raster and the depth range, share no tile with a true
+    coast cell within one cell of its cell range, and stay farther than
+    envelope + _CERT_MARGIN from every obstacle centre.
+    """
+    grid = env.map.grid
+    p = np.ascontiguousarray(np.moveaxis(pts, -1, 0))  # (3, c, S)
+    lo = np.minimum(p[..., :-1], p[..., 1:]) - _CERT_MARGIN
+    hi = np.maximum(p[..., :-1], p[..., 1:]) + _CERT_MARGIN
+    col0, row0 = np.floor(lo[:2] / grid.cell_size)
+    col1, row1 = np.floor(hi[:2] / grid.cell_size)
+    # Written so that NaN coordinates are never certified.
+    ok = ((col0 >= 0) & (col1 < grid.width) & (row0 >= 0) & (row1 < grid.height)
+          & (lo[2] >= 0.0) & (hi[2] <= grid.depth_extent))
+
+    def cells(v, pad, n):
+        return np.clip(np.where(ok, v + pad, 0.0), 0, n - 1).astype(np.int64)
+
+    # The one-cell pad turns "no true coast" into "no dilated coast" in the box.
+    ok &= env.map.coast_free(cells(row0, -1, grid.height), cells(row1, 1, grid.height),
+                             cells(col0, -1, grid.width), cells(col1, 1, grid.width))
+    # An obstacle clear of the box around all segments is clear of each one.
+    lo_all, hi_all = lo.min(axis=(1, 2)), hi.max(axis=(1, 2))
+    for obs in env.obstacles:
+        centre = np.asarray(obs.position, dtype=float)
+        r2 = (obs.envelope_radius + _CERT_MARGIN) ** 2
+        gap = np.maximum(np.maximum(lo_all - centre, centre - hi_all), 0.0)
+        if gap @ gap > r2:
+            continue
+        centre = centre[:, None, None]
+        gap = np.maximum(np.maximum(lo - centre, centre - hi), 0.0)
+        ok &= (gap * gap).sum(axis=0) > r2
+    return ok
 
 
-def _violations(pts: np.ndarray, subdivide: int, env: EnvSnapshot, padded: bool) -> np.ndarray:
-    """Colliding fraction of each (c, S, 3) path's checkpoints, (c,)."""
-    check = _subdivided(pts, subdivide)
-    hits = points_in_collision(check.reshape(-1, 3), env.map, list(env.obstacles), padded=padded)
-    return hits.reshape(pts.shape[0], -1).mean(axis=1)
+def _violations(pts: np.ndarray, qs: np.ndarray, env: EnvSnapshot, padded: bool) -> np.ndarray:
+    """Colliding fraction of each (c, S, 3) path's checkpoints, (c,).
+
+    Row i is checked at its S samples and at the q_i - 1 interior points
+    a + (k / q_i) * (b - a) of every segment a -> b, S + (S-1)(q_i-1) points
+    in all.  Interior points are built and tested only for segments that
+    _certified cannot clear; the rest count as misses.
+    """
+    c, S, _ = pts.shape
+    qs = np.maximum(np.asarray(qs, dtype=np.int64), 1)
+    obstacles = list(env.obstacles)
+    hits = points_in_collision(pts.reshape(-1, 3), env.map, obstacles,
+                               padded=padded).reshape(c, S).sum(axis=1)
+    a, b = pts[:, :-1], pts[:, 1:]
+    rows, segs = np.nonzero((qs > 1)[:, None] & ~_certified(pts, env))
+    if rows.size:
+        inner = qs[rows] - 1
+        of = np.repeat(np.arange(rows.size), inner)
+        k = np.arange(of.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+        sa, sb = a[rows, segs], b[rows, segs]
+        check = sa[of] + (k / qs[rows][of])[:, None] * (sb - sa)[of]
+        hit = points_in_collision(check, env.map, obstacles, padded=padded)
+        hits += np.bincount(rows[of[hit]], minlength=c)
+    return hits / (S + (S - 1) * (qs - 1))
 
 
 def violation_sum(path: LocalPath, env: EnvSnapshot, subdivide: int = 1,
@@ -293,10 +351,13 @@ def violation_sum(path: LocalPath, env: EnvSnapshot, subdivide: int = 1,
     map.  Planners raise `subdivide` until checkpoint spacing is below the
     cell size and set `padded` so the coast test uses the one-cell-dilated
     occupancy; together these guarantee that a path accepted as clean cannot
-    touch true coast anywhere between checkpoints.
+    touch true coast anywhere between checkpoints.  Interior checkpoints of
+    segments certified clear from their end samples count as misses without
+    being built; the fraction is the same as testing every checkpoint.
     """
     path.violation = (0.0 if path.degenerate
-                      else float(_violations(path.points[None], subdivide, env, padded)[0]))
+                      else float(_violations(path.points[None], np.array([subdivide]), env,
+                                             padded)[0]))
     return path.violation
 
 
@@ -376,11 +437,8 @@ def _batch_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
     yaw, pitch = _pad(yaw_seg), _pad(pitch_seg)
     surge, sway, v_z, yaw_rate, seg_times, times, stalled = _kinematics(
         pts, diffs, lens, yaw, weights, env)
-    qs = np.clip(np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int), 1, None)
-    violation = np.empty(mat.shape[0])
-    for q in np.unique(qs):
-        rows = np.flatnonzero(qs == q)
-        violation[rows] = _violations(pts[rows], int(q), env, padded=True)
+    qs = np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int)
+    violation = _violations(pts, qs, env, padded=True)
     # The clamped basis is exactly 1 at both ends, so every row samples the
     # pinned endpoints bit for bit and shares one chord.
     chord = float(np.linalg.norm(pts[0, -1] - pts[0, 0]))

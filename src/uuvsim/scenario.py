@@ -320,6 +320,11 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 def build_map(sc: Scenario, seed: int) -> ClusteredMap:
+    """Load or synthesize the raster and cluster it into water and coast.
+
+    The raster must span the field extents: the current field and obstacle
+    placement use `field`, the map and the corridor bounds use the raster.
+    """
     rng = seeding.stream(seed, seeding.ENV, 0)
     if sc.map.source == "raster":
         raster = load_raster(sc.map.path, sc.map.cell_size, sc.field.z)
@@ -331,6 +336,10 @@ def build_map(sc: Scenario, seed: int) -> ClusteredMap:
                                    water_intensity=sc.map.water_intensity,
                                    land_intensity=sc.map.land_intensity,
                                    intensity_sigma=sc.map.intensity_sigma)
+    x, y = raster.extent
+    _require(math.isclose(x, sc.field.x) and math.isclose(y, sc.field.y),
+             f"map extent {x:g} x {y:g} m (width/height x cell_size) differs from "
+             f"field.x/field.y {sc.field.x:g} x {sc.field.y:g} m")
     return cluster_map(raster, sc.map.k, sc.map.max_iters, water=sc.map.water)
 
 

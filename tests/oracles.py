@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from uuvsim.env import EnvSnapshot, points_in_collision
 from uuvsim.errors import UndecodableError
 from uuvsim.global_planner import Route
 from uuvsim.network import Network, _pair
@@ -171,3 +172,22 @@ def reference_decode_route(keys: np.ndarray, network: Network, start: int, goal:
             seen.add(b)
     return Route(sequence=tuple(seq), edges=tuple(edges), distance=distance,
                  time=distance / speed, total_value=value, station_total=network.size)
+
+
+def reference_subdivided(points: np.ndarray, subdivide: int) -> np.ndarray:
+    """Insert `subdivide - 1` interpolated points per segment (batch-safe)."""
+    if subdivide <= 1:
+        return points
+    segs = points[..., 1:, :] - points[..., :-1, :]
+    chunks = [points]
+    for k in range(1, subdivide):
+        chunks.append(points[..., :-1, :] + (k / subdivide) * segs)
+    return np.concatenate(chunks, axis=-2)
+
+
+def reference_violations(pts: np.ndarray, subdivide: int, env: EnvSnapshot,
+                         padded: bool) -> np.ndarray:
+    """Colliding fraction of each (c, S, 3) path's checkpoints, (c,)."""
+    check = reference_subdivided(pts, subdivide)
+    hits = points_in_collision(check.reshape(-1, 3), env.map, list(env.obstacles), padded=padded)
+    return hits.reshape(pts.shape[0], -1).mean(axis=1)

@@ -310,6 +310,50 @@ def test_collision_monotone_in_envelope():
     assert np.all(grown[small])  # growing an envelope never clears a hit
 
 
+def test_point_in_collision_matches_vector_form():
+    """The scalar tick test agrees with points_in_collision point for point."""
+    rng = np.random.default_rng(21)
+    values = np.where(rng.random((40, 60)) < 0.1, 255.0, 0.0)
+    cmap = cluster_map(grid_from(values, cell_size=2.5, depth=80.0), k=2)
+    X, Y, D = 150.0, 100.0, 80.0
+    obstacles = [Obstacle(id=i, kind="static", position=tuple(rng.uniform([0, 0, 0], [X, Y, D])),
+                          radius=float(rng.uniform(1.0, 20.0))) for i in range(6)]
+    pts = [rng.uniform([-10, -10, -10], [X + 10, Y + 10, D + 10], (20_000, 3))]
+    for obs in obstacles:  # sphere surfaces, one ulp either side
+        u = rng.normal(size=(1_000, 3))
+        on = np.asarray(obs.position) + obs.envelope_radius * u / np.linalg.norm(u, axis=1)[:, None]
+        pts += [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]
+    edges = [0.0, -0.0, np.nextafter(0.0, -1.0), 2.5, X, np.nextafter(X, 0.0), Y,
+             np.nextafter(Y, 0.0), D, np.nextafter(D, np.inf), 1e300, -1e300,
+             np.nan, np.inf, -np.inf, 40.0]
+    pts.append(np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T)
+    pts = np.vstack(pts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = points_in_collision(pts, cmap, obstacles)
+    got = [point_in_collision(p, cmap, obstacles) for p in pts]
+    assert got == want.tolist()
+    assert want[~np.isfinite(pts).all(axis=1)].all()
+    assert point_in_collision((5.0, 5.0), cmap, []) == points_in_collision(
+        np.array([[5.0, 5.0]]), cmap, [])[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_coast_free_is_sound_at_tile_resolution(seed):
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(2, 40, 2))
+    values = np.where(rng.random((h, w)) < rng.uniform(0.0, 0.05), 255.0, 0.0)
+    values[0, 0], values[-1, -1] = 255.0, 0.0
+    cmap = cluster_map(grid_from(values), k=2)
+    r0, r1 = np.sort(rng.integers(0, h, (2, 200)), axis=0)
+    c0, c1 = np.sort(rng.integers(0, w, (2, 200)), axis=0)
+    free = cmap.coast_free(r0, r1, c0, c1)
+    coast = cmap.occupancy == 1
+    for i in range(200):
+        assert free[i] == (not coast[r0[i] // 8 * 8:(r1[i] // 8 + 1) * 8,
+                                     c0[i] // 8 * 8:(c1[i] // 8 + 1) * 8].any())
+
+
 def test_load_raster_round_trip(tmp_path):
     rows = ["0 0 255 0", "0 255 255 0", "0 0 0 0"]
     path = tmp_path / "coast.grid"

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import uuvsim.local_planner as lp
 from uuvsim.de import DEConfig
-from uuvsim.env import EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map
+from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
+                        points_in_collision, synthesize_raster)
 from uuvsim.errors import NoFeasiblePathError
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, build_path,
                                   corridor_bounds, path_cost, path_states, plan_local,
                                   replan_local, straight_genes, violation_sum, yaw_rates)
+from tests.oracles import reference_violations
 from tests.test_env import grid_from
 
 SPL = SplineConfig(control_count=8, degree=3, samples=100)
@@ -200,6 +202,125 @@ def test_violation_monotone_under_envelope_growth():
     for _ in range(50):
         path = build_path(rng.uniform(lo, hi), p_i, p_j, SPL)
         assert violation_sum(path, env_big) >= violation_sum(path, env_small)
+
+
+def _row(rng, kind, S, X, Y, D, cs):
+    """One (S, 3) sample row of the given kind over an X x Y x D box of cell size cs."""
+    if kind == "free":  # anywhere, some samples outside the raster and depth range
+        return rng.uniform([-0.1 * X, -0.1 * Y, -0.1 * D], [1.1 * X, 1.1 * Y, 1.1 * D], (S, 3))
+    if kind == "lattice":  # on cell boundaries, the raster edge, z = 0 and z = D
+        pts = np.column_stack([rng.integers(0, 2 * round(X / cs) + 1, S) * (cs / 2),
+                               rng.integers(0, 2 * round(Y / cs) + 1, S) * (cs / 2),
+                               rng.choice([0.0, D / 2, D], S)])
+        return pts
+    start = rng.uniform([0, 0, 0], [X, Y, D])
+    pts = start + np.cumsum(rng.normal(0.0, 2.0 * cs, (S, 3)) * [1, 1, 0.2], axis=0)
+    if kind == "edge":  # along one raster edge or depth bound
+        axis, bound = rng.integers(3), rng.integers(2)
+        pts[:, axis] = bound * (X, Y, D)[axis]
+    return pts
+
+
+def _sphere_radius(rng, centre, point):
+    """An envelope radius putting `point` on the sphere, or one ulp inside or out."""
+    d = np.asarray(point) - np.asarray(centre)
+    d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    if d2 == 0.0:
+        return float(rng.uniform(0.1, 5.0))
+    r = math.sqrt(d2)
+    near = [np.nextafter(r, 0.0), r, np.nextafter(r, math.inf)]
+    exact = [x for x in near if float(x) ** 2 == d2]
+    return float(exact[0] if exact and rng.random() < 0.7 else rng.choice(near))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_violations_match_reference_subdivision(seed):
+    """The certified-segment kernel gives the subdivide-everything fractions bit for bit."""
+    rng = np.random.default_rng(seed)
+    w, h = (int(v) for v in rng.integers(9, 41, 2))
+    cs = float(rng.choice([0.7, 1.0, 2.5, 10.0]))
+    D = float(rng.choice([20.0, 100.0]))
+    if rng.random() < 0.5:  # islands and a coast border
+        islands, border = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        ext = min(w, h) * cs
+        raster = synthesize_raster(w, h, cs, D, rng, islands=islands if islands or border else 1,
+                                   coast_border=border, island_radius=(0.05 * ext, 0.2 * ext))
+    else:  # scattered single coast cells, many of them next to a tile edge
+        values = np.where(rng.random((h, w)) < rng.uniform(0.005, 0.05), 220.0, 40.0)
+        values[rng.integers(h), rng.integers(w)] = 220.0
+        raster = grid_from(values, cs, D)
+    cmap = cluster_map(raster, k=2)
+    X, Y = w * cs, h * cs
+    c, S = int(rng.integers(1, 9)), int(rng.integers(2, 13))
+    kinds = rng.choice(["free", "lattice", "walk", "edge"], c)
+    pts = np.stack([_row(rng, kind, S, X, Y, D, cs) for kind in kinds])
+    for i, k in zip(*np.nonzero(rng.random((c, S - 1)) < 0.15)):
+        pts[i, k + 1] = pts[i, k]  # zero-length segments
+    qs = rng.integers(1, 21, c)
+
+    obstacles = []
+    for oid in range(int(rng.integers(0, 5))):
+        i, k = int(rng.integers(c)), int(rng.integers(S - 1))
+        a, b = pts[i, k], pts[i, k + 1]
+        q = int(qs[i])
+        checkpoint = a + (int(rng.integers(q)) / q) * (b - a)
+        how = rng.integers(4)
+        if how == 0:  # centre on a sample or checkpoint
+            centre = checkpoint
+        elif how == 1:  # centre next to the path
+            centre = checkpoint + rng.normal(0.0, cs, 3)
+        else:  # anywhere, through the checkpoint unless how == 3
+            centre = rng.uniform([0, 0, 0], [X, Y, D])
+        radius = (_sphere_radius(rng, centre, checkpoint) if how != 3
+                  else float(rng.uniform(0.1, 3.0) * cs))
+        obstacles.append(Obstacle(id=oid, kind="static", position=tuple(float(v) for v in centre),
+                                  radius=radius))
+    env = EnvSnapshot(cmap, VortexField(vortices=()), tuple(obstacles))
+
+    for padded in (False, True):
+        got = lp._violations(pts, qs, env, padded)
+        want = np.array([reference_violations(pts[i:i + 1], int(qs[i]), env, padded)[0]
+                         for i in range(c)])
+        assert got.tobytes() == want.tobytes(), (padded, got, want)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("coast, lane", [(8, 7.5), (7, 8.5)])
+def test_certificate_sees_dilated_coast_across_a_tile_edge(axis, coast, lane):
+    """A lane in the cell next to coast, with the coast in the neighbouring tile."""
+    values = np.full((24, 24), 40.0)
+    (values[:, coast] if axis == 0 else values[coast, :])[:] = 220.0
+    env = EnvSnapshot(cluster_map(grid_from(values, 1.0, 50.0), k=2), VortexField(vortices=()))
+    along = np.linspace(2.0, 20.0, 5)
+    pts = np.column_stack([np.full(5, lane), along, np.full(5, 10.0)])
+    if axis == 1:
+        pts[:, [0, 1]] = pts[:, [1, 0]]
+    for padded, want in ((True, 1.0), (False, 0.0)):
+        got = lp._violations(pts[None], np.array([10]), env, padded)
+        assert got.tobytes() == reference_violations(pts[None], 10, env, padded).tobytes()
+        assert got[0] == want
+
+
+def test_clear_segments_test_only_samples(monkeypatch):
+    """Segments certified clear from their end samples build no interior checkpoints."""
+    tested = []
+
+    def counting(points, *args, **kwargs):
+        tested.append(len(points))
+        return points_in_collision(points, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "points_in_collision", counting)
+    obs = Obstacle(id=1, kind="static", position=(3000.0, 3000.0, 100.0), radius=100.0)
+    env = open_env(obstacles=[obs])
+    clear = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1500.0, 100.0]))
+    assert violation_sum(clear, env, subdivide=10, padded=True) == 0.0
+    assert tested == [100]
+    # a leg through the envelope builds checkpoints on the segments near it only
+    tested.clear()
+    blocked = straight_path(np.array([2000.0, 3000.0, 100.0]), np.array([4000.0, 3000.0, 100.0]))
+    assert violation_sum(blocked, env, subdivide=10, padded=True) > 0.0
+    assert tested[0] == 100 and 0 < tested[1] < 99 * 9 // 4
 
 
 # --- planning ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from uuvsim.errors import ScenarioParseError, ScenarioValidationError
-from uuvsim.scenario import (Scenario, echo, from_dict, load_scenario,
+from uuvsim.scenario import (Scenario, build_map, echo, from_dict, load_scenario,
                              resolve_scenario, to_dict, validate)
 
 
@@ -80,3 +80,19 @@ def test_unknown_bundled_name_raises():
 def test_validate_spline_sampling_floor():
     with pytest.raises(ScenarioValidationError, match="spline.samples"):
         from_dict({"spline": {"control_points": 8, "samples": 50}})
+
+
+def test_map_extent_must_match_field(tmp_path):
+    small = {"field": {"x": 300.0, "y": 200.0, "z": 50.0},
+             "map": {"width": 30, "height": 20, "cell_size": 10.0, "coast_border": 1}}
+    assert build_map(from_dict(small), 1).grid.extent == (300.0, 200.0)
+    wide = {**small, "field": {"x": 400.0, "y": 200.0, "z": 50.0}}
+    with pytest.raises(ScenarioValidationError, match="field.x/field.y"):
+        build_map(from_dict(wide), 1)
+    raster = tmp_path / "coast.grid"
+    raster.write_text("0 0 255 0\n0 255 255 0\n0 0 0 0\n")
+    grid = {"path": str(raster), "source": "raster", "cell_size": 10.0}
+    assert build_map(from_dict({**small, "map": grid,
+                                "field": {"x": 40.0, "y": 30.0, "z": 50.0}}), 1)
+    with pytest.raises(ScenarioValidationError, match="map extent 40 x 30 m"):
+        build_map(from_dict({**small, "map": grid}), 1)

@@ -30,7 +30,7 @@ class AlreadyUsedError(UUVSimError):
 
 
 class LengthMismatchError(UUVSimError):
-    """Vector operands of a DE operator differ in length."""
+    """The lower and upper DE bounds differ in length."""
 
 
 class UndecodableError(UUVSimError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,8 +197,7 @@ class GlobalPlan:
 
 
 def plan_global(network: Network, start: int, goal: int, time_budget: float, speed: float,
-                config: de.DEConfig, restarts: int = 3,
-                rng: np.random.Generator | None = None,
+                config: de.DEConfig, rng: np.random.Generator, restarts: int = 3,
                 visited: frozenset[int] = frozenset()) -> GlobalPlan:
     """Best route over `restarts` independent DE runs.
 
@@ -240,16 +239,13 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
             costs[i] = route_cost(route, time_budget)
         return costs, auxes
 
-    base_rng = rng if rng is not None else np.random.default_rng(config.seed)
-    seeds = base_rng.integers(0, 2**63 - 1, size=restarts)
+    seeds = rng.integers(0, 2**63 - 1, size=restarts)
+    bounded = replace(config, lower=np.zeros(n), upper=np.ones(n))
 
     best_result: de.DEResult | None = None
     traces: list[list[float]] = []
     for r in range(restarts):
-        cfg = de.DEConfig(population_size=config.population_size, generations=config.generations,
-                          scale=config.scale, crossover_rate=config.crossover_rate,
-                          seed=config.seed, lower=np.zeros(n), upper=np.ones(n))
-        result = de.optimize(evaluate, cfg, rng=np.random.default_rng(int(seeds[r])), batch=True)
+        result = de.optimize(evaluate, bounded, np.random.default_rng(int(seeds[r])))
         traces.append(result.trace)
         if best_result is None or result.best.cost < best_result.best.cost:
             best_result = result

@@ -466,8 +466,7 @@ class LocalPlan:
 
 
 def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeights,
-               spline: SplineConfig, config: de.DEConfig,
-               rng: np.random.Generator | None = None,
+               spline: SplineConfig, config: de.DEConfig, rng: np.random.Generator,
                seed_genes: tuple[np.ndarray, ...] = ()) -> LocalPlan:
     """Evolve a constraint-clean path between two points.
 
@@ -495,7 +494,7 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
             best_clean["genes"] = mat[i].copy()
         return costs, [None] * mat.shape[0]
 
-    result = de.optimize(evaluate, cfg, rng=rng, seed_genes=seeds, batch=True)
+    result = de.optimize(evaluate, cfg, rng, seed_genes=seeds)
     if best_clean["path"] is None:
         raise NoFeasiblePathError(
             f"no constraint-clean path between {p_i[:2]} and {p_j[:2]} "
@@ -515,8 +514,7 @@ def warm_start_genes(previous: LocalPath, from_time: float, spline: SplineConfig
 
 
 def replan_local(position, endpoint_j, env: EnvSnapshot, weights: LocalCostWeights,
-                 spline: SplineConfig, config: de.DEConfig,
-                 rng: np.random.Generator | None = None,
+                 spline: SplineConfig, config: de.DEConfig, rng: np.random.Generator,
                  previous: LocalPath | None = None,
                  previous_elapsed: float = 0.0) -> LocalPlan:
     """plan_local from the vehicle's current position, warm-started.

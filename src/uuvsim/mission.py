@@ -10,14 +10,14 @@ the goal station is reached with non-negative residual time.
 
 from __future__ import annotations
 
-import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import seeding
-from .env import EnvSnapshot, point_in_collision, perturb_field, step_obstacles
+from .env import (CONFIDENCE_Z, EnvSnapshot, current_at, perturb_field, point_in_collision,
+                  step_obstacles)
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
 from .global_planner import GlobalPlan, Route, plan_global, walk_cost
@@ -99,8 +99,6 @@ def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: N
 def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles, env_field,
             sensing_radius: float, margin: float) -> int | None:
     """Id of the first obstacle whose predicted envelope cuts the remaining path."""
-    from .env import CONFIDENCE_Z, current_at
-
     k0 = path.sample_index_at_time(tau)
     rem = path.points[k0:]
     horizons = np.maximum(path.times[k0:] - tau, 0.0)
@@ -135,33 +133,7 @@ def advance_along_path(path: LocalPath, tau: float, dt: float) -> tuple[float, n
     tau = tau + max(step, 0.0)
     pos = path.position_at_time(tau)
     k = path.sample_index_at_time(tau)
-    return tau, pos, k, tau >= path.duration - 1e-9
-
-
-def tick_leg(state: VehicleState, path: LocalPath, env: EnvSnapshot, tau: float,
-             dt: float, rng: np.random.Generator, sensing_radius: float = 500.0,
-             margin: float = 20.0) -> tuple[VehicleState, float, tuple, list[str]]:
-    """Standalone tick: advance the vehicle, step obstacles, report events.
-
-    Returns (state, new tau, stepped obstacles, events); events may contain
-    'arrived', 'hazard_detected' and 'stalled'.  The mission executor runs the
-    same primitives with extra bookkeeping.
-    """
-    tau0 = tau
-    tau, pos, k, arrived = advance_along_path(path, tau, dt)
-    state = VehicleState(position=pos, yaw=float(path.yaw[k]), pitch=float(path.pitch[k]),
-                         yaw_rate=float(path.yaw_rate[k]), speed=state.speed,
-                         battery_remaining=state.battery_remaining - (tau - tau0))
-    obstacles = tuple(step_obstacles(list(env.obstacles), env.field, dt, rng))
-    events = []
-    if arrived:
-        events.append("arrived")
-    if path.stalled:
-        events.append("stalled")
-    hazard = _hazard(pos, path, tau, obstacles, env.field, sensing_radius, margin)
-    if hazard is not None:
-        events.append("hazard_detected")
-    return state, tau, obstacles, events
+    return tau, pos, k, tau >= path.duration
 
 
 class _MissionAbort(Exception):
@@ -222,12 +194,9 @@ class _Executor:
         """Network view with transiently impassable edges masked out."""
         if not self.blocked:
             return self.network
-        import dataclasses
-        return dataclasses.replace(self.network, used=self.network.used | self.blocked)
+        return replace(self.network, used=self.network.used | self.blocked)
 
     def _planning_env(self, horizon: float) -> EnvSnapshot:
-        from .env import current_at
-
         inflated = []
         for obs in self.obstacles:
             mag = current_at(obs.position[:2], self.field).magnitude
@@ -256,7 +225,7 @@ class _Executor:
         """Advance one tick along the path; returns (new tau, arrived)."""
         dt = self.sc.mission.dt
         tau0 = tau
-        tau, pos, k, _ = advance_along_path(path, tau, dt)
+        tau, pos, k, arrived = advance_along_path(path, tau, dt)
         self.elapsed += tau - tau0
         self.state.position = pos
         self.state.yaw = float(path.yaw[k])
@@ -270,7 +239,7 @@ class _Executor:
         if point_in_collision(pos, self.cmap, self.obstacles):
             raise _MissionAbort("collision during execution")
         self.obstacles = step_obstacles(self.obstacles, self.field, dt, self.rng_ticks)
-        return tau, tau >= path.duration - 1e-9
+        return tau, arrived
 
     def _record_path(self, path: LocalPath, leg_index: int):
         for k in range(len(path.points)):

@@ -235,6 +235,8 @@ def validate(sc: Scenario) -> Scenario:
         _require(0.0 <= de_spec.scale <= 2.0, f"{label}.scale must be in [0, 2]")
         _require(0.0 <= de_spec.crossover <= 1.0, f"{label}.crossover must be in [0, 1]")
         _require(de_spec.restarts >= 1, f"{label}.restarts must be >= 1")
+    # Local planning runs one DE per leg; any other restart count would be ignored.
+    _require(sc.de_local.restarts == 1, "de_local.restarts must be 1")
     _require(min(sc.weights.surge, sc.weights.sway, sc.weights.yaw_rate,
                  sc.weights.collision) >= 0, "weights must be >= 0")
     _require(sc.weights.aggregate in ("max", "sum"), "weights.aggregate must be max or sum")
@@ -421,6 +423,6 @@ def spline_from_spec(sc: Scenario) -> SplineConfig:
                         samples=sc.spline.samples)
 
 
-def de_config_from_spec(spec: DESpec, seed: int = 0) -> DEConfig:
+def de_config_from_spec(spec: DESpec) -> DEConfig:
     return DEConfig(population_size=spec.population, generations=spec.generations,
-                    scale=spec.scale, crossover_rate=spec.crossover, seed=seed)
+                    scale=spec.scale, crossover_rate=spec.crossover)

@@ -94,7 +94,7 @@ def oracle_networks():
 
 @pytest.fixture(scope="session")
 def oracle_plans(oracle_networks):
-    cfg = DEConfig(population_size=50, generations=300, seed=0)
+    cfg = DEConfig(population_size=50, generations=300)
     plans = []
     t0 = time.perf_counter()
     for idx, (net, speed, budget) in enumerate(oracle_networks):

@@ -1,19 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uuvsim.de import (DEConfig, Individual, crossover, init_population, make_donor,
-                       mutate, optimize, select)
+from uuvsim.de import DEConfig, init_population, optimize, propose, survive
 from uuvsim.errors import LengthMismatchError
 
 
 def box_config(n, lo=0.0, hi=1.0, **kw):
-    defaults = dict(population_size=20, generations=10, seed=1)
+    defaults = dict(population_size=20, generations=10)
     defaults.update(kw)
     return DEConfig(lower=np.full(n, lo), upper=np.full(n, hi), **defaults)
 
 
 def sphere_eval(mat):
     return np.sum(mat * mat, axis=1), [None] * mat.shape[0]
+
+
+class ScriptedRng:
+    """Stands in for the generator: hands out the given draws in the order
+    `propose` asks for them (trio order, pair order, weights, forced gene,
+    crossover uniforms)."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        out = np.asarray(self.draws.pop(0), dtype=float)
+        assert out.shape == size
+        return out
+
+    def integers(self, high, size):
+        out = np.asarray(self.draws.pop(0))
+        assert out.shape == (size,) and np.all(out < high)
+        return out
+
+
+def reference_generation(genes, config, rng):
+    """One generation row by row, with the same draws as `propose`."""
+    pop_n, n = genes.shape
+    trio = np.argsort(rng.random((pop_n, pop_n)), axis=1)[:, :3]
+    pair = np.argsort(rng.random((pop_n, pop_n)), axis=1)[:, :2]
+    lam = rng.random((pop_n, 3))
+    while np.any(lam.sum(axis=1) == 0.0):
+        bad = lam.sum(axis=1) == 0.0
+        lam[bad] = rng.random((int(bad.sum()), 3))
+    forced = rng.integers(n, size=pop_n)
+    uniforms = rng.random((pop_n, n))
+    mutants, trials = np.empty_like(genes), np.empty_like(genes)
+    for p in range(pop_n):
+        w = lam[p] / lam[p].sum()
+        donor = w[0] * genes[trio[p, 0]] + w[1] * genes[trio[p, 1]] + w[2] * genes[trio[p, 2]]
+        mutant = donor + config.scale * (genes[pair[p, 0]] - genes[pair[p, 1]])
+        mutants[p] = np.minimum(np.maximum(mutant, config.lower), config.upper)
+        take = uniforms[p] <= config.crossover_rate
+        take[forced[p]] = True
+        trials[p] = np.where(take, mutants[p], genes[p])
+    return mutants, trials
+
+
+# --- config -----------------------------------------------------------------
+
+
+def test_config_rejects_non_finite_and_one_sided_bounds():
+    with pytest.raises(ValueError, match="finite"):
+        DEConfig(lower=[0.0, np.nan], upper=[1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        DEConfig(lower=[0.0, 0.0], upper=[1.0, np.inf])
+    with pytest.raises(ValueError, match="together"):
+        DEConfig(lower=[0.0, 0.0])
+    with pytest.raises(ValueError, match="together"):
+        DEConfig(upper=[1.0, 1.0])
 
 
 # --- init -------------------------------------------------------------------
@@ -33,92 +90,141 @@ def test_init_deterministic_under_seed():
 
 
 def test_init_uniform_mean():
-    cfg = DEConfig(population_size=100, generations=1, seed=0,
-                   lower=np.zeros(100), upper=np.ones(100))
+    cfg = DEConfig(population_size=100, generations=1, lower=np.zeros(100), upper=np.ones(100))
     genes, _, _ = init_population(sphere_eval, cfg, np.random.default_rng(2))
     assert genes.mean() == pytest.approx(0.5, abs=0.01)  # 10^4 genes pooled
 
 
-# --- operators --------------------------------------------------------------
+# --- one generation: propose ------------------------------------------------
 
 
 def test_donor_is_convex_combination():
+    # Three members, so every trio is the whole population; scale 0 makes
+    # the mutant the donor, and the wide box never clips it.
     pop = np.array([[0.0], [3.0], [6.0]])
+    cfg = box_config(1, lo=-100.0, hi=100.0, scale=0.0)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        donor = make_donor(pop, rng)
-        assert 0.0 <= donor[0] <= 6.0
+        mutants, _ = propose(pop, cfg, rng)
+        assert np.all((mutants >= 0.0) & (mutants <= 6.0))
 
 
 def test_donor_of_identical_members():
     pop = np.tile([2.5, -1.0], (5, 1))
-    donor = make_donor(pop, np.random.default_rng(3))
-    np.testing.assert_allclose(donor, [2.5, -1.0])
+    cfg = DEConfig(scale=0.7, lower=[-10.0, -10.0], upper=[10.0, 10.0])
+    mutants, trials = propose(pop, cfg, np.random.default_rng(3))
+    np.testing.assert_allclose(mutants, pop)
+    np.testing.assert_allclose(trials, pop)
+
+
+def trio_first_draws(pop_n, n, lam, pair_order=None):
+    """Draws under which every row's trio is members (0, 1, 2), its pair the
+    first two of `pair_order`, its weights `lam`, and its trial the mutant's
+    gene 0 with the parent's others."""
+    first = np.tile(np.arange(1.0, pop_n + 1.0), (pop_n, 1))
+    pair = first if pair_order is None else np.tile(pair_order, (pop_n, 1))
+    return (first, pair, np.tile(lam, (pop_n, 1)), np.zeros(pop_n, dtype=int),
+            np.ones((pop_n, n)))
 
 
 def test_donor_equal_weights_hand_value():
-    # lambda = (1,1,1) gives the plain average: (0 + 3 + 6) / 3 = 3
+    # lambda = (1, 1, 1) gives the plain average: (0 + 3 + 6) / 3 = 3, and
+    # scale 0 leaves the donor as the mutant.
     pop = np.array([[0.0], [3.0], [6.0]])
-    w = np.ones(3) / 3.0
-    assert w @ pop[[0, 1, 2]] == pytest.approx(3.0)
+    cfg = box_config(1, lo=-100.0, hi=100.0, scale=0.0)
+    mutants, trials = propose(pop, cfg, ScriptedRng(*trio_first_draws(3, 1, [1.0, 1.0, 1.0])))
+    np.testing.assert_allclose(mutants, 3.0)
+    np.testing.assert_array_equal(trials, mutants)  # the forced gene is the only gene
 
 
 def test_mutate_identities_and_hand_value():
-    base = np.array([1.0, 1.0])
-    np.testing.assert_allclose(mutate(base, np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.0), base)
-    np.testing.assert_allclose(mutate(base, base, base, 0.7), base)
-    np.testing.assert_allclose(
-        mutate(base, np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5), [2.0, 0.0])
+    # Donor member 0 = (1, 1); pair (1, 2) gives the difference (2, 0) - (0, 2).
+    pop = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
+
+    def mutants_at(scale):
+        draws = trio_first_draws(3, 2, [1.0, 0.0, 0.0], pair_order=[3.0, 1.0, 2.0])
+        cfg = box_config(2, lo=-10.0, hi=10.0, scale=scale)
+        return propose(pop, cfg, ScriptedRng(*draws))[0]
+
+    np.testing.assert_array_equal(mutants_at(0.0), np.tile([1.0, 1.0], (3, 1)))
+    np.testing.assert_array_equal(mutants_at(0.5), np.tile([2.0, 0.0], (3, 1)))
 
 
 def test_mutate_clamps_to_bounds():
-    out = mutate(np.array([1.0]), np.array([10.0]), np.array([0.0]), 1.0,
-                 lower=np.array([0.0]), upper=np.array([5.0]))
-    assert out[0] == 5.0
+    rng = np.random.default_rng(4)
+    pop = rng.random((12, 3))
+    cfg = box_config(3, lo=0.0, hi=1.0, scale=2.0)
+    mutants, trials = propose(pop, cfg, rng)
+    assert np.all((mutants >= 0.0) & (mutants <= 1.0))
+    assert np.all((trials >= 0.0) & (trials <= 1.0))
+    assert np.any((mutants == 0.0) | (mutants == 1.0))  # the clip did act
 
 
 def test_mutate_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        mutate(np.zeros(2), np.zeros(3), np.zeros(3), 0.5)
+        DEConfig(lower=np.zeros(2), upper=np.ones(3))
 
 
 def test_crossover_extremes():
-    parent = np.zeros(6)
-    mutant = np.ones(6)
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(crossover(parent, mutant, 1.0, rng), mutant)
-    low = crossover(parent, mutant, 0.0, np.random.default_rng(1))
-    assert low.sum() == 1.0  # only the forced index comes from the mutant
+    pop = rng.random((8, 6))
+    mutants, trials = propose(pop, box_config(6, lo=-10.0, hi=10.0, crossover_rate=1.0), rng)
+    np.testing.assert_array_equal(trials, mutants)
+    mutants, trials = propose(pop, box_config(6, lo=-10.0, hi=10.0, crossover_rate=0.0),
+                              np.random.default_rng(1))
+    assert np.all((trials == pop) | (trials == mutants))
+    # only the forced index comes from the mutant
+    np.testing.assert_array_equal(np.sum(trials != pop, axis=1), 1)
 
 
 def test_crossover_mutant_fraction():
-    parent = np.zeros(4)
-    mutant = np.ones(4)
     rng = np.random.default_rng(42)
-    frac = np.mean([crossover(parent, mutant, 0.5, rng).mean() for _ in range(10_000)])
+    pop = rng.random((100, 4))
+    cfg = box_config(4, lo=-10.0, hi=10.0, crossover_rate=0.5)
+    frac = np.mean([np.mean(propose(pop, cfg, rng)[1] != pop) for _ in range(100)])
     # C_r + (1 - C_r)/n with the forced-index correction
     assert frac == pytest.approx(0.5 + 0.5 / 4, abs=0.02)
 
 
+def test_propose_matches_numpy_reference():
+    # n >= 2 as in both planners: for a single gene numpy's einsum adds the
+    # three donor terms in another order, so the last bit may differ.
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        pop_n, n = int(rng.integers(3, 40)), int(rng.integers(2, 60))
+        lo = rng.uniform(-5.0, 0.0, n)
+        cfg = DEConfig(scale=float(rng.uniform(0.0, 2.0)), crossover_rate=float(rng.random()),
+                       lower=lo, upper=lo + rng.uniform(0.0, 5.0, n))
+        pop = cfg.lower + rng.random((pop_n, n)) * (cfg.upper - cfg.lower)
+        mutants, trials = propose(pop, cfg, np.random.default_rng(seed))
+        ref_mutants, ref_trials = reference_generation(pop, cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(mutants, ref_mutants)
+        np.testing.assert_array_equal(trials, ref_trials)
+
+
+# --- one generation: survive ------------------------------------------------
+
+
 def test_select_three_way_and_ties():
-    p = Individual(np.zeros(1), 1.0)
-    m = Individual(np.ones(1), 2.0)
-    t = Individual(np.full(1, 2.0), 3.0)
-    assert select(p, m, t) is p
-    assert select(Individual(np.zeros(1), 3.0), Individual(np.ones(1), 2.0),
-                  Individual(np.ones(1), 1.0)).cost == 1.0
-    tie = select(Individual(np.zeros(1), 1.0), Individual(np.ones(1), 1.0),
-                 Individual(np.full(1, 9.0), 1.0))
-    assert tie.genes[0] == 9.0  # ties prefer the trial
+    costs = {"p": [1.0, 3.0, 1.0, 1.0, 2.0],
+             "m": [2.0, 2.0, 1.0, 1.0, 1.0],
+             "t": [3.0, 1.0, 1.0, 2.0, 1.0]}
+    rows = {k: (np.full((5, 1), float(i)), np.array(c), [k] * 5)
+            for i, (k, c) in enumerate(costs.items())}
+    genes, new_costs, auxes = survive(rows["p"], rows["m"], rows["t"])
+    # min cost wins; ties prefer the trial, then the mutant
+    assert auxes == ["p", "t", "t", "m", "t"]
+    np.testing.assert_array_equal(genes[:, 0], [0.0, 2.0, 2.0, 1.0, 2.0])
+    np.testing.assert_array_equal(new_costs, [1.0, 1.0, 1.0, 1.0, 1.0])
 
 
 # --- optimize ---------------------------------------------------------------
 
 
 def test_optimize_sphere_benchmark():
-    cfg = DEConfig(population_size=30, generations=200, seed=5,
+    cfg = DEConfig(population_size=30, generations=200,
                    lower=np.full(10, -5.0), upper=np.full(10, 5.0))
-    result = optimize(sphere_eval, cfg, batch=True)
+    result = optimize(sphere_eval, cfg, np.random.default_rng(5))
     assert result.best.cost < 1e-3
     # random search with the same evaluation budget does strictly worse
     rng = np.random.default_rng(5)
@@ -128,7 +234,7 @@ def test_optimize_sphere_benchmark():
 
 def test_optimize_single_generation_runs_once():
     cfg = box_config(3, generations=1)
-    result = optimize(sphere_eval, cfg, batch=True)
+    result = optimize(sphere_eval, cfg, np.random.default_rng(1))
     assert len(result.trace) == 2  # after init plus one generation
     assert result.evaluations == cfg.population_size * 3
 
@@ -136,13 +242,13 @@ def test_optimize_single_generation_runs_once():
 def test_optimize_constant_cost_flat_trace():
     cfg = box_config(3, generations=20)
     result = optimize(lambda mat: (np.full(mat.shape[0], 7.0), [None] * mat.shape[0]),
-                      cfg, batch=True)
+                      cfg, np.random.default_rng(1))
     assert result.best.cost == 7.0
     assert set(result.trace) == {7.0}
 
 
 def test_optimize_deterministic_and_elitist():
-    cfg = DEConfig(population_size=12, generations=60, seed=33,
+    cfg = DEConfig(population_size=12, generations=60,
                    lower=np.full(6, -2.0), upper=np.full(6, 2.0))
 
     def rastrigin(mat):
@@ -150,8 +256,8 @@ def test_optimize_deterministic_and_elitist():
                 + np.sum(mat ** 2 - 10 * np.cos(2 * np.pi * mat), axis=1),
                 [None] * mat.shape[0])
 
-    a = optimize(rastrigin, cfg, batch=True)
-    b = optimize(rastrigin, cfg, batch=True)
+    a = optimize(rastrigin, cfg, np.random.default_rng(33))
+    b = optimize(rastrigin, cfg, np.random.default_rng(33))
     assert a.trace == b.trace
     np.testing.assert_array_equal(a.best.genes, b.best.genes)
     assert np.all(np.diff(a.trace) <= 0.0 + 1e-15)
@@ -159,23 +265,27 @@ def test_optimize_deterministic_and_elitist():
 
 def test_optimize_respects_bounds_always():
     lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.0])
-    cfg = DEConfig(population_size=10, generations=30, seed=2, lower=lo, upper=hi)
+    cfg = DEConfig(population_size=10, generations=30, lower=lo, upper=hi)
     seen = []
 
     def spy(mat):
         seen.append(mat.copy())
         return np.sum(mat, axis=1), [None] * mat.shape[0]
 
-    optimize(spy, cfg, batch=True)
+    optimize(spy, cfg, np.random.default_rng(2))
     allpts = np.vstack(seen)
     assert np.all(allpts >= lo - 1e-12) and np.all(allpts <= hi + 1e-12)
 
 
-def test_optimize_per_candidate_interface_with_decode():
+def test_optimize_carries_aux_of_best():
     cfg = box_config(2, generations=5)
-    result = optimize(lambda aux: float(aux), cfg,
-                      decode_hook=lambda genes: float(np.sum(genes ** 2)))
-    assert result.best.aux == pytest.approx(result.best.cost)
+
+    def evaluate(mat):
+        costs = np.sum(mat ** 2, axis=1)
+        return costs, [float(c) for c in costs]
+
+    result = optimize(evaluate, cfg, np.random.default_rng(1))
+    assert result.best.aux == result.best.cost
 
 
 def test_optimize_seed_genes_take_effect():
@@ -187,22 +297,43 @@ def test_optimize_seed_genes_take_effect():
         seen.append(mat.copy())
         return np.sum(mat, axis=1), [None] * mat.shape[0]
 
-    optimize(spy, cfg, batch=True, seed_genes=[seed_vec])
+    optimize(spy, cfg, np.random.default_rng(1), seed_genes=[seed_vec])
     np.testing.assert_allclose(seen[0][0], seed_vec)
 
 
-def test_generation_math_matches_scalar_operators():
-    """The vectorized generation applies the same donor/mutate/crossover math."""
-    rng = np.random.default_rng(8)
-    pop = rng.random((6, 4))
-    lo, hi = np.zeros(4), np.ones(4)
-    trio = np.array([0, 2, 4])
-    pair = np.array([1, 5])
-    lam = rng.random(3)
-    w = lam / lam.sum()
-    donor_vec = w @ pop[trio]
-    mutant_vec = mutate(donor_vec, pop[pair[0]], pop[pair[1]], 0.7, lo, hi)
-    # batch equivalents
-    donors = np.einsum("k,kn->n", w, pop[trio])
-    mutants = np.clip(donors + 0.7 * (pop[pair[0]] - pop[pair[1]]), lo, hi)
-    np.testing.assert_allclose(mutants, mutant_vec, atol=1e-15)
+@st.composite
+def de_problems(draw):
+    n = draw(st.integers(1, 6))
+    lo = np.array(draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 1e-3, 1.0, 25.0]),
+                                   min_size=n, max_size=n)))  # 0 pins a gene
+    cfg = DEConfig(population_size=draw(st.integers(4, 12)), generations=draw(st.integers(1, 6)),
+                   scale=draw(st.floats(0.0, 2.0)), crossover_rate=draw(st.floats(0.0, 1.0)),
+                   lower=lo, upper=lo + width)
+    seeds = [lo + np.array(draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)))
+             for _ in range(draw(st.integers(0, 3)))]  # mostly outside the box
+    return cfg, seeds, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=de_problems())
+def test_optimize_stays_in_bounds_with_monotone_trace(problem):
+    cfg, seeds, seed = problem
+    seen = []
+
+    def evaluate(mat):
+        seen.append(mat.copy())
+        costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
+        return costs, [row.tobytes() for row in mat]
+
+    result = optimize(evaluate, cfg, np.random.default_rng(seed), seed_genes=seeds)
+    rows = np.vstack(seen)
+    assert np.all((rows >= cfg.lower) & (rows <= cfg.upper))
+    assert np.all(np.diff(result.trace) <= 0.0)
+    assert result.evaluations == rows.shape[0] == cfg.population_size * (1 + 2 * cfg.generations)
+    assert result.best.aux == result.best.genes.tobytes()
+
+    again = optimize(evaluate, cfg, np.random.default_rng(seed), seed_genes=seeds)
+    assert again.trace == result.trace and again.evaluations == result.evaluations
+    assert again.best.cost == result.best.cost and again.best.aux == result.best.aux
+    np.testing.assert_array_equal(again.best.genes, result.best.genes)

@@ -219,24 +219,27 @@ def test_route_cost_factors_through_decoded_route():
 
 
 def de_cfg(pop=20, gens=40):
-    return DEConfig(population_size=pop, generations=gens, seed=0)
+    return DEConfig(population_size=pop, generations=gens)
 
 
 def test_plan_two_station_network():
     net = line_network([(0, 0, 0), (500, 0, 0)], [(1, 2)])
-    plan = plan_global(net, 1, 2, time_budget=1e4, speed=2.0, config=de_cfg(), restarts=1)
+    plan = plan_global(net, 1, 2, time_budget=1e4, speed=2.0, config=de_cfg(),
+                       rng=np.random.default_rng(0), restarts=1)
     assert plan.route.sequence == (1, 2)
 
 
 def test_plan_rejects_unaffordable_budget():
     net = line_network([(0, 0, 0), (5000, 0, 0)], [(1, 2)])
     with pytest.raises(NoFeasibleRouteError):
-        plan_global(net, 1, 2, time_budget=10.0, speed=1.0, config=de_cfg())
+        plan_global(net, 1, 2, time_budget=10.0, speed=1.0, config=de_cfg(),
+                    rng=np.random.default_rng(0))
 
 
 def test_plan_traces_are_monotone_and_per_restart():
     net = triangle()
-    plan = plan_global(net, 1, 3, 1e4, 1.0, de_cfg(pop=10, gens=15), restarts=3)
+    plan = plan_global(net, 1, 3, 1e4, 1.0, de_cfg(pop=10, gens=15), restarts=3,
+                       rng=np.random.default_rng(0))
     assert len(plan.traces) == 3
     for trace in plan.traces:
         assert np.all(np.diff(trace) <= 1e-15)
@@ -265,7 +268,8 @@ def test_plan_respects_budget_when_feasible_exists():
                            values=list(rng.integers(1, 6, 6).astype(float)))
         direct = float(np.linalg.norm(positions[0] - positions[5])) / 2.0
         budget = 1.2 * direct + 1.0
-        plan = plan_global(net, 1, 6, budget, 2.0, de_cfg(pop=16, gens=30), restarts=2)
+        plan = plan_global(net, 1, 6, budget, 2.0, de_cfg(pop=16, gens=30), restarts=2,
+                           rng=np.random.default_rng(0))
         assert plan.route.time <= budget + 1e-9
 
 
@@ -277,7 +281,8 @@ def test_plan_matches_enumeration_on_small_network():
     net = line_network(positions, edges, start=1, goal=6,
                        values=list(rng.integers(1, 6, 6).astype(float)))
     budget = 3.0 * float(np.linalg.norm(positions[0] - positions[5])) / 2.0
-    plan = plan_global(net, 1, 6, budget, 2.0, de_cfg(pop=30, gens=80), restarts=3)
+    plan = plan_global(net, 1, 6, budget, 2.0, de_cfg(pop=30, gens=80), restarts=3,
+                       rng=np.random.default_rng(0))
     oracle = best_walk_cost(net, 2.0, budget)
     assert plan.cost <= oracle * 1.05 + 1e-9
     # the planner's reported cost is the independent formula applied to its route

@@ -326,14 +326,14 @@ def test_clear_segments_test_only_samples(monkeypatch):
 # --- planning ---------------------------------------------------------------
 
 
-def local_cfg(pop=20, gens=40, seed=0):
-    return DEConfig(population_size=pop, generations=gens, seed=seed)
+def local_cfg(pop=20, gens=40):
+    return DEConfig(population_size=pop, generations=gens)
 
 
 def test_plan_obstacle_free_corridor_is_near_straight():
     env = open_env()
     plan = plan_local(np.array([500.0, 800.0, 100.0]), np.array([4200.0, 2500.0, 300.0]),
-                      env, still_weights(), SPL, local_cfg())
+                      env, still_weights(), SPL, local_cfg(), rng=np.random.default_rng(0))
     assert plan.cost <= 1.02
 
 
@@ -342,7 +342,8 @@ def test_plan_detours_around_blocking_obstacle():
     p_j = np.array([4000.0, 2000.0, 150.0])
     obs = Obstacle(id=1, kind="static", position=(2500.0, 2000.0, 150.0), radius=300.0)
     env = open_env(obstacles=[obs])
-    plan = plan_local(p_i, p_j, env, still_weights(), SPL, local_cfg(pop=24, gens=60))
+    plan = plan_local(p_i, p_j, env, still_weights(), SPL, local_cfg(pop=24, gens=60),
+                      rng=np.random.default_rng(0))
     assert plan.path.violation == 0.0
     assert plan.path.length > np.linalg.norm(p_j - p_i)
     assert plan.path.is_clean()
@@ -355,7 +356,8 @@ def test_plan_exploits_favorable_current():
     p_i = np.array([500.0, 2000.0, 100.0])
     p_j = np.array([4500.0, 2000.0, 100.0])
     w = still_weights(cruise=2.0)
-    plan = plan_local(p_i, p_j, env, w, SPL, local_cfg(pop=24, gens=80))
+    plan = plan_local(p_i, p_j, env, w, SPL, local_cfg(pop=24, gens=80),
+                      rng=np.random.default_rng(0))
     still_time = np.linalg.norm(p_j - p_i) / w.cruise_speed
     assert plan.path.duration < still_time
 
@@ -383,7 +385,7 @@ def test_plan_raises_when_target_engulfed():
     env = open_env(obstacles=[obs])
     with pytest.raises(NoFeasiblePathError):
         plan_local(np.array([1000.0, 1000.0, 100.0]), p_j, env, still_weights(),
-                   SPL, local_cfg(pop=10, gens=10))
+                   SPL, local_cfg(pop=10, gens=10), rng=np.random.default_rng(0))
 
 
 def test_replan_without_changes_keeps_cost():
@@ -391,11 +393,11 @@ def test_replan_without_changes_keeps_cost():
     p_i = np.array([500.0, 800.0, 100.0])
     p_j = np.array([4200.0, 2500.0, 300.0])
     w = still_weights()
-    first = plan_local(p_i, p_j, env, w, SPL, local_cfg())
+    first = plan_local(p_i, p_j, env, w, SPL, local_cfg(), rng=np.random.default_rng(0))
     elapsed = first.path.duration * 0.4
     position = first.path.position_at_time(elapsed)
     # cost of the remaining stretch, normalized like the replanner sees it
-    second = replan_local(position, p_j, env, w, SPL, local_cfg(seed=1),
+    second = replan_local(position, p_j, env, w, SPL, local_cfg(), rng=np.random.default_rng(1),
                           previous=first.path, previous_elapsed=elapsed)
     remaining_time = first.path.duration - elapsed
     t_ref = np.linalg.norm(p_j - position) / w.cruise_speed
@@ -407,12 +409,12 @@ def test_replan_clears_obstacle_dropped_on_path():
     p_i = np.array([500.0, 2000.0, 100.0])
     p_j = np.array([4500.0, 2000.0, 100.0])
     w = still_weights()
-    first = plan_local(p_i, p_j, env, w, SPL, local_cfg())
+    first = plan_local(p_i, p_j, env, w, SPL, local_cfg(), rng=np.random.default_rng(0))
     elapsed = first.path.duration * 0.2
     position = first.path.position_at_time(elapsed)
     obs = Obstacle(id=1, kind="static", position=(2500.0, 2000.0, 100.0), radius=250.0)
     env2 = env.with_obstacles([obs])
-    second = replan_local(position, p_j, env2, w, SPL, local_cfg(seed=2),
+    second = replan_local(position, p_j, env2, w, SPL, local_cfg(), rng=np.random.default_rng(2),
                           previous=first.path, previous_elapsed=elapsed)
     assert second.path.violation == 0.0 and second.path.is_clean()
 
@@ -421,10 +423,11 @@ def test_replan_tracks_drifted_target():
     env = open_env()
     p_i = np.array([500.0, 2000.0, 100.0])
     p_j = np.array([4500.0, 2000.0, 100.0])
-    first = plan_local(p_i, p_j, env, still_weights(), SPL, local_cfg())
+    first = plan_local(p_i, p_j, env, still_weights(), SPL, local_cfg(),
+                       rng=np.random.default_rng(0))
     drifted = p_j + np.array([35.0, -30.0, 10.0])
     second = replan_local(first.path.position_at_time(100.0), drifted, env,
-                          still_weights(), SPL, local_cfg(seed=3),
+                          still_weights(), SPL, local_cfg(), rng=np.random.default_rng(3),
                           previous=first.path, previous_elapsed=100.0)
     assert np.linalg.norm(second.path.end - drifted) <= 1e-6
 

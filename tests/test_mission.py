@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uuvsim.env import EnvSnapshot, Obstacle, VortexField, cluster_map
+from uuvsim.env import EnvSnapshot, Obstacle, VortexField, cluster_map, step_obstacles
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, build_path,
                                   path_states, straight_genes)
-from uuvsim.mission import (LegOutcome, VehicleState, advance_along_path, run_mission,
-                            should_replan_global, tick_leg)
+from uuvsim.mission import (LegOutcome, _hazard, advance_along_path, run_mission,
+                            should_replan_global)
 from uuvsim.scenario import from_dict, resolve_scenario
 from tests.test_env import grid_from
 from tests.test_network import line_network
@@ -144,37 +146,34 @@ def still_path(length=1000.0, cruise=2.0):
 
 def test_tick_advances_by_ground_speed():
     path, env = still_path(cruise=2.0)
-    state = VehicleState(position=path.start.copy(), speed=2.0, battery_remaining=1e4)
-    new_state, tau, _, events = tick_leg(state, path, env, tau=0.0, dt=1.0,
-                                         rng=np.random.default_rng(0))
-    assert np.linalg.norm(new_state.position - path.start) == pytest.approx(2.0, rel=1e-9)
-    assert events == []
-    assert new_state.battery_remaining == pytest.approx(1e4 - 1.0)
+    tau, pos, _, arrived = advance_along_path(path, 0.0, dt=1.0)
+    assert tau == 1.0 and not arrived  # the executor charges tau to the battery
+    assert np.linalg.norm(pos - path.start) == pytest.approx(2.0, rel=1e-9)
+    assert _hazard(pos, path, tau, (), env.field, 500.0, 20.0) is None
 
 
-def test_tick_sums_to_planner_duration():
-    path, env = still_path(length=777.0, cruise=2.0)
-    state = VehicleState(position=path.start.copy(), speed=2.0, battery_remaining=1e4)
-    tau, total, arrived = 0.0, 0.0, False
-    rng = np.random.default_rng(0)
+@settings(max_examples=40, deadline=None)
+@given(length=st.floats(1.0, 3000.0), dt_share=st.floats(1e-3, 2.0))
+@example(length=5.0, dt_share=0.001)  # a full step ends 4e-14 s short of the end
+def test_tick_sums_to_planner_duration(length, dt_share):
+    path, _ = still_path(length=length, cruise=2.0)
+    dt = dt_share * path.duration
+    tau, arrived = 0.0, False
     while not arrived:
         before = tau
-        state, tau, _, events = tick_leg(state, path, env, tau, 1.0, rng)
-        total += tau - before
-        arrived = "arrived" in events
-    assert total == pytest.approx(path.duration, rel=0.01)
-    assert np.linalg.norm(state.position - path.end) < 1e-9
+        tau, pos, _, arrived = advance_along_path(path, tau, dt)
+        assert before < tau <= before + dt
+        assert arrived == (tau == path.duration)
+    np.testing.assert_array_equal(pos, path.end)
 
 
 def test_tick_detects_obstacle_stepping_onto_path():
     path, env = still_path(length=1000.0)
     obs = Obstacle(id=7, kind="mobile", position=(600.0, 1000.0, 100.0), radius=50.0,
                    motion_sigma=0.0)
-    env2 = env.with_obstacles([obs])
-    state = VehicleState(position=path.start.copy(), speed=2.0, battery_remaining=1e4)
-    _, _, _, events = tick_leg(state, path, env2, tau=0.0, dt=1.0,
-                               rng=np.random.default_rng(0))
-    assert "hazard_detected" in events
+    tau, pos, _, _ = advance_along_path(path, 0.0, dt=1.0)
+    obstacles = step_obstacles([obs], env.field, 1.0, np.random.default_rng(0))
+    assert _hazard(pos, path, tau, obstacles, env.field, 500.0, 20.0) == 7
 
 
 def test_advance_truncates_at_arrival():

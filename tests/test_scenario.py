@@ -96,3 +96,11 @@ def test_map_extent_must_match_field(tmp_path):
                                 "field": {"x": 40.0, "y": 30.0, "z": 50.0}}), 1)
     with pytest.raises(ScenarioValidationError, match="map extent 40 x 30 m"):
         build_map(from_dict({**small, "map": grid}), 1)
+
+
+def test_local_restarts_other_than_one_rejected():
+    # Local planning runs one DE per leg, so a restart count would be ignored.
+    with pytest.raises(ScenarioValidationError, match="de_local.restarts"):
+        from_dict({"de_local": {"restarts": 3}})
+    assert from_dict({"de_local": {"restarts": 1}}).de_local.restarts == 1
+    assert from_dict({"de_global": {"restarts": 3}}).de_global.restarts == 3

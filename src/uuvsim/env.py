@@ -20,11 +20,14 @@ from .errors import EmptyRasterError, KTooLargeError
 # Radii below this fraction of the vortex radius use the analytic r -> 0 limit.
 _CORE_EPS = 1e-9
 
-# current_grid runs in blocks of _BLOCK points so its (points x vortices)
-# temporaries stay cache-sized.  For r^2/ell^2 >= _EXP_CUTOFF, exp(-x) < 2^-54
-# and 1 - exp(-x) rounds to exactly 1.0, so exp is skipped there.
-_BLOCK = 512
-_EXP_CUTOFF = 40.0
+# current_grid runs in blocks of about _BLOCK_PAIRS (point, vortex) pairs, so
+# its temporaries stay cache-sized on any field and a small field pays for few
+# Python passes.  A pair is near when r^2 < _NEAR * ell^2.  Beyond that
+# exp(-r^2/ell^2) < exp(-37.5) < 2^-54, so the damping 1 - exp rounds to
+# exactly 1.0: far pairs are plain point vortices and only near pairs get the
+# core test and the exp.
+_BLOCK_PAIRS = 1 << 14
+_NEAR = 40.0
 
 # ClusteredMap.coast_free answers per square tile of _TILE x _TILE cells.  The
 # tile table is tiny; an integral image at full cell resolution would cost
@@ -159,6 +162,8 @@ def cluster_map(raster: GridMap, k: int, max_iters: int = 100, water: str = "low
     flat = np.asarray(raster.values, dtype=float).ravel()
     if flat.size == 0:
         raise EmptyRasterError("raster has no cells")
+    if not np.isfinite(flat).all():
+        raise ValueError("raster intensities must be finite")
     n_distinct = len(np.unique(flat))
     if k < 2:
         raise KTooLargeError(f"k must be >= 2, got {k}")
@@ -170,12 +175,22 @@ def cluster_map(raster: GridMap, k: int, max_iters: int = 100, water: str = "low
     centers = _initial_centers(flat, k)
     trace: list[float] = []
     labels = np.zeros(flat.size, dtype=np.int64)
+    new_labels = np.empty_like(labels)
+    best, dist = np.empty_like(flat), np.empty_like(flat)
+    closer = np.empty(flat.size, dtype=bool)
     for _ in range(max_iters):
-        dist = np.abs(flat[:, None] - centers[None, :])
-        new_labels = np.argmin(dist, axis=1)
-        trace.append(float(np.sum((flat - centers[new_labels]) ** 2)))
+        # Nearest centre by a running strict minimum: ties keep the lower
+        # index, as argmin does.  best ends as |x - centre of x|.
+        np.abs(np.subtract(flat, centers[0], out=best), out=best)
+        new_labels.fill(0)
+        for i in range(1, k):
+            np.abs(np.subtract(flat, centers[i], out=dist), out=dist)
+            np.less(dist, best, out=closer)
+            new_labels[closer] = i
+            np.minimum(best, dist, out=best)
+        trace.append(float(np.sum(np.multiply(best, best, out=best))))
         converged = bool(np.array_equal(new_labels, labels)) and len(trace) > 1
-        labels = new_labels
+        labels, new_labels = new_labels, labels
         for i in range(k):
             members = flat[labels == i]
             if members.size:
@@ -255,12 +270,12 @@ class VortexField:
 
     @functools.cached_property
     def terms(self) -> tuple[np.ndarray, ...]:
-        """Per-vortex columns of the superposition: x, y, strength, ell^2, core r^2."""
+        """Per-vortex columns of the superposition: x, y, strength, ell^2, core r^2, near r^2."""
         radii = np.array([v.radius for v in self.vortices], dtype=float)
         return (np.array([v.center[0] for v in self.vortices], dtype=float),
                 np.array([v.center[1] for v in self.vortices], dtype=float),
                 np.array([v.strength for v in self.vortices], dtype=float),
-                radii ** 2, (_CORE_EPS * radii) ** 2)
+                radii ** 2, (_CORE_EPS * radii) ** 2, _NEAR * radii ** 2)
 
 
 @dataclass(frozen=True)
@@ -286,28 +301,48 @@ def current_grid(points: np.ndarray, fld: VortexField) -> np.ndarray:
     Each row is bit-identical to evaluating its point alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cx, cy, strengths, radii2, core2 = fld.terms
+    cx, cy, strengths, radii2, core2, near2 = fld.terms
     out = np.empty((pts.shape[0], 2))
-    for s in range(0, pts.shape[0], _BLOCK):
-        blk = pts[s:s + _BLOCK]
+    step = max(1, _BLOCK_PAIRS // max(cx.size, 1))
+    for s in range(0, pts.shape[0], step):
+        blk = pts[s:s + step]
         dx = blk[:, 0:1] - cx  # (b, v)
         dy = blk[:, 1:2] - cy
-        r2 = dx * dx + dy * dy
-        core = r2 < core2
-        r2_safe = np.where(core, 1.0, r2)
-        x = -r2_safe / radii2
-        damp = 1.0 - np.exp(x, out=np.zeros_like(x), where=x > -_EXP_CUTOFF)
-        coeff = strengths / (2.0 * np.pi * r2_safe) * damp
-        coeff[core] = 0.0
-        out[s:s + _BLOCK, 0] = np.add.reduce(-coeff * dy, axis=1)
-        out[s:s + _BLOCK, 1] = np.add.reduce(coeff * dx, axis=1)
+        r2 = dx * dx
+        r2 += dy * dy
+        near = (r2 < near2).ravel().nonzero()[0]  # flat (b, v) indices
+        if near.size:
+            cols = near % cx.size
+            r2_near = r2.take(near)
+            core = r2_near < core2.take(cols)
+            has_core = np.count_nonzero(core) > 0
+            if has_core:  # divide by 1.0 there; zeroed below
+                r2_near[core] = 1.0
+                r2.put(near[core], 1.0)
+        coeff = strengths / (2.0 * np.pi * r2)
+        if near.size:
+            damped = coeff.take(near) * (1.0 - np.exp(-r2_near / radii2.take(cols)))
+            if has_core:
+                damped[core] = 0.0
+            coeff.put(near, damped)
+        dx *= coeff
+        np.add.reduce(dx, axis=1, out=out[s:s + step, 1])
+        np.negative(coeff, out=coeff)
+        coeff *= dy
+        np.add.reduce(coeff, axis=1, out=out[s:s + step, 0])
     return out
 
 
 def current_at(point, fld: VortexField) -> CurrentSample:
     """Current at a single (x, y) point; exact zero at a vortex core."""
-    v = current_grid(np.asarray(point, dtype=float)[:2][None, :], fld)[0]
-    return CurrentSample(float(v[0]), float(v[1]))
+    v_cx, v_cy = current_grid(np.asarray(point, dtype=float)[:2][None, :], fld)[0].tolist()
+    return CurrentSample(v_cx, v_cy)
+
+
+def current_speeds(points, fld: VortexField) -> list[float]:
+    """Current speed at each (x, y) point from one field call, as current_at(point).magnitude."""
+    v = current_grid(np.asarray(points, dtype=float).reshape(-1, 2), fld)
+    return [math.hypot(v_cx, v_cy) for v_cx, v_cy in v.tolist()]
 
 
 def perturb_field(fld: VortexField, rng: np.random.Generator) -> VortexField:
@@ -404,10 +439,12 @@ def step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
     Mobile obstacles drift with the local current plus per-step Gaussian
     jitter of scale motion_sigma * |v_c| on each horizontal axis; uncertain
     obstacles resample their radius around the base value; static obstacles
-    are returned untouched.
+    are returned untouched.  One field call serves every mobile obstacle.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    mobile = [obs.position[:2] for obs in obstacles if obs.kind == "mobile"]
+    currents = iter(current_grid(np.array(mobile), fld).tolist() if mobile else ())
     out = []
     for obs in obstacles:
         if obs.kind == "static":
@@ -417,11 +454,11 @@ def step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
             r = max(r, 1e-6)
             out.append(replace(obs, radius=r, envelope_radius=r))
         else:
-            cur = current_at(obs.position[:2], fld)
-            scale = obs.motion_sigma * cur.magnitude
+            v_cx, v_cy = next(currents)
+            scale = obs.motion_sigma * math.hypot(v_cx, v_cy)
             jitter = rng.normal(0.0, scale, size=2) if scale > 0 else np.zeros(2)
-            pos = (obs.position[0] + cur.v_cx * dt + jitter[0],
-                   obs.position[1] + cur.v_cy * dt + jitter[1],
+            pos = (obs.position[0] + v_cx * dt + jitter[0],
+                   obs.position[1] + v_cy * dt + jitter[1],
                    obs.position[2])
             out.append(replace(obs, position=pos))
     return out

@@ -13,6 +13,13 @@ candidate axis; `_batch_paths` runs them on a whole DE generation.  The scalar
 calls `build_path`, `path_states`, `violation_sum` and `path_cost` are the
 same kernels on a batch of one, so there is one implementation of each.
 
+A DE generation arrives as [mutants; trials], and a trial's spline sample
+equals its mutant's wherever the genes that sample rests on crossed over.  So
+the current field is evaluated once per distinct sample: each row of the
+second half copies the field at every sample that is bit for bit the one at
+the same index of its first-half partner.  A field row does not depend on the
+rest of its batch, so this changes no result.
+
 The collision fraction counts a path's samples plus q - 1 evenly spaced
 checkpoints on each segment, q from the path's longest segment.  All samples
 are tested; a segment whose end samples certify it clear of raster edge,
@@ -215,7 +222,16 @@ def _kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights, env: EnvSnapsh
     c, nseg = lens.shape
     safe = np.maximum(lens, _EPS_LEN)
     tx, ty, tz = diffs[..., 0] / safe, diffs[..., 1] / safe, diffs[..., 2] / safe
-    cur = current_grid(pts[:, :-1, :2].reshape(-1, 2), env.field).reshape(c, nseg, 2)
+    # Row c - h + i reuses the field at each sample bit-equal to row i's.
+    xy = pts[:, :-1, :2]
+    h = c // 2
+    same = xy[c - h:].view(np.int64) == xy[:h].view(np.int64)
+    repeat = same[..., 0] & same[..., 1]  # (h, nseg)
+    fresh = np.ones((c, nseg), dtype=bool)
+    fresh[c - h:] = ~repeat
+    cur = np.empty((c, nseg, 2))
+    cur[fresh] = current_grid(xy[fresh], env.field)
+    cur[c - h:][repeat] = cur[:h][repeat]
     along = tx * cur[..., 0] + ty * cur[..., 1]
     surge = weights.cruise_speed + along
     yaw_seg = yaw[:, :-1]

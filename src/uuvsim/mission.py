@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeding
-from .env import (CONFIDENCE_Z, EnvSnapshot, current_at, perturb_field, point_in_collision,
-                  step_obstacles)
+from .env import (CONFIDENCE_Z, EnvSnapshot, current_at, current_speeds, perturb_field,
+                  point_in_collision, step_obstacles)
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
 from .global_planner import GlobalPlan, Route, plan_global, walk_cost
@@ -34,10 +34,6 @@ _MAX_LOCAL_REPLANS_PER_LEG = 20
 class VehicleState:
     position: np.ndarray
     yaw: float = 0.0
-    pitch: float = 0.0
-    yaw_rate: float = 0.0
-    speed: float = 0.0
-    battery_remaining: float = 0.0
 
 
 @dataclass
@@ -171,8 +167,7 @@ class _Executor:
         self.global_plans = 0
         self.local_plans = 0
         self.report = MissionReport(scenario=sc.name, seed=seed)
-        self.state = VehicleState(position=self.network.position(self.network.start_id),
-                                  speed=self.speed, battery_remaining=self.budget)
+        self.state = VehicleState(position=self.network.position(self.network.start_id))
 
     # -- planning ------------------------------------------------------------
 
@@ -197,11 +192,10 @@ class _Executor:
         return replace(self.network, used=self.network.used | self.blocked)
 
     def _planning_env(self, horizon: float) -> EnvSnapshot:
-        inflated = []
-        for obs in self.obstacles:
-            mag = current_at(obs.position[:2], self.field).magnitude
-            inflated.append(obs.inflated(horizon, mag, margin=self.sc.mission.obstacle_margin))
-        return EnvSnapshot(self.cmap, self.field, tuple(inflated))
+        speeds = current_speeds([obs.position[:2] for obs in self.obstacles], self.field)
+        inflated = tuple(obs.inflated(horizon, mag, margin=self.sc.mission.obstacle_margin)
+                         for obs, mag in zip(self.obstacles, speeds))
+        return EnvSnapshot(self.cmap, self.field, inflated)
 
     def _plan_leg(self, start_pos, target_pos, horizon: float,
                   previous: LocalPath | None = None, elapsed_on_previous: float = 0.0,
@@ -229,9 +223,6 @@ class _Executor:
         self.elapsed += tau - tau0
         self.state.position = pos
         self.state.yaw = float(path.yaw[k])
-        self.state.pitch = float(path.pitch[k])
-        self.state.yaw_rate = float(path.yaw_rate[k])
-        self.state.battery_remaining = self.budget - self.elapsed
         self.report.ticks.append((self.elapsed, float(pos[0]), float(pos[1]), float(pos[2]),
                                   self.state.yaw, leg_index))
         if self.elapsed > self.budget:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from uuvsim.env import EnvSnapshot, points_in_collision
+from uuvsim.env import EnvSnapshot, GridMap, VortexField, points_in_collision
 from uuvsim.errors import UndecodableError
 from uuvsim.global_planner import Route
 from uuvsim.network import Network, _pair
@@ -191,3 +191,63 @@ def reference_violations(pts: np.ndarray, subdivide: int, env: EnvSnapshot,
     check = reference_subdivided(pts, subdivide)
     hits = points_in_collision(check.reshape(-1, 3), env.map, list(env.obstacles), padded=padded)
     return hits.reshape(pts.shape[0], -1).mean(axis=1)
+
+
+# The field kernel as it stood before the near-pair split: blocks of 512
+# points, the core mask, r2_safe and the exp mask built over every pair.  Kept
+# verbatim as the exactness reference for `current_grid`.
+
+
+def reference_current_grid(points: np.ndarray, fld: VortexField) -> np.ndarray:
+    """Current velocity (n, 2) at each (n, 2) point; vectorized superposition."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    radii = np.array([v.radius for v in fld.vortices], dtype=float)
+    cx = np.array([v.center[0] for v in fld.vortices], dtype=float)
+    cy = np.array([v.center[1] for v in fld.vortices], dtype=float)
+    strengths = np.array([v.strength for v in fld.vortices], dtype=float)
+    radii2, core2 = radii ** 2, (1e-9 * radii) ** 2
+    out = np.empty((pts.shape[0], 2))
+    for s in range(0, pts.shape[0], 512):
+        blk = pts[s:s + 512]
+        dx = blk[:, 0:1] - cx  # (b, v)
+        dy = blk[:, 1:2] - cy
+        r2 = dx * dx + dy * dy
+        core = r2 < core2
+        r2_safe = np.where(core, 1.0, r2)
+        x = -r2_safe / radii2
+        damp = 1.0 - np.exp(x, out=np.zeros_like(x), where=x > -40.0)
+        coeff = strengths / (2.0 * np.pi * r2_safe) * damp
+        coeff[core] = 0.0
+        out[s:s + 512, 0] = np.add.reduce(-coeff * dy, axis=1)
+        out[s:s + 512, 1] = np.add.reduce(coeff * dx, axis=1)
+    return out
+
+
+# The k-means of `cluster_map` before it dropped the (n, k) distance matrix,
+# kept verbatim as the exactness reference: (labels, centers, objective trace).
+
+
+def reference_cluster_map(raster: GridMap, k: int, max_iters: int = 100):
+    """Lloyd iterations from the deterministic quantile init."""
+    flat = np.asarray(raster.values, dtype=float).ravel()
+    qs = (np.arange(k) + 0.5) / k
+    centers = np.quantile(flat, qs)
+    if len(np.unique(centers)) < k:
+        uniq = np.unique(flat)
+        centers = uniq[np.round(np.linspace(0, len(uniq) - 1, k)).astype(int)]
+    centers = centers.astype(float)
+    trace: list[float] = []
+    labels = np.zeros(flat.size, dtype=np.int64)
+    for _ in range(max_iters):
+        dist = np.abs(flat[:, None] - centers[None, :])
+        new_labels = np.argmin(dist, axis=1)
+        trace.append(float(np.sum((flat - centers[new_labels]) ** 2)))
+        converged = bool(np.array_equal(new_labels, labels)) and len(trace) > 1
+        labels = new_labels
+        for i in range(k):
+            members = flat[labels == i]
+            if members.size:
+                centers[i] = members.mean()
+        if converged:
+            break
+    return labels, centers, trace

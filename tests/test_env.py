@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uuvsim.env as env_module
 from uuvsim.env import (ClusteredMap, GridMap, Obstacle, VortexField, VortexParams,
-                        cluster_map, current_at, current_grid, load_raster,
+                        cluster_map, current_at, current_grid, current_speeds, load_raster,
                         perturb_field, point_in_collision, points_in_collision,
                         step_obstacles, synthesize_raster)
 from uuvsim.errors import KTooLargeError
+from tests.oracles import reference_cluster_map, reference_current_grid
 
 
 def grid_from(values, cell_size=1.0, depth=100.0) -> GridMap:
@@ -45,6 +48,38 @@ def test_cluster_rejects_k_beyond_distinct_values():
     raster = grid_from([[0, 0], [255, 255]])
     with pytest.raises(KTooLargeError):
         cluster_map(raster, k=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), water=st.sampled_from(["low", "high"]),
+       levels=st.integers(2, 9), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+def test_cluster_map_matches_reference_kmeans(seed, k, water, levels, shape):
+    """Labels, centres and objective trace equal the (n, k) argmin k-means bit for bit.
+
+    Few evenly spaced intensity levels make many cells tie and put values
+    exactly midway between two centres, where the first centre must win.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, levels, size=shape) * rng.choice([1.0, 2.0, 0.5, 10.0])
+    if rng.random() < 0.3:  # mass on one level collapses the quantile init
+        values[rng.random(shape) < 0.8] = values.flat[0]
+    if k > len(np.unique(values)):
+        with pytest.raises(KTooLargeError):
+            cluster_map(grid_from(values), k=k, water=water)
+        return
+    labels, centers, trace = reference_cluster_map(grid_from(values), k)
+    cm = cluster_map(grid_from(values), k=k, water=water)
+    assert cm.objective_trace == tuple(trace)
+    assert np.array_equal(cm.centers.view(np.int64), centers.view(np.int64))
+    water_label = int(np.argmin(centers) if water == "low" else np.argmax(centers))
+    assert cm.water_label == water_label
+    np.testing.assert_array_equal(cm.occupancy,
+                                  np.where(labels.reshape(shape) == water_label, 0, 1))
+
+
+def test_cluster_rejects_non_finite_intensities():
+    with pytest.raises(ValueError, match="finite"):
+        cluster_map(grid_from([[0.0, 255.0], [np.nan, 255.0]]), k=2)
 
 
 def brute_force_two_means(values: np.ndarray) -> float:
@@ -162,28 +197,80 @@ def unblocked_current(pts, fld):
     return np.column_stack([np.sum(-coeff * dy, axis=1), np.sum(coeff * dx, axis=1)])
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), v=st.integers(1, 90), n=st.integers(1, 1300))
-def test_current_grid_rows_exact(seed, v, n):
-    """Blocking and the skipped far-field exp change no bit of any row."""
+def near_boundary_xs(cx: float, ell: float) -> list[float]:
+    """x coordinates due east of a centre whose r^2 = (x - cx)^2 steps across 40 ell^2.
+
+    Three on each side of the crossing, one ulp of x apart, in the kernel's
+    own arithmetic: r^2 runs from just below to just above 40 ell^2.
+    """
+    near2 = 40.0 * (ell * ell)
+    x = cx + math.sqrt(near2)
+    while (x - cx) * (x - cx) >= near2:
+        x = math.nextafter(x, -math.inf)
+    while (x - cx) * (x - cx) < near2:
+        x = math.nextafter(x, math.inf)
+    xs = [x]
+    for _ in range(3):
+        xs.insert(0, math.nextafter(xs[0], -math.inf))
+    for _ in range(2):
+        xs.append(math.nextafter(xs[-1], math.inf))
+    return xs
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """Bit patterns, so -0.0 and +0.0 differ and equal NaNs compare equal."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), v=st.integers(0, 120), blocks=st.floats(0.0, 2.5))
+def test_current_grid_rows_exact(seed, v, blocks):
+    """The near-pair split and the blocking change no bit of any row.
+
+    Rows are compared bit for bit with the kernel as it stood before the
+    split, with a plain unblocked superposition, and with each point alone.
+    n runs up to 2.5 blocks of the vortex count's block size.
+    """
     rng = np.random.default_rng(seed)
     vortices = tuple(VortexParams(center=tuple(rng.uniform(0, 5000, 2)),
                                   radius=rng.uniform(50, 400),
                                   strength=rng.uniform(-5000, 5000)) for _ in range(v))
     fld = VortexField(vortices=vortices)
-    c = np.array([vo.center for vo in vortices])
-    ell = np.array([vo.radius for vo in vortices])
-    pick = rng.integers(v, size=n)
-    angle = rng.uniform(0, 2 * np.pi, n)
-    # r / ell spans the core, the exp cutoff sqrt(40) on both sides, and far field
-    r = ell[pick] * rng.choice([0.0, 1e-12, 0.5, 6.3245, 6.3246, 6.5, 30.0], size=n)
-    pts = c[pick] + r[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-    loose = rng.random(n) < 0.3
-    pts[loose] = rng.uniform(-500, 5500, size=(int(loose.sum()), 2))
+    n = 1 + int(blocks * max(1, env_module._BLOCK_PAIRS // max(v, 1)))
+    pts = rng.uniform(-500, 5500, size=(n, 2))
+    if v:
+        c = np.array([vo.center for vo in vortices])
+        ell = np.array([vo.radius for vo in vortices])
+        pick = rng.integers(v, size=n)
+        angle = rng.uniform(0, 2 * np.pi, n)
+        # r / ell spans the core, both sides of sqrt(40), and the far field
+        r = ell[pick] * rng.choice([0.0, 1e-12, 0.5, 6.3245, 6.3246, 6.5, 30.0], size=n)
+        placed = rng.random(n) < 0.7
+        on_rings = c[pick] + r[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        pts[placed] = on_rings[placed]
+        # points exactly on a centre, and r^2 one ulp either side of 40 ell^2
+        special = [c[j] for j in rng.integers(v, size=3)]
+        for j in rng.integers(v, size=2):
+            special += [(x, c[j, 1]) for x in near_boundary_xs(c[j, 0], ell[j])]
+        pts = np.concatenate([pts, special])[rng.permutation(n + len(special))]
     grid = current_grid(pts, fld)
-    np.testing.assert_array_equal(grid, unblocked_current(pts, fld))
-    for i in rng.choice(n, size=min(n, 40), replace=False):
-        np.testing.assert_array_equal(grid[i], current_grid(pts[i:i + 1], fld)[0])
+    np.testing.assert_array_equal(bits(grid), bits(reference_current_grid(pts, fld)))
+    if v:
+        np.testing.assert_array_equal(bits(grid), bits(unblocked_current(pts, fld)))
+    else:
+        np.testing.assert_array_equal(bits(grid), bits(np.zeros_like(grid)))
+    for i in rng.choice(len(pts), size=min(len(pts), 40), replace=False):
+        np.testing.assert_array_equal(bits(grid[i]), bits(current_grid(pts[i:i + 1], fld)[0]))
+
+
+def test_current_speeds_equal_current_at_magnitudes():
+    rng = np.random.default_rng(3)
+    fld = VortexField(vortices=tuple(
+        VortexParams(center=tuple(rng.uniform(0, 2000, 2)), radius=rng.uniform(50, 300),
+                     strength=rng.uniform(-500, 500)) for _ in range(12)))
+    pts = [tuple(p) for p in rng.uniform(0, 2000, size=(30, 2))] + [fld.vortices[0].center]
+    assert current_speeds(pts, fld) == [current_at(p, fld).magnitude for p in pts]
+    assert current_speeds([], fld) == []
 
 
 # --- field perturbation -----------------------------------------------------
@@ -228,6 +315,49 @@ def test_step_without_forcing_is_identity():
     out = step_obstacles(obstacles, fld, dt=1.0, rng=np.random.default_rng(0))
     for a, b in zip(obstacles, out):
         assert a.position == b.position and a.radius == b.radius
+
+
+def per_obstacle_step(obstacles, fld, dt, rng):
+    """step_obstacles as one current_at call per mobile obstacle, in list order."""
+    out = []
+    for obs in obstacles:
+        if obs.kind == "static":
+            out.append(obs)
+        elif obs.kind == "uncertain":
+            r = (float(rng.normal(obs.base_radius, obs.radius_sigma)) if obs.radius_sigma > 0
+                 else obs.base_radius)
+            r = max(r, 1e-6)
+            out.append(replace(obs, radius=r, envelope_radius=r))
+        else:
+            cur = current_at(obs.position[:2], fld)
+            scale = obs.motion_sigma * cur.magnitude
+            jitter = rng.normal(0.0, scale, size=2) if scale > 0 else np.zeros(2)
+            out.append(replace(obs, position=(obs.position[0] + cur.v_cx * dt + jitter[0],
+                                              obs.position[1] + cur.v_cy * dt + jitter[1],
+                                              obs.position[2])))
+    return out
+
+
+def test_step_obstacles_matches_per_obstacle_steps():
+    """One field call for all mobile obstacles keeps every value and the rng order."""
+    rng = np.random.default_rng(9)
+    fld = VortexField(vortices=tuple(
+        VortexParams(center=tuple(rng.uniform(0, 1000, 2)), radius=rng.uniform(50, 200),
+                     strength=rng.uniform(-300, 300)) for _ in range(7)))
+    kinds = ["mobile", "static", "uncertain", "mobile", "mobile", "uncertain", "static", "mobile"]
+    obstacles = [Obstacle(id=i, kind=kind, position=tuple(rng.uniform(0, 1000, 3)), radius=8.0,
+                          radius_sigma=1.5 * (i % 2), motion_sigma=0.3 * (i % 3))
+                 for i, kind in enumerate(kinds)]
+    # a mobile obstacle sitting on a vortex centre drifts by exactly zero
+    obstacles.append(Obstacle(id=99, kind="mobile", position=(*fld.vortices[0].center, 5.0),
+                              radius=3.0, motion_sigma=0.5))
+    got, want = list(obstacles), list(obstacles)
+    rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(25):
+        got = step_obstacles(got, fld, 2.0, rng_got)
+        want = per_obstacle_step(want, fld, 2.0, rng_want)
+        assert got == want
+    assert rng_got.random() == rng_want.random()
 
 
 def test_static_obstacle_never_moves():

@@ -486,3 +486,48 @@ def test_batched_cost_equals_m1_cost(seed, m, aggregate):
         path, cost = scalar_pipeline(genes, p_i, p_j, w, env)
         assert cost == costs[i]
         assert (path.kin_excess, path.is_clean()) == (path_of(i).kin_excess, clean[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 13), share=st.floats(0.0, 1.0))
+def test_kinematics_evaluates_each_distinct_partner_sample_once(seed, c, share):
+    """Second-half rows reuse the field at samples bit-equal to their partner's.
+
+    Row c - h + i (h = c // 2) copies a random share of its samples from row
+    i, some only in x, and some with x = -0.0 against the partner's +0.0.
+    The field is evaluated once per sample that differs from its partner's in
+    any bit, and every output row equals, bit for bit, that row run alone.
+    """
+    rng = np.random.default_rng(seed)
+    vortices = [VortexParams(center=tuple(rng.uniform(0, 3000, 2)), radius=rng.uniform(50, 400),
+                             strength=rng.uniform(-2000, 2000))
+                for _ in range(int(rng.integers(0, 30)))]
+    env = open_env(vortices=vortices)
+    w = still_weights(cruise=rng.uniform(0.5, 2.5))
+    S = int(rng.integers(3, 40))
+    pts = rng.uniform([0, 0, 0], [3000, 3000, 500], size=(c, S, 3))
+    h = c // 2
+    head, tail = pts[:h], pts[c - h:]
+    copied = rng.random((h, S)) < share
+    tail[copied] = head[copied]
+    x_only = rng.random((h, S)) < 0.1
+    tail[x_only, 0] = head[x_only, 0]
+    signed = copied & (rng.random((h, S)) < 0.2)
+    head[signed, 0], tail[signed, 0] = 0.0, -0.0
+    diffs = np.diff(pts, axis=1)
+    lens = np.linalg.norm(diffs, axis=2)
+    yaw = lp._pad(np.arctan2(diffs[..., 1], diffs[..., 0]))
+
+    calls, real = [], lp.current_grid
+    lp.current_grid = lambda points, fld: calls.append(len(points)) or real(points, fld)
+    try:
+        batch = lp._kinematics(pts, diffs, lens, yaw, w, env)
+    finally:
+        lp.current_grid = real
+    xy = pts[:, :-1, :2]
+    repeats = (xy[c - h:].view(np.int64) == xy[:h].view(np.int64)).all(axis=2)
+    assert calls == [c * (S - 1) - int(repeats.sum())]
+    for i in range(c):
+        alone = lp._kinematics(pts[i:i + 1], diffs[i:i + 1], lens[i:i + 1], yaw[i:i + 1], w, env)
+        for got, want in zip(batch, alone):
+            assert np.asarray(got[i]).tobytes() == np.asarray(want[0]).tobytes()

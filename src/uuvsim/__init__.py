@@ -11,9 +11,8 @@ from .env import (ClusteredMap, CurrentSample, EnvSnapshot, GridMap, Obstacle,
                   perturb_field, point_in_collision, step_obstacles)
 from .errors import UUVSimError
 from .global_planner import Route, decode_route, plan_global, route_cost
-from .local_planner import (LocalCostWeights, LocalPath, SplineConfig, build_path,
-                            path_cost, path_states, plan_local, replan_local,
-                            violation_sum)
+from .local_planner import (LocalCostWeights, LocalPath, SplineConfig, evaluate_paths,
+                            plan_local, replan_local)
 from .mission import LegOutcome, MissionReport, VehicleState, run_mission, should_replan_global
 from .network import Network, Station, build_network, consume_edge, drift_stations, edge_metrics
 from .scenario import Scenario, load_scenario

@@ -266,7 +266,6 @@ class VortexField:
 
     vortices: tuple[VortexParams, ...]
     noise_range: tuple[float, float] = (0.1, 0.8)
-    grid_extent: tuple[float, float] = (10_000.0, 10_000.0)
 
     @functools.cached_property
     def terms(self) -> tuple[np.ndarray, ...]:
@@ -390,7 +389,7 @@ def sample_vortex_field(extent: tuple[float, float], rng: np.random.Generator,
                 sign = 1.0 if rng.random() < 0.5 else -1.0
                 strength = sign * peak * 2.0 * np.pi * ell / PEAK_SPEED_FACTOR
                 vortices.append(VortexParams(center=(cx, cy), radius=ell, strength=strength))
-    return VortexField(vortices=tuple(vortices), noise_range=noise_range, grid_extent=extent)
+    return VortexField(vortices=tuple(vortices), noise_range=noise_range)
 
 
 @dataclass(frozen=True)
@@ -523,6 +522,3 @@ class EnvSnapshot:
     map: ClusteredMap
     field: VortexField
     obstacles: tuple[Obstacle, ...] = ()
-
-    def with_obstacles(self, obstacles) -> "EnvSnapshot":
-        return replace(self, obstacles=tuple(obstacles))

@@ -9,9 +9,10 @@ plus weighted worst-case violations of the surge/sway/yaw-rate limits and the
 collision fraction.
 
 Geometry, kinematics, collision fraction and cost are kernels over a leading
-candidate axis; `_batch_paths` runs them on a whole DE generation.  The scalar
-calls `build_path`, `path_states`, `violation_sum` and `path_cost` are the
-same kernels on a batch of one, so there is one implementation of each.
+candidate axis.  `evaluate_paths` runs them on a whole DE generation and is
+the one way a leg is scored: it returns every row's cost and clean flag, and
+builds a `LocalPath` only for a row the caller asks for.  A row's result does
+not depend on the rest of its batch.
 
 A DE generation arrives as [mutants; trials], and a trial's spline sample
 equals its mutant's wherever the genes that sample rests on crossed over.  So
@@ -96,29 +97,16 @@ class LocalCostWeights:
 
 @dataclass
 class LocalPath:
-    """One sampled path: geometry first, kinematics after path_states().
-
-    The planner builds one only for a candidate it accepts; the scalar calls
-    fill the same fields from the batch kernels run on a batch of one.
-    """
+    """One sampled path with its ground-frame kinematics; built by evaluate_paths."""
 
     points: np.ndarray            # (S, 3)
     yaw: np.ndarray               # (S,)
     pitch: np.ndarray             # (S,)
-    seg_lengths: np.ndarray       # (S-1,)
-    length: float
-    degenerate: bool = False
-    # filled by path_states:
-    surge: np.ndarray | None = None
-    sway: np.ndarray | None = None
-    v_z: np.ndarray | None = None
-    yaw_rate: np.ndarray | None = None
-    seg_times: np.ndarray | None = None
-    times: np.ndarray | None = None      # (S,) cumulative, times[0] == 0
-    duration: float | None = None
-    stalled: bool = False
-    violation: float | None = None       # colliding sample fraction
-    kin_excess: tuple[float, float, float] | None = None  # surge, sway, yaw-rate
+    surge: np.ndarray             # (S,)
+    sway: np.ndarray              # (S,)
+    yaw_rate: np.ndarray          # (S,)
+    times: np.ndarray             # (S,) cumulative, times[0] == 0
+    duration: float
 
     @property
     def start(self) -> np.ndarray:
@@ -127,14 +115,6 @@ class LocalPath:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-    def is_clean(self) -> bool:
-        """Constraint-clean: no stall, no collision, no kinematic excess."""
-        if self.stalled or self.degenerate:
-            return False
-        if self.violation is None or self.violation > 0:
-            return False
-        return self.kin_excess is not None and max(self.kin_excess) == 0.0
 
     def position_at_time(self, t: float) -> np.ndarray:
         """Linear interpolation along the sampled polyline at elapsed time t."""
@@ -216,12 +196,16 @@ def _geometry(ctrl: np.ndarray, config: SplineConfig):
 def _kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights, env: EnvSnapshot):
     """Ground-frame kinematics for batched geometry; yaw is per sample (c,S).
 
-    Returns the per-sample series surge, sway, v_z, yaw_rate (c,S), then
-    seg_times (c,S-1), times (c,S) and stalled (c,).
+    Ground velocity per segment is cruise speed along the tangent plus the
+    horizontal current; surge is its tangential component and sway the
+    cross-track horizontal current.  A segment whose tangential ground speed
+    drops to zero or below marks the whole path stalled (infeasible).
+    Returns the per-sample series surge, sway, yaw_rate and times (c,S),
+    times[:, 0] == 0, then stalled (c,).
     """
     c, nseg = lens.shape
     safe = np.maximum(lens, _EPS_LEN)
-    tx, ty, tz = diffs[..., 0] / safe, diffs[..., 1] / safe, diffs[..., 2] / safe
+    tx, ty = diffs[..., 0] / safe, diffs[..., 1] / safe
     # Row c - h + i reuses the field at each sample bit-equal to row i's.
     xy = pts[:, :-1, :2]
     h = c // 2
@@ -241,47 +225,12 @@ def _kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights, env: EnvSnapsh
     eff = np.maximum(surge, 0.1 * weights.cruise_speed)
     seg_times = np.where(moving, lens / eff, 0.0)
     times = np.concatenate([np.zeros((c, 1)), np.cumsum(seg_times, axis=1)], axis=1)
-    return (_pad(surge), _pad(sway), weights.cruise_speed * _pad(tz), yaw_rates(yaw, times),
-            seg_times, times, stalled)
+    return _pad(surge), _pad(sway), yaw_rates(yaw, times), times, stalled
 
 
 def _pad(seg_values: np.ndarray) -> np.ndarray:
     """Per-sample series from per-segment values along the last axis (last sample repeats)."""
     return np.concatenate([seg_values, seg_values[..., -1:]], axis=-1)
-
-
-def build_path(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> LocalPath:
-    """Sample the clamped spline and derive per-sample yaw, pitch and length."""
-    p_i = np.asarray(endpoint_i, dtype=float)
-    p_j = np.asarray(endpoint_j, dtype=float)
-    if np.linalg.norm(p_j - p_i) < _EPS_LEN:
-        return LocalPath(points=np.vstack([p_i, p_j]), yaw=np.zeros(2), pitch=np.zeros(2),
-                         seg_lengths=np.zeros(1), length=0.0, degenerate=True)
-    ctrl = control_points(genes, p_i, p_j, config)
-    pts, _, lens, yaw_seg, pitch_seg = _geometry(ctrl[None], config)
-    return LocalPath(points=pts[0], yaw=_pad(yaw_seg[0]), pitch=_pad(pitch_seg[0]),
-                     seg_lengths=lens[0], length=float(lens[0].sum()))
-
-
-def path_states(path: LocalPath, weights: LocalCostWeights, env: EnvSnapshot) -> LocalPath:
-    """Fill ground-frame kinematics and traversal times under the current field.
-
-    Ground velocity per segment is cruise speed along the tangent plus the
-    horizontal current; surge is its tangential component and sway the
-    cross-track horizontal current.  A segment whose tangential ground speed
-    drops to zero or below marks the whole path stalled (infeasible).
-    """
-    if path.degenerate:
-        path.surge, path.sway, path.v_z, path.yaw_rate, path.times = (np.zeros(2) for _ in range(5))
-        path.seg_times, path.duration = np.zeros(1), 0.0
-        return path
-    states = _kinematics(path.points[None], np.diff(path.points, axis=0)[None],
-                         path.seg_lengths[None], path.yaw[None], weights, env)
-    (path.surge, path.sway, path.v_z, path.yaw_rate, path.seg_times, path.times,
-     stalled) = (a[0] for a in states)
-    path.duration = float(path.times[-1])
-    path.stalled = bool(stalled)
-    return path
 
 
 def yaw_rates(yaw: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -359,24 +308,6 @@ def _violations(pts: np.ndarray, qs: np.ndarray, env: EnvSnapshot, padded: bool)
     return hits / (S + (S - 1) * (qs - 1))
 
 
-def violation_sum(path: LocalPath, env: EnvSnapshot, subdivide: int = 1,
-                  padded: bool = False) -> float:
-    """Fraction of checked path points in collision with coast or obstacles.
-
-    With the defaults the check runs on the path samples against the true
-    map.  Planners raise `subdivide` until checkpoint spacing is below the
-    cell size and set `padded` so the coast test uses the one-cell-dilated
-    occupancy; together these guarantee that a path accepted as clean cannot
-    touch true coast anywhere between checkpoints.  Interior checkpoints of
-    segments certified clear from their end samples count as misses without
-    being built; the fraction is the same as testing every checkpoint.
-    """
-    path.violation = (0.0 if path.degenerate
-                      else float(_violations(path.points[None], np.array([subdivide]), env,
-                                             padded)[0]))
-    return path.violation
-
-
 def _costs(chord: float, duration, surge, sway, yaw_rate, stalled, violation,
            weights: LocalCostWeights) -> tuple[np.ndarray, np.ndarray]:
     """Costs (c,) and (surge, sway, yaw-rate) excesses (c, 3) of c paths sharing a chord.
@@ -393,24 +324,8 @@ def _costs(chord: float, duration, surge, sway, yaw_rate, stalled, violation,
     t_ref = chord / weights.cruise_speed
     costs = (duration / t_ref + weights.w_surge * excess[:, 0] + weights.w_sway * excess[:, 1]
              + weights.w_yaw * excess[:, 2] + weights.w_collision * violation)
-    excess[stalled] = (math.inf, 0.0, 0.0)
     costs[stalled] = math.inf
     return costs, excess
-
-
-def path_cost(path: LocalPath, weights: LocalCostWeights) -> float:
-    """Normalized time plus weighted constraint violations; +inf when stalled."""
-    if path.degenerate:
-        path.kin_excess = (0.0, 0.0, 0.0)
-        return 0.0
-    if path.duration is None:
-        raise ValueError("path_states must run before path_cost")
-    costs, excess = _costs(float(np.linalg.norm(path.end - path.start)), path.duration,
-                           path.surge[None], path.sway[None], path.yaw_rate[None],
-                           np.array([path.stalled]),
-                           0.0 if path.violation is None else path.violation, weights)
-    path.kin_excess = tuple(float(e) for e in excess[0])
-    return float(costs[0])
 
 
 def corridor_bounds(endpoint_i, endpoint_j, env: EnvSnapshot, config: SplineConfig,
@@ -441,18 +356,18 @@ def straight_genes(endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:
     return np.concatenate([interior[:, 0], interior[:, 1], interior[:, 2]])
 
 
-def _batch_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
-                 config: SplineConfig, weights: LocalCostWeights, env: EnvSnapshot):
+def evaluate_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
+                   spline: SplineConfig, weights: LocalCostWeights, env: EnvSnapshot):
     """Costs (m,), clean mask (m,) and a LocalPath builder for a (m, genes) matrix.
 
     Collision checks subdivide every segment below the map cell size and use
     the dilated coast, so an accepted path cannot clip a coast corner between
-    checkpoints.  The mask is LocalPath.is_clean over the candidate axis.
+    checkpoints.  A row is clean when it does not stall, no checkpoint
+    collides and no kinematic limit is exceeded.
     """
-    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(control_points(mat, p_i, p_j, config), config)
+    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(control_points(mat, p_i, p_j, spline), spline)
     yaw, pitch = _pad(yaw_seg), _pad(pitch_seg)
-    surge, sway, v_z, yaw_rate, seg_times, times, stalled = _kinematics(
-        pts, diffs, lens, yaw, weights, env)
+    surge, sway, yaw_rate, times, stalled = _kinematics(pts, diffs, lens, yaw, weights, env)
     qs = np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int)
     violation = _violations(pts, qs, env, padded=True)
     # The clamped basis is exactly 1 at both ends, so every row samples the
@@ -462,15 +377,11 @@ def _batch_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
                            weights)
     clean = ~stalled & (violation <= 0) & (excess.max(axis=1) == 0.0)
 
-    def path(i: int) -> LocalPath:
-        return LocalPath(points=pts[i], yaw=yaw[i], pitch=pitch[i], seg_lengths=lens[i],
-                         length=float(lens[i].sum()), surge=surge[i], sway=sway[i],
-                         v_z=v_z[i], yaw_rate=yaw_rate[i], seg_times=seg_times[i],
-                         times=times[i], duration=float(times[i, -1]),
-                         stalled=bool(stalled[i]), violation=float(violation[i]),
-                         kin_excess=tuple(float(e) for e in excess[i]))
+    def path_of(i: int) -> LocalPath:
+        return LocalPath(points=pts[i], yaw=yaw[i], pitch=pitch[i], surge=surge[i], sway=sway[i],
+                         yaw_rate=yaw_rate[i], times=times[i], duration=float(times[i, -1]))
 
-    return costs, clean, path
+    return costs, clean, path_of
 
 
 @dataclass
@@ -488,11 +399,13 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
 
     The straight chord seeds the population alongside any caller-provided
     warm starts.  The accepted path is the cheapest constraint-clean
-    candidate evaluated anywhere in the run; if none exists,
-    NoFeasiblePathError is raised.
+    candidate evaluated anywhere in the run; if none exists, or the leg has
+    no length, NoFeasiblePathError is raised.
     """
     p_i = np.asarray(endpoint_i, dtype=float)
     p_j = np.asarray(endpoint_j, dtype=float)
+    if not np.linalg.norm(p_j - p_i) >= _EPS_LEN:  # NaN included
+        raise NoFeasiblePathError(f"zero-length leg from {p_i[:2]} to {p_j[:2]}")
     lo, hi = corridor_bounds(p_i, p_j, env, spline)
     cfg = replace(config, lower=lo, upper=hi)
     seeds = [straight_genes(p_i, p_j, spline), *seed_genes]
@@ -501,12 +414,12 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
 
     def evaluate(mat: np.ndarray) -> tuple[np.ndarray, list]:
         # Keep the first cheapest clean candidate when it beats the best so far.
-        costs, clean, path = _batch_paths(mat, p_i, p_j, spline, weights, env)
+        costs, clean, path_of = evaluate_paths(mat, p_i, p_j, spline, weights, env)
         clean_costs = np.where(clean, costs, math.inf)
         i = int(np.argmin(clean_costs))
         if clean_costs[i] < best_clean["cost"]:
             best_clean["cost"] = float(clean_costs[i])
-            best_clean["path"] = path(i)
+            best_clean["path"] = path_of(i)
             best_clean["genes"] = mat[i].copy()
         return costs, [None] * mat.shape[0]
 
@@ -540,7 +453,7 @@ def replan_local(position, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
     essentially the same answer.
     """
     seeds: tuple[np.ndarray, ...] = ()
-    if previous is not None and not previous.degenerate:
+    if previous is not None:
         seeds = (warm_start_genes(previous, previous_elapsed, spline),)
     return plan_local(position, endpoint_j, env, weights, spline, config,
                       rng=rng, seed_genes=seeds)

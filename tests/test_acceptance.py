@@ -16,7 +16,7 @@ from uuvsim.de import DEConfig
 from uuvsim.env import VortexField, VortexParams, current_at, current_grid
 from uuvsim.errors import UndecodableError
 from uuvsim.global_planner import decode_route, plan_global
-from uuvsim.local_planner import SplineConfig, build_path, corridor_bounds, straight_genes
+from uuvsim.local_planner import LocalCostWeights, SplineConfig, corridor_bounds, evaluate_paths
 from uuvsim.network import build_network, shortest_times_to
 from uuvsim.scenario import resolve_scenario
 from tests.oracles import best_walk_cost, walk_cost
@@ -242,7 +242,9 @@ def test_criterion_8_spline_and_decode_invariants():
         p_i = rng.uniform([0, 0, 0], [6000, 6000, 1000])
         p_j = rng.uniform([0, 0, 0], [6000, 6000, 1000])
         lo, hi = corridor_bounds(p_i, p_j, env, spline)
-        path = build_path(rng.uniform(lo, hi), p_i, p_j, spline)
+        _, _, path_of = evaluate_paths(rng.uniform(lo, hi)[None], p_i, p_j, spline,
+                                       LocalCostWeights(), env)
+        path = path_of(0)
         worst = max(worst, float(np.linalg.norm(path.start - p_i)),
                     float(np.linalg.norm(path.end - p_j)))
     assert worst <= 1e-6

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uuvsim.local_planner as lp
@@ -10,9 +12,8 @@ from uuvsim.de import DEConfig
 from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
                         points_in_collision, synthesize_raster)
 from uuvsim.errors import NoFeasiblePathError
-from uuvsim.local_planner import (LocalCostWeights, SplineConfig, build_path,
-                                  corridor_bounds, path_cost, path_states, plan_local,
-                                  replan_local, straight_genes, violation_sum, yaw_rates)
+from uuvsim.local_planner import (LocalCostWeights, LocalPath, SplineConfig, corridor_bounds,
+                                  evaluate_paths, plan_local, replan_local, straight_genes)
 from tests.oracles import reference_violations
 from tests.test_env import grid_from
 
@@ -30,8 +31,32 @@ def still_weights(cruise=2.0, **kw):
     return LocalCostWeights(cruise_speed=cruise, **kw)
 
 
-def straight_path(p_i, p_j, spline=SPL):
-    return build_path(straight_genes(p_i, p_j, spline), p_i, p_j, spline)
+def scored(genes, p_i, p_j, env, w=None):
+    """(cost, clean, path) of one gene vector, scored as the planner scores it."""
+    costs, clean, path_of = evaluate_paths(np.asarray(genes)[None], p_i, p_j, SPL,
+                                           w or still_weights(), env)
+    return costs[0], clean[0], path_of(0)
+
+
+def straight_path(p_i, p_j, env=None, w=None):
+    return scored(straight_genes(p_i, p_j, SPL), p_i, p_j, env or open_env(), w)[2]
+
+
+def length(path):
+    return float(np.linalg.norm(np.diff(path.points, axis=0), axis=1).sum())
+
+
+def fraction(path, env, q=1, padded=False):
+    """Colliding fraction of the path's samples and q - 1 checkpoints per segment."""
+    return float(lp._violations(path.points[None], np.array([q]), env, padded)[0])
+
+
+def cost_of(path, violation, w):
+    """The cost kernel on one unstalled path with the given colliding fraction."""
+    costs, _ = lp._costs(float(np.linalg.norm(path.end - path.start)), path.duration,
+                         path.surge[None], path.sway[None], path.yaw_rate[None],
+                         np.array([False]), violation, w)
+    return costs[0]
 
 
 # --- geometry ---------------------------------------------------------------
@@ -41,7 +66,7 @@ def test_collinear_interior_gives_straight_length():
     p_i, p_j = np.array([500.0, 500.0, 50.0]), np.array([3500.0, 2500.0, 250.0])
     path = straight_path(p_i, p_j)
     chord = np.linalg.norm(p_j - p_i)
-    assert path.length == pytest.approx(chord, rel=1e-3)
+    assert length(path) == pytest.approx(chord, rel=1e-3)
 
 
 def test_level_path_has_zero_yaw_and_pitch():
@@ -64,25 +89,28 @@ def test_endpoint_interpolation_random_legs():
         p_i = rng.uniform([100, 100, 10], [5800, 5800, 900])
         p_j = rng.uniform([100, 100, 10], [5800, 5800, 900])
         lo, hi = corridor_bounds(p_i, p_j, env, SPL)
-        genes = rng.uniform(lo, hi)
-        path = build_path(genes, p_i, p_j, SPL)
+        path = scored(rng.uniform(lo, hi), p_i, p_j, env)[2]
         assert np.linalg.norm(path.start - p_i) <= 1e-6
         assert np.linalg.norm(path.end - p_j) <= 1e-6
 
 
-def test_degenerate_endpoints_flagged():
-    p = np.array([10.0, 10.0, 10.0])
-    path = build_path(straight_genes(p, p, SPL), p, p, SPL)
-    assert path.degenerate and path.length == 0.0
+@pytest.mark.parametrize("offset", [0.0, math.nan])
+def test_zero_length_leg_raises_before_planning(offset):
+    p_i = np.array([10.0, 10.0, 10.0])
+    p_j = p_i + [offset, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoFeasiblePathError, match="zero-length"):
+            plan_local(p_i, p_j, open_env(), still_weights(), SPL,
+                       DEConfig(population_size=10, generations=3), rng=np.random.default_rng(0))
 
 
 # --- kinematics -------------------------------------------------------------
 
 
 def test_still_water_straight_leg_timing():
-    env = open_env()
-    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1000.0, 100.0]))
-    path_states(path, still_weights(cruise=2.0), env)
+    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1000.0, 100.0]),
+                         w=still_weights(cruise=2.0))
     assert path.duration == pytest.approx(500.0, rel=1e-9)
     np.testing.assert_allclose(path.sway, 0.0, atol=1e-12)
     np.testing.assert_allclose(path.surge, 2.0, atol=1e-12)
@@ -92,20 +120,19 @@ def test_following_current_shortens_time(monkeypatch):
     env = open_env()
     monkeypatch.setattr(lp, "current_grid",
                         lambda pts, fld: np.tile([1.0, 0.0], (np.atleast_2d(pts).shape[0], 1)))
-    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2200.0, 1000.0, 100.0]))
-    path_states(path, still_weights(cruise=2.0), env)
-    assert path.duration == pytest.approx(path.length / 3.0, rel=1e-12)
-    assert not path.stalled
+    p_i, p_j = np.array([1000.0, 1000.0, 100.0]), np.array([2200.0, 1000.0, 100.0])
+    cost, _, path = scored(straight_genes(p_i, p_j, SPL), p_i, p_j, env, still_weights(cruise=2.0))
+    assert path.duration == pytest.approx(length(path) / 3.0, rel=1e-12)
+    assert cost < math.inf  # not stalled
 
 
 def test_exactly_cancelling_current_stalls(monkeypatch):
     env = open_env()
     monkeypatch.setattr(lp, "current_grid",
                         lambda pts, fld: np.tile([-2.0, 0.0], (np.atleast_2d(pts).shape[0], 1)))
-    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1000.0, 100.0]))
-    path_states(path, still_weights(cruise=2.0), env)
-    assert path.stalled
-    assert path_cost(path, still_weights(cruise=2.0)) == math.inf
+    p_i, p_j = np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1000.0, 100.0])
+    cost, clean, _ = scored(straight_genes(p_i, p_j, SPL), p_i, p_j, env, still_weights(cruise=2.0))
+    assert cost == math.inf and not clean
 
 
 def test_zero_current_body_frame_consistency_any_path():
@@ -116,8 +143,7 @@ def test_zero_current_body_frame_consistency_any_path():
         p_i = rng.uniform([200, 200, 50], [5500, 5500, 950])
         p_j = rng.uniform([200, 200, 50], [5500, 5500, 950])
         lo, hi = corridor_bounds(p_i, p_j, env, SPL)
-        path = build_path(rng.uniform(lo, hi), p_i, p_j, SPL)
-        path_states(path, w, env)
+        path = scored(rng.uniform(lo, hi), p_i, p_j, env, w)[2]
         np.testing.assert_allclose(path.surge, w.cruise_speed, atol=1e-9)
         np.testing.assert_allclose(path.sway, 0.0, atol=1e-9)
 
@@ -129,8 +155,7 @@ def test_yaw_rate_matches_central_difference_recompute():
     p_i = np.array([1000.0, 1000.0, 100.0])
     p_j = np.array([5000.0, 4000.0, 400.0])
     lo, hi = corridor_bounds(p_i, p_j, env, SPL)
-    path = build_path(rng.uniform(lo, hi), p_i, p_j, SPL)
-    path_states(path, still_weights(), env)
+    path = scored(rng.uniform(lo, hi), p_i, p_j, env)[2]
     yaw, t = path.yaw, path.times
     wrap = lambda a: (a + math.pi) % (2 * math.pi) - math.pi
     for k in range(1, len(yaw) - 1):
@@ -143,15 +168,15 @@ def test_yaw_rate_matches_central_difference_recompute():
 
 def test_clean_path_has_zero_violation():
     env = open_env()
-    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1500.0, 100.0]))
-    assert violation_sum(path, env) == 0.0
+    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1500.0, 100.0]), env)
+    assert fraction(path, env) == 0.0
 
 
 def test_path_through_obstacle_violates():
     obs = Obstacle(id=1, kind="static", position=(1500.0, 1000.0, 100.0), radius=80.0)
     env = open_env(obstacles=[obs])
-    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1000.0, 100.0]))
-    assert violation_sum(path, env) > 0.0
+    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1000.0, 100.0]), env)
+    assert fraction(path, env) > 0.0
 
 
 def test_violation_counts_exact_sample_fraction():
@@ -165,29 +190,27 @@ def test_violation_counts_exact_sample_fraction():
     obs = Obstacle(id=1, kind="static", position=tuple(center),
                    radius=0.5 * (r_in + r_out))
     env = open_env(obstacles=[obs])
-    assert violation_sum(path, env) == pytest.approx(5 / 100)
+    assert fraction(path, env) == pytest.approx(5 / 100)
 
 
 def test_cost_anchor_is_one_for_straight_still_leg():
     env = open_env()
     w = still_weights(cruise=2.0)
-    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([3000.0, 2000.0, 300.0]))
-    path_states(path, w, env)
-    violation_sum(path, env)
-    assert path_cost(path, w) == pytest.approx(1.0, rel=1e-6)
+    path = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([3000.0, 2000.0, 300.0]),
+                         env, w)
+    assert cost_of(path, fraction(path, env), w) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_cost_single_colliding_sample_hand_value():
     p_i = np.array([1000.0, 1000.0, 100.0])
     p_j = np.array([1990.0, 1000.0, 100.0])
-    path = straight_path(p_i, p_j)
     obs = Obstacle(id=1, kind="static", position=(1500.0, 1000.0, 100.0), radius=4.0)
     env = open_env(obstacles=[obs])
     w = still_weights(cruise=2.0)
-    path_states(path, w, env)
-    v = violation_sum(path, env)
+    path = straight_path(p_i, p_j, env, w)
+    v = fraction(path, env)
     assert v == pytest.approx(1 / 100)
-    assert path_cost(path, w) == pytest.approx(2.0, rel=1e-6)
+    assert cost_of(path, v, w) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_violation_monotone_under_envelope_growth():
@@ -200,8 +223,8 @@ def test_violation_monotone_under_envelope_growth():
     p_j = np.array([4000.0, 1500.0, 200.0])
     lo, hi = corridor_bounds(p_i, p_j, env_small, SPL)
     for _ in range(50):
-        path = build_path(rng.uniform(lo, hi), p_i, p_j, SPL)
-        assert violation_sum(path, env_big) >= violation_sum(path, env_small)
+        path = scored(rng.uniform(lo, hi), p_i, p_j, env_small)[2]
+        assert fraction(path, env_big) >= fraction(path, env_small)
 
 
 def _row(rng, kind, S, X, Y, D, cs):
@@ -310,16 +333,17 @@ def test_clear_segments_test_only_samples(monkeypatch):
         tested.append(len(points))
         return points_in_collision(points, *args, **kwargs)
 
-    monkeypatch.setattr(lp, "points_in_collision", counting)
     obs = Obstacle(id=1, kind="static", position=(3000.0, 3000.0, 100.0), radius=100.0)
     env = open_env(obstacles=[obs])
-    clear = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1500.0, 100.0]))
-    assert violation_sum(clear, env, subdivide=10, padded=True) == 0.0
+    clear = straight_path(np.array([1000.0, 1000.0, 100.0]), np.array([2000.0, 1500.0, 100.0]), env)
+    blocked = straight_path(np.array([2000.0, 3000.0, 100.0]), np.array([4000.0, 3000.0, 100.0]),
+                            env)
+    monkeypatch.setattr(lp, "points_in_collision", counting)
+    assert fraction(clear, env, q=10, padded=True) == 0.0
     assert tested == [100]
     # a leg through the envelope builds checkpoints on the segments near it only
     tested.clear()
-    blocked = straight_path(np.array([2000.0, 3000.0, 100.0]), np.array([4000.0, 3000.0, 100.0]))
-    assert violation_sum(blocked, env, subdivide=10, padded=True) > 0.0
+    assert fraction(blocked, env, q=10, padded=True) > 0.0
     assert tested[0] == 100 and 0 < tested[1] < 99 * 9 // 4
 
 
@@ -344,9 +368,9 @@ def test_plan_detours_around_blocking_obstacle():
     env = open_env(obstacles=[obs])
     plan = plan_local(p_i, p_j, env, still_weights(), SPL, local_cfg(pop=24, gens=60),
                       rng=np.random.default_rng(0))
-    assert plan.path.violation == 0.0
-    assert plan.path.length > np.linalg.norm(p_j - p_i)
-    assert plan.path.is_clean()
+    cost, clean, _ = scored(plan.genes, p_i, p_j, env)
+    assert clean and cost == plan.cost
+    assert length(plan.path) > np.linalg.norm(p_j - p_i)
 
 
 def test_plan_exploits_favorable_current():
@@ -362,21 +386,17 @@ def test_plan_exploits_favorable_current():
     assert plan.path.duration < still_time
 
     # dense one-bend oracle: spline through a bend point on a grid
-    best = math.inf
+    mat = []
     for bx in np.arange(1000.0, 4100.0, 250.0):
         for by in np.arange(1200.0, 3300.0, 150.0):
             bend = np.array([bx, by, 100.0])
             left = np.linspace(p_i, bend, 5)[1:]
             right = np.linspace(bend, p_j, 4)[1:-1]
             interior = np.vstack([left, right])
-            genes = np.concatenate([interior[:, 0], interior[:, 1], interior[:, 2]])
-            path = build_path(genes, p_i, p_j, SPL)
-            path_states(path, w, env)
-            violation_sum(path, env)
-            c = path_cost(path, w)
-            if path.is_clean():
-                best = min(best, c)
-    assert plan.cost <= best * 1.02
+            mat.append(np.concatenate([interior[:, 0], interior[:, 1], interior[:, 2]]))
+    costs, clean, _ = evaluate_paths(np.array(mat), p_i, p_j, SPL, w, env)
+    assert clean.any()
+    assert plan.cost <= costs[clean].min() * 1.02
 
 
 def test_plan_raises_when_target_engulfed():
@@ -413,10 +433,11 @@ def test_replan_clears_obstacle_dropped_on_path():
     elapsed = first.path.duration * 0.2
     position = first.path.position_at_time(elapsed)
     obs = Obstacle(id=1, kind="static", position=(2500.0, 2000.0, 100.0), radius=250.0)
-    env2 = env.with_obstacles([obs])
+    env2 = EnvSnapshot(env.map, env.field, (obs,))
     second = replan_local(position, p_j, env2, w, SPL, local_cfg(), rng=np.random.default_rng(2),
                           previous=first.path, previous_elapsed=elapsed)
-    assert second.path.violation == 0.0 and second.path.is_clean()
+    cost, clean, _ = scored(second.genes, position, p_j, env2, w)
+    assert clean and cost == second.cost
 
 
 def test_replan_tracks_drifted_target():
@@ -432,60 +453,52 @@ def test_replan_tracks_drifted_target():
     assert np.linalg.norm(second.path.end - drifted) <= 1e-6
 
 
-def scalar_pipeline(genes, p_i, p_j, w, env):
-    """build_path -> path_states -> violation_sum -> path_cost, as the planner checks."""
-    path = build_path(genes, p_i, p_j, SPL)
-    path_states(path, w, env)
-    subdivide = max(1, math.ceil(float(path.seg_lengths.max()) / env.map.grid.cell_size))
-    violation_sum(path, env, subdivide=subdivide, padded=True)
-    return path, path_cost(path, w)
-
-
-def test_batch_evaluator_agrees_with_scalar_pipeline():
-    rng = np.random.default_rng(14)
-    vort = VortexParams(center=(2600.0, 2400.0), radius=500.0, strength=1200.0)
-    obs = Obstacle(id=1, kind="static", position=(2000.0, 1800.0, 200.0), radius=150.0)
-    env = open_env(vortices=[vort], obstacles=[obs])
-    p_i = np.array([800.0, 900.0, 80.0])
-    p_j = np.array([4600.0, 3900.0, 500.0])
-    w = still_weights(cruise=2.1)
+def _batch_case(seed, m, aggregate):
+    """Endpoints, weights, world and an (m, genes) matrix; seed None is the pinned case."""
+    if seed is None:  # 16 rows, some clean and some not
+        rng = np.random.default_rng(14)
+        vort = VortexParams(center=(2600.0, 2400.0), radius=500.0, strength=1200.0)
+        obs = Obstacle(id=1, kind="static", position=(2000.0, 1800.0, 200.0), radius=150.0)
+        env = open_env(vortices=[vort], obstacles=[obs])
+        p_i = np.array([800.0, 900.0, 80.0])
+        p_j = np.array([4600.0, 3900.0, 500.0])
+        w = still_weights(cruise=2.1, aggregate=aggregate)
+    else:
+        rng = np.random.default_rng(seed)
+        vortices = [VortexParams(center=tuple(rng.uniform(0, 6000, 2)),
+                                 radius=rng.uniform(100, 600), strength=rng.uniform(-3000, 3000))
+                    for _ in range(3)]
+        obs = Obstacle(id=1, kind="static",
+                       position=tuple(rng.uniform([0, 0, 0], [6000, 6000, 500])),
+                       radius=rng.uniform(50, 400))
+        env = open_env(vortices=vortices, obstacles=[obs])
+        p_i = rng.uniform([100, 100, 10], [5800, 5800, 900])
+        p_j = rng.uniform([100, 100, 10], [5800, 5800, 900])
+        # tight limits so that every excess term is exercised
+        w = still_weights(cruise=rng.uniform(0.5, 2.5), surge_max=rng.uniform(0.5, 3.0),
+                          sway_max=rng.uniform(0.0, 0.5), yaw_rate_max=rng.uniform(0.0, 0.05),
+                          aggregate=aggregate)
     lo, hi = corridor_bounds(p_i, p_j, env, SPL)
-    mat = rng.uniform(lo, hi, size=(16, SPL.gene_length))
-    costs, clean, path_of = lp._batch_paths(mat, p_i, p_j, SPL, w, env)
-    assert clean.any() and not clean.all()
-    for i, genes in enumerate(mat):
-        path, cost = scalar_pipeline(genes, p_i, p_j, w, env)
-        assert cost == costs[i]
-        bpath = path_of(i)
-        for name in ("points", "yaw", "pitch", "surge", "sway", "v_z", "yaw_rate", "times"):
-            np.testing.assert_array_equal(getattr(path, name), getattr(bpath, name))
-        assert (path.duration, path.violation, path.kin_excess, path.is_clean()) == \
-            (bpath.duration, bpath.violation, bpath.kin_excess, clean[i])
+    return p_i, p_j, w, env, rng.uniform(lo, hi, size=(m, SPL.gene_length))
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
        aggregate=st.sampled_from(["max", "sum"]))
+@example(seed=None, m=16, aggregate="max")
+@example(seed=None, m=16, aggregate="sum")
 def test_batched_cost_equals_m1_cost(seed, m, aggregate):
-    rng = np.random.default_rng(seed)
-    vortices = [VortexParams(center=tuple(rng.uniform(0, 6000, 2)), radius=rng.uniform(100, 600),
-                             strength=rng.uniform(-3000, 3000)) for _ in range(3)]
-    obs = Obstacle(id=1, kind="static", position=tuple(rng.uniform([0, 0, 0], [6000, 6000, 500])),
-                   radius=rng.uniform(50, 400))
-    env = open_env(vortices=vortices, obstacles=[obs])
-    p_i = rng.uniform([100, 100, 10], [5800, 5800, 900])
-    p_j = rng.uniform([100, 100, 10], [5800, 5800, 900])
-    # tight limits so that every excess term is exercised
-    w = still_weights(cruise=rng.uniform(0.5, 2.5), surge_max=rng.uniform(0.5, 3.0),
-                      sway_max=rng.uniform(0.0, 0.5), yaw_rate_max=rng.uniform(0.0, 0.05),
-                      aggregate=aggregate)
-    lo, hi = corridor_bounds(p_i, p_j, env, SPL)
-    mat = rng.uniform(lo, hi, size=(m, SPL.gene_length))
-    costs, clean, path_of = lp._batch_paths(mat, p_i, p_j, SPL, w, env)
-    for i, genes in enumerate(mat):
-        path, cost = scalar_pipeline(genes, p_i, p_j, w, env)
-        assert cost == costs[i]
-        assert (path.kin_excess, path.is_clean()) == (path_of(i).kin_excess, clean[i])
+    """Row i of an m-batch equals that row scored alone, bit for bit."""
+    p_i, p_j, w, env, mat = _batch_case(seed, m, aggregate)
+    costs, clean, path_of = evaluate_paths(mat, p_i, p_j, SPL, w, env)
+    if seed is None:
+        assert clean.any() and not clean.all()
+    for i in range(m):
+        cost, alone_clean, path = scored(mat[i], p_i, p_j, env, w)
+        assert (costs[i].tobytes(), clean[i]) == (cost.tobytes(), alone_clean)
+        for f in dataclasses.fields(LocalPath):
+            assert (np.asarray(getattr(path_of(i), f.name)).tobytes()
+                    == np.asarray(getattr(path, f.name)).tobytes()), f.name
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uuvsim.env import EnvSnapshot, Obstacle, VortexField, cluster_map, step_obstacles
-from uuvsim.local_planner import (LocalCostWeights, SplineConfig, build_path,
-                                  path_states, straight_genes)
+from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
+                                  straight_genes)
 from uuvsim.mission import (LegOutcome, _hazard, advance_along_path, run_mission,
                             should_replan_global)
 from uuvsim.scenario import from_dict, resolve_scenario
@@ -139,9 +139,9 @@ def still_path(length=1000.0, cruise=2.0):
     p_i = np.array([100.0, 1000.0, 100.0])
     p_j = p_i + np.array([length, 0.0, 0.0])
     spl = SplineConfig()
-    path = build_path(straight_genes(p_i, p_j, spl), p_i, p_j, spl)
-    path_states(path, LocalCostWeights(cruise_speed=cruise), env)
-    return path, env
+    _, _, path_of = evaluate_paths(straight_genes(p_i, p_j, spl)[None], p_i, p_j, spl,
+                                   LocalCostWeights(cruise_speed=cruise), env)
+    return path_of(0), env
 
 
 def test_tick_advances_by_ground_speed():

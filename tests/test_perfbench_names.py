@@ -1,10 +1,13 @@
-"""The benchmark's tracer wraps program functions by name; every name must resolve."""
+"""The benchmark uses the program's functions and types; they must keep the shape it expects."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def traced_names() -> list[tuple[str, str, str]]:
@@ -36,3 +39,10 @@ def test_every_traced_name_resolves():
     missing = [f"{owner}.{attr}" for owner, attr, _ in names
                if not callable(getattr(resolve(owner), attr, None))]
     assert missing == []
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs every benchmark check on real program output."""
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

@@ -190,9 +190,7 @@ def _run_trial(args) -> tuple[int, int, MissionReport | None, str]:
         else:
             lo, hi = (int(v) for v in sc.montecarlo.stations)
             count = int(seeding.stream(seed, seeding.NETWORK, 9).integers(lo, hi + 1))
-            cmap = build_map(sc, seed)
-            net = build_network_from_spec(sc, cmap, seed, station_count=count)
-            report = run_mission(sc, seed, network=net)
+            report = run_mission(sc, seed, station_count=count)
         return trial, seed, report, ""
     except UUVSimError as exc:
         return trial, seed, None, str(exc)

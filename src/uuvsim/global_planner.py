@@ -6,15 +6,19 @@ the start, always following the unused edge toward the highest-keyed
 neighbor, and diverts onto the minimum-time path to the goal as soon as the
 running time estimate (plus that shortest remainder) would overrun the
 budget.  Decoded walks never repeat an edge and always terminate.  Only the
-walk depends on the keys: `plan_global` builds one `DecodeGraph` (adjacency,
-edge lengths, to-goal times) that all its decodes share.
+walk depends on the keys: `plan_global` builds one `DecodeGraph` (one indexed
+adjacency carrying edge ids, times, lengths and to-goal times) that all its
+decodes share.  Many genomes stop their walk at the same station sequence, so
+the graph also memoizes each distinct walk's completion (divert and `Route`)
+for the life of the graph, one `plan_global` call; the `Route`s it returns
+are frozen and may be shared between decodes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,62 +48,76 @@ class Route:
         return len(set(self.sequence))
 
 
-def _dijkstra(adj: dict[int, list[tuple[int, float, tuple[int, int]]]], src: int,
-              blocked: set[tuple[int, int]],
-              stop: int | None = None) -> tuple[dict[int, float], dict[int, int]]:
-    """Times and predecessors from src over the adjacency, minus blocked pairs.
+# One adjacency entry: (neighbor id, neighbor key index, edge id, edge time,
+# edge length, the neighbor's minimum time to the goal over unused edges).
+_Entry = tuple[int, int, int, float, float, float]
+
+
+def _dijkstra(adj: dict[int, list[_Entry]], src: int, blocked: set[int],
+              stop: int | None = None) -> tuple[dict[int, float], dict[int, tuple[int, float]]]:
+    """Times from src over the adjacency minus the blocked edge ids, and per
+    reached station its predecessor with the length of the edge between them.
 
     Popping `stop` ends the search: its time and predecessor chain are final.
     """
     dist = {src: 0.0}
-    prev: dict[int, int] = {}
+    prev: dict[int, tuple[int, float]] = {}
     heap = [(0.0, src)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
+        du, u = heapq.heappop(heap)
+        if du > dist.get(u, math.inf):
             continue
         if u == stop:
             break
-        for v, t, p in adj[u]:
-            if p in blocked:
+        for v, _, e, t, d, _ in adj[u]:
+            if e in blocked:
                 continue
-            nd = d + t
+            nd = du + t
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
-                prev[v] = u
+                prev[v] = (u, d)
                 heapq.heappush(heap, (nd, v))
     return dist, prev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeGraph:
-    """The key-independent part of decoding for one (network, goal, speed)."""
+    """The key-independent part of decoding for one (network, goal, speed).
 
-    ids: list[int]  # ascending; keys[i] belongs to station ids[i]
-    adj: dict[int, list[tuple[int, float, tuple[int, int]]]]  # (nbr, time, pair), by nbr id
-    dist_of: dict[tuple[int, int], float]  # unused edge lengths
-    to_goal: dict[int, float]  # minimum time to the goal over unused edges
+    `memo` maps a stopped greedy walk and the `visited` set,
+    `(tuple(walk), visited)`, to the walk's completion: its `Route`, or the
+    `UndecodableError` text when the goal is cut off.  Once the walk stops,
+    only the walk, `visited` and this graph decide the divert and the route,
+    so an entry is exact for any keys and budget that reach that walk.  The
+    memo lives as long as the graph, one `plan_global` call, and holds at
+    most one entry per decode; decodes ending in the same walk return the
+    same (frozen) `Route` object.
+    """
+
+    network: Network
     goal: int
     speed: float
+    adj: dict[int, list[_Entry]]  # by station id; entries ascend by neighbor id
+    memo: dict[tuple[tuple[int, ...], frozenset[int]], Route | str] = field(
+        default_factory=dict, repr=False)
 
 
 def decode_graph(network: Network, goal: int, speed: float) -> DecodeGraph:
-    ids = sorted(network.stations)
-    adj: dict[int, list[tuple[int, float, tuple[int, int]]]] = {sid: [] for sid in ids}
-    dist_of: dict[tuple[int, int], float] = {}
-    for i, j in network.edges:
-        if (i, j) in network.used:
-            continue
+    # keys[k] belongs to the k-th smallest station id
+    index = {sid: k for k, sid in enumerate(sorted(network.stations))}
+    adj: dict[int, list[_Entry]] = {sid: [] for sid in index}
+    for e, (i, j) in enumerate(network.edges - network.used):
         pi, pj = network.stations[i].position, network.stations[j].position
         d = math.sqrt((pi[0] - pj[0]) ** 2 + (pi[1] - pj[1]) ** 2 + (pi[2] - pj[2]) ** 2)
-        dist_of[(i, j)] = d
         t = d / speed
-        adj[i].append((j, t, (i, j)))
-        adj[j].append((i, t, (i, j)))
+        adj[i].append((j, index[j], e, t, d, math.inf))
+        adj[j].append((i, index[i], e, t, d, math.inf))
     for lst in adj.values():
         lst.sort()
-    return DecodeGraph(ids=ids, adj=adj, dist_of=dist_of,
-                       to_goal=_dijkstra(adj, goal, set())[0], goal=goal, speed=speed)
+    to_goal = _dijkstra(adj, goal, set())[0]
+    adj = {sid: [(v, k, e, t, d, to_goal.get(v, math.inf)) for v, k, e, t, d, _ in lst]
+           for sid, lst in adj.items()}
+    return DecodeGraph(network=network, goal=goal, speed=speed, adj=adj)
 
 
 def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
@@ -108,61 +126,86 @@ def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
                  graph: DecodeGraph | None = None) -> Route:
     """Decode a key vector into a route; raises UndecodableError when cut off.
 
-    `graph` is `decode_graph(network, goal, speed)`, built here if not given.
-    The budget check against the remaining shortest path uses its to-goal
-    table; edges consumed within the walk are not re-blocked there (the
-    overtime penalty absorbs the rare decode this lets slip past the budget).
-    A divert searches the edges left only until it settles the goal.
+    `graph` is `decode_graph(network, goal, speed)` of this very `network`
+    object, built here if not given.  The budget check against the remaining
+    shortest path uses its to-goal times; edges consumed within the walk are
+    not re-blocked there (the overtime penalty absorbs the rare decode this
+    lets slip past the budget).  The greedy walk runs for every call; the
+    divert, which searches the edges left only until it settles the goal,
+    and the route build run once per distinct walk through the graph's memo.
     `visited` stations were collected in earlier legs and add no value.
     """
     if graph is None:
         graph = decode_graph(network, goal, speed)
+    elif graph.network is not network:
+        raise ValueError("decode graph was built for another network")
     elif graph.goal != goal or graph.speed != speed:
         raise ValueError("decode graph was built for another goal or speed")
-    adj, dist_of, to_goal = graph.adj, graph.dist_of, graph.to_goal
-    key_of = dict(zip(graph.ids, np.asarray(keys, dtype=float).tolist(), strict=True))
+    adj = graph.adj
+    key_at = np.asarray(keys, dtype=float).tolist()
+    if len(key_at) != len(adj):
+        raise ValueError(f"{len(key_at)} keys for {len(adj)} stations")
 
-    used: set[tuple[int, int]] = set()
+    used: set[int] = set()
     seq = [start]
+    cur = start
     elapsed = 0.0
     distance = 0.0
-
-    while seq[-1] != goal:
-        cur = seq[-1]
+    while cur != goal:
         # Highest key wins; neighbors ascend by id, so the strict '>' keeps
         # the lower id on a tie.
-        m = p = None
-        for v, _, q in adj[cur]:
-            if q not in used and (m is None or key_of[v] > best):
-                m, p, best = v, q, key_of[v]
-        if m is not None:
-            step_d = dist_of[p]
-            if elapsed + step_d / speed + to_goal.get(m, math.inf) <= time_budget:
-                used.add(p)
-                seq.append(m)
-                elapsed += step_d / speed
-                distance += step_d
-                continue
+        best = None
+        for ent in adj[cur]:
+            if ent[2] not in used and (best is None or key_at[ent[1]] > top):
+                best, top = ent, key_at[ent[1]]
+        if best is None:
+            break
+        m, _, e, t, d, to_goal = best
+        if not (elapsed + t + to_goal <= time_budget):  # a NaN budget diverts too
+            break
+        used.add(e)
+        seq.append(m)
+        cur = m
+        elapsed += t
+        distance += d
+
+    memo_key = (tuple(seq), visited)
+    done = graph.memo.get(memo_key)
+    if done is None:
+        done = graph.memo[memo_key] = _complete(graph, seq, used, distance, visited)
+    if isinstance(done, str):
+        raise UndecodableError(done)
+    return done
+
+
+def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: float,
+              visited: frozenset[int]) -> Route | str:
+    """The route that finishes a stopped walk (`distance` long so far), or
+    why the goal is cut off."""
+    network, goal, cur = graph.network, graph.goal, seq[-1]
+    if cur != goal:
         # Divert: minimum-time path to the goal over what is left.
-        dist, prev = _dijkstra(adj, cur, used, stop=goal)
+        dist, prev = _dijkstra(graph.adj, cur, used, stop=goal)
         if goal not in dist:
-            raise UndecodableError(f"goal {goal} unreachable from {cur}")
-        tail = [goal]
-        while tail[-1] != cur:
-            tail.append(prev[tail[-1]])
-        for nxt in tail[-2::-1]:
-            distance += dist_of[_pair(seq[-1], nxt)]
-            seq.append(nxt)
-        break
+            return f"goal {goal} unreachable from {cur}"
+        tail = []
+        v = goal
+        while v != cur:
+            u, d = prev[v]
+            tail.append((v, d))
+            v = u
+        for v, d in reversed(tail):
+            seq.append(v)
+            distance += d
 
     value = 0.0
-    seen = set(visited) | {start}
+    seen = set(visited) | {seq[0]}
     for b in seq[1:]:
         if b not in seen:
             value += network.stations[b].value
             seen.add(b)
     return Route(sequence=tuple(seq), edges=tuple(map(_pair, seq, seq[1:])), distance=distance,
-                 time=distance / speed, total_value=value, station_total=network.size)
+                 time=distance / graph.speed, total_value=value, station_total=network.size)
 
 
 def route_cost(route: Route | None, time_budget: float) -> float:

@@ -141,13 +141,13 @@ class _MissionAbort(Exception):
 class _Executor:
     """Owns all mutable mission state; one instance per run_mission call."""
 
-    def __init__(self, sc: Scenario, seed: int, network: Network | None = None):
+    def __init__(self, sc: Scenario, seed: int, station_count: int | None = None):
         self.sc = sc
         self.seed = seed
         self.cmap = build_map(sc, seed)
         self.base_field = build_field(sc, seed)
         self.field = self.base_field
-        self.network = network if network is not None else build_network_from_spec(sc, self.cmap, seed)
+        self.network = build_network_from_spec(sc, self.cmap, seed, station_count=station_count)
         self.obstacles = build_obstacles(sc, self.cmap, self.network, seed)
         self.weights = weights_from_spec(sc)
         self.spline = spline_from_spec(sc)
@@ -433,11 +433,15 @@ class _Executor:
 
 
 def run_mission(sc: Scenario, seed: int | None = None,
-                network: Network | None = None) -> MissionReport:
-    """Execute one mission; always returns a report (success flag inside)."""
+                station_count: int | None = None) -> MissionReport:
+    """Execute one mission; always returns a report (success flag inside).
+
+    `station_count` overrides the scenario's station count, as a Monte Carlo
+    trial that redraws it does.
+    """
     t0 = _time.perf_counter()
     actual_seed = sc.seed if seed is None else seed
-    executor = _Executor(sc, actual_seed, network=network)
+    executor = _Executor(sc, actual_seed, station_count=station_count)
     report = executor.run()
     report.wall_clock = _time.perf_counter() - t0
     return report

@@ -137,7 +137,7 @@ def test_monte_carlo_files_byte_identical(tmp_path):
     assert all(r["wall_clock"] > 0 for r in rows)
 
 
-def test_monte_carlo_station_redraw(tmp_path):
+def redraw_scenario():
     sc = small_scenario()
     sc.network.records = None
     sc.network.edges = None
@@ -146,9 +146,27 @@ def test_monte_carlo_station_redraw(tmp_path):
     sc.field.x = sc.field.y = 3000.0
     sc.map.width = sc.map.height = 300
     sc.montecarlo.stations = [5, 9]
-    summary = run_monte_carlo(sc, trials=3, base_seed=40)
+    return sc
+
+
+def test_monte_carlo_station_redraw(tmp_path):
+    summary = run_monte_carlo(redraw_scenario(), trials=3, base_seed=40)
     visited_counts = [r["report"].stations_visited for r in summary.rows if r["report"]]
     assert len(visited_counts) == 3
+
+
+def test_monte_carlo_station_redraw_builds_each_map_once(monkeypatch):
+    seeds = []
+    build_map = mission.build_map
+
+    def counting(sc, seed):
+        seeds.append(seed)
+        return build_map(sc, seed)
+
+    monkeypatch.setattr(mission, "build_map", counting)
+    monkeypatch.setattr(cli, "build_map", counting)
+    run_monte_carlo(redraw_scenario(), trials=2, base_seed=40, jobs=1)
+    assert seeds == [40, 41]
 
 
 # --- command line -----------------------------------------------------------

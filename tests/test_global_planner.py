@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uuvsim.global_planner as gp
 from uuvsim.de import DEConfig
 from uuvsim.errors import NoFeasibleRouteError, UndecodableError
 from uuvsim.global_planner import (Route, decode_graph, decode_route, plan_global,
@@ -96,11 +97,11 @@ def test_decode_visited_stations_carry_no_value():
 
 
 @st.composite
-def decode_cases(draw):
-    """A random network with consumed edges, plus one decode's arguments.
+def decode_networks(draw):
+    """A random network of 2-12 stations with some edges consumed.
 
-    Positions sit on a coarse lattice and keys come partly from a three-value
-    set, so equal edge times, equal path times and tied keys are common.
+    Positions sit mostly on a coarse lattice, so equal edge times and equal
+    path times are common.
     """
     n = draw(st.integers(2, 12))
     lattice = st.tuples(*[st.integers(0, 4).map(lambda c: 500.0 * c)] * 3)
@@ -113,6 +114,17 @@ def decode_cases(draw):
     for pr in edges:
         if draw(st.integers(0, 4)) == 0:
             net = consume_edge(net, *pr)
+    return net
+
+
+@st.composite
+def decode_cases(draw):
+    """A `decode_networks` network plus one decode's arguments.
+
+    Keys come partly from a three-value set, so tied keys are common.
+    """
+    net = draw(decode_networks())
+    n = net.size
     ids = st.integers(1, n)
     key = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
     keys = np.array(draw(st.lists(key, min_size=n, max_size=n)))
@@ -149,6 +161,31 @@ def test_decode_matches_reference_decoder(case):
         assert net.has_edge(a, b) and not net.is_used(a, b)
 
 
+def tied_keys(rng, n):
+    """Keys drawn mostly from {0, 0.5, 1}, so many genomes share a walk."""
+    return np.where(rng.random(n) < 0.8, rng.choice([0.0, 0.5, 1.0], n), rng.random(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=decode_networks(), goal_draw=st.integers(0, 11),
+       speed=st.sampled_from([0.5, 1.0, 2.2]), seed=st.integers(0, 2**32 - 1))
+def test_warm_decode_graph_matches_reference_decoder(net, goal_draw, speed, seed):
+    # One graph serves 240 decodes, so its memo is warm: the same walk is
+    # reached from other keys, under other budgets and with other visited sets.
+    n = net.size
+    goal = goal_draw % n + 1
+    graph = decode_graph(net, goal, speed)
+    rng = np.random.default_rng(seed)
+    budgets = rng.uniform(1.0, 30_000.0, size=3)
+    visiteds = [frozenset(), frozenset(rng.integers(1, n + 1, size=n // 2).tolist()),
+                frozenset(range(1, n + 1))]
+    for _ in range(240):
+        args = (tied_keys(rng, n), net, int(rng.integers(1, n + 1)), goal,
+                float(budgets[rng.integers(3)]), speed, visiteds[rng.integers(3)])
+        assert (decode_outcome(decode_route, *args, graph=graph)
+                == decode_outcome(reference_decode_route, *args))
+
+
 def test_decode_rejects_graph_of_another_goal_or_speed():
     net = triangle()
     keys = np.array([0.3, 0.8, 0.2])
@@ -156,6 +193,12 @@ def test_decode_rejects_graph_of_another_goal_or_speed():
         decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(net, 2, 1.5))
     with pytest.raises(ValueError):
         decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(net, 3, 1.0))
+    # An equal network is still another object; its graph's memo is not this one's.
+    with pytest.raises(ValueError):
+        decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(triangle(), 3, 1.5))
+    with pytest.raises(ValueError):
+        decode_route(keys, triangle(values=(0, 1, 1)), 1, 3, 1e5, 1.5,
+                     graph=decode_graph(net, 3, 1.5))
 
 
 # --- route cost -------------------------------------------------------------
@@ -227,6 +270,35 @@ def test_plan_two_station_network():
     plan = plan_global(net, 1, 2, time_budget=1e4, speed=2.0, config=de_cfg(),
                        rng=np.random.default_rng(0), restarts=1)
     assert plan.route.sequence == (1, 2)
+
+
+def test_plan_decodes_through_the_module_once_per_key_ordering(monkeypatch):
+    # The benchmark's tracer counts decodes by wrapping the module attribute;
+    # a plan that bypassed it would read as zero decodes.
+    decoded, evaluated = [], set()
+    decode, optimize = gp.decode_route, gp.de.optimize
+
+    def counting_decode(keys, *args, **kwargs):
+        decoded.append(tuple(np.argsort(-keys, kind="stable").tolist()))
+        return decode(keys, *args, **kwargs)
+
+    def recording_optimize(evaluate, *args, **kwargs):
+        def recorded(mat):
+            evaluated.update(tuple(o) for o in np.argsort(-mat, axis=1, kind="stable").tolist())
+            return evaluate(mat)
+        return optimize(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "decode_route", counting_decode)
+    monkeypatch.setattr(gp.de, "optimize", recording_optimize)
+    rng = np.random.default_rng(10)
+    positions = rng.uniform(0, 3000, size=(6, 3))
+    edges = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    net = line_network(positions, edges, start=1, goal=6,
+                       values=list(rng.integers(1, 6, 6).astype(float)))
+    plan_global(net, 1, 6, 4000.0, 2.0, de_cfg(pop=12, gens=20), restarts=2,
+                rng=np.random.default_rng(77))
+    assert len(decoded) == len(evaluated) > 0
+    assert set(decoded) == evaluated
 
 
 def test_plan_rejects_unaffordable_budget():

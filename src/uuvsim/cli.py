@@ -82,10 +82,10 @@ def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Pa
 
     p = out_dir / "legs.csv"
     _write_csv(p, sc, seed,
-               ["leg", "from", "to", "planned_s", "actual_s", "local_replans", "collided",
-                "aborted", "max_surge", "max_sway", "max_yaw_rate_deg", "value_gained"],
+               ["leg", "from", "to", "planned_s", "actual_s", "local_replans", "aborted",
+                "max_surge", "max_sway", "max_yaw_rate_deg", "value_gained"],
                [(i, leg.from_id, leg.to_id, leg.planned, leg.actual, leg.local_replans,
-                 leg.collided, leg.aborted, leg.max_surge, leg.max_sway,
+                 leg.aborted, leg.max_surge, leg.max_sway,
                  math.degrees(leg.max_yaw_rate), leg.value_gained)
                 for i, leg in enumerate(report.legs)])
     paths.append(p)

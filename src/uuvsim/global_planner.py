@@ -6,17 +6,18 @@ the start, always following the unused edge toward the highest-keyed
 neighbor, and diverts onto the minimum-time path to the goal as soon as the
 running time estimate (plus that shortest remainder) would overrun the
 budget.  Decoded walks never repeat an edge and always terminate.  Only the
-walk depends on the keys: `plan_global` builds one `DecodeGraph` (one indexed
-adjacency carrying edge ids, times, lengths and to-goal times) that all its
-decodes share.  Many genomes stop their walk at the same station sequence, so
-the graph also memoizes each distinct walk's completion (divert and `Route`)
-for the life of the graph, one `plan_global` call; the `Route`s it returns
-are frozen and may be shared between decodes.
+walk depends on the keys: `plan_global` builds one `DecodeGraph` (the
+network's shared adjacency, its to-goal times, and a walk view of the same
+edges carrying key indexes and those times) that all its decodes share and
+whose to-goal times also decide feasibility.  Many genomes stop their walk
+at the same station sequence, so the graph also memoizes each distinct
+walk's completion (divert and `Route`) for the life of the graph, one
+`plan_global` call; the `Route`s it returns are frozen and may be shared
+between decodes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import de
 from .errors import NoFeasibleRouteError, UndecodableError, UnreachableGoalError
-from .network import Network, _pair, shortest_times_to
+from .network import Arc, Network, _pair, adjacency, dijkstra, shortest_times_to
 
 # Any overtime route must cost more than any on-budget one.  An on-budget cost
 # is at most 1 + N (gap <= 1, value term <= N), so the weight is raised to
@@ -48,36 +49,9 @@ class Route:
         return len(set(self.sequence))
 
 
-# One adjacency entry: (neighbor id, neighbor key index, edge id, edge time,
+# One walk entry: (neighbor id, neighbor key index, edge id, edge time,
 # edge length, the neighbor's minimum time to the goal over unused edges).
 _Entry = tuple[int, int, int, float, float, float]
-
-
-def _dijkstra(adj: dict[int, list[_Entry]], src: int, blocked: set[int],
-              stop: int | None = None) -> tuple[dict[int, float], dict[int, tuple[int, float]]]:
-    """Times from src over the adjacency minus the blocked edge ids, and per
-    reached station its predecessor with the length of the edge between them.
-
-    Popping `stop` ends the search: its time and predecessor chain are final.
-    """
-    dist = {src: 0.0}
-    prev: dict[int, tuple[int, float]] = {}
-    heap = [(0.0, src)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist.get(u, math.inf):
-            continue
-        if u == stop:
-            break
-        for v, _, e, t, d, _ in adj[u]:
-            if e in blocked:
-                continue
-            nd = du + t
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                prev[v] = (u, d)
-                heapq.heappush(heap, (nd, v))
-    return dist, prev
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,27 +71,22 @@ class DecodeGraph:
     network: Network
     goal: int
     speed: float
-    adj: dict[int, list[_Entry]]  # by station id; entries ascend by neighbor id
+    adj: dict[int, list[Arc]]  # the network's shared adjacency, searched by the divert
+    walk_adj: dict[int, list[_Entry]]  # the same edges, as the greedy walk reads them
+    to_goal: dict[int, float]  # minimum time to the goal; cut-off stations absent
     memo: dict[tuple[tuple[int, ...], frozenset[int]], Route | str] = field(
         default_factory=dict, repr=False)
 
 
 def decode_graph(network: Network, goal: int, speed: float) -> DecodeGraph:
+    adj = adjacency(network, speed)
+    to_goal = shortest_times_to(network, goal, speed)
     # keys[k] belongs to the k-th smallest station id
     index = {sid: k for k, sid in enumerate(sorted(network.stations))}
-    adj: dict[int, list[_Entry]] = {sid: [] for sid in index}
-    for e, (i, j) in enumerate(network.edges - network.used):
-        pi, pj = network.stations[i].position, network.stations[j].position
-        d = math.sqrt((pi[0] - pj[0]) ** 2 + (pi[1] - pj[1]) ** 2 + (pi[2] - pj[2]) ** 2)
-        t = d / speed
-        adj[i].append((j, index[j], e, t, d, math.inf))
-        adj[j].append((i, index[i], e, t, d, math.inf))
-    for lst in adj.values():
-        lst.sort()
-    to_goal = _dijkstra(adj, goal, set())[0]
-    adj = {sid: [(v, k, e, t, d, to_goal.get(v, math.inf)) for v, k, e, t, d, _ in lst]
-           for sid, lst in adj.items()}
-    return DecodeGraph(network=network, goal=goal, speed=speed, adj=adj)
+    walk_adj = {sid: [(v, index[v], e, t, d, to_goal.get(v, math.inf)) for v, e, t, d in lst]
+                for sid, lst in adj.items()}
+    return DecodeGraph(network=network, goal=goal, speed=speed, adj=adj, walk_adj=walk_adj,
+                       to_goal=to_goal)
 
 
 def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
@@ -141,10 +110,10 @@ def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
         raise ValueError("decode graph was built for another network")
     elif graph.goal != goal or graph.speed != speed:
         raise ValueError("decode graph was built for another goal or speed")
-    adj = graph.adj
+    walk_adj = graph.walk_adj
     key_at = np.asarray(keys, dtype=float).tolist()
-    if len(key_at) != len(adj):
-        raise ValueError(f"{len(key_at)} keys for {len(adj)} stations")
+    if len(key_at) != len(walk_adj):
+        raise ValueError(f"{len(key_at)} keys for {len(walk_adj)} stations")
 
     used: set[int] = set()
     seq = [start]
@@ -155,7 +124,7 @@ def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
         # Highest key wins; neighbors ascend by id, so the strict '>' keeps
         # the lower id on a tie.
         best = None
-        for ent in adj[cur]:
+        for ent in walk_adj[cur]:
             if ent[2] not in used and (best is None or key_at[ent[1]] > top):
                 best, top = ent, key_at[ent[1]]
         if best is None:
@@ -185,7 +154,7 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
     network, goal, cur = graph.network, graph.goal, seq[-1]
     if cur != goal:
         # Divert: minimum-time path to the goal over what is left.
-        dist, prev = _dijkstra(graph.adj, cur, used, stop=goal)
+        dist, prev = dijkstra(graph.adj, cur, used, stop=goal)
         if goal not in dist:
             return f"goal {goal} unreachable from {cur}"
         tail = []
@@ -250,15 +219,14 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
     """
     if time_budget <= 0:
         raise ValueError("time_budget must be > 0")
-    sp = shortest_times_to(network, goal, speed)
-    if start not in sp:
+    graph = decode_graph(network, goal, speed)
+    if start not in graph.to_goal:
         raise UnreachableGoalError(f"goal {goal} unreachable from station {start}")
-    if sp[start] > time_budget:
+    if graph.to_goal[start] > time_budget:
         raise NoFeasibleRouteError(
-            f"minimum route time {sp[start]:.0f}s exceeds budget {time_budget:.0f}s")
+            f"minimum route time {graph.to_goal[start]:.0f}s exceeds budget {time_budget:.0f}s")
 
     n = network.size
-    graph = decode_graph(network, goal, speed)
     cache: dict[tuple[int, ...], Route | None] = {}
 
     def evaluate(mat: np.ndarray) -> tuple[np.ndarray, list]:

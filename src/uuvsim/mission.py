@@ -22,7 +22,7 @@ from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError
                      UnreachableGoalError)
 from .global_planner import GlobalPlan, Route, plan_global, walk_cost
 from .local_planner import LocalPath, LocalPlan, plan_local, replan_local
-from .network import Network, consume_edge, drift_stations, edge_metrics
+from .network import Network, _pair, consume_edge, drift_stations, edge_metrics
 from .scenario import (Scenario, build_field, build_map, build_network_from_spec,
                        build_obstacles, de_config_from_spec, spline_from_spec,
                        weights_from_spec)
@@ -43,7 +43,6 @@ class LegOutcome:
     planned: float
     actual: float
     local_replans: int = 0
-    collided: bool = False
     max_surge: float = 0.0
     max_sway: float = 0.0
     max_yaw_rate: float = 0.0
@@ -229,7 +228,8 @@ class _Executor:
             raise _MissionAbort("battery exhausted mid-leg")
         if point_in_collision(pos, self.cmap, self.obstacles):
             raise _MissionAbort("collision during execution")
-        self.obstacles = step_obstacles(self.obstacles, self.field, dt, self.rng_ticks)
+        # Obstacles move for the tick's real duration, short on a leg's last tick.
+        self.obstacles = step_obstacles(self.obstacles, self.field, tau - tau0, self.rng_ticks)
         return tau, arrived
 
     def _record_path(self, path: LocalPath, leg_index: int):
@@ -404,8 +404,7 @@ class _Executor:
         return plan.route
 
     def _exclude_and_replan(self, current: int, target: int) -> Route:
-        pair = (current, target) if current < target else (target, current)
-        self.blocked.add(pair)
+        self.blocked.add(_pair(current, target))
         if self.report.global_replans >= self.sc.mission.max_global_replans:
             raise _MissionAbort("replan required (no feasible local path) beyond limit")
         if not self._planning_network().goal_reachable(current):

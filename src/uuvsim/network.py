@@ -2,13 +2,17 @@
 
 The station set is fixed for a mission; only positions (drifting stations)
 and edge `used` flags change.  Snapshots are immutable: drift and consume
-return new Network values, so planners always see a consistent world.
+return new Network values, so planners always see a consistent world.  One
+`edge_length`, one `adjacency` and one `dijkstra` serve every distance,
+reachability and shortest-time question, the global planner's included.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from collections.abc import Container
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,33 +85,57 @@ class Network:
     def is_used(self, i: int, j: int) -> bool:
         return _pair(i, j) in self.used
 
-    def available_adjacency(self) -> dict[int, list[int]]:
-        """Neighbor lists over unused edges, neighbors sorted by id."""
-        adj: dict[int, list[int]] = {sid: [] for sid in self.stations}
-        for i, j in self.edges:
-            if (i, j) in self.used:
-                continue
-            adj[i].append(j)
-            adj[j].append(i)
-        for lst in adj.values():
-            lst.sort()
-        return adj
-
     def goal_reachable(self, from_id: int | None = None) -> bool:
-        """BFS over unused edges from `from_id` (default: start) to goal."""
+        """Whether unused edges join `from_id` (default: start) to the goal."""
         src = self.start_id if from_id is None else from_id
-        adj = self.available_adjacency()
-        seen = {src}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return self.goal_id in seen
+        return src in shortest_times_to(self, self.goal_id, 1.0)
+
+
+def edge_length(p, q) -> float:
+    """Euclidean distance between two positions: the one length of an edge."""
+    return math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2)
+
+
+Arc = tuple[int, int, float, float]  # (neighbor id, edge id, edge time, edge length)
+
+
+def adjacency(network: Network, speed: float) -> dict[int, list[Arc]]:
+    """Each station's unused edges as `Arc`s, ascending by neighbor id.  Edge
+    ids number this snapshot's unused edges; `dijkstra` blocks sets of them."""
+    adj: dict[int, list[Arc]] = {sid: [] for sid in network.stations}
+    for e, (i, j) in enumerate(network.edges - network.used):
+        d = edge_length(network.stations[i].position, network.stations[j].position)
+        t = d / speed
+        adj[i].append((j, e, t, d))
+        adj[j].append((i, e, t, d))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def dijkstra(adj: dict[int, list[Arc]], src: int, blocked: Container[int] = (),
+             stop: int | None = None) -> tuple[dict[int, float], dict[int, tuple[int, float]]]:
+    """Times from src over `adj` minus the `blocked` edge ids, and each reached
+    station's predecessor with the edge length.  Popping `stop` ends the search;
+    heap entries are (time, station id), so ties pop by id."""
+    dist = {src: 0.0}
+    prev: dict[int, tuple[int, float]] = {}
+    heap = [(0.0, src)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist.get(u, math.inf):
+            continue
+        if u == stop:
+            break
+        for v, e, t, d in adj[u]:
+            if e in blocked:
+                continue
+            nd = du + t
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                prev[v] = (u, d)
+                heapq.heappush(heap, (nd, v))
+    return dist, prev
 
 
 def edge_metrics(network: Network, i: int, j: int, speed: float) -> tuple[float, float]:
@@ -116,7 +144,7 @@ def edge_metrics(network: Network, i: int, j: int, speed: float) -> tuple[float,
         raise NoSuchEdgeError(f"no edge between stations {i} and {j}")
     if speed <= 0:
         raise ValueError("speed must be > 0")
-    d = float(np.linalg.norm(network.position(i) - network.position(j)))
+    d = edge_length(network.stations[i].position, network.stations[j].position)
     return d, d / speed
 
 
@@ -130,25 +158,10 @@ def consume_edge(network: Network, i: int, j: int) -> Network:
     return replace(network, used=network.used | {p})
 
 
-def shortest_times_to(network: Network, target: int, speed: float,
-                      blocked: frozenset[tuple[int, int]] = frozenset()) -> dict[int, float]:
-    """Dijkstra over unused edges: minimum traversal time from every station to target."""
-    adj = network.available_adjacency()
-    dist = {target: 0.0}
-    heap = [(0.0, target)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        pu = network.position(u)
-        for v in adj[u]:
-            if _pair(u, v) in blocked:
-                continue
-            nd = d + float(np.linalg.norm(pu - network.position(v))) / speed
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+def shortest_times_to(network: Network, target: int, speed: float) -> dict[int, float]:
+    """Minimum traversal time over unused edges from every station that can
+    reach `target`; stations cut off from it are absent."""
+    return dijkstra(adjacency(network, speed), target)[0]
 
 
 def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
@@ -186,7 +199,7 @@ def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
     return replace(network, stations=new_stations)
 
 
-def _clear_chord(cmap: ClusteredMap, a: np.ndarray, b: np.ndarray) -> bool:
+def _clear_chord(cmap: ClusteredMap, a, b) -> bool:
     """True when the horizontal segment a-b stays over water cells."""
     steps = max(2, int(math.ceil(np.hypot(b[0] - a[0], b[1] - a[1]) / cmap.grid.cell_size)))
     fr = np.linspace(0.0, 1.0, steps)
@@ -267,16 +280,11 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
         if explicit_edges is not None:
             edges = frozenset(_pair(int(i), int(j)) for i, j in explicit_edges)
         else:
-            edges = set()
-            ids = sorted(stations)
-            for a in range(len(ids)):
-                pa = np.asarray(stations[ids[a]].position)
-                for b in range(a + 1, len(ids)):
-                    pb = np.asarray(stations[ids[b]].position)
-                    d = float(np.linalg.norm(pa - pb))
-                    if d <= comm_range and (not line_of_sight or _clear_chord(cmap, pa, pb)):
-                        edges.add((ids[a], ids[b]))
-            edges = frozenset(edges)
+            pos = {sid: st.position for sid, st in stations.items()}
+            edges = frozenset(
+                (a, b) for a, b in itertools.combinations(sorted(stations), 2)
+                if edge_length(pos[a], pos[b]) <= comm_range
+                and (not line_of_sight or _clear_chord(cmap, pos[a], pos[b])))
 
         net = Network(stations=stations, edges=edges, start_id=start, goal_id=goal_id,
                       anchors={sid: st.position for sid, st in stations.items()})

@@ -301,6 +301,22 @@ def test_plan_decodes_through_the_module_once_per_key_ordering(monkeypatch):
     assert set(decoded) == evaluated
 
 
+def test_plan_computes_to_goal_times_through_the_module_once(monkeypatch):
+    # The benchmark's tracer times shortest paths by wrapping this module
+    # attribute; a plan that bypassed it would read as zero.
+    calls = []
+    shortest = gp.shortest_times_to
+
+    def counting_shortest(*args, **kwargs):
+        calls.append(args)
+        return shortest(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "shortest_times_to", counting_shortest)
+    plan_global(triangle(), 1, 3, 1e4, 1.0, de_cfg(pop=8, gens=5), restarts=2,
+                rng=np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 def test_plan_rejects_unaffordable_budget():
     net = line_network([(0, 0, 0), (5000, 0, 0)], [(1, 2)])
     with pytest.raises(NoFeasibleRouteError):

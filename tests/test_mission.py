@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uuvsim.env import EnvSnapshot, Obstacle, VortexField, cluster_map, step_obstacles
+from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
+                        current_at, step_obstacles)
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
                                   straight_genes)
-from uuvsim.mission import (LegOutcome, _hazard, advance_along_path, run_mission,
+from uuvsim.mission import (LegOutcome, _Executor, _hazard, advance_along_path, run_mission,
                             should_replan_global)
 from uuvsim.scenario import from_dict, resolve_scenario
 from tests.test_env import grid_from
@@ -181,3 +182,22 @@ def test_advance_truncates_at_arrival():
     tau, pos, _, arrived = advance_along_path(path, path.duration - 0.25, dt=1.0)
     assert arrived and tau == pytest.approx(path.duration)
     assert np.linalg.norm(pos - path.end) < 1e-9
+
+
+def test_truncated_last_tick_moves_obstacles_for_its_real_duration():
+    # A leg's last tick is cut short at arrival; the obstacles move for that
+    # shorter time, not for a full dt.
+    ex = _Executor(two_station_scenario(), 7)
+    path, _ = still_path(length=1000.0)
+    ex.field = VortexField(vortices=(VortexParams(center=(1500.0, 700.0), radius=300.0,
+                                                  strength=2000.0),))
+    obs = Obstacle(id=3, kind="mobile", position=(1500.0, 500.0, 100.0), radius=20.0)
+    ex.obstacles = [obs]
+    cur = current_at(obs.position[:2], ex.field)
+    assert cur.magnitude > 0.1
+    tau0 = path.duration - 0.25 * ex.sc.mission.dt
+    tau, arrived = ex._tick(path, tau0, 0)
+    assert arrived and tau - tau0 < ex.sc.mission.dt
+    moved = np.subtract(ex.obstacles[0].position, obs.position)
+    np.testing.assert_allclose(moved, [cur.v_cx * (tau - tau0), cur.v_cy * (tau - tau0), 0.0],
+                               rtol=1e-9, atol=1e-12)

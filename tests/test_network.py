@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uuvsim.env import VortexField, VortexParams, cluster_map, current_at
 from uuvsim.errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
                            UnreachableGoalError)
-from uuvsim.network import (Network, Station, build_network, consume_edge,
+from uuvsim.global_planner import decode_route
+from uuvsim.network import (Network, Station, adjacency, build_network, consume_edge,
                             drift_stations, edge_metrics, shortest_times_to)
 from tests.test_env import grid_from
 
@@ -98,7 +102,7 @@ def test_consume_edge_semantics():
     net2 = consume_edge(net, 1, 2)
     assert not net.is_used(1, 2)  # original snapshot untouched
     assert net2.is_used(1, 2) and not net2.is_used(2, 3)
-    assert net2.available_adjacency()[2] == [3]
+    assert [v for v, _, _, _ in adjacency(net2, 1.0)[2]] == [3]
     with pytest.raises(AlreadyUsedError):
         consume_edge(net2, 1, 2)
 
@@ -135,6 +139,58 @@ def test_shortest_times_match_networkx():
             assert mine[sid] == pytest.approx(theirs[sid], rel=1e-12)
         else:
             assert sid not in mine
+
+
+@st.composite
+def station_graphs(draw):
+    """A random network of 2-10 stations with arbitrary distinct ids (not
+    1..n), float positions and some edges consumed."""
+    ids = draw(st.lists(st.integers(-50, 10_000), min_size=2, max_size=10, unique=True))
+    coord = st.floats(-5000.0, 5000.0)
+    stations = {sid: Station(id=sid, position=draw(st.tuples(coord, coord, coord)), kind="fixed")
+                for sid in ids}
+    edges = frozenset(pr for pr in itertools.combinations(sorted(ids), 2) if draw(st.booleans()))
+    used = frozenset(pr for pr in sorted(edges) if draw(st.integers(0, 3)) == 0)
+    return Network(stations=stations, edges=edges, start_id=ids[0], goal_id=ids[-1],
+                   anchors={sid: s.position for sid, s in stations.items()}, used=used)
+
+
+def unused_graph(net) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(net.stations)
+    g.add_edges_from(net.edges - net.used)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=station_graphs(), speed=st.sampled_from([0.5, 1.0, 2.2]))
+def test_edge_metrics_equal_the_decoders_edge_bit_for_bit(net, speed):
+    # A one-edge route: the far end is the goal and the only keyed station.
+    ids = sorted(net.stations)
+    for i, j in net.edges - net.used:
+        for a, b in ((i, j), (j, i)):
+            keys = np.array([1.0 if sid == b else 0.0 for sid in ids])
+            route = decode_route(keys, net, a, b, math.inf, speed)
+            assert route.sequence == (a, b)
+            assert (route.distance, route.time) == edge_metrics(net, a, b, speed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=station_graphs(), speed=st.sampled_from([0.5, 1.0, 2.2]))
+def test_shortest_times_and_reachability_match_networkx(net, speed):
+    g = unused_graph(net)
+    for a, b in g.edges:
+        pa, pb = np.asarray(net.stations[a].position), np.asarray(net.stations[b].position)
+        g.edges[a, b]["weight"] = float(np.linalg.norm(pa - pb)) / speed
+    goal = net.goal_id
+    mine = shortest_times_to(net, goal, speed)
+    theirs = nx.single_source_dijkstra_path_length(g, goal, weight="weight")
+    assert mine.keys() == theirs.keys()
+    for sid, t in theirs.items():
+        assert mine[sid] == pytest.approx(t, rel=1e-12, abs=1e-12)
+    for sid in net.stations:
+        assert net.goal_reachable(sid) == nx.has_path(g, sid, goal)
+    assert net.goal_reachable() == nx.has_path(g, net.start_id, goal)
 
 
 # --- drift ------------------------------------------------------------------

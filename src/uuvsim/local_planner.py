@@ -8,18 +8,23 @@ leg and adverse flow stretches or stalls it.  Cost is normalized travel time
 plus weighted worst-case violations of the surge/sway/yaw-rate limits and the
 collision fraction.
 
-Geometry, kinematics, collision fraction and cost are kernels over a leading
+Geometry, kinematics, collision fraction and cost are kernels over a
 candidate axis.  `evaluate_paths` runs them on a whole DE generation and is
 the one way a leg is scored: it returns every row's cost and clean flag, and
 builds a `LocalPath` only for a row the caller asks for.  A row's result does
-not depend on the rest of its batch.
+not depend on the rest of its batch.  The kernels hold a batch coordinate-
+major, control points (3, c, control_count) and samples (3, c, S), so every
+step runs on contiguous rows of one coordinate; a sample is its control
+points' basis-weighted terms summed in order.  The field and collision tests
+take (n, 2) and (n, 3) point rows, handed over as transposed views.
 
-A DE generation arrives as [mutants; trials], and a trial's spline sample
-equals its mutant's wherever the genes that sample rests on crossed over.  So
-the current field is evaluated once per distinct sample: each row of the
-second half copies the field at every sample that is bit for bit the one at
-the same index of its first-half partner.  A field row does not depend on the
-rest of its batch, so this changes no result.
+A DE generation arrives as [mutants; trials].  A trial bit-equal to its
+mutant in every gene is not scored again: it takes the mutant's cost, clean
+flag and path.  Elsewhere a trial's spline sample equals its mutant's
+wherever the genes that sample rests on crossed over, so the current field
+is evaluated once per distinct sample: a row with a partner row copies the
+field at every sample that is bit for bit the partner's at the same index.
+Rows do not depend on the rest of their batch, so neither changes a result.
 
 The collision fraction counts a path's samples plus q - 1 evenly spaced
 checkpoints on each segment, q from the path's longest segment.  All samples
@@ -89,8 +94,9 @@ class LocalCostWeights:
     def __post_init__(self):
         if self.cruise_speed <= 0:
             raise ValueError("cruise_speed must be > 0")
-        if min(self.w_surge, self.w_sway, self.w_yaw, self.w_collision) < 0:
-            raise ValueError("weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.w_surge, self.w_sway, self.w_yaw, self.w_collision)):
+            raise ValueError("weights must be finite and >= 0")
         if self.aggregate not in ("max", "sum"):
             raise ValueError("aggregate must be 'max' or 'sum'")
 
@@ -136,28 +142,29 @@ _basis_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def basis_matrix(config: SplineConfig) -> np.ndarray:
-    """(samples, control_count) clamped B-spline design matrix at uniform params."""
+    """(control_count, samples) clamped B-spline basis at uniform params."""
     key = (config.control_count, config.degree, config.samples)
     if key not in _basis_cache:
         n, k = config.control_count, config.degree
         knots = np.concatenate([np.zeros(k), np.linspace(0.0, 1.0, n - k + 1), np.ones(k)])
         t = np.linspace(0.0, 1.0, config.samples)
-        _basis_cache[key] = BSpline.design_matrix(t, knots, k).toarray()
+        _basis_cache[key] = np.ascontiguousarray(BSpline.design_matrix(t, knots, k).toarray().T)
     return _basis_cache[key]
 
 
 def control_points(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:
-    """(..., control_count, 3) control polygons with pinned endpoints.
+    """(3, c, control_count) coordinate-major control polygons with pinned endpoints.
 
-    Genes (..., gene_length) are blocked as (all x, all y, all z) over the
+    Genes (c, gene_length) are blocked as (all x, all y, all z) over the
     interior points.
     """
     genes = np.asarray(genes, dtype=float)
-    pts = np.empty(genes.shape[:-1] + (config.control_count, 3))
-    pts[..., 0, :] = endpoint_i
-    pts[..., -1, :] = endpoint_j
-    pts[..., 1:-1, :] = np.swapaxes(genes.reshape(genes.shape[:-1] + (3, config.interior)), -1, -2)
-    return pts
+    c = genes.shape[0]
+    ctrl = np.empty((3, c, config.control_count))
+    ctrl[:, :, 0] = np.asarray(endpoint_i, dtype=float)[:, None]
+    ctrl[:, :, -1] = np.asarray(endpoint_j, dtype=float)[:, None]
+    ctrl[:, :, 1:-1] = genes.reshape(c, 3, config.interior).transpose(1, 0, 2)
+    return ctrl
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -165,18 +172,24 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 
 def _geometry(ctrl: np.ndarray, config: SplineConfig):
-    """Shared sampling for a (c, control_count, 3) batch of control polygons.
+    """Shared sampling for a (3, c, control_count) batch of control polygons.
 
-    Returns pts (c,S,3), diffs (c,S-1,3), lens (c,S-1), yaw_seg, pitch_seg.
+    Returns pts (3,c,S), diffs (3,c,S-1), lens (c,S-1), yaw_seg, pitch_seg.
+    A sample sums its control points' weighted terms in control-point order,
+    the order that fixes its bits.
     Zero-length segments inherit the heading of the nearest preceding moving
     segment (or the first moving one when leading).
     """
-    B = basis_matrix(config)
-    pts = np.einsum("sm,cmd->csd", B, ctrl)
-    diffs = np.diff(pts, axis=1)
-    lens = np.linalg.norm(diffs, axis=2)
-    yaw_seg = np.arctan2(diffs[..., 1], diffs[..., 0])
-    pitch_seg = np.arctan2(-diffs[..., 2], np.hypot(diffs[..., 0], diffs[..., 1]))
+    basis = basis_matrix(config)
+    pts = ctrl[:, :, 0, None] * basis[0]
+    term = np.empty_like(pts)
+    for m in range(1, config.control_count):
+        pts += np.multiply(ctrl[:, :, m, None], basis[m], out=term)
+    diffs = pts[:, :, 1:] - pts[:, :, :-1]
+    dx, dy, dz = diffs
+    lens = np.sqrt(dx * dx + dy * dy + dz * dz)
+    yaw_seg = np.arctan2(dy, dx)
+    pitch_seg = np.arctan2(-dz, np.hypot(dx, dy))
     bad = lens < _EPS_LEN
     if np.any(bad):
         c, nseg = lens.shape
@@ -193,33 +206,36 @@ def _geometry(ctrl: np.ndarray, config: SplineConfig):
     return pts, diffs, lens, yaw_seg, pitch_seg
 
 
-def _kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights, env: EnvSnapshot):
-    """Ground-frame kinematics for batched geometry; yaw is per sample (c,S).
+def _kinematics(pts, diffs, lens, yaw, partner, weights: LocalCostWeights, env: EnvSnapshot):
+    """Ground-frame kinematics for batched (3, c, S) geometry; yaw is per sample (c,S).
 
     Ground velocity per segment is cruise speed along the tangent plus the
     horizontal current; surge is its tangential component and sway the
     cross-track horizontal current.  A segment whose tangential ground speed
     drops to zero or below marks the whole path stalled (infeasible).
+    Row r with partner[r] >= 0 copies the field at each sample bit-equal to
+    its partner's; a partner row must have no partner itself.
     Returns the per-sample series surge, sway, yaw_rate and times (c,S),
     times[:, 0] == 0, then stalled (c,).
     """
     c, nseg = lens.shape
     safe = np.maximum(lens, _EPS_LEN)
-    tx, ty = diffs[..., 0] / safe, diffs[..., 1] / safe
-    # Row c - h + i reuses the field at each sample bit-equal to row i's.
-    xy = pts[:, :-1, :2]
-    h = c // 2
-    same = xy[c - h:].view(np.int64) == xy[:h].view(np.int64)
-    repeat = same[..., 0] & same[..., 1]  # (h, nseg)
+    tx, ty = diffs[0] / safe, diffs[1] / safe
+    x, y = pts[0, :, :-1], pts[1, :, :-1]
+    rows = np.flatnonzero(partner >= 0)
+    of = partner[rows]
+    repeat = ((x[rows].view(np.int64) == x[of].view(np.int64))
+              & (y[rows].view(np.int64) == y[of].view(np.int64)))
     fresh = np.ones((c, nseg), dtype=bool)
-    fresh[c - h:] = ~repeat
-    cur = np.empty((c, nseg, 2))
-    cur[fresh] = current_grid(xy[fresh], env.field)
-    cur[c - h:][repeat] = cur[:h][repeat]
-    along = tx * cur[..., 0] + ty * cur[..., 1]
+    fresh[rows] = ~repeat
+    cur = np.empty((2, c, nseg))
+    cur[:, fresh] = current_grid(np.stack([x[fresh], y[fresh]]).T, env.field).T
+    cur[:, rows] = np.where(repeat, cur[:, of], cur[:, rows])
+    cx, cy = cur
+    along = tx * cx + ty * cy
     surge = weights.cruise_speed + along
     yaw_seg = yaw[:, :-1]
-    sway = -np.sin(yaw_seg) * cur[..., 0] + np.cos(yaw_seg) * cur[..., 1]
+    sway = -np.sin(yaw_seg) * cx + np.cos(yaw_seg) * cy
     moving = lens > _EPS_LEN
     stalled = np.any((surge <= 0.0) & moving, axis=1)
     eff = np.maximum(surge, 0.1 * weights.cruise_speed)
@@ -245,7 +261,7 @@ def yaw_rates(yaw: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _certified(pts: np.ndarray, env: EnvSnapshot) -> np.ndarray:
-    """(c, S-1) mask of the segments of (c, S, 3) paths whose every checkpoint surely misses.
+    """(c, S-1) mask of the segments of (3, c, S) paths whose every checkpoint surely misses.
 
     The box around a segment's two end samples, widened by _CERT_MARGIN, must
     lie inside the raster and the depth range, share no tile with a true
@@ -253,9 +269,8 @@ def _certified(pts: np.ndarray, env: EnvSnapshot) -> np.ndarray:
     envelope + _CERT_MARGIN from every obstacle centre.
     """
     grid = env.map.grid
-    p = np.ascontiguousarray(np.moveaxis(pts, -1, 0))  # (3, c, S)
-    lo = np.minimum(p[..., :-1], p[..., 1:]) - _CERT_MARGIN
-    hi = np.maximum(p[..., :-1], p[..., 1:]) + _CERT_MARGIN
+    lo = np.minimum(pts[..., :-1], pts[..., 1:]) - _CERT_MARGIN
+    hi = np.maximum(pts[..., :-1], pts[..., 1:]) + _CERT_MARGIN
     col0, row0 = np.floor(lo[:2] / grid.cell_size)
     col1, row1 = np.floor(hi[:2] / grid.cell_size)
     # Written so that NaN coordinates are never certified.
@@ -283,27 +298,26 @@ def _certified(pts: np.ndarray, env: EnvSnapshot) -> np.ndarray:
 
 
 def _violations(pts: np.ndarray, qs: np.ndarray, env: EnvSnapshot, padded: bool) -> np.ndarray:
-    """Colliding fraction of each (c, S, 3) path's checkpoints, (c,).
+    """Colliding fraction of each (3, c, S) path's checkpoints, (c,).
 
     Row i is checked at its S samples and at the q_i - 1 interior points
     a + (k / q_i) * (b - a) of every segment a -> b, S + (S-1)(q_i-1) points
     in all.  Interior points are built and tested only for segments that
     _certified cannot clear; the rest count as misses.
     """
-    c, S, _ = pts.shape
+    _, c, S = pts.shape
     qs = np.maximum(np.asarray(qs, dtype=np.int64), 1)
     obstacles = list(env.obstacles)
-    hits = points_in_collision(pts.reshape(-1, 3), env.map, obstacles,
+    hits = points_in_collision(pts.reshape(3, -1).T, env.map, obstacles,
                                padded=padded).reshape(c, S).sum(axis=1)
-    a, b = pts[:, :-1], pts[:, 1:]
     rows, segs = np.nonzero((qs > 1)[:, None] & ~_certified(pts, env))
     if rows.size:
         inner = qs[rows] - 1
         of = np.repeat(np.arange(rows.size), inner)
         k = np.arange(of.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
-        sa, sb = a[rows, segs], b[rows, segs]
-        check = sa[of] + (k / qs[rows][of])[:, None] * (sb - sa)[of]
-        hit = points_in_collision(check, env.map, obstacles, padded=padded)
+        sa, sb = pts[:, rows, segs], pts[:, rows, segs + 1]
+        check = sa[:, of] + (k / qs[rows][of]) * (sb - sa)[:, of]
+        hit = points_in_collision(check.T, env.map, obstacles, padded=padded)
         hits += np.bincount(rows[of[hit]], minlength=c)
     return hits / (S + (S - 1) * (qs - 1))
 
@@ -364,24 +378,41 @@ def evaluate_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
     the dilated coast, so an accepted path cannot clip a coast corner between
     checkpoints.  A row is clean when it does not stall, no checkpoint
     collides and no kinematic limit is exceeded.
+
+    The matrix is read as [mutants; trials]: row m - h + i (h = m // 2) is
+    the partner of row i.  A row bit-equal to its partner in every gene is
+    not scored; it takes its partner's cost, clean flag and path.
     """
-    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(control_points(mat, p_i, p_j, spline), spline)
+    mat = np.ascontiguousarray(mat, dtype=float)
+    m = mat.shape[0]
+    h = m // 2
+    dup = np.zeros(m, dtype=bool)
+    dup[m - h:] = (mat[m - h:].view(np.int64) == mat[:h].view(np.int64)).all(axis=1)
+    scored = np.flatnonzero(~dup)  # scored[i] == i for i < m - h
+    src = np.where(dup, np.arange(m) - (m - h), np.cumsum(~dup) - 1)
+    partner = np.where(scored >= m - h, scored - (m - h), -1)
+
+    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(
+        control_points(mat[scored], p_i, p_j, spline), spline)
     yaw, pitch = _pad(yaw_seg), _pad(pitch_seg)
-    surge, sway, yaw_rate, times, stalled = _kinematics(pts, diffs, lens, yaw, weights, env)
+    surge, sway, yaw_rate, times, stalled = _kinematics(pts, diffs, lens, yaw, partner,
+                                                        weights, env)
     qs = np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int)
     violation = _violations(pts, qs, env, padded=True)
     # The clamped basis is exactly 1 at both ends, so every row samples the
     # pinned endpoints bit for bit and shares one chord.
-    chord = float(np.linalg.norm(pts[0, -1] - pts[0, 0]))
+    chord = float(np.linalg.norm(pts[:, 0, -1] - pts[:, 0, 0]))
     costs, excess = _costs(chord, times[:, -1], surge, sway, yaw_rate, stalled, violation,
                            weights)
     clean = ~stalled & (violation <= 0) & (excess.max(axis=1) == 0.0)
 
     def path_of(i: int) -> LocalPath:
-        return LocalPath(points=pts[i], yaw=yaw[i], pitch=pitch[i], surge=surge[i], sway=sway[i],
-                         yaw_rate=yaw_rate[i], times=times[i], duration=float(times[i, -1]))
+        j = src[i]
+        return LocalPath(points=pts[:, j].T.copy(), yaw=yaw[j], pitch=pitch[j], surge=surge[j],
+                         sway=sway[j], yaw_rate=yaw_rate[j], times=times[j],
+                         duration=float(times[j, -1]))
 
-    return costs, clean, path_of
+    return costs[src], clean[src], path_of
 
 
 @dataclass

@@ -189,6 +189,10 @@ def _check_range(name: str, pair, lo_ok=0.0, integer=False):
         _require(float(lo).is_integer() and float(hi).is_integer(), f"{name} must be integers")
 
 
+def _check_nonnegative(name: str, value):
+    _require(math.isfinite(value) and value >= 0, f"{name} must be finite and >= 0")
+
+
 def validate(sc: Scenario) -> Scenario:
     """Check every documented invariant; returns the scenario for chaining."""
     _require(sc.field.x > 0 and sc.field.y > 0 and sc.field.z > 0,
@@ -237,8 +241,8 @@ def validate(sc: Scenario) -> Scenario:
         _require(de_spec.restarts >= 1, f"{label}.restarts must be >= 1")
     # Local planning runs one DE per leg; any other restart count would be ignored.
     _require(sc.de_local.restarts == 1, "de_local.restarts must be 1")
-    _require(min(sc.weights.surge, sc.weights.sway, sc.weights.yaw_rate,
-                 sc.weights.collision) >= 0, "weights must be >= 0")
+    for key in ("surge", "sway", "yaw_rate", "collision"):
+        _check_nonnegative(f"weights.{key}", getattr(sc.weights, key))
     _require(sc.weights.aggregate in ("max", "sum"), "weights.aggregate must be max or sum")
     _require(sc.spline.control_points >= 4, "spline.control_points must be >= 4")
     _require(sc.spline.degree >= 3, "spline.degree must be >= 3")
@@ -251,6 +255,10 @@ def validate(sc: Scenario) -> Scenario:
     _require(0 < sc.mission.budget_margin <= 1.0, "mission.budget_margin must be in (0, 1]")
     _require(sc.mission.sensing_radius > 0, "mission.sensing_radius must be > 0")
     _require(sc.mission.max_global_replans >= 0, "mission.max_global_replans must be >= 0")
+    factor = sc.mission.replan_generation_factor
+    _require(math.isfinite(factor) and factor > 0,
+             "mission.replan_generation_factor must be finite and > 0")
+    _check_nonnegative("mission.obstacle_margin", sc.mission.obstacle_margin)
     for failure in sc.mission.edge_failures:
         _require(isinstance(failure, dict) and "after_leg" in failure and "edge" in failure,
                  "mission.edge_failures entries need after_leg and edge")

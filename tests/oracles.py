@@ -6,10 +6,13 @@ import heapq
 import math
 
 import numpy as np
+from scipy.interpolate import BSpline
 
-from uuvsim.env import EnvSnapshot, GridMap, VortexField, points_in_collision
+from uuvsim.env import EnvSnapshot, GridMap, VortexField, current_grid, points_in_collision
 from uuvsim.errors import UndecodableError
 from uuvsim.global_planner import Route
+from uuvsim.local_planner import (_CERT_MARGIN, _EPS_LEN, LocalCostWeights, LocalPath,
+                                  SplineConfig, _costs, _pad, yaw_rates)
 from uuvsim.network import Network, _pair
 
 
@@ -191,6 +194,201 @@ def reference_violations(pts: np.ndarray, subdivide: int, env: EnvSnapshot,
     check = reference_subdivided(pts, subdivide)
     hits = points_in_collision(check.reshape(-1, 3), env.map, list(env.obstacles), padded=padded)
     return hits.reshape(pts.shape[0], -1).mean(axis=1)
+
+
+# The leg evaluator as it stood before it held a generation coordinate-major:
+# (c, S, 3) samples from an einsum over the (S, n) basis, every row scored,
+# including a trial bit-equal to its mutant.  Kept verbatim as the exactness
+# reference for `evaluate_paths`; the helpers that did not change with the
+# layout (`_pad`, `yaw_rates`, `_costs`) are the program's own.
+
+_reference_basis_cache: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _reference_basis_matrix(config: SplineConfig) -> np.ndarray:
+    """(samples, control_count) clamped B-spline design matrix at uniform params."""
+    key = (config.control_count, config.degree, config.samples)
+    if key not in _reference_basis_cache:
+        n, k = config.control_count, config.degree
+        knots = np.concatenate([np.zeros(k), np.linspace(0.0, 1.0, n - k + 1), np.ones(k)])
+        t = np.linspace(0.0, 1.0, config.samples)
+        _reference_basis_cache[key] = BSpline.design_matrix(t, knots, k).toarray()
+    return _reference_basis_cache[key]
+
+
+def _reference_control_points(genes: np.ndarray, endpoint_i, endpoint_j,
+                              config: SplineConfig) -> np.ndarray:
+    """(..., control_count, 3) control polygons with pinned endpoints.
+
+    Genes (..., gene_length) are blocked as (all x, all y, all z) over the
+    interior points.
+    """
+    genes = np.asarray(genes, dtype=float)
+    pts = np.empty(genes.shape[:-1] + (config.control_count, 3))
+    pts[..., 0, :] = endpoint_i
+    pts[..., -1, :] = endpoint_j
+    pts[..., 1:-1, :] = np.swapaxes(genes.reshape(genes.shape[:-1] + (3, config.interior)), -1, -2)
+    return pts
+
+
+def _reference_geometry(ctrl: np.ndarray, config: SplineConfig):
+    """Shared sampling for a (c, control_count, 3) batch of control polygons.
+
+    Returns pts (c,S,3), diffs (c,S-1,3), lens (c,S-1), yaw_seg, pitch_seg.
+    Zero-length segments inherit the heading of the nearest preceding moving
+    segment (or the first moving one when leading).
+    """
+    B = _reference_basis_matrix(config)
+    pts = np.einsum("sm,cmd->csd", B, ctrl)
+    diffs = np.diff(pts, axis=1)
+    lens = np.linalg.norm(diffs, axis=2)
+    yaw_seg = np.arctan2(diffs[..., 1], diffs[..., 0])
+    pitch_seg = np.arctan2(-diffs[..., 2], np.hypot(diffs[..., 0], diffs[..., 1]))
+    bad = lens < _EPS_LEN
+    if np.any(bad):
+        c, nseg = lens.shape
+        idx = np.where(~bad, np.arange(nseg)[None, :], -1)
+        idx = np.maximum.accumulate(idx, axis=1)
+        any_valid = (idx >= 0).any(axis=1)
+        first_valid = np.where(any_valid, np.argmax(idx >= 0, axis=1), 0)
+        fill = idx[np.arange(c), first_valid]
+        fill = np.where(fill >= 0, fill, 0)
+        idx = np.where(idx < 0, fill[:, None], idx)
+        rows = np.arange(c)[:, None]
+        yaw_seg = yaw_seg[rows, idx]
+        pitch_seg = pitch_seg[rows, idx]
+    return pts, diffs, lens, yaw_seg, pitch_seg
+
+
+def _reference_kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights,
+                          env: EnvSnapshot):
+    """Ground-frame kinematics for batched geometry; yaw is per sample (c,S).
+
+    Ground velocity per segment is cruise speed along the tangent plus the
+    horizontal current; surge is its tangential component and sway the
+    cross-track horizontal current.  A segment whose tangential ground speed
+    drops to zero or below marks the whole path stalled (infeasible).
+    Returns the per-sample series surge, sway, yaw_rate and times (c,S),
+    times[:, 0] == 0, then stalled (c,).
+    """
+    c, nseg = lens.shape
+    safe = np.maximum(lens, _EPS_LEN)
+    tx, ty = diffs[..., 0] / safe, diffs[..., 1] / safe
+    # Row c - h + i reuses the field at each sample bit-equal to row i's.
+    xy = pts[:, :-1, :2]
+    h = c // 2
+    same = xy[c - h:].view(np.int64) == xy[:h].view(np.int64)
+    repeat = same[..., 0] & same[..., 1]  # (h, nseg)
+    fresh = np.ones((c, nseg), dtype=bool)
+    fresh[c - h:] = ~repeat
+    cur = np.empty((c, nseg, 2))
+    cur[fresh] = current_grid(xy[fresh], env.field)
+    cur[c - h:][repeat] = cur[:h][repeat]
+    along = tx * cur[..., 0] + ty * cur[..., 1]
+    surge = weights.cruise_speed + along
+    yaw_seg = yaw[:, :-1]
+    sway = -np.sin(yaw_seg) * cur[..., 0] + np.cos(yaw_seg) * cur[..., 1]
+    moving = lens > _EPS_LEN
+    stalled = np.any((surge <= 0.0) & moving, axis=1)
+    eff = np.maximum(surge, 0.1 * weights.cruise_speed)
+    seg_times = np.where(moving, lens / eff, 0.0)
+    times = np.concatenate([np.zeros((c, 1)), np.cumsum(seg_times, axis=1)], axis=1)
+    return _pad(surge), _pad(sway), yaw_rates(yaw, times), times, stalled
+
+
+def _reference_certified(pts: np.ndarray, env: EnvSnapshot) -> np.ndarray:
+    """(c, S-1) mask of the segments of (c, S, 3) paths whose every checkpoint surely misses.
+
+    The box around a segment's two end samples, widened by _CERT_MARGIN, must
+    lie inside the raster and the depth range, share no tile with a true
+    coast cell within one cell of its cell range, and stay farther than
+    envelope + _CERT_MARGIN from every obstacle centre.
+    """
+    grid = env.map.grid
+    p = np.ascontiguousarray(np.moveaxis(pts, -1, 0))  # (3, c, S)
+    lo = np.minimum(p[..., :-1], p[..., 1:]) - _CERT_MARGIN
+    hi = np.maximum(p[..., :-1], p[..., 1:]) + _CERT_MARGIN
+    col0, row0 = np.floor(lo[:2] / grid.cell_size)
+    col1, row1 = np.floor(hi[:2] / grid.cell_size)
+    # Written so that NaN coordinates are never certified.
+    ok = ((col0 >= 0) & (col1 < grid.width) & (row0 >= 0) & (row1 < grid.height)
+          & (lo[2] >= 0.0) & (hi[2] <= grid.depth_extent))
+
+    def cells(v, pad, n):
+        return np.clip(np.where(ok, v + pad, 0.0), 0, n - 1).astype(np.int64)
+
+    # The one-cell pad turns "no true coast" into "no dilated coast" in the box.
+    ok &= env.map.coast_free(cells(row0, -1, grid.height), cells(row1, 1, grid.height),
+                             cells(col0, -1, grid.width), cells(col1, 1, grid.width))
+    # An obstacle clear of the box around all segments is clear of each one.
+    lo_all, hi_all = lo.min(axis=(1, 2)), hi.max(axis=(1, 2))
+    for obs in env.obstacles:
+        centre = np.asarray(obs.position, dtype=float)
+        r2 = (obs.envelope_radius + _CERT_MARGIN) ** 2
+        gap = np.maximum(np.maximum(lo_all - centre, centre - hi_all), 0.0)
+        if gap @ gap > r2:
+            continue
+        centre = centre[:, None, None]
+        gap = np.maximum(np.maximum(lo - centre, centre - hi), 0.0)
+        ok &= (gap * gap).sum(axis=0) > r2
+    return ok
+
+
+def _reference_violations(pts: np.ndarray, qs: np.ndarray, env: EnvSnapshot,
+                          padded: bool) -> np.ndarray:
+    """Colliding fraction of each (c, S, 3) path's checkpoints, (c,).
+
+    Row i is checked at its S samples and at the q_i - 1 interior points
+    a + (k / q_i) * (b - a) of every segment a -> b, S + (S-1)(q_i-1) points
+    in all.  Interior points are built and tested only for segments that
+    _certified cannot clear; the rest count as misses.
+    """
+    c, S, _ = pts.shape
+    qs = np.maximum(np.asarray(qs, dtype=np.int64), 1)
+    obstacles = list(env.obstacles)
+    hits = points_in_collision(pts.reshape(-1, 3), env.map, obstacles,
+                               padded=padded).reshape(c, S).sum(axis=1)
+    a, b = pts[:, :-1], pts[:, 1:]
+    rows, segs = np.nonzero((qs > 1)[:, None] & ~_reference_certified(pts, env))
+    if rows.size:
+        inner = qs[rows] - 1
+        of = np.repeat(np.arange(rows.size), inner)
+        k = np.arange(of.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+        sa, sb = a[rows, segs], b[rows, segs]
+        check = sa[of] + (k / qs[rows][of])[:, None] * (sb - sa)[of]
+        hit = points_in_collision(check, env.map, obstacles, padded=padded)
+        hits += np.bincount(rows[of[hit]], minlength=c)
+    return hits / (S + (S - 1) * (qs - 1))
+
+
+def reference_evaluate_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
+                             spline: SplineConfig, weights: LocalCostWeights, env: EnvSnapshot):
+    """Costs (m,), clean mask (m,) and a LocalPath builder for a (m, genes) matrix.
+
+    Collision checks subdivide every segment below the map cell size and use
+    the dilated coast, so an accepted path cannot clip a coast corner between
+    checkpoints.  A row is clean when it does not stall, no checkpoint
+    collides and no kinematic limit is exceeded.
+    """
+    ctrl = _reference_control_points(mat, p_i, p_j, spline)
+    pts, diffs, lens, yaw_seg, pitch_seg = _reference_geometry(ctrl, spline)
+    yaw, pitch = _pad(yaw_seg), _pad(pitch_seg)
+    surge, sway, yaw_rate, times, stalled = _reference_kinematics(pts, diffs, lens, yaw,
+                                                                  weights, env)
+    qs = np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int)
+    violation = _reference_violations(pts, qs, env, padded=True)
+    # The clamped basis is exactly 1 at both ends, so every row samples the
+    # pinned endpoints bit for bit and shares one chord.
+    chord = float(np.linalg.norm(pts[0, -1] - pts[0, 0]))
+    costs, excess = _costs(chord, times[:, -1], surge, sway, yaw_rate, stalled, violation,
+                           weights)
+    clean = ~stalled & (violation <= 0) & (excess.max(axis=1) == 0.0)
+
+    def path_of(i: int) -> LocalPath:
+        return LocalPath(points=pts[i], yaw=yaw[i], pitch=pitch[i], surge=surge[i], sway=sway[i],
+                         yaw_rate=yaw_rate[i], times=times[i], duration=float(times[i, -1]))
+
+    return costs, clean, path_of
 
 
 # The field kernel as it stood before the near-pair split: blocks of 512

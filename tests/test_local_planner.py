@@ -14,7 +14,7 @@ from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluste
 from uuvsim.errors import NoFeasiblePathError
 from uuvsim.local_planner import (LocalCostWeights, LocalPath, SplineConfig, corridor_bounds,
                                   evaluate_paths, plan_local, replan_local, straight_genes)
-from tests.oracles import reference_violations
+from tests.oracles import reference_evaluate_paths, reference_violations
 from tests.test_env import grid_from
 
 SPL = SplineConfig(control_count=8, degree=3, samples=100)
@@ -46,9 +46,15 @@ def length(path):
     return float(np.linalg.norm(np.diff(path.points, axis=0), axis=1).sum())
 
 
+def coordinate_major(pts):
+    """(3, c, S) samples, the layout of the kernels, from (c, S, 3) rows."""
+    return np.ascontiguousarray(np.moveaxis(pts, -1, 0))
+
+
 def fraction(path, env, q=1, padded=False):
     """Colliding fraction of the path's samples and q - 1 checkpoints per segment."""
-    return float(lp._violations(path.points[None], np.array([q]), env, padded)[0])
+    return float(lp._violations(coordinate_major(path.points[None]), np.array([q]), env,
+                                padded)[0])
 
 
 def cost_of(path, violation, w):
@@ -92,6 +98,14 @@ def test_endpoint_interpolation_random_legs():
         path = scored(rng.uniform(lo, hi), p_i, p_j, env)[2]
         assert np.linalg.norm(path.start - p_i) <= 1e-6
         assert np.linalg.norm(path.end - p_j) <= 1e-6
+
+
+@pytest.mark.parametrize("field", ["w_surge", "w_sway", "w_yaw", "w_collision"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_cost_weights_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+        LocalCostWeights(**{field: value})
+    assert getattr(LocalCostWeights(**{field: 0.0}), field) == 0.0
 
 
 @pytest.mark.parametrize("offset", [0.0, math.nan])
@@ -302,7 +316,7 @@ def test_violations_match_reference_subdivision(seed):
     env = EnvSnapshot(cmap, VortexField(vortices=()), tuple(obstacles))
 
     for padded in (False, True):
-        got = lp._violations(pts, qs, env, padded)
+        got = lp._violations(coordinate_major(pts), qs, env, padded)
         want = np.array([reference_violations(pts[i:i + 1], int(qs[i]), env, padded)[0]
                          for i in range(c)])
         assert got.tobytes() == want.tobytes(), (padded, got, want)
@@ -320,7 +334,7 @@ def test_certificate_sees_dilated_coast_across_a_tile_edge(axis, coast, lane):
     if axis == 1:
         pts[:, [0, 1]] = pts[:, [1, 0]]
     for padded, want in ((True, 1.0), (False, 0.0)):
-        got = lp._violations(pts[None], np.array([10]), env, padded)
+        got = lp._violations(coordinate_major(pts[None]), np.array([10]), env, padded)
         assert got.tobytes() == reference_violations(pts[None], 10, env, padded).tobytes()
         assert got[0] == want
 
@@ -514,12 +528,13 @@ def test_batched_cost_equals_m1_cost(seed, m, aggregate):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 13), share=st.floats(0.0, 1.0))
 def test_kinematics_evaluates_each_distinct_partner_sample_once(seed, c, share):
-    """Second-half rows reuse the field at samples bit-equal to their partner's.
+    """Rows with a partner reuse the field at samples bit-equal to their partner's.
 
-    Row c - h + i (h = c // 2) copies a random share of its samples from row
-    i, some only in x, and some with x = -0.0 against the partner's +0.0.
-    The field is evaluated once per sample that differs from its partner's in
-    any bit, and every output row equals, bit for bit, that row run alone.
+    About half the rows get a partner drawn from the rest, which have none.
+    Each copies a random share of its samples from its partner, some only in
+    x, and some with x = -0.0 against the partner's +0.0.  The field is
+    evaluated once per sample that differs from its partner's in any bit, and
+    every output row equals, bit for bit, that row run alone.
     """
     rng = np.random.default_rng(seed)
     vortices = [VortexParams(center=tuple(rng.uniform(0, 3000, 2)), radius=rng.uniform(50, 400),
@@ -529,28 +544,130 @@ def test_kinematics_evaluates_each_distinct_partner_sample_once(seed, c, share):
     w = still_weights(cruise=rng.uniform(0.5, 2.5))
     S = int(rng.integers(3, 40))
     pts = rng.uniform([0, 0, 0], [3000, 3000, 500], size=(c, S, 3))
-    h = c // 2
-    head, tail = pts[:h], pts[c - h:]
-    copied = rng.random((h, S)) < share
-    tail[copied] = head[copied]
-    x_only = rng.random((h, S)) < 0.1
-    tail[x_only, 0] = head[x_only, 0]
-    signed = copied & (rng.random((h, S)) < 0.2)
-    head[signed, 0], tail[signed, 0] = 0.0, -0.0
-    diffs = np.diff(pts, axis=1)
-    lens = np.linalg.norm(diffs, axis=2)
-    yaw = lp._pad(np.arctan2(diffs[..., 1], diffs[..., 0]))
+    base = rng.random(c) < 0.5
+    base[0] = True
+    partner = np.where(base, -1, rng.choice(np.flatnonzero(base), c))
+    for r in np.flatnonzero(~base):
+        row, of = pts[r], pts[partner[r]]
+        copied = rng.random(S) < share
+        row[copied] = of[copied]
+        x_only = rng.random(S) < 0.1
+        row[x_only, 0] = of[x_only, 0]
+        signed = copied & (rng.random(S) < 0.2)
+        of[signed, 0], row[signed, 0] = 0.0, -0.0
+    pts = coordinate_major(pts)
+    diffs = np.diff(pts, axis=2)
+    lens = np.sqrt((diffs * diffs).sum(axis=0))
+    yaw = lp._pad(np.arctan2(diffs[1], diffs[0]))
 
     calls, real = [], lp.current_grid
     lp.current_grid = lambda points, fld: calls.append(len(points)) or real(points, fld)
     try:
-        batch = lp._kinematics(pts, diffs, lens, yaw, w, env)
+        batch = lp._kinematics(pts, diffs, lens, yaw, partner, w, env)
     finally:
         lp.current_grid = real
-    xy = pts[:, :-1, :2]
-    repeats = (xy[c - h:].view(np.int64) == xy[:h].view(np.int64)).all(axis=2)
+    xy = pts[:2, :, :-1].view(np.int64)
+    rows = np.flatnonzero(~base)
+    repeats = (xy[:, rows] == xy[:, partner[rows]]).all(axis=0)
     assert calls == [c * (S - 1) - int(repeats.sum())]
     for i in range(c):
-        alone = lp._kinematics(pts[i:i + 1], diffs[i:i + 1], lens[i:i + 1], yaw[i:i + 1], w, env)
+        alone = lp._kinematics(pts[:, i:i + 1], diffs[:, i:i + 1], lens[i:i + 1], yaw[i:i + 1],
+                               np.array([-1]), w, env)
         for got, want in zip(batch, alone):
             assert np.asarray(got[i]).tobytes() == np.asarray(want[0]).tobytes()
+
+
+def generation(mutants, rng, dup_share):
+    """[mutants; trials]: each trial a bit-for-bit copy of its mutant with
+    probability dup_share, else a partial crossover with a fresh row, some of
+    whose shared genes are +0.0 in the mutant and -0.0 in the trial."""
+    trials = rng.permutation(mutants, axis=0) + rng.normal(0.0, 50.0, mutants.shape)
+    for i in range(len(mutants)):
+        if rng.random() < dup_share:
+            trials[i] = mutants[i]
+            continue
+        cross = rng.random(mutants.shape[1]) < rng.uniform(0.0, 1.0)
+        trials[i] = np.where(cross, mutants[i], trials[i])
+        if rng.random() < 0.2:
+            g = rng.integers(mutants.shape[1])
+            mutants[i, g], trials[i, g] = 0.0, -0.0
+    return np.vstack([mutants, trials])
+
+
+def coincide(genes, p_i, p_j, rng):
+    """Genes with a run of four or more coincident control points, so that
+    some sampled segments have zero length; the run may hold an endpoint."""
+    ctrl = np.vstack([p_i, genes.reshape(3, SPL.interior).T, p_j])
+    n = SPL.control_count
+    start = int(rng.integers(0, n - 3))
+    stop = int(rng.integers(start + 4, n + 1)) - (start == 0)  # never both endpoints
+    ctrl[start:stop] = p_i if start == 0 else (p_j if stop == n else ctrl[start])
+    return ctrl[1:-1].T.ravel()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 13),
+       aggregate=st.sampled_from(["max", "sum"]), dup_share=st.sampled_from([0.0, 0.3, 1.0]),
+       cores=st.booleans(), coincident=st.booleans())
+def test_evaluator_matches_reference_pipeline(seed, m, aggregate, dup_share, cores, coincident):
+    """evaluate_paths equals the (c, S, 3) pipeline it replaced, bit for bit.
+
+    Batches are [mutants; trials] with whole-row duplicates and partial
+    crossovers, odd and one-row batches included; some rows have zero-length
+    segments, and some vortex cores sit exactly on samples.
+    """
+    p_i, p_j, w, env, mat = _batch_case(seed, m, aggregate)
+    rng = np.random.default_rng([seed, 1])
+    h = m // 2
+    mat = np.vstack([generation(mat[:h], rng, dup_share), mat[2 * h:]])
+    if coincident:
+        for r in np.flatnonzero(rng.random(m) < 0.5):
+            mat[r] = coincide(mat[r], p_i, p_j, rng)
+    if cores:  # every vortex centred on a sample of one of the scored paths
+        _, _, path_of = reference_evaluate_paths(mat, p_i, p_j, SPL, w, env)
+        centres = [path_of(int(rng.integers(m))).points[int(rng.integers(SPL.samples)), :2]
+                   for _ in env.field.vortices]
+        field = VortexField(vortices=tuple(dataclasses.replace(v, center=tuple(c))
+                                           for v, c in zip(env.field.vortices, centres)))
+        env = EnvSnapshot(env.map, field, env.obstacles)
+
+    costs, clean, path_of = evaluate_paths(mat, p_i, p_j, SPL, w, env)
+    want_costs, want_clean, want_path = reference_evaluate_paths(mat, p_i, p_j, SPL, w, env)
+    assert costs.tobytes() == want_costs.tobytes()
+    assert clean.tobytes() == want_clean.tobytes()
+    for i in range(m):
+        got, want = path_of(i), want_path(i)
+        for f in dataclasses.fields(LocalPath):
+            assert (np.asarray(getattr(got, f.name)).tobytes()
+                    == np.asarray(getattr(want, f.name)).tobytes()), (i, f.name)
+
+
+def count_points(monkeypatch, mat, p_i, p_j, w, env):
+    """(field points, collision points) one evaluate_paths call passes on."""
+    seen = {"field": 0, "collision": 0}
+
+    def counting(real, key):
+        def wrapped(points, *args, **kwargs):
+            seen[key] += len(points)
+            return real(points, *args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "current_grid", counting(lp.current_grid, "field"))
+        patch.setattr(lp, "points_in_collision", counting(lp.points_in_collision, "collision"))
+        evaluate_paths(mat, p_i, p_j, SPL, w, env)
+    return seen["field"], seen["collision"]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_trial_identical_to_its_mutant_adds_no_field_or_collision_points(monkeypatch, seed):
+    """Points passed on add up over (mutant, trial) pairs, and a pair whose
+    trial is its mutant bit for bit passes on only the mutant's points."""
+    p_i, p_j, w, env, mat = _batch_case(seed, 12, "max")
+    mat = generation(mat[:6], np.random.default_rng(seed), 0.5)
+    dup = (mat[6:].view(np.int64) == mat[:6].view(np.int64)).all(axis=1)
+    assert dup.any() and not dup.all()
+    pairs = [count_points(monkeypatch, mat[[i, 6 + i]], p_i, p_j, w, env) for i in range(6)]
+    assert count_points(monkeypatch, mat, p_i, p_j, w, env) == tuple(np.sum(pairs, axis=0))
+    for i in np.flatnonzero(dup):
+        assert pairs[i] == count_points(monkeypatch, mat[[i]], p_i, p_j, w, env)

@@ -104,3 +104,29 @@ def test_local_restarts_other_than_one_rejected():
         from_dict({"de_local": {"restarts": 3}})
     assert from_dict({"de_local": {"restarts": 1}}).de_local.restarts == 1
     assert from_dict({"de_global": {"restarts": 3}}).de_global.restarts == 3
+
+
+@pytest.mark.parametrize("key", ["surge", "sway", "yaw_rate", "collision"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_weights_must_be_finite_and_nonnegative(key, value):
+    # A NaN weight makes every leg cost NaN; min() let it through for some keys.
+    with pytest.raises(ScenarioValidationError, match=f"weights.{key} must be finite"):
+        from_dict({"weights": {key: value}})
+    assert getattr(from_dict({"weights": {key: 0.0}}).weights, key) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+def test_obstacle_margin_must_be_finite_and_nonnegative(value):
+    # With a NaN margin every envelope is NaN and no obstacle is ever seen.
+    with pytest.raises(ScenarioValidationError, match="mission.obstacle_margin"):
+        from_dict({"mission": {"obstacle_margin": value}})
+    assert from_dict({"mission": {"obstacle_margin": 0.0}}).mission.obstacle_margin == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.5])
+def test_replan_generation_factor_must_be_finite_and_positive(value):
+    # A NaN factor crashed the first replan in int(round(nan)).
+    with pytest.raises(ScenarioValidationError, match="mission.replan_generation_factor"):
+        from_dict({"mission": {"replan_generation_factor": value}})
+    mission = from_dict({"mission": {"replan_generation_factor": 0.1}}).mission
+    assert mission.replan_generation_factor == 0.1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import traceback
@@ -31,26 +32,41 @@ from .scenario import (Scenario, build_field, build_map, build_network_from_spec
                        de_config_from_spec, echo, resolve_scenario)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return f"{x:.17g}"  # exact float64 round-trip
-    return str(x)
+def _real(x: float) -> str:
+    return f"{x:.17g}"  # exact float64 round-trip
+
+
+def _quote(text: str) -> str:
+    """A text field as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("", text))
+    return buf.getvalue()[1:-1]
 
 
 def _header(sc: Scenario, seed: int) -> str:
     return f"# uuvsim={__version__} scenario={sc.name} seed={seed}"
 
 
-def _write_csv(path: Path, sc: Scenario, seed: int, columns: list[str], rows) -> None:
+def _write_csv(path: Path, sc: Scenario, seed: int, columns: list[str], fmt: str, rows) -> None:
+    """The header line, the column names, then `fmt % row` for each row tuple.
+
+    `fmt` formats a whole row: "%d" for indexes, ids and flags, "%.17g" for
+    reals (the exact float64 round-trip; integers print as integers), and
+    "%s" for text that is already `_quote`d.
+    """
+    line = fmt + "\n"
     with path.open("w", newline="") as fh:
-        fh.write(_header(sc, seed) + "\n")
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(columns)
-        out.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(f"{_header(sc, seed)}\n{','.join(columns)}\n")
+        fh.write("".join([line % row for row in rows]))
+
+
+def _trace_rows(traces) -> list[tuple]:
+    """(quoted label, generation, best cost) rows of labelled DE traces."""
+    rows = []
+    for label, trace in traces:
+        quoted = _quote(label)
+        rows.extend((quoted, g, c) for g, c in enumerate(trace))
+    return rows
 
 
 def write_report_text(report: MissionReport, sc: Scenario, path: Path) -> None:
@@ -60,11 +76,11 @@ def write_report_text(report: MissionReport, sc: Scenario, path: Path) -> None:
         f"success: {report.success}",
         f"failure_reason: {report.failure_reason}",
         f"global_replans: {report.global_replans}",
-        f"global_path_time_s: {_fmt(report.path_time)}",
-        f"residual_time_s: {_fmt(report.residual_time)}",
-        f"total_value: {_fmt(report.total_value)}",
+        f"global_path_time_s: {_real(report.path_time)}",
+        f"residual_time_s: {_real(report.residual_time)}",
+        f"total_value: {_real(report.total_value)}",
         f"stations_visited: {report.stations_visited}",
-        f"total_cost: {_fmt(report.total_cost)}",
+        f"total_cost: {_real(report.total_cost)}",
         f"legs: {len(report.legs)}",
         f"sequence: {'-'.join(str(s) for s in report.executed_sequence)}",
     ]
@@ -84,6 +100,7 @@ def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Pa
     _write_csv(p, sc, seed,
                ["leg", "from", "to", "planned_s", "actual_s", "local_replans", "aborted",
                 "max_surge", "max_sway", "max_yaw_rate_deg", "value_gained"],
+               "%d,%d,%d,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g",
                [(i, leg.from_id, leg.to_id, leg.planned, leg.actual, leg.local_replans,
                  leg.aborted, leg.max_surge, leg.max_sway,
                  math.degrees(leg.max_yaw_rate), leg.value_gained)
@@ -91,24 +108,24 @@ def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Pa
     paths.append(p)
 
     p = out_dir / "ticks.csv"
-    _write_csv(p, sc, seed, ["t", "x", "y", "z", "yaw", "leg"], report.ticks)
+    _write_csv(p, sc, seed, ["t", "x", "y", "z", "yaw", "leg"],
+               "%.17g,%.17g,%.17g,%.17g,%.17g,%d", report.ticks)
     paths.append(p)
 
     p = out_dir / "replans.csv"
-    _write_csv(p, sc, seed, ["t", "kind", "reason"], report.replans)
+    _write_csv(p, sc, seed, ["t", "kind", "reason"], "%.17g,%s,%s",
+               [(t, _quote(kind), _quote(reason)) for t, kind, reason in report.replans])
     paths.append(p)
 
     p = out_dir / "paths.csv"
     _write_csv(p, sc, seed,
                ["leg", "sample", "x", "y", "z", "yaw", "pitch", "surge", "sway",
-                "yaw_rate", "t"], report.path_rows)
+                "yaw_rate", "t"], "%d,%d" + ",%.17g" * 9, report.path_rows)
     paths.append(p)
 
     p = out_dir / "de_traces.csv"
-    rows = []
-    for label, trace in report.de_traces:
-        rows.extend((label, g, c) for g, c in enumerate(trace))
-    _write_csv(p, sc, seed, ["plan", "generation", "best_cost"], rows)
+    _write_csv(p, sc, seed, ["plan", "generation", "best_cost"], "%s,%d,%.17g",
+               _trace_rows(report.de_traces))
     paths.append(p)
     return paths
 
@@ -132,8 +149,8 @@ def field_dump(sc: Scenario, seed: int, resolution: int, out_path: Path,
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     vel = current_grid(pts, fld)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    rows = ((pts[i, 0], pts[i, 1], vel[i, 0], vel[i, 1]) for i in range(pts.shape[0]))
-    _write_csv(out_path, sc, seed, ["x", "y", "v_cx", "v_cy"], rows)
+    rows = map(tuple, np.column_stack([pts, vel]).tolist())
+    _write_csv(out_path, sc, seed, ["x", "y", "v_cx", "v_cy"], "%.17g,%.17g,%.17g,%.17g", rows)
     return out_path
 
 
@@ -221,15 +238,18 @@ def run_monte_carlo(sc: Scenario, trials: int, base_seed: int, out_dir: Path | N
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         cols = ["trial", "seed", "success"] + _AGG_COLUMNS + ["error"]
+        # A failed trial's counts are NaN, so every aggregate column is real.
         _write_csv(out_dir / "trials.csv", sc, base_seed, cols,
-                   [[row[c] for c in cols] for row in summary.rows])
+                   "%d,%d,%d" + ",%.17g" * len(_AGG_COLUMNS) + ",%s",
+                   [(*(row[c] for c in cols[:-1]), _quote(row["error"]))
+                    for row in summary.rows])
         lines = [_header(sc, base_seed),
                  f"trials: {summary.aggregates['trials']}",
                  f"successes: {summary.aggregates['successes']}",
-                 f"success_rate: {_fmt(summary.aggregates['success_rate'])}"]
+                 f"success_rate: {_real(summary.aggregates['success_rate'])}"]
         for col in _AGG_COLUMNS:
             agg = summary.aggregates[col]
-            lines.append(f"{col}: mean={_fmt(agg['mean'])} std={_fmt(agg['std'])} se={_fmt(agg['se'])}")
+            lines.append(f"{col}: mean={_real(agg['mean'])} std={_real(agg['std'])} se={_real(agg['se'])}")
         (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
     return summary
 
@@ -265,10 +285,11 @@ def _cmd_plan(sc: Scenario, args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "route.csv", sc, seed, ["leg", "from", "to", "distance_m", "time_s"], rows)
+        _write_csv(out / "route.csv", sc, seed, ["leg", "from", "to", "distance_m", "time_s"],
+                   "%d,%d,%d,%.17g,%.17g", rows)
         _write_csv(out / "de_traces.csv", sc, seed, ["plan", "generation", "best_cost"],
-                   [(f"global-r{i}", g, c) for i, tr in enumerate(plan.traces)
-                    for g, c in enumerate(tr)])
+                   "%s,%d,%.17g",
+                   _trace_rows((f"global-r{i}", tr) for i, tr in enumerate(plan.traces)))
     return 0
 
 

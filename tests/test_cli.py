@@ -1,14 +1,17 @@
 import csv
+import io
 import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uuvsim.cli as cli
 import uuvsim.mission as mission
 from uuvsim.cli import (aggregate_rows, field_dump, main, run_monte_carlo, run_once)
 from uuvsim.env import current_at
-from uuvsim.scenario import build_field, from_dict, resolve_scenario
+from uuvsim.scenario import Scenario, build_field, from_dict, resolve_scenario
 
 
 def small_scenario(**mission):
@@ -96,6 +99,47 @@ def test_monte_carlo_aggregates_recompute_exactly(tmp_path):
             assert agg["se"] == pytest.approx(vals.std(ddof=1) / math.sqrt(len(vals)), abs=1e-9)
     trials_csv = (tmp_path / "trials.csv").read_text().splitlines()
     assert len(trials_csv) == 2 + 4
+
+
+def per_value_csv(columns, rows) -> str:
+    """The tables as csv.writer writes them from one formatted string per value."""
+
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "1" if x else "0"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, float):
+            return f"{x:.17g}"
+        return str(x)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+_reals = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**6, 10**6),
+                   st.sampled_from([0.0, -0.0, 1e-300, 2.0**53 + 1]),
+                   st.floats(-1e9, 1e9).map(np.float64))
+_texts = st.text(st.sampled_from('ab ,"\r\n\t;'), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-10**12, 10**12), st.booleans(), _reals, _texts,
+                               _reals), max_size=5))
+def test_row_formats_write_what_csv_writer_wrote_per_value(rows, tmp_path_factory):
+    # One %-format string per row against the per-value formatting it
+    # replaced: ints and flags under %d, reals (ints among them) under
+    # %.17g, text quoted once by _quote, so the artifacts keep their bytes.
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    sc = Scenario(name="csv")
+    columns = ["i", "flag", "x", "note", "y"]
+    cli._write_csv(path, sc, 5, columns, "%d,%d,%.17g,%s,%.17g",
+                   [(i, b, x, cli._quote(t), y) for i, b, x, t, y in rows])
+    expected = cli._header(sc, 5) + "\n" + per_value_csv(columns, rows)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_monte_carlo_records_trial_failures(tmp_path):

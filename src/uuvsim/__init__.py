@@ -13,6 +13,6 @@ from .errors import UUVSimError
 from .global_planner import Route, decode_route, plan_global, route_cost
 from .local_planner import (LocalCostWeights, LocalPath, SplineConfig, evaluate_paths,
                             plan_local, replan_local)
-from .mission import LegOutcome, MissionReport, VehicleState, run_mission, should_replan_global
+from .mission import LegOutcome, MissionReport, run_mission, should_replan_global
 from .network import Network, Station, build_network, consume_edge, drift_stations, edge_metrics
 from .scenario import Scenario, load_scenario

@@ -12,7 +12,7 @@ order can never change the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class DEConfig:
 class Individual:
     genes: np.ndarray
     cost: float
-    aux: Any = None
 
 
 @dataclass
@@ -64,9 +63,9 @@ class DEResult:
     evaluations: int = 0
 
 
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, list]]
-# One row per population member: (genes (P, n), costs (P,), auxes).
-Generation = tuple[np.ndarray, np.ndarray, list]
+Evaluator = Callable[[np.ndarray], np.ndarray]
+# One row per population member: (genes (P, n), costs (P,)).
+Generation = tuple[np.ndarray, np.ndarray]
 
 
 def init_population(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
@@ -82,8 +81,7 @@ def init_population(evaluate: Evaluator, config: DEConfig, rng: np.random.Genera
         if i >= config.population_size:
             break
         genes[i] = np.clip(np.asarray(sg, dtype=float), config.lower, config.upper)
-    costs, auxes = evaluate(genes)
-    return genes, costs, auxes
+    return genes, evaluate(genes)
 
 
 def propose(genes: np.ndarray, config: DEConfig,
@@ -118,47 +116,43 @@ def propose(genes: np.ndarray, config: DEConfig,
 
 def survive(parents: Generation, mutants: Generation, trials: Generation) -> Generation:
     """Row-wise minimum-cost survivor of the three; ties prefer trial, then mutant."""
-    genes, costs, auxes = parents
-    m_genes, m_costs, m_auxes = mutants
-    t_genes, t_costs, t_auxes = trials
+    genes, costs = parents
+    m_genes, m_costs = mutants
+    t_genes, t_costs = trials
     t_wins = (t_costs <= m_costs) & (t_costs <= costs)
     m_wins = ~t_wins & (m_costs <= costs)
     new_genes = np.where(t_wins[:, None], t_genes, np.where(m_wins[:, None], m_genes, genes))
     new_costs = np.where(t_wins, t_costs, np.where(m_wins, m_costs, costs))
-    new_auxes = [t_auxes[i] if t_wins[i] else (m_auxes[i] if m_wins[i] else auxes[i])
-                 for i in range(len(costs))]
-    return new_genes, new_costs, new_auxes
+    return new_genes, new_costs
 
 
 def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
              seed_genes: Sequence[np.ndarray] = ()) -> DEResult:
     """Run the configured number of generations and return the best-ever individual.
 
-    `evaluate` maps a (m, n) gene matrix to (costs, auxes).
+    `evaluate` maps a (m, n) gene matrix to its (m,) costs.
     """
     if config.lower is None:
         raise ValueError("config bounds are required")
     pop_n = config.population_size
 
-    genes, costs, auxes = init_population(evaluate, config, rng, seed_genes)
+    genes, costs = init_population(evaluate, config, rng, seed_genes)
     evaluations = pop_n
 
     best_i = int(np.argmin(costs))
-    best = Individual(genes[best_i].copy(), float(costs[best_i]), auxes[best_i])
+    best = Individual(genes[best_i].copy(), float(costs[best_i]))
     trace = [best.cost]
 
     for _ in range(config.generations):
         mutants, trials = propose(genes, config, rng)
-        cand_costs, cand_auxes = evaluate(np.vstack([mutants, trials]))
+        cand_costs = evaluate(np.vstack([mutants, trials]))
         evaluations += 2 * pop_n
-        genes, costs, auxes = survive(
-            (genes, costs, auxes),
-            (mutants, cand_costs[:pop_n], cand_auxes[:pop_n]),
-            (trials, cand_costs[pop_n:], cand_auxes[pop_n:]))
+        genes, costs = survive((genes, costs), (mutants, cand_costs[:pop_n]),
+                               (trials, cand_costs[pop_n:]))
 
         gen_best = int(np.argmin(costs))
         if costs[gen_best] < best.cost:
-            best = Individual(genes[gen_best].copy(), float(costs[gen_best]), auxes[gen_best])
+            best = Individual(genes[gen_best].copy(), float(costs[gen_best]))
         trace.append(best.cost)
 
     return DEResult(best=best, trace=trace, evaluations=evaluations)

@@ -229,12 +229,11 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
     n = network.size
     cache: dict[tuple[int, ...], Route | None] = {}
 
-    def evaluate(mat: np.ndarray) -> tuple[np.ndarray, list]:
+    def evaluate(mat: np.ndarray) -> np.ndarray:
         # Stable descending order equals the decode's (key desc, id asc)
         # preference exactly, ties included, so equal orderings share a route.
         orders = np.argsort(-mat, axis=1, kind="stable")
         costs = np.empty(mat.shape[0])
-        auxes: list = [None] * mat.shape[0]
         for i in range(mat.shape[0]):
             okey = tuple(orders[i].tolist())
             if okey in cache:
@@ -246,9 +245,8 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
                 except UndecodableError:
                     route = None
                 cache[okey] = route
-            auxes[i] = route
             costs[i] = route_cost(route, time_budget)
-        return costs, auxes
+        return costs
 
     seeds = rng.integers(0, 2**63 - 1, size=restarts)
     bounded = replace(config, lower=np.zeros(n), upper=np.ones(n))
@@ -261,8 +259,9 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
         if best_result is None or result.best.cost < best_result.best.cost:
             best_result = result
 
-    route = best_result.best.aux
+    # Every genome the DE returns was evaluated, so its ordering is cached.
+    best = best_result.best
+    route = cache[tuple(np.argsort(-best.genes, kind="stable").tolist())]
     if route is None:
         raise NoFeasibleRouteError("no decodable route found")
-    return GlobalPlan(route=route, cost=best_result.best.cost, traces=traces,
-                      genes=best_result.best.genes)
+    return GlobalPlan(route=route, cost=best.cost, traces=traces, genes=best.genes)

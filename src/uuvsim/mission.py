@@ -31,12 +31,6 @@ _MAX_LOCAL_REPLANS_PER_LEG = 20
 
 
 @dataclass
-class VehicleState:
-    position: np.ndarray
-    yaw: float = 0.0
-
-
-@dataclass
 class LegOutcome:
     from_id: int
     to_id: int
@@ -166,7 +160,9 @@ class _Executor:
         self.global_plans = 0
         self.local_plans = 0
         self.report = MissionReport(scenario=sc.name, seed=seed)
-        self.state = VehicleState(position=self.network.position(self.network.start_id))
+        # The vehicle: where the last tick left it, and its heading there.
+        self.position = self.network.position(self.network.start_id)
+        self.yaw = 0.0
 
     # -- planning ------------------------------------------------------------
 
@@ -220,10 +216,10 @@ class _Executor:
         tau0 = tau
         tau, pos, k, arrived = advance_along_path(path, tau, dt)
         self.elapsed += tau - tau0
-        self.state.position = pos
-        self.state.yaw = float(path.yaw[k])
+        self.position = pos
+        self.yaw = float(path.yaw[k])
         self.report.ticks.append((self.elapsed, float(pos[0]), float(pos[1]), float(pos[2]),
-                                  self.state.yaw, leg_index))
+                                  self.yaw, leg_index))
         if self.elapsed > self.budget:
             raise _MissionAbort("battery exhausted mid-leg")
         if point_in_collision(pos, self.cmap, self.obstacles):
@@ -259,14 +255,14 @@ class _Executor:
                 return spent, plans
             if not allow_replans:
                 continue
-            hazard = _hazard(self.state.position, path, tau, self.obstacles, self.field,
+            hazard = _hazard(self.position, path, tau, self.obstacles, self.field,
                              self.sc.mission.sensing_radius, self.sc.mission.obstacle_margin)
             if hazard is None:
                 continue
             if len(plans) > _MAX_LOCAL_REPLANS_PER_LEG:
                 raise NoFeasiblePathError("local replan limit reached")
-            remaining_chord = float(np.linalg.norm(path.end - self.state.position))
-            plan = self._plan_leg(self.state.position, path.end,
+            remaining_chord = float(np.linalg.norm(path.end - self.position))
+            plan = self._plan_leg(self.position, path.end,
                                   horizon=remaining_chord / self.speed,
                                   previous=path, elapsed_on_previous=tau,
                                   generations_factor=self.sc.mission.replan_generation_factor)
@@ -414,10 +410,10 @@ class _Executor:
     def _retreat(self, station: int, leg_index: int) -> float:
         """Fly back to the leg's start station; no nested hazard replans."""
         start_pos = self.network.position(station)
-        chord = float(np.linalg.norm(start_pos - self.state.position))
+        chord = float(np.linalg.norm(start_pos - self.position))
         if chord < 1e-6:
             return 0.0
-        plan = self._plan_leg(self.state.position, start_pos, horizon=chord / self.speed)
+        plan = self._plan_leg(self.position, start_pos, horizon=chord / self.speed)
         spent, _ = self._execute_path(plan, leg_index, allow_replans=False)
         self.report.replans.append((self.elapsed, "local", "retreat to leg start"))
         return spent

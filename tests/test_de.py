@@ -14,7 +14,7 @@ def box_config(n, lo=0.0, hi=1.0, **kw):
 
 
 def sphere_eval(mat):
-    return np.sum(mat * mat, axis=1), [None] * mat.shape[0]
+    return np.sum(mat * mat, axis=1)
 
 
 class ScriptedRng:
@@ -78,20 +78,20 @@ def test_config_rejects_non_finite_and_one_sided_bounds():
 
 def test_init_degenerate_bounds_collapse():
     cfg = box_config(5, lo=0.0, hi=0.0)
-    genes, costs, _ = init_population(sphere_eval, cfg, np.random.default_rng(0))
+    genes, costs = init_population(sphere_eval, cfg, np.random.default_rng(0))
     assert np.all(genes == 0.0) and np.all(costs == 0.0)
 
 
 def test_init_deterministic_under_seed():
     cfg = box_config(4)
-    a, _, _ = init_population(sphere_eval, cfg, np.random.default_rng(9))
-    b, _, _ = init_population(sphere_eval, cfg, np.random.default_rng(9))
+    a, _ = init_population(sphere_eval, cfg, np.random.default_rng(9))
+    b, _ = init_population(sphere_eval, cfg, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
 def test_init_uniform_mean():
     cfg = DEConfig(population_size=100, generations=1, lower=np.zeros(100), upper=np.ones(100))
-    genes, _, _ = init_population(sphere_eval, cfg, np.random.default_rng(2))
+    genes, _ = init_population(sphere_eval, cfg, np.random.default_rng(2))
     assert genes.mean() == pytest.approx(0.5, abs=0.01)  # 10^4 genes pooled
 
 
@@ -209,12 +209,12 @@ def test_select_three_way_and_ties():
     costs = {"p": [1.0, 3.0, 1.0, 1.0, 2.0],
              "m": [2.0, 2.0, 1.0, 1.0, 1.0],
              "t": [3.0, 1.0, 1.0, 2.0, 1.0]}
-    rows = {k: (np.full((5, 1), float(i)), np.array(c), [k] * 5)
-            for i, (k, c) in enumerate(costs.items())}
-    genes, new_costs, auxes = survive(rows["p"], rows["m"], rows["t"])
+    # Each source's genes name it: parent 0, mutant 1, trial 2.
+    source = {0.0: "p", 1.0: "m", 2.0: "t"}
+    rows = {k: (np.full((5, 1), float(i)), np.array(c)) for i, (k, c) in enumerate(costs.items())}
+    genes, new_costs = survive(rows["p"], rows["m"], rows["t"])
     # min cost wins; ties prefer the trial, then the mutant
-    assert auxes == ["p", "t", "t", "m", "t"]
-    np.testing.assert_array_equal(genes[:, 0], [0.0, 2.0, 2.0, 1.0, 2.0])
+    assert [source[g] for g in genes[:, 0]] == ["p", "t", "t", "m", "t"]
     np.testing.assert_array_equal(new_costs, [1.0, 1.0, 1.0, 1.0, 1.0])
 
 
@@ -241,8 +241,7 @@ def test_optimize_single_generation_runs_once():
 
 def test_optimize_constant_cost_flat_trace():
     cfg = box_config(3, generations=20)
-    result = optimize(lambda mat: (np.full(mat.shape[0], 7.0), [None] * mat.shape[0]),
-                      cfg, np.random.default_rng(1))
+    result = optimize(lambda mat: np.full(mat.shape[0], 7.0), cfg, np.random.default_rng(1))
     assert result.best.cost == 7.0
     assert set(result.trace) == {7.0}
 
@@ -252,9 +251,7 @@ def test_optimize_deterministic_and_elitist():
                    lower=np.full(6, -2.0), upper=np.full(6, 2.0))
 
     def rastrigin(mat):
-        return (10 * mat.shape[1]
-                + np.sum(mat ** 2 - 10 * np.cos(2 * np.pi * mat), axis=1),
-                [None] * mat.shape[0])
+        return 10 * mat.shape[1] + np.sum(mat ** 2 - 10 * np.cos(2 * np.pi * mat), axis=1)
 
     a = optimize(rastrigin, cfg, np.random.default_rng(33))
     b = optimize(rastrigin, cfg, np.random.default_rng(33))
@@ -270,22 +267,11 @@ def test_optimize_respects_bounds_always():
 
     def spy(mat):
         seen.append(mat.copy())
-        return np.sum(mat, axis=1), [None] * mat.shape[0]
+        return np.sum(mat, axis=1)
 
     optimize(spy, cfg, np.random.default_rng(2))
     allpts = np.vstack(seen)
     assert np.all(allpts >= lo - 1e-12) and np.all(allpts <= hi + 1e-12)
-
-
-def test_optimize_carries_aux_of_best():
-    cfg = box_config(2, generations=5)
-
-    def evaluate(mat):
-        costs = np.sum(mat ** 2, axis=1)
-        return costs, [float(c) for c in costs]
-
-    result = optimize(evaluate, cfg, np.random.default_rng(1))
-    assert result.best.aux == result.best.cost
 
 
 def test_optimize_seed_genes_take_effect():
@@ -295,7 +281,7 @@ def test_optimize_seed_genes_take_effect():
 
     def spy(mat):
         seen.append(mat.copy())
-        return np.sum(mat, axis=1), [None] * mat.shape[0]
+        return np.sum(mat, axis=1)
 
     optimize(spy, cfg, np.random.default_rng(1), seed_genes=[seed_vec])
     np.testing.assert_allclose(seen[0][0], seed_vec)
@@ -323,17 +309,18 @@ def test_optimize_stays_in_bounds_with_monotone_trace(problem):
 
     def evaluate(mat):
         seen.append(mat.copy())
-        costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
-        return costs, [row.tobytes() for row in mat]
+        return np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
 
     result = optimize(evaluate, cfg, np.random.default_rng(seed), seed_genes=seeds)
     rows = np.vstack(seen)
     assert np.all((rows >= cfg.lower) & (rows <= cfg.upper))
     assert np.all(np.diff(result.trace) <= 0.0)
     assert result.evaluations == rows.shape[0] == cfg.population_size * (1 + 2 * cfg.generations)
-    assert result.best.aux == result.best.genes.tobytes()
+    # The best is a row that was evaluated, at the cost it was given.
+    best_at = np.flatnonzero(np.all(rows == result.best.genes, axis=1))
+    assert best_at.size and evaluate(rows[best_at[:1]])[0] == result.best.cost
 
     again = optimize(evaluate, cfg, np.random.default_rng(seed), seed_genes=seeds)
     assert again.trace == result.trace and again.evaluations == result.evaluations
-    assert again.best.cost == result.best.cost and again.best.aux == result.best.aux
+    assert again.best.cost == result.best.cost
     np.testing.assert_array_equal(again.best.genes, result.best.genes)

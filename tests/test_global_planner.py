@@ -317,6 +317,24 @@ def test_plan_computes_to_goal_times_through_the_module_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_plan_route_is_the_decode_of_its_best_genes():
+    # The plan looks its route up by the best genes' key ordering; it must be
+    # the route those genes decode to, at the cost the DE reported.
+    rng = np.random.default_rng(4)
+    for case in range(6):
+        positions = rng.uniform(0, 3000, size=(7, 3))
+        edges = [(i, j) for i in range(1, 8) for j in range(i + 1, 8) if rng.random() < 0.6]
+        edges.append((1, 7))
+        net = line_network(positions, edges, start=1, goal=7,
+                           values=list(rng.integers(1, 6, 7).astype(float)))
+        budget = float(rng.uniform(1.2, 4.0)) * float(np.linalg.norm(positions[0] - positions[6]))
+        visited = frozenset({3, 5}) if case % 2 else frozenset()
+        plan = plan_global(net, 1, 7, budget, 1.5, de_cfg(pop=10, gens=12), restarts=2,
+                           rng=np.random.default_rng(case), visited=visited)
+        assert plan.route == decode_route(plan.genes, net, 1, 7, budget, 1.5, visited)
+        assert plan.cost == route_cost(plan.route, budget)
+
+
 def test_plan_rejects_unaffordable_budget():
     net = line_network([(0, 0, 0), (5000, 0, 0)], [(1, 2)])
     with pytest.raises(NoFeasibleRouteError):

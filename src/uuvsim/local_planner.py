@@ -92,8 +92,10 @@ class LocalCostWeights:
     aggregate: str = "max"                 # 'max' or 'sum' over samples
 
     def __post_init__(self):
-        if self.cruise_speed <= 0:
-            raise ValueError("cruise_speed must be > 0")
+        for name in ("cruise_speed", "surge_max", "sway_max", "yaw_rate_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         if not all(math.isfinite(w) and w >= 0
                    for w in (self.w_surge, self.w_sway, self.w_yaw, self.w_collision)):
             raise ValueError("weights must be finite and >= 0")
@@ -443,7 +445,7 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
 
     best_clean: dict = {"cost": math.inf, "path": None, "genes": None}
 
-    def evaluate(mat: np.ndarray) -> tuple[np.ndarray, list]:
+    def evaluate(mat: np.ndarray) -> np.ndarray:
         # Keep the first cheapest clean candidate when it beats the best so far.
         costs, clean, path_of = evaluate_paths(mat, p_i, p_j, spline, weights, env)
         clean_costs = np.where(clean, costs, math.inf)
@@ -452,7 +454,7 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
             best_clean["cost"] = float(clean_costs[i])
             best_clean["path"] = path_of(i)
             best_clean["genes"] = mat[i].copy()
-        return costs, [None] * mat.shape[0]
+        return costs
 
     result = de.optimize(evaluate, cfg, rng, seed_genes=seeds)
     if best_clean["path"] is None:

@@ -108,6 +108,14 @@ def test_cost_weights_must_be_finite_and_nonnegative(field, value):
     assert getattr(LocalCostWeights(**{field: 0.0}), field) == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["cruise_speed", "surge_max", "sway_max", "yaw_rate_max"])
+def test_speeds_and_limits_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        LocalCostWeights(**{field: value})
+    assert getattr(LocalCostWeights(**{field: 0.25}), field) == 0.25
+
+
 @pytest.mark.parametrize("offset", [0.0, math.nan])
 def test_zero_length_leg_raises_before_planning(offset):
     p_i = np.array([10.0, 10.0, 10.0])

@@ -7,6 +7,11 @@ binomial crossover against the parent.  `survive` keeps the best of {parent,
 mutant, trial} row by row (ties prefer newer material).  All random draws for
 a generation happen in `propose`, before any cost evaluation, so evaluation
 order can never change the result.
+
+`optimize` runs the configured generations, or stops early once `stall`
+generations in a row have not strictly improved the best.  Since each
+generation draws before it evaluates, a stopped run is an exact prefix of
+the full run on the same generator: the same populations, trace and best.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ class DEConfig:
     crossover_rate: float = 0.9
     lower: np.ndarray | None = None  # per-gene bounds
     upper: np.ndarray | None = None
+    stall: int | None = None    # stop after this many generations without a new best
 
     def __post_init__(self):
         if self.population_size < 4:
@@ -37,6 +43,9 @@ class DEConfig:
             raise ValueError("scale must be in [0, 2]")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        # `type(...) is int` turns away bools and whole floats.
+        if self.stall is not None and not (type(self.stall) is int and self.stall >= 1):
+            raise ValueError("stall must be None or an integer >= 1")
         if (self.lower is None) != (self.upper is None):
             raise ValueError("lower and upper bounds must be given together")
         if self.lower is not None:
@@ -59,7 +68,7 @@ class Individual:
 @dataclass
 class DEResult:
     best: Individual
-    trace: list[float]           # best-so-far cost after init and each generation
+    trace: list[float]           # best-so-far cost after init and each generation run
     evaluations: int = 0
 
 
@@ -128,9 +137,11 @@ def survive(parents: Generation, mutants: Generation, trials: Generation) -> Gen
 
 def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
              seed_genes: Sequence[np.ndarray] = ()) -> DEResult:
-    """Run the configured number of generations and return the best-ever individual.
+    """Run the configured generations and return the best-ever individual.
 
-    `evaluate` maps a (m, n) gene matrix to its (m,) costs.
+    `evaluate` maps a (m, n) gene matrix to its (m,) costs.  With
+    `config.stall` set, the run ends after the generation that makes
+    `stall` in a row without a strictly lower best; the trace ends there.
     """
     if config.lower is None:
         raise ValueError("config bounds are required")
@@ -142,6 +153,7 @@ def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
     best_i = int(np.argmin(costs))
     best = Individual(genes[best_i].copy(), float(costs[best_i]))
     trace = [best.cost]
+    stalled = 0
 
     for _ in range(config.generations):
         mutants, trials = propose(genes, config, rng)
@@ -153,6 +165,11 @@ def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
         gen_best = int(np.argmin(costs))
         if costs[gen_best] < best.cost:
             best = Individual(genes[gen_best].copy(), float(costs[gen_best]))
+            stalled = 0
+        else:
+            stalled += 1
         trace.append(best.cost)
+        if stalled == config.stall:
+            break
 
     return DEResult(best=best, trace=trace, evaluations=evaluations)

@@ -102,6 +102,7 @@ class DESpec:
     scale: float = 0.7
     crossover: float = 0.9
     restarts: int = 3
+    stall: int | None = None  # stop a run after this many generations without a new best
 
 
 @dataclass
@@ -239,6 +240,8 @@ def validate(sc: Scenario) -> Scenario:
         _require(0.0 <= de_spec.scale <= 2.0, f"{label}.scale must be in [0, 2]")
         _require(0.0 <= de_spec.crossover <= 1.0, f"{label}.crossover must be in [0, 1]")
         _require(de_spec.restarts >= 1, f"{label}.restarts must be >= 1")
+        _require(de_spec.stall is None or (type(de_spec.stall) is int and de_spec.stall >= 1),
+                 f"{label}.stall must be null or an integer >= 1")
     # Local planning runs one DE per leg; any other restart count would be ignored.
     _require(sc.de_local.restarts == 1, "de_local.restarts must be 1")
     for key in ("surge", "sway", "yaw_rate", "collision"):
@@ -433,4 +436,4 @@ def spline_from_spec(sc: Scenario) -> SplineConfig:
 
 def de_config_from_spec(spec: DESpec) -> DEConfig:
     return DEConfig(population_size=spec.population, generations=spec.generations,
-                    scale=spec.scale, crossover_rate=spec.crossover)
+                    scale=spec.scale, crossover_rate=spec.crossover, stall=spec.stall)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,12 @@ def test_config_rejects_non_finite_and_one_sided_bounds():
         DEConfig(lower=[0.0, 0.0])
     with pytest.raises(ValueError, match="together"):
         DEConfig(upper=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("stall", [0, -1, 2.5, True])
+def test_config_rejects_stall_other_than_a_positive_integer(stall):
+    with pytest.raises(ValueError, match="stall"):
+        box_config(2, stall=stall)
 
 
 # --- init -------------------------------------------------------------------
@@ -324,3 +332,64 @@ def test_optimize_stays_in_bounds_with_monotone_trace(problem):
     assert again.trace == result.trace and again.evaluations == result.evaluations
     assert again.best.cost == result.best.cost
     np.testing.assert_array_equal(again.best.genes, result.best.genes)
+
+
+@st.composite
+def stall_problems(draw):
+    n = draw(st.integers(1, 4))
+    lo = np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=n, max_size=n)))
+    cfg = DEConfig(population_size=draw(st.integers(4, 10)),
+                   generations=draw(st.integers(1, 40)),
+                   scale=draw(st.floats(0.0, 2.0)), crossover_rate=draw(st.floats(0.0, 1.0)),
+                   lower=lo, upper=lo + width)
+    # A coarse cost quantum makes long plateaus, so runs do stall.
+    quantum = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    return cfg, draw(st.integers(1, 12)), quantum, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=stall_problems())
+def test_stall_stops_a_run_as_a_prefix_of_the_full_run(problem):
+    cfg, stall, quantum, seed = problem
+
+    def run(config):
+        seen = []
+
+        def evaluate(mat):
+            seen.append(mat.copy())
+            costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
+            return np.floor(costs / quantum) * quantum if quantum else costs
+
+        return optimize(evaluate, config, np.random.default_rng(seed)), seen
+
+    full, full_seen = run(cfg)
+    stopped, stopped_seen = run(replace(cfg, stall=stall))
+    ran = len(stopped.trace) - 1
+    pop_n = cfg.population_size
+
+    # A prefix of the full run: the same trace and the same matrices evaluated.
+    assert 1 <= ran <= cfg.generations
+    assert stopped.trace == full.trace[:ran + 1]
+    assert len(stopped_seen) == ran + 1
+    assert all(np.array_equal(a, b) for a, b in zip(stopped_seen, full_seen))
+    assert stopped.evaluations == pop_n + 2 * pop_n * ran
+
+    # It stops exactly after `stall` generations in a row with no strict improvement.
+    flat = 0
+    for g in range(1, ran + 1):
+        flat = 0 if stopped.trace[g] < stopped.trace[g - 1] else flat + 1
+        assert flat < stall or g == ran
+    assert flat == stall or (ran == cfg.generations and flat <= stall)
+
+    # Its best is the full run's best after as many generations.
+    short, _ = run(replace(cfg, generations=ran))
+    assert short.trace == stopped.trace and short.best.cost == stopped.best.cost
+    np.testing.assert_array_equal(short.best.genes, stopped.best.genes)
+
+    # stall=None runs every generation, as a stall that cannot be reached does.
+    assert len(full.trace) == cfg.generations + 1
+    assert full.evaluations == pop_n * (1 + 2 * cfg.generations)
+    never, _ = run(replace(cfg, stall=cfg.generations + 1))
+    assert never.trace == full.trace and never.evaluations == full.evaluations
+    np.testing.assert_array_equal(never.best.genes, full.best.genes)

@@ -4,8 +4,8 @@ import pytest
 import yaml
 
 from uuvsim.errors import ScenarioParseError, ScenarioValidationError
-from uuvsim.scenario import (Scenario, build_map, echo, from_dict, load_scenario,
-                             resolve_scenario, to_dict, validate)
+from uuvsim.scenario import (Scenario, build_map, de_config_from_spec, echo, from_dict,
+                             load_scenario, resolve_scenario, to_dict, validate)
 
 
 def test_minimal_document_gets_all_defaults(tmp_path):
@@ -130,3 +130,18 @@ def test_replan_generation_factor_must_be_finite_and_positive(value):
         from_dict({"mission": {"replan_generation_factor": value}})
     mission = from_dict({"mission": {"replan_generation_factor": 0.1}}).mission
     assert mission.replan_generation_factor == 0.1
+
+
+@pytest.mark.parametrize("section", ["de_local", "de_global"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, True])
+def test_stall_must_be_an_integer_of_at_least_one(section, value):
+    with pytest.raises(ScenarioValidationError,
+                       match=f"{section}.stall must be null or an integer >= 1"):
+        from_dict({section: {"stall": value}})
+
+
+def test_stall_defaults_off_and_reaches_the_de_config():
+    sc = from_dict({"de_local": {"stall": 20}})
+    assert sc.de_global.stall is None
+    assert de_config_from_spec(sc.de_local).stall == 20
+    assert de_config_from_spec(sc.de_global).stall is None

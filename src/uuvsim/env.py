@@ -338,12 +338,6 @@ def current_at(point, fld: VortexField) -> CurrentSample:
     return CurrentSample(v_cx, v_cy)
 
 
-def current_speeds(points, fld: VortexField) -> list[float]:
-    """Current speed at each (x, y) point from one field call, as current_at(point).magnitude."""
-    v = current_grid(np.asarray(points, dtype=float).reshape(-1, 2), fld)
-    return [math.hypot(v_cx, v_cy) for v_cx, v_cy in v.tolist()]
-
-
 def perturb_field(fld: VortexField, rng: np.random.Generator) -> VortexField:
     """Multiplicative Gaussian update of every vortex parameter.
 
@@ -415,20 +409,24 @@ class Obstacle:
         if self.envelope_radius is None:
             object.__setattr__(self, "envelope_radius", self.radius)
 
-    def inflated(self, horizon: float, current_mag: float, margin: float = 0.0) -> "Obstacle":
-        """Copy with the 98%-confidence envelope for a prediction horizon (s).
+    def envelope(self, horizon, current_mag: float, margin: float = 0.0):
+        """98%-confidence envelope radius for a prediction horizon (s), a float or an array.
 
         Position uncertainty of mobile obstacles grows linearly with the
         horizon at rate motion_sigma * |v_c|; uncertain obstacles add their
-        radius spread.  Static obstacles keep envelope = radius.
+        radius spread.  Static obstacles keep envelope = radius + margin.
         """
         env_r = self.radius + margin
         if self.kind == "mobile":
-            env_r += CONFIDENCE_Z * self.motion_sigma * current_mag * max(horizon, 0.0)
-        elif self.kind == "uncertain":
+            return env_r + CONFIDENCE_Z * self.motion_sigma * current_mag * np.maximum(horizon, 0.0)
+        if self.kind == "uncertain":
             # Radius resamples around the base value, so predict from it.
-            env_r = max(env_r, self.base_radius + margin + CONFIDENCE_Z * self.radius_sigma)
-        return replace(self, envelope_radius=env_r)
+            return max(env_r, self.base_radius + margin + CONFIDENCE_Z * self.radius_sigma)
+        return env_r
+
+    def inflated(self, horizon: float, current_mag: float, margin: float = 0.0) -> "Obstacle":
+        """Copy whose envelope_radius is envelope(horizon, current_mag, margin)."""
+        return replace(self, envelope_radius=float(self.envelope(horizon, current_mag, margin)))
 
 
 def step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,

@@ -35,6 +35,7 @@ misses unbuilt, so only segments near coast or obstacles are subdivided.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -140,18 +141,13 @@ class LocalPath:
         return min(int(np.searchsorted(self.times, t, side="right")), len(self.times) - 1)
 
 
-_basis_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
+@functools.cache
 def basis_matrix(config: SplineConfig) -> np.ndarray:
     """(control_count, samples) clamped B-spline basis at uniform params."""
-    key = (config.control_count, config.degree, config.samples)
-    if key not in _basis_cache:
-        n, k = config.control_count, config.degree
-        knots = np.concatenate([np.zeros(k), np.linspace(0.0, 1.0, n - k + 1), np.ones(k)])
-        t = np.linspace(0.0, 1.0, config.samples)
-        _basis_cache[key] = np.ascontiguousarray(BSpline.design_matrix(t, knots, k).toarray().T)
-    return _basis_cache[key]
+    n, k = config.control_count, config.degree
+    knots = np.concatenate([np.zeros(k), np.linspace(0.0, 1.0, n - k + 1), np.ones(k)])
+    t = np.linspace(0.0, 1.0, config.samples)
+    return np.ascontiguousarray(BSpline.design_matrix(t, knots, k).toarray().T)
 
 
 def control_points(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeding
-from .env import (CONFIDENCE_Z, EnvSnapshot, current_at, current_speeds, perturb_field,
-                  point_in_collision, step_obstacles)
+from .env import EnvSnapshot, current_at, perturb_field, point_in_collision, step_obstacles
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
 from .global_planner import GlobalPlan, Route, plan_global, walk_cost
@@ -87,10 +86,10 @@ def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: N
 
 def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles, env_field,
             sensing_radius: float, margin: float) -> int | None:
-    """Id of the first obstacle whose predicted envelope cuts the remaining path."""
+    """Id of the first obstacle whose `Obstacle.envelope` cuts the remaining path."""
     k0 = path.sample_index_at_time(tau)
     rem = path.points[k0:]
-    horizons = np.maximum(path.times[k0:] - tau, 0.0)
+    horizons = path.times[k0:] - tau
     for obs in obstacles:
         if obs.kind == "static":
             continue
@@ -99,15 +98,9 @@ def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles, env_fi
         dz = obs.position[2] - position[2]
         if dx * dx + dy * dy + dz * dz > sensing_radius ** 2:
             continue
-        env_r = obs.radius + margin
-        if obs.kind == "uncertain":
-            env_r = max(env_r, obs.base_radius + margin) + CONFIDENCE_Z * obs.radius_sigma
-            envelopes = np.full(len(rem), env_r)
-        else:
-            speed = current_at(obs.position[:2], env_field).magnitude
-            envelopes = env_r + CONFIDENCE_Z * obs.motion_sigma * speed * horizons
+        speed = current_at(obs.position[:2], env_field).magnitude
         d2 = np.sum((rem - np.asarray(obs.position)) ** 2, axis=1)
-        if np.any(d2 <= envelopes ** 2):
+        if np.any(d2 <= obs.envelope(horizons, speed, margin) ** 2):
             return obs.id
     return None
 
@@ -166,9 +159,14 @@ class _Executor:
 
     # -- planning ------------------------------------------------------------
 
-    def _plan_route(self, start: int, generations_factor: float = 1.0) -> GlobalPlan:
-        cfg = de_config_from_spec(self.sc.de_global)
+    def _de_config(self, spec, generations_factor: float):
+        """The DE config of a scenario section, its generations scaled by the factor."""
+        cfg = de_config_from_spec(spec)
         cfg.generations = max(1, int(round(cfg.generations * generations_factor)))
+        return cfg
+
+    def _plan_route(self, start: int, generations_factor: float = 1.0) -> GlobalPlan:
+        cfg = self._de_config(self.sc.de_global, generations_factor)
         rng = seeding.stream(self.seed, seeding.DE_GLOBAL, self.global_plans)
         self.global_plans += 1
         planning_net = self._planning_network()
@@ -187,16 +185,15 @@ class _Executor:
         return replace(self.network, used=self.network.used | self.blocked)
 
     def _planning_env(self, horizon: float) -> EnvSnapshot:
-        speeds = current_speeds([obs.position[:2] for obs in self.obstacles], self.field)
-        inflated = tuple(obs.inflated(horizon, mag, margin=self.sc.mission.obstacle_margin)
-                         for obs, mag in zip(self.obstacles, speeds))
+        inflated = tuple(obs.inflated(horizon, current_at(obs.position[:2], self.field).magnitude,
+                                      margin=self.sc.mission.obstacle_margin)
+                         for obs in self.obstacles)
         return EnvSnapshot(self.cmap, self.field, inflated)
 
     def _plan_leg(self, start_pos, target_pos, horizon: float,
                   previous: LocalPath | None = None, elapsed_on_previous: float = 0.0,
                   generations_factor: float = 1.0) -> LocalPlan:
-        cfg = de_config_from_spec(self.sc.de_local)
-        cfg.generations = max(1, int(round(cfg.generations * generations_factor)))
+        cfg = self._de_config(self.sc.de_local, generations_factor)
         rng = seeding.stream(self.seed, seeding.DE_LOCAL, self.local_plans)
         self.local_plans += 1
         env = self._planning_env(horizon)

@@ -67,7 +67,6 @@ class ObstacleSpec:
     radius_sigma: float = 15.0
     motion_sigma: float = 0.05
     station_clearance: float = 400.0
-    explicit: list | None = None
 
 
 @dataclass
@@ -267,6 +266,14 @@ def validate(sc: Scenario) -> Scenario:
                  "mission.edge_failures entries need after_leg and edge")
     if sc.montecarlo.stations is not None:
         _check_range("montecarlo.stations", sc.montecarlo.stations, lo_ok=2, integer=True)
+    # The configs the mission builds also reject infinities, which pass the checks above.
+    for label, build, arg in (("de_global", de_config_from_spec, sc.de_global),
+                              ("de_local", de_config_from_spec, sc.de_local),
+                              ("spline", spline_from_spec, sc), ("vehicle", weights_from_spec, sc)):
+        try:
+            build(arg)
+        except ValueError as exc:
+            raise ScenarioValidationError(f"{label}: {exc}") from exc
     return sc
 
 
@@ -384,16 +391,6 @@ def build_network_from_spec(sc: Scenario, cmap: ClusteredMap, seed: int,
 
 def build_obstacles(sc: Scenario, cmap: ClusteredMap, network: Network, seed: int) -> list[Obstacle]:
     spec = sc.obstacles
-    if spec.explicit is not None:
-        out = []
-        for i, rec in enumerate(spec.explicit):
-            out.append(Obstacle(
-                id=int(rec.get("id", i + 1)), kind=rec.get("kind", "static"),
-                position=tuple(float(c) for c in rec["position"]),
-                radius=float(rec["radius"]),
-                radius_sigma=float(rec.get("radius_sigma", 0.0)),
-                motion_sigma=float(rec.get("motion_sigma", 0.0))))
-        return out
     rng = seeding.stream(seed, seeding.ENV, 2)
     stations = np.array([network.position(sid) for sid in sorted(network.stations)])
     out = []

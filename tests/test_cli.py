@@ -232,6 +232,18 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
     assert "time_budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vehicle", [{"surge_max": math.inf}, {"sway_max": math.inf},
+                                     {"yaw_rate_max_deg": math.inf},
+                                     {"cruise_speed": math.inf, "max_speed": math.inf}])
+def test_cli_run_rejects_infinite_vehicle_limits(tmp_path, capsys, vehicle):
+    # Each passes the `> 0` checks; the mission's LocalCostWeights used to raise mid-run.
+    path = tmp_path / "inf.yaml"
+    path.write_text(yaml.safe_dump({"vehicle": vehicle}))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error: vehicle: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     rc = main(["run", "--scenario", "two_station", "--out", str(tmp_path / "ok")])
     assert rc == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import uuvsim.env as env_module
 from uuvsim.env import (ClusteredMap, GridMap, Obstacle, VortexField, VortexParams,
-                        cluster_map, current_at, current_grid, current_speeds, load_raster,
+                        cluster_map, current_at, current_grid, load_raster,
                         perturb_field, point_in_collision, points_in_collision,
                         step_obstacles, synthesize_raster)
 from uuvsim.errors import KTooLargeError
@@ -261,16 +261,6 @@ def test_current_grid_rows_exact(seed, v, blocks):
         np.testing.assert_array_equal(bits(grid), bits(np.zeros_like(grid)))
     for i in rng.choice(len(pts), size=min(len(pts), 40), replace=False):
         np.testing.assert_array_equal(bits(grid[i]), bits(current_grid(pts[i:i + 1], fld)[0]))
-
-
-def test_current_speeds_equal_current_at_magnitudes():
-    rng = np.random.default_rng(3)
-    fld = VortexField(vortices=tuple(
-        VortexParams(center=tuple(rng.uniform(0, 2000, 2)), radius=rng.uniform(50, 300),
-                     strength=rng.uniform(-500, 500)) for _ in range(12)))
-    pts = [tuple(p) for p in rng.uniform(0, 2000, size=(30, 2))] + [fld.vortices[0].center]
-    assert current_speeds(pts, fld) == [current_at(p, fld).magnitude for p in pts]
-    assert current_speeds([], fld) == []
 
 
 # --- field perturbation -----------------------------------------------------

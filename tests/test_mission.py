@@ -201,3 +201,72 @@ def test_truncated_last_tick_moves_obstacles_for_its_real_duration():
     moved = np.subtract(ex.obstacles[0].position, obs.position)
     np.testing.assert_allclose(moved, [cur.v_cx * (tau - tau0), cur.v_cy * (tau - tau0), 0.0],
                                rtol=1e-9, atol=1e-12)
+
+
+@st.composite
+def obstacles_near_path(draw):
+    """1-4 obstacles of every kind within 125 m of still_path's line; an
+    uncertain one's current radius may lie above or below its base."""
+    out = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["static", "uncertain", "mobile"]))
+        base = draw(st.floats(20.0, 200.0))
+        out.append(Obstacle(
+            id=i + 1, kind=kind,
+            position=(draw(st.floats(0.0, 1300.0)), draw(st.floats(880.0, 1120.0)),
+                      draw(st.floats(70.0, 130.0))),
+            radius=draw(st.floats(20.0, 200.0)) if kind == "uncertain" else base,
+            radius_sigma=draw(st.floats(0.0, 30.0)), motion_sigma=draw(st.floats(0.0, 0.5)),
+            base_radius=base))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(obstacles=obstacles_near_path(), tau_share=st.floats(0.0, 1.0),
+       sensing=st.floats(100.0, 1500.0), margin=st.floats(0.0, 50.0))
+# Radius 100 above base 60, margin 20: the envelope is max(120, 60 + 20 + 2.05 * 20) = 121 m,
+# so a path 140 m off is clear. Adding the spread to the current radius (161 m) would flag it.
+@example(obstacles=[Obstacle(id=1, kind="uncertain", position=(600.0, 1140.0, 100.0),
+                             radius=100.0, radius_sigma=20.0, base_radius=60.0)],
+         tau_share=0.0, sensing=1500.0, margin=20.0)
+def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_share,
+                                                                 sensing, margin):
+    # The executor must ask the question the local planner answered: a remaining
+    # sample k is hit when it lies inside obs.inflated(h_k, speed, margin), the
+    # envelope the planner avoided, at the sample's own horizon h_k.
+    path, _ = still_path(length=1000.0)
+    fld = VortexField(vortices=(VortexParams(center=(600.0, 1200.0), radius=200.0,
+                                             strength=3000.0),))
+    tau = tau_share * path.duration
+    pos = path.position_at_time(tau)
+    k0 = path.sample_index_at_time(tau)
+    expected = None
+    for obs in obstacles:
+        dx, dy, dz = (obs.position[i] - pos[i] for i in range(3))
+        if obs.kind == "static" or dx * dx + dy * dy + dz * dz > sensing ** 2:
+            continue
+        speed = current_at(obs.position[:2], fld).magnitude
+        d2 = np.sum((path.points[k0:] - np.asarray(obs.position)) ** 2, axis=1)
+        if any(d <= obs.inflated(h, speed, margin).envelope_radius ** 2
+               for d, h in zip(d2, path.times[k0:] - tau)):
+            expected = obs.id
+            break
+    assert _hazard(pos, path, tau, obstacles, fld, sensing, margin) == expected
+
+
+def test_hazard_on_the_planned_path_replans_the_leg_around_it():
+    ex = _Executor(two_station_scenario(), 7)
+    ex.obstacles = []
+    plan = ex._plan_leg(ex.network.position(1), ex.network.position(2), horizon=0.0)
+    k = int(np.searchsorted(plan.path.times, 150.0))  # about 300 m along the leg
+    # An uncertain obstacle without spread stands still at its base radius.
+    blocker = Obstacle(id=9, kind="uncertain", position=tuple(plan.path.points[k]),
+                       radius=60.0)
+    ex.obstacles = [blocker]
+    _, plans = ex._execute_path(plan, 0, allow_replans=True)
+    assert [r[1:] for r in ex.report.replans] == [("local", "hazard obstacle 9")]
+    assert len(plans) == 2
+    np.testing.assert_array_equal(ex.position, plan.path.end)
+    envelope = blocker.envelope(0.0, 0.0, ex.sc.mission.obstacle_margin)
+    gap = np.linalg.norm(plans[1].path.points - np.asarray(blocker.position), axis=1)
+    assert gap.min() > envelope

@@ -40,6 +40,8 @@ def test_unknown_keys_rejected():
         from_dict({"propulsion": {}})
     with pytest.raises(ScenarioValidationError, match="unknown key vehicle.warp"):
         from_dict({"vehicle": {"warp": 9}})
+    with pytest.raises(ScenarioValidationError, match="unknown key obstacles.explicit"):
+        from_dict({"obstacles": {"explicit": []}})
 
 
 def test_cruise_above_max_rejected():

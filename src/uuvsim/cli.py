@@ -4,7 +4,8 @@ Every output file starts with a comment line naming the artifact version,
 scenario and seed.  CSV files are comma-separated with '.' decimals and LF
 line endings; text holding a comma, quote or newline is double-quoted.
 Identical (scenario, seed) runs produce byte-identical files.
-Exit codes: 0 success, 2 validation error, 3 mission failure, 4 IO error.
+Exit codes: 0 success, 2 scenario error (invalid, or its world cannot be built),
+3 mission failure, 4 IO error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import __version__, seeding
 from .env import current_grid
-from .errors import (NoFeasibleRouteError, ScenarioParseError,
-                     ScenarioValidationError, UUVSimError)
+from .errors import NoFeasibleRouteError, ScenarioValidationError, UUVSimError
 from .global_planner import plan_global
 from .mission import MissionReport, run_mission
 from .network import edge_metrics
@@ -389,13 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sc = resolve_scenario(args.scenario)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(sc, args)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
+        return args.func(resolve_scenario(args.scenario), args)
+    except UUVSimError as exc:  # a bad file, or a world its values cannot build
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -34,6 +34,9 @@ _NEAR = 40.0
 # more memory than the whole leg planner.
 _TILE = 8
 
+# Lloyd iterations cluster_map runs at most.
+_KMEANS_ITERS = 100
+
 # Two-sided 98% envelope z-score for obstacle position/radius uncertainty.
 CONFIDENCE_Z = 2.05
 
@@ -151,11 +154,12 @@ def _initial_centers(values: np.ndarray, k: int) -> np.ndarray:
     return centers.astype(float)
 
 
-def cluster_map(raster: GridMap, k: int, max_iters: int = 100, water: str = "low") -> ClusteredMap:
+def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
     """Partition raster intensities into k clusters and binarize to water/coast.
 
-    Lloyd iterations from a deterministic quantile init; the squared-error
-    objective is recorded per iteration and is non-increasing.  The cluster
+    Up to _KMEANS_ITERS (100) Lloyd iterations from a deterministic quantile
+    init; the squared-error objective is recorded per iteration and is
+    non-increasing, and the loop stops once the labels settle.  The cluster
     whose centroid has the lowest (``water="low"``) or highest intensity
     becomes water (0); all other clusters become coast (1).
     """
@@ -178,7 +182,7 @@ def cluster_map(raster: GridMap, k: int, max_iters: int = 100, water: str = "low
     new_labels = np.empty_like(labels)
     best, dist = np.empty_like(flat), np.empty_like(flat)
     closer = np.empty(flat.size, dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         # Nearest centre by a running strict minimum: ties keep the lower
         # index, as argmin does.  best ends as |x - centre of x|.
         np.abs(np.subtract(flat, centers[0], out=best), out=best)
@@ -216,18 +220,17 @@ def load_raster(path, cell_size: float, depth_extent: float) -> GridMap:
 def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: float,
                       rng: np.random.Generator, islands: int = 5,
                       island_radius: tuple[float, float] = (200.0, 600.0),
-                      coast_border: int = 0,
-                      water_intensity: float = 40.0, land_intensity: float = 220.0,
-                      intensity_sigma: float = 12.0) -> GridMap:
+                      coast_border: int = 0) -> GridMap:
     """Generate a coastline-style intensity raster: dark water, bright land.
 
-    Land is `islands` random discs plus an optional solid border of
-    `coast_border` cells.  Some land must exist, otherwise 2-means would
-    split the water noise instead of separating water from coast.
+    Water cells draw from N(40, 12^2), land cells from N(220, 12^2), rounded
+    and clipped to 0..255.  Land is `islands` random discs plus an optional
+    solid border of `coast_border` cells.  Some land must exist, otherwise
+    2-means would split the water noise instead of separating water from coast.
     """
     if islands <= 0 and coast_border <= 0:
         raise ValueError("synthetic map needs islands or a coast border")
-    vals = rng.normal(water_intensity, intensity_sigma, size=(height, width))
+    vals = rng.normal(40.0, 12.0, size=(height, width))
     land = np.zeros((height, width), dtype=bool)
     if coast_border > 0:
         land[:coast_border, :] = land[-coast_border:, :] = True
@@ -239,7 +242,7 @@ def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: f
         cy = rng.uniform(0, height * cell_size)
         r = rng.uniform(*island_radius)
         land |= (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= r * r
-    vals[land] = rng.normal(land_intensity, intensity_sigma, size=int(land.sum()))
+    vals[land] = rng.normal(220.0, 12.0, size=int(land.sum()))
     vals = np.clip(np.rint(vals), 0, 255)
     return GridMap(width=width, height=height, cell_size=cell_size, values=vals,
                    depth_extent=depth_extent)

@@ -340,17 +340,16 @@ def _costs(chord: float, duration, surge, sway, yaw_rate, stalled, violation,
     return costs, excess
 
 
-def corridor_bounds(endpoint_i, endpoint_j, env: EnvSnapshot, config: SplineConfig,
-                    inflation: float = 0.25, min_pad: float = 800.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene [low, high] box: leg bounding box inflated horizontally, full depth.
+def corridor_bounds(endpoint_i, endpoint_j, env: EnvSnapshot,
+                    config: SplineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gene [low, high] box: leg bounding box padded horizontally, full depth.
 
-    The pad floor keeps short legs wide enough to skirt an island or an
-    inflated obstacle sitting on the chord.
+    The pad is max(0.25 x leg length, 800 m); the floor keeps short legs wide
+    enough to skirt an island or an inflated obstacle sitting on the chord.
     """
     p_i = np.asarray(endpoint_i, dtype=float)
     p_j = np.asarray(endpoint_j, dtype=float)
-    leg = float(np.linalg.norm(p_j - p_i))
-    pad = max(inflation * max(leg, 1.0), min_pad)
+    pad = max(0.25 * float(np.linalg.norm(p_j - p_i)), 800.0)
     ext = env.map.grid.extent
     lo_xy = np.maximum(np.minimum(p_i[:2], p_j[:2]) - pad, 0.0)
     hi_xy = np.minimum(np.maximum(p_i[:2], p_j[:2]) + pad, ext)

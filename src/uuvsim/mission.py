@@ -278,12 +278,10 @@ class _Executor:
 
     def _after_leg(self):
         """Drift, perturbation, and scripted edge failures at a station."""
-        if self.sc.mission.drift_per_leg:
-            self.network = drift_stations(self.network, self.field, self.cmap, self.rng_drift)
-        if self.sc.mission.perturb_per_leg:
-            # Perturb around the originally sampled field: chaining the
-            # multiplicative update compounds into unbounded parameter drift.
-            self.field = perturb_field(self.base_field, self.rng_perturb)
+        self.network = drift_stations(self.network, self.field, self.cmap, self.rng_drift)
+        # Perturb around the originally sampled field: chaining the
+        # multiplicative update compounds into unbounded parameter drift.
+        self.field = perturb_field(self.base_field, self.rng_perturb)
         self.blocked.clear()
         for failure in self.sc.mission.edge_failures:
             if int(failure["after_leg"]) == len(self.report.legs):
@@ -330,6 +328,7 @@ class _Executor:
 
                 leg_index = len(report.legs)
                 outcome = LegOutcome(from_id=current, to_id=target, planned=t_planned, actual=0.0)
+                leg_start = self.elapsed
                 try:
                     spent, plans_used = self._execute_path(leg_plan, leg_index,
                                                            allow_replans=True)
@@ -337,11 +336,11 @@ class _Executor:
                     # Trapped mid-leg: retreat to the leg's start station, then
                     # exclude the blocked edge and replan globally.
                     try:
-                        spent = self._retreat(current, leg_index)
+                        self._retreat(current, leg_index)
                     except NoFeasiblePathError:
                         raise _MissionAbort("trapped mid-leg with no retreat path")
                     outcome.to_id = current
-                    outcome.actual = spent
+                    outcome.actual = self.elapsed - leg_start  # out and back
                     outcome.aborted = True
                     report.legs.append(outcome)
                     route = self._exclude_and_replan(current, target)
@@ -404,16 +403,15 @@ class _Executor:
             raise _MissionAbort(f"goal cut off from station {current}")
         return self._replan_global(current, "no feasible local path")
 
-    def _retreat(self, station: int, leg_index: int) -> float:
+    def _retreat(self, station: int, leg_index: int):
         """Fly back to the leg's start station; no nested hazard replans."""
         start_pos = self.network.position(station)
         chord = float(np.linalg.norm(start_pos - self.position))
         if chord < 1e-6:
-            return 0.0
+            return
         plan = self._plan_leg(self.position, start_pos, horizon=chord / self.speed)
-        spent, _ = self._execute_path(plan, leg_index, allow_replans=False)
+        self._execute_path(plan, leg_index, allow_replans=False)
         self.report.replans.append((self.elapsed, "local", "retreat to leg start"))
-        return spent
 
     def _finalize(self, report: MissionReport) -> MissionReport:
         report.path_time = self.elapsed

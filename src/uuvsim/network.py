@@ -23,6 +23,8 @@ from .errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
 
 # Rejection-resampling budget for one drift event before a station holds still.
 _DRIFT_ATTEMPTS = 100
+# Random station placements tried before the goal is declared unreachable.
+_BUILD_ATTEMPTS = 20
 
 
 @dataclass(frozen=True)
@@ -220,20 +222,16 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
                   drift_bound: tuple[float, float, float] = (300.0, 300.0, 50.0),
                   drift_sigma: float = 40.0,
                   comm_range: float | None = 3500.0,
-                  explicit_edges: list[tuple[int, int]] | None = None,
-                  line_of_sight: bool = True,
-                  depth: float | None = None,
-                  max_attempts: int = 20) -> Network:
+                  explicit_edges: list[tuple[int, int]] | None = None) -> Network:
     """Build a network from explicit records or a random recipe.
 
     Random stations are uniform over the water volume (resampled off the
     coast); adjacency is either the explicit edge list or the comm-range rule,
-    which by default also requires a land-free chord between the stations.
+    which also requires a land-free chord between the stations.
     Raises CoastalPlacementError for explicit coast positions and
     UnreachableGoalError when no placement attempt connects start to goal.
     """
     extent = cmap.grid.extent
-    depth = cmap.grid.depth_extent if depth is None else depth
 
     def sample_water_point() -> tuple[float, float, float]:
         # Padded test keeps generated stations a cell away from the coast, so
@@ -242,11 +240,11 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
             x = rng.uniform(0.0, extent[0])
             y = rng.uniform(0.0, extent[1])
             if cmap.is_water(x, y, padded=True):
-                return x, y, float(rng.uniform(0.0, depth))
+                return x, y, float(rng.uniform(0.0, cmap.grid.depth_extent))
         raise CoastalPlacementError("could not sample a water cell; map has no water?")
 
     last_error: Exception | None = None
-    for _ in range(max_attempts):
+    for _ in range(_BUILD_ATTEMPTS):
         stations: dict[int, Station] = {}
         if records is not None:
             for rec in records:
@@ -284,7 +282,7 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
             edges = frozenset(
                 (a, b) for a, b in itertools.combinations(sorted(stations), 2)
                 if edge_length(pos[a], pos[b]) <= comm_range
-                and (not line_of_sight or _clear_chord(cmap, pos[a], pos[b])))
+                and _clear_chord(cmap, pos[a], pos[b]))
 
         net = Network(stations=stations, edges=edges, start_id=start, goal_id=goal_id,
                       anchors={sid: st.position for sid, st in stations.items()})

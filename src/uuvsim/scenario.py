@@ -42,12 +42,8 @@ class MapSpec:
     islands: int = 5
     island_radius: list = field(default_factory=lambda: [200.0, 600.0])
     coast_border: int = 0
-    water_intensity: float = 40.0
-    land_intensity: float = 220.0
-    intensity_sigma: float = 12.0
     k: int = 2
     water: str = "low"
-    max_iters: int = 100
 
 
 @dataclass
@@ -81,7 +77,6 @@ class NetworkSpec:
     drifting_fraction: float = 0.5
     drift_bound: list = field(default_factory=lambda: [300.0, 300.0, 50.0])
     drift_sigma: float = 40.0
-    line_of_sight: bool = True
 
 
 @dataclass
@@ -129,8 +124,6 @@ class MissionSpec:
     budget_margin: float = 0.995
     max_global_replans: int = 10
     replan_generation_factor: float = 0.5
-    drift_per_leg: bool = True
-    perturb_per_leg: bool = True
     obstacle_margin: float = 20.0
     edge_failures: list = field(default_factory=list)
 
@@ -214,16 +207,26 @@ def validate(sc: Scenario) -> Scenario:
     _check_range("current.noise", sc.current.noise)
     _require(sc.current.window > 0, "current.window must be > 0")
     _require(sc.obstacles.count >= 0, "obstacles.count must be >= 0")
+    _require(sc.obstacles.count == 0 or len(sc.obstacles.kinds) > 0,
+             "obstacles.kinds must not be empty when obstacles.count > 0")
     _check_range("obstacles.radius", sc.obstacles.radius, lo_ok=1e-9)
+    _check_nonnegative("obstacles.radius_sigma", sc.obstacles.radius_sigma)
+    _check_nonnegative("obstacles.motion_sigma", sc.obstacles.motion_sigma)
     for kind in sc.obstacles.kinds:
         _require(kind in ("static", "uncertain", "mobile"), f"unknown obstacle kind {kind!r}")
     _require(sc.network.records is not None or sc.network.stations is not None,
              "network needs stations count or explicit records")
     if sc.network.stations is not None:
         _require(sc.network.stations >= 2, "network.stations must be >= 2")
+    if sc.network.records is None:  # generated stations are numbered 1..stations
+        ids = range(1, int(sc.network.stations) + 1)
+        _require(sc.network.start in ids, "network.start must be in 1..network.stations")
+        _require(sc.network.goal is None or sc.network.goal in ids,
+                 "network.goal must be in 1..network.stations")
     _check_range("network.value_range", sc.network.value_range, integer=True)
     _require(0.0 <= sc.network.drifting_fraction <= 1.0,
              "network.drifting_fraction must be in [0, 1]")
+    _check_nonnegative("network.drift_sigma", sc.network.drift_sigma)
     _require(sc.network.comm_range > 0 or sc.network.edges is not None,
              "network.comm_range must be > 0 when no edge list is given")
     _require(sc.vehicle.time_budget > 0, "vehicle.time_budget must be > 0")
@@ -321,16 +324,12 @@ def echo(sc: Scenario) -> str:
     return yaml.safe_dump(to_dict(sc), sort_keys=False)
 
 
-def bundled_path(name: str) -> Path:
-    return Path(__file__).parent / "scenarios" / f"{name}.yaml"
-
-
 def resolve_scenario(ref: str) -> Scenario:
     """Load from a filesystem path, or fall back to a bundled scenario name."""
     p = Path(ref)
     if p.exists():
         return load_scenario(p)
-    bundled = bundled_path(ref)
+    bundled = Path(__file__).parent / "scenarios" / f"{ref}.yaml"
     if bundled.exists():
         return load_scenario(bundled)
     raise ScenarioParseError(f"no scenario file or bundled scenario named {ref!r}")
@@ -352,15 +351,12 @@ def build_map(sc: Scenario, seed: int) -> ClusteredMap:
         raster = synthesize_raster(sc.map.width, sc.map.height, sc.map.cell_size, sc.field.z,
                                    rng, islands=sc.map.islands,
                                    island_radius=tuple(sc.map.island_radius),
-                                   coast_border=sc.map.coast_border,
-                                   water_intensity=sc.map.water_intensity,
-                                   land_intensity=sc.map.land_intensity,
-                                   intensity_sigma=sc.map.intensity_sigma)
+                                   coast_border=sc.map.coast_border)
     x, y = raster.extent
     _require(math.isclose(x, sc.field.x) and math.isclose(y, sc.field.y),
              f"map extent {x:g} x {y:g} m (width/height x cell_size) differs from "
              f"field.x/field.y {sc.field.x:g} x {sc.field.y:g} m")
-    return cluster_map(raster, sc.map.k, sc.map.max_iters, water=sc.map.water)
+    return cluster_map(raster, sc.map.k, water=sc.map.water)
 
 
 def build_field(sc: Scenario, seed: int) -> VortexField:
@@ -384,9 +380,7 @@ def build_network_from_spec(sc: Scenario, cmap: ClusteredMap, seed: int,
         cmap, rng, station_count=count, records=ns.records, start=ns.start, goal=goal,
         value_range=tuple(int(v) for v in ns.value_range),
         drifting_fraction=ns.drifting_fraction, drift_bound=tuple(ns.drift_bound),
-        drift_sigma=ns.drift_sigma,
-        comm_range=ns.comm_range, explicit_edges=ns.edges,
-        line_of_sight=ns.line_of_sight, depth=sc.field.z)
+        drift_sigma=ns.drift_sigma, comm_range=ns.comm_range, explicit_edges=ns.edges)
 
 
 def build_obstacles(sc: Scenario, cmap: ClusteredMap, network: Network, seed: int) -> list[Obstacle]:

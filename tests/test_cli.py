@@ -244,6 +244,49 @@ def test_cli_run_rejects_infinite_vehicle_limits(tmp_path, capsys, vehicle):
     assert not (tmp_path / "out").exists()
 
 
+def small_world_file(tmp_path, doc) -> str:
+    """`doc`'s sections merged into a small generated world: 2 x 2 km, a coast border."""
+    world = {"field": {"x": 2000.0, "y": 2000.0, "z": 200.0},
+             "map": {"width": 200, "height": 200, "cell_size": 10.0, "islands": 0,
+                     "coast_border": 2}}
+    for section, values in doc.items():
+        world[section] = {**world.get(section, {}), **values}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(world))
+    return str(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"obstacles": {"count": 2, "kinds": []}}, "obstacles.kinds must not be empty"),
+    ({"network": {"stations": 5, "goal": 9}}, "network.goal must be in 1..network.stations"),
+    ({"network": {"stations": 5, "start": 7}}, "network.start must be in 1..network.stations"),
+    ({"obstacles": {"motion_sigma": math.nan}}, "obstacles.motion_sigma must be finite and >= 0"),
+    ({"obstacles": {"radius_sigma": -1.0}}, "obstacles.radius_sigma must be finite and >= 0"),
+    ({"network": {"drift_sigma": math.nan}}, "network.drift_sigma must be finite and >= 0"),
+    ({"montecarlo": {"stations": [1, 5]}}, "montecarlo.stations low bound must be >= 2"),
+], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
+        "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range"])
+def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
+    path = small_world_file(tmp_path, doc)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+@pytest.mark.parametrize("doc, message", [
+    ({"map": {"k": 300}}, "k=300 exceeds"),
+    ({"network": {"comm_range": 10.0}}, "goal 20 not reachable from start 1"),
+], ids=["k-too-large", "unreachable-goal"])
+def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
+    # Both pass validation; the map or the network cannot be built from them.
+    path = small_world_file(tmp_path, doc)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     rc = main(["run", "--scenario", "two_station", "--out", str(tmp_path / "ok")])
     assert rc == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uuvsim.errors import NoFeasiblePathError
 from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
                         current_at, step_obstacles)
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
@@ -270,3 +271,100 @@ def test_hazard_on_the_planned_path_replans_the_leg_around_it():
     envelope = blocker.envelope(0.0, 0.0, ex.sc.mission.obstacle_margin)
     gap = np.linalg.norm(plans[1].path.points - np.asarray(blocker.position), axis=1)
     assert gap.min() > envelope
+
+
+# --- recovery ---------------------------------------------------------------
+
+
+def small_mission(records, edges, **mission):
+    """A 2 x 2 km world with a coast border, no current, no obstacles, explicit stations."""
+    return from_dict({
+        "name": "recovery", "seed": 5,
+        "field": {"x": 2000.0, "y": 2000.0, "z": 200.0},
+        "map": {"width": 200, "height": 200, "cell_size": 10.0, "islands": 0,
+                "coast_border": 2},
+        "current": {"count": [0, 0]},
+        "obstacles": {"count": 0},
+        "network": {"records": records, "edges": edges, "start": 1, "goal": 2},
+        "vehicle": {"cruise_speed": 2.0, "time_budget": 3600.0},
+        "de_global": {"population": 8, "generations": 8, "restarts": 1},
+        "de_local": {"population": 16, "generations": 25},
+        "mission": mission})
+
+
+def test_trapped_mid_leg_retreats_to_the_leg_start_and_replans_without_the_edge(monkeypatch):
+    # Triangle 1-2-3: with either edge out of station 1 blocked, the other
+    # still reaches goal 2.
+    sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
+                        {"id": 2, "position": [1800.0, 1000.0, 50.0]},
+                        {"id": 3, "position": [1000.0, 1600.0, 50.0], "value": 2}],
+                       [[1, 2], [1, 3], [3, 2]])
+    ex = _Executor(sc, sc.seed)
+    hazards = []
+
+    def hazard_once(position, path, tau, *args):  # one hazard, about 120 m into the first leg
+        if hazards or tau < 60.0:
+            return None
+        hazards.append(tau)
+        return 9
+
+    def no_path(*args, **kwargs):
+        raise NoFeasiblePathError("boxed in")
+
+    monkeypatch.setattr("uuvsim.mission._hazard", hazard_once)
+    monkeypatch.setattr("uuvsim.mission.replan_local", no_path)
+    routes, blocked = [], []
+    plan_route = ex._plan_route
+
+    def recording_plan_route(start, generations_factor=1.0):
+        blocked.append(set(ex.blocked))
+        plan = plan_route(start, generations_factor)
+        routes.append(plan.route.sequence)
+        return plan
+
+    ex._plan_route = recording_plan_route
+    report = ex.run()
+
+    target = routes[0][1]
+    first = report.legs[0]
+    assert (first.from_id, first.to_id, first.aborted) == (1, 1, True)
+    # The aborted leg's time counts the way out (60 s) and the way back.
+    leg0 = [t[0] for t in report.ticks if t[5] == 0]
+    assert first.actual == leg0[-1] == report.replans[0][0] and first.actual > hazards[0] + 30.0
+    assert report.path_time == pytest.approx(sum(leg.actual for leg in report.legs))
+    np.testing.assert_allclose([t[1:4] for t in report.ticks if t[5] == 0][-1],
+                               ex.network.position(1), atol=1e-6)
+    assert [r[1:] for r in report.replans[:2]] == [("local", "retreat to leg start"),
+                                                   ("global", "no feasible local path")]
+    # The edge is masked for the replan that excludes it, and for no other plan.
+    assert blocked[0] == set() and blocked[1] == {tuple(sorted((1, target)))}
+    assert all(b == set() for b in blocked[2:]) and ex.blocked == set()
+    assert report.success and report.executed_sequence[0] == 1
+    assert report.executed_sequence[1] != target
+
+
+def test_hazard_replans_beyond_the_per_leg_limit_raise(monkeypatch):
+    sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
+                        {"id": 2, "position": [1800.0, 1000.0, 50.0]}], [[1, 2]])
+    ex = _Executor(sc, sc.seed)
+    plan = ex._plan_leg(ex.network.position(1), ex.network.position(2), horizon=0.0)
+    monkeypatch.setattr("uuvsim.mission._hazard", lambda *args: 9)
+    monkeypatch.setattr(ex, "_plan_leg", lambda *args, **kwargs: plan)
+    with pytest.raises(NoFeasiblePathError, match="local replan limit reached"):
+        ex._execute_path(plan, 0, allow_replans=True)
+    assert len(ex.report.replans) == 20
+
+
+def test_forced_global_replan_beyond_the_limit_ends_the_mission():
+    # Edge 2-3 fails at station 2. A route edge is missing, so a replan is
+    # forced, and max_global_replans = 0 allows none.
+    sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
+                        {"id": 2, "position": [1000.0, 1000.0, 50.0], "value": 2},
+                        {"id": 3, "position": [1800.0, 1000.0, 50.0], "value": 2}],
+                       [[1, 2], [2, 3]], max_global_replans=0, replan_slack=10.0,
+                       edge_failures=[{"after_leg": 1, "edge": [2, 3]}])
+    sc.network.goal = 3
+    report = _Executor(sc, sc.seed).run()
+    assert not report.success
+    assert report.failure_reason == "replan required (route edge missing) beyond limit"
+    assert report.global_replans == 0 and report.executed_sequence == [1, 2]

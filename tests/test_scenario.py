@@ -42,6 +42,15 @@ def test_unknown_keys_rejected():
         from_dict({"vehicle": {"warp": 9}})
     with pytest.raises(ScenarioValidationError, match="unknown key obstacles.explicit"):
         from_dict({"obstacles": {"explicit": []}})
+    # Fixed by the program, not by a key: synthetic intensities, k-means
+    # iterations, line of sight, drift and field perturbation after every leg.
+    for section, key, value in [("map", "water_intensity", 40.0), ("map", "land_intensity", 220.0),
+                                ("map", "intensity_sigma", 12.0), ("map", "max_iters", 100),
+                                ("network", "line_of_sight", True),
+                                ("mission", "drift_per_leg", True),
+                                ("mission", "perturb_per_leg", True)]:
+        with pytest.raises(ScenarioValidationError, match=f"unknown key {section}.{key}$"):
+            from_dict({section: {key: value}})
 
 
 def test_cruise_above_max_rejected():

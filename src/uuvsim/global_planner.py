@@ -13,7 +13,8 @@ whose to-goal times also decide feasibility.  Many genomes stop their walk
 at the same station sequence, so the graph also memoizes each distinct
 walk's completion (divert and `Route`) for the life of the graph, one
 `plan_global` call; the `Route`s it returns are frozen and may be shared
-between decodes.
+between decodes.  It also keeps each stop station's unblocked shortest path
+to the goal, which is the divert of every walk that used none of its edges.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class DecodeGraph:
     so an entry is exact for any keys and budget that reach that walk.  The
     memo lives as long as the graph, one `plan_global` call, and holds at
     most one entry per decode; decodes ending in the same walk return the
-    same (frozen) `Route` object.
+    same (frozen) `Route` object.  `chains` maps a stop station to its
+    unblocked `_goal_chain` and that chain's edge ids.
     """
 
     network: Network
@@ -74,7 +76,10 @@ class DecodeGraph:
     adj: dict[int, list[Arc]]  # the network's shared adjacency, searched by the divert
     walk_adj: dict[int, list[_Entry]]  # the same edges, as the greedy walk reads them
     to_goal: dict[int, float]  # minimum time to the goal; cut-off stations absent
+    values: dict[int, float]  # station id -> value
     memo: dict[tuple[tuple[int, ...], frozenset[int]], Route | str] = field(
+        default_factory=dict, repr=False)
+    chains: dict[int, tuple[list[tuple[int, int, float]], frozenset[int]]] = field(
         default_factory=dict, repr=False)
 
 
@@ -86,7 +91,8 @@ def decode_graph(network: Network, goal: int, speed: float) -> DecodeGraph:
     walk_adj = {sid: [(v, index[v], e, t, d, to_goal.get(v, math.inf)) for v, e, t, d in lst]
                 for sid, lst in adj.items()}
     return DecodeGraph(network=network, goal=goal, speed=speed, adj=adj, walk_adj=walk_adj,
-                       to_goal=to_goal)
+                       to_goal=to_goal,
+                       values={sid: st.value for sid, st in network.stations.items()})
 
 
 def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
@@ -151,19 +157,22 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
               visited: frozenset[int]) -> Route | str:
     """The route that finishes a stopped walk (`distance` long so far), or
     why the goal is cut off."""
-    network, goal, cur = graph.network, graph.goal, seq[-1]
+    network, goal, cur, values = graph.network, graph.goal, seq[-1], graph.values
     if cur != goal:
-        # Divert: minimum-time path to the goal over what is left.
-        dist, prev = dijkstra(graph.adj, cur, used, stop=goal)
-        if goal not in dist:
+        # Divert: minimum-time path to the goal over what is left.  Blocking
+        # edges only raises times, and pops go by (time, id), so a search
+        # without the walk's edges returns the unblocked chain whenever the
+        # walk used none of that chain's edges.
+        chain = graph.chains.get(cur)
+        if chain is None:
+            steps = _goal_chain(graph.adj, cur, goal)
+            chain = graph.chains[cur] = steps, frozenset(e for _, e, _ in steps)
+        steps, edges = chain
+        if not edges.isdisjoint(used):
+            steps = _goal_chain(graph.adj, cur, goal, used)
+        if not steps:
             return f"goal {goal} unreachable from {cur}"
-        tail = []
-        v = goal
-        while v != cur:
-            u, d = prev[v]
-            tail.append((v, d))
-            v = u
-        for v, d in reversed(tail):
+        for v, _, d in steps:
             seq.append(v)
             distance += d
 
@@ -171,10 +180,23 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
     seen = set(visited) | {seq[0]}
     for b in seq[1:]:
         if b not in seen:
-            value += network.stations[b].value
+            value += values[b]
             seen.add(b)
     return Route(sequence=tuple(seq), edges=tuple(map(_pair, seq, seq[1:])), distance=distance,
                  time=distance / graph.speed, total_value=value, station_total=network.size)
+
+
+def _goal_chain(adj: dict[int, list[Arc]], src: int, goal: int,
+                blocked: set[int] | frozenset[int] = frozenset()) -> list[tuple[int, int, float]]:
+    """`dijkstra`'s path from `src` to `goal` as (station, edge id, edge length)
+    steps after `src`; empty when the goal is cut off."""
+    prev = dijkstra(adj, src, blocked, stop=goal)[1]
+    steps, v = [], goal
+    while v in prev:  # `src` never enters `prev`
+        u, e, d = prev[v]
+        steps.append((v, e, d))
+        v = u
+    return steps[::-1]
 
 
 def route_cost(route: Route | None, time_budget: float) -> float:
@@ -227,7 +249,7 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
             f"minimum route time {graph.to_goal[start]:.0f}s exceeds budget {time_budget:.0f}s")
 
     n = network.size
-    cache: dict[tuple[int, ...], Route | None] = {}
+    cache: dict[bytes, Route | None] = {}
 
     def evaluate(mat: np.ndarray) -> np.ndarray:
         # Stable descending order equals the decode's (key desc, id asc)
@@ -235,7 +257,7 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
         orders = np.argsort(-mat, axis=1, kind="stable")
         costs = np.empty(mat.shape[0])
         for i in range(mat.shape[0]):
-            okey = tuple(orders[i].tolist())
+            okey = orders[i].tobytes()
             if okey in cache:
                 route = cache[okey]
             else:
@@ -261,7 +283,7 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
 
     # Every genome the DE returns was evaluated, so its ordering is cached.
     best = best_result.best
-    route = cache[tuple(np.argsort(-best.genes, kind="stable").tolist())]
+    route = cache[np.argsort(-best.genes, kind="stable").tobytes()]
     if route is None:
         raise NoFeasibleRouteError("no decodable route found")
     return GlobalPlan(route=route, cost=best.cost, traces=traces, genes=best.genes)

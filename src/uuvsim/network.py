@@ -116,12 +116,12 @@ def adjacency(network: Network, speed: float) -> dict[int, list[Arc]]:
 
 
 def dijkstra(adj: dict[int, list[Arc]], src: int, blocked: Container[int] = (),
-             stop: int | None = None) -> tuple[dict[int, float], dict[int, tuple[int, float]]]:
+             stop: int | None = None) -> tuple[dict[int, float], dict[int, tuple[int, int, float]]]:
     """Times from src over `adj` minus the `blocked` edge ids, and each reached
-    station's predecessor with the edge length.  Popping `stop` ends the search;
-    heap entries are (time, station id), so ties pop by id."""
+    station's predecessor with the edge id and length.  Popping `stop` ends the
+    search; heap entries are (time, station id), so ties pop by id."""
     dist = {src: 0.0}
-    prev: dict[int, tuple[int, float]] = {}
+    prev: dict[int, tuple[int, int, float]] = {}
     heap = [(0.0, src)]
     while heap:
         du, u = heapq.heappop(heap)
@@ -135,7 +135,7 @@ def dijkstra(adj: dict[int, list[Arc]], src: int, blocked: Container[int] = (),
             nd = du + t
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
-                prev[v] = (u, d)
+                prev[v] = (u, e, d)
                 heapq.heappush(heap, (nd, v))
     return dist, prev
 

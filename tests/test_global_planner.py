@@ -161,6 +161,60 @@ def test_decode_matches_reference_decoder(case):
         assert net.has_edge(a, b) and not net.is_used(a, b)
 
 
+def divert_square():
+    # 1 -> 2 -> 4 is the short way; 3 hangs off 2, and 3 -> 5 -> 4 is its
+    # way to the goal that avoids the edge 2-3.
+    return line_network([(0, 0, 0), (100, 0, 0), (100, 100, 0), (200, 0, 0), (200, 200, 0)],
+                        [(1, 2), (2, 3), (2, 4), (3, 5), (5, 4)], values=[0, 1, 2, 3, 4])
+
+
+def recording_dijkstra(monkeypatch):
+    """Patch the planner's `dijkstra`; return the list of (source, blocked?) calls."""
+    calls, dijkstra = [], gp.dijkstra
+
+    def recorded(adj, src, blocked=frozenset(), stop=None):
+        calls.append((src, bool(blocked)))
+        return dijkstra(adj, src, blocked, stop)
+
+    monkeypatch.setattr(gp, "dijkstra", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("budget, stop, calls", [
+    # The walk stops at 2, whose shortest way on, 2-4, the walk did not use.
+    (350.0, (1, 2, 4), [(2, False)]),
+    # The walk stops at 3, whose shortest way on runs back over 2-3: search again.
+    (450.0, (1, 2, 3, 5, 4), [(3, False), (3, True)]),
+])
+def test_divert_reuses_the_goal_chain_unless_the_walk_cut_it(monkeypatch, budget, stop, calls):
+    net = divert_square()
+    keys = keys_for(net, {2: 0.9, 3: 0.8, 4: 0.1, 5: 0.5})
+    args = (keys, net, 1, 4, budget, 1.0)
+    ref = decode_outcome(reference_decode_route, *args)
+    recorded = recording_dijkstra(monkeypatch)
+    assert decode_outcome(decode_route, *args) == ref
+    assert ref[0] == stop and recorded == calls
+
+
+def test_plan_searches_unblocked_once_per_stop_station(monkeypatch):
+    # Each plan keeps one unblocked chain per stop station; the other
+    # searches are diverts whose walk cut that chain.
+    rng = np.random.default_rng(5)
+    positions = rng.uniform(0, 3000, size=(12, 3))
+    edges = [(i, j) for i in range(1, 13) for j in range(i + 1, 13) if rng.random() < 0.5]
+    net = line_network(positions, edges, start=1, goal=12,
+                       values=list(rng.integers(1, 6, 12).astype(float)))
+    budget = 4.0 * float(np.linalg.norm(positions[0] - positions[11]))
+    calls = recording_dijkstra(monkeypatch)
+    for plan in range(2):
+        first = len(calls)
+        plan_global(net, 1, 12, budget, 1.0, de_cfg(pop=16, gens=20), restarts=2,
+                    rng=np.random.default_rng(plan))
+        unblocked = [src for src, blocked in calls[first:] if not blocked]
+        assert len(unblocked) == len(set(unblocked)) > 1
+        assert len(calls) - first > len(unblocked)
+
+
 def tied_keys(rng, n):
     """Keys drawn mostly from {0, 0.5, 1}, so many genomes share a walk."""
     return np.where(rng.random(n) < 0.8, rng.choice([0.0, 0.5, 1.0], n), rng.random(n))

@@ -10,11 +10,10 @@ walk depends on the keys: `plan_global` builds one `DecodeGraph` (the
 network's shared adjacency, its to-goal times, and a walk view of the same
 edges carrying key indexes and those times) that all its decodes share and
 whose to-goal times also decide feasibility.  Many genomes stop their walk
-at the same station sequence, so the graph also memoizes each distinct
-walk's completion (divert and `Route`) for the life of the graph, one
-`plan_global` call; the `Route`s it returns are frozen and may be shared
-between decodes.  It also keeps each stop station's unblocked shortest path
-to the goal, which is the divert of every walk that used none of its edges.
+at the same station sequence, so the graph also memoizes, for its life (one
+`plan_global` call), each distinct walk's completion (divert and `Route`;
+the frozen `Route`s may be shared between decodes) and each stop station's
+unblocked shortest path to the goal, the divert of any walk that missed it.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ class DecodeGraph:
     so an entry is exact for any keys and budget that reach that walk.  The
     memo lives as long as the graph, one `plan_global` call, and holds at
     most one entry per decode; decodes ending in the same walk return the
-    same (frozen) `Route` object.  `chains` maps a stop station to its
-    unblocked `_goal_chain` and that chain's edge ids.
+    same (frozen) `Route` object.  `chains` holds each stop station's
+    `_goal_chain` with nothing blocked.
     """
 
     network: Network
@@ -159,17 +158,15 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
     why the goal is cut off."""
     network, goal, cur, values = graph.network, graph.goal, seq[-1], graph.values
     if cur != goal:
-        # Divert: minimum-time path to the goal over what is left.  Blocking
-        # edges only raises times, and pops go by (time, id), so a search
-        # without the walk's edges returns the unblocked chain whenever the
-        # walk used none of that chain's edges.
+        # Divert: minimum-time path to the goal over what is left.  Blocking can
+        # only raise times and pops go by (time, id), so when the walk used none
+        # of the unblocked chain's edges, the blocked search returns that chain.
         chain = graph.chains.get(cur)
         if chain is None:
-            steps = _goal_chain(graph.adj, cur, goal)
-            chain = graph.chains[cur] = steps, frozenset(e for _, e, _ in steps)
+            chain = graph.chains[cur] = _goal_chain(graph.adj, cur, goal, frozenset())
         steps, edges = chain
         if not edges.isdisjoint(used):
-            steps = _goal_chain(graph.adj, cur, goal, used)
+            steps = _goal_chain(graph.adj, cur, goal, used)[0]
         if not steps:
             return f"goal {goal} unreachable from {cur}"
         for v, _, d in steps:
@@ -186,17 +183,17 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
                  time=distance / graph.speed, total_value=value, station_total=network.size)
 
 
-def _goal_chain(adj: dict[int, list[Arc]], src: int, goal: int,
-                blocked: set[int] | frozenset[int] = frozenset()) -> list[tuple[int, int, float]]:
+def _goal_chain(adj: dict[int, list[Arc]], src: int, goal: int, blocked: set[int] | frozenset[int]
+                ) -> tuple[list[tuple[int, int, float]], frozenset[int]]:
     """`dijkstra`'s path from `src` to `goal` as (station, edge id, edge length)
-    steps after `src`; empty when the goal is cut off."""
+    steps after `src`, none when the goal is cut off, and the path's edge ids."""
     prev = dijkstra(adj, src, blocked, stop=goal)[1]
     steps, v = [], goal
     while v in prev:  # `src` never enters `prev`
         u, e, d = prev[v]
         steps.append((v, e, d))
         v = u
-    return steps[::-1]
+    return steps[::-1], frozenset(e for _, e, _ in steps)
 
 
 def route_cost(route: Route | None, time_budget: float) -> float:
@@ -239,8 +236,10 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
     exceeds the budget.  Decoding is memoized on the ranking of the keys: two
     genomes ordering the stations identically decode to the same route.
     """
-    if time_budget <= 0:
-        raise ValueError("time_budget must be > 0")
+    if not (isinstance(restarts, int) and restarts >= 1):
+        raise ValueError("restarts must be an int >= 1")
+    if not (math.isfinite(time_budget) and time_budget > 0 and math.isfinite(speed) and speed > 0):
+        raise ValueError("time_budget and speed must be finite and > 0")
     graph = decode_graph(network, goal, speed)
     if start not in graph.to_goal:
         raise UnreachableGoalError(f"goal {goal} unreachable from station {start}")

@@ -233,15 +233,15 @@ class _Executor:
                  float(path.surge[k]), float(path.sway[k]), float(path.yaw_rate[k]),
                  float(path.times[k])))
 
-    def _execute_path(self, plan: LocalPlan, leg_index: int,
-                      allow_replans: bool) -> tuple[float, list[LocalPlan]]:
+    def _execute_path(self, plan: LocalPlan, leg_index: int, plans: list[LocalPlan],
+                      allow_replans: bool) -> float:
         """Tick a planned path to its end, replanning locally on hazards.
 
-        Returns (time spent, every plan executed on this leg, in order).
+        Returns the time spent; appends each plan flown to `plans` (empty for a leg).
         """
         path = plan.path
         self._record_path(path, leg_index)
-        plans = [plan]
+        plans.append(plan)
         tau = 0.0
         spent = 0.0
         while True:
@@ -249,7 +249,7 @@ class _Executor:
             tau, arrived = self._tick(path, tau, leg_index)
             spent += self.elapsed - before
             if arrived:
-                return spent, plans
+                return spent
             if not allow_replans:
                 continue
             hazard = _hazard(self.position, path, tau, self.obstacles, self.field,
@@ -329,19 +329,22 @@ class _Executor:
                 leg_index = len(report.legs)
                 outcome = LegOutcome(from_id=current, to_id=target, planned=t_planned, actual=0.0)
                 leg_start = self.elapsed
+                plans_used: list[LocalPlan] = []
                 try:
-                    spent, plans_used = self._execute_path(leg_plan, leg_index,
-                                                           allow_replans=True)
+                    spent = self._execute_path(leg_plan, leg_index, plans_used,
+                                               allow_replans=True)
                 except NoFeasiblePathError:
                     # Trapped mid-leg: retreat to the leg's start station, then
                     # exclude the blocked edge and replan globally.
+                    outcome.local_replans = len(plans_used) - 1
                     try:
-                        self._retreat(current, leg_index)
+                        self._retreat(current, leg_index, plans_used)
                     except NoFeasiblePathError:
                         raise _MissionAbort("trapped mid-leg with no retreat path")
                     outcome.to_id = current
                     outcome.actual = self.elapsed - leg_start  # out and back
                     outcome.aborted = True
+                    self._leg_bookkeeping(outcome, plans_used)
                     report.legs.append(outcome)
                     route = self._exclude_and_replan(current, target)
                     pos_in_route = 0
@@ -403,14 +406,14 @@ class _Executor:
             raise _MissionAbort(f"goal cut off from station {current}")
         return self._replan_global(current, "no feasible local path")
 
-    def _retreat(self, station: int, leg_index: int):
-        """Fly back to the leg's start station; no nested hazard replans."""
+    def _retreat(self, station: int, leg_index: int, plans: list[LocalPlan]):
+        """Fly back to the leg's start station, adding the plan to `plans`; no replans."""
         start_pos = self.network.position(station)
         chord = float(np.linalg.norm(start_pos - self.position))
         if chord < 1e-6:
             return
         plan = self._plan_leg(self.position, start_pos, horizon=chord / self.speed)
-        self._execute_path(plan, leg_index, allow_replans=False)
+        self._execute_path(plan, leg_index, plans, allow_replans=False)
         self.report.replans.append((self.elapsed, "local", "retreat to leg start"))
 
     def _finalize(self, report: MissionReport) -> MissionReport:

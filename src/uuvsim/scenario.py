@@ -229,7 +229,7 @@ def validate(sc: Scenario) -> Scenario:
     _check_nonnegative("network.drift_sigma", sc.network.drift_sigma)
     _require(sc.network.comm_range > 0 or sc.network.edges is not None,
              "network.comm_range must be > 0 when no edge list is given")
-    _require(sc.vehicle.time_budget > 0, "vehicle.time_budget must be > 0")
+    _require(0 < sc.vehicle.time_budget < math.inf, "vehicle.time_budget must be finite and > 0")
     _require(0 < sc.vehicle.cruise_speed <= sc.vehicle.max_speed,
              "vehicle.cruise_speed must be in (0, max_speed]")
     _require(sc.vehicle.max_speed > 0, "vehicle.max_speed must be > 0")
@@ -241,7 +241,8 @@ def validate(sc: Scenario) -> Scenario:
         _require(de_spec.generations >= 1, f"{label}.generations must be >= 1")
         _require(0.0 <= de_spec.scale <= 2.0, f"{label}.scale must be in [0, 2]")
         _require(0.0 <= de_spec.crossover <= 1.0, f"{label}.crossover must be in [0, 1]")
-        _require(de_spec.restarts >= 1, f"{label}.restarts must be >= 1")
+        _require(type(de_spec.restarts) is int and de_spec.restarts >= 1,
+                 f"{label}.restarts must be an integer >= 1")
         _require(de_spec.stall is None or (type(de_spec.stall) is int and de_spec.stall >= 1),
                  f"{label}.stall must be null or an integer >= 1")
     # Local planning runs one DE per leg; any other restart count would be ignored.
@@ -269,6 +270,10 @@ def validate(sc: Scenario) -> Scenario:
                  "mission.edge_failures entries need after_leg and edge")
     if sc.montecarlo.stations is not None:
         _check_range("montecarlo.stations", sc.montecarlo.stations, lo_ok=2, integer=True)
+        lo, ns = sc.montecarlo.stations[0], sc.network
+        if ns.records is None:  # redrawn ids are 1..count; a goal of `stations` follows count
+            _require(ns.start <= lo and (ns.goal in (None, ns.stations) or ns.goal <= lo),
+                     "network.start and goal must be <= the montecarlo.stations low bound")
     # The configs the mission builds also reject infinities, which pass the checks above.
     for label, build, arg in (("de_global", de_config_from_spec, sc.de_global),
                               ("de_local", de_config_from_spec, sc.de_local),

@@ -264,8 +264,11 @@ def small_world_file(tmp_path, doc) -> str:
     ({"obstacles": {"radius_sigma": -1.0}}, "obstacles.radius_sigma must be finite and >= 0"),
     ({"network": {"drift_sigma": math.nan}}, "network.drift_sigma must be finite and >= 0"),
     ({"montecarlo": {"stations": [1, 5]}}, "montecarlo.stations low bound must be >= 2"),
+    ({"vehicle": {"time_budget": math.inf}}, "vehicle.time_budget must be finite and > 0"),
+    ({"de_global": {"restarts": 1.5}}, "de_global.restarts must be an integer >= 1"),
 ], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
-        "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range"])
+        "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range", "budget-inf",
+        "restarts-float"])
 def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
     path = small_world_file(tmp_path, doc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
@@ -285,6 +288,37 @@ def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and message in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# A Monte Carlo redraw numbers its stations 1..count with count >= 5 here.
+MC_REDRAW = {"montecarlo": {"stations": [5, 6]},
+             "de_global": {"population": 8, "generations": 8, "restarts": 1},
+             "de_local": {"population": 16, "generations": 25}}
+
+
+@pytest.mark.parametrize("network", [{"stations": 12, "goal": 11}, {"stations": 12, "start": 6}],
+                         ids=["goal-above-redraw", "start-above-redraw"])
+@pytest.mark.parametrize("command", ["echo", "montecarlo"])
+def test_cli_rejects_stations_the_montecarlo_redraw_drops(tmp_path, capsys, command, network):
+    # Both used to pass, and every trial then failed with 'station 11 not defined'.
+    path = small_world_file(tmp_path, {**MC_REDRAW, "network": network})
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert ("scenario error: network.start and goal must be <= the montecarlo.stations low "
+            "bound") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("network", [{"stations": 12, "goal": 12}, {"stations": 12, "goal": 4},
+                                     {"stations": 12, "start": 5, "goal": 2}],
+                         ids=["goal-follows-redraw", "goal-below-redraw", "start-at-low-bound"])
+def test_cli_montecarlo_accepts_stations_every_redraw_keeps(tmp_path, capsys, network):
+    path = small_world_file(tmp_path, {**MC_REDRAW, "network": network})
+    assert main(["echo", "--scenario", path]) == 0
+    assert main(["montecarlo", "--scenario", path, "--trials", "1", "--seed", "3",
+                 "--out", str(tmp_path / "mc")]) == 0
+    lines = (tmp_path / "mc" / "trials.csv").read_text().splitlines()
+    [trial] = csv.DictReader(lines[1:])
+    assert (trial["success"], trial["error"]) == ("1", "")
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

@@ -396,6 +396,23 @@ def test_plan_rejects_unaffordable_budget():
                     rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": 0}, {"restarts": -1}, {"restarts": 2.0}, {"time_budget": math.nan},
+    {"time_budget": math.inf}, {"time_budget": 0.0}, {"speed": 0.0}, {"speed": math.nan},
+    {"speed": math.inf}, {"speed": -1.0},
+], ids=["restarts-0", "restarts-negative", "restarts-float", "budget-nan", "budget-inf",
+        "budget-0", "speed-0", "speed-nan", "speed-inf", "speed-negative"])
+def test_plan_rejects_arguments_it_cannot_use(kwargs):
+    # Each used to die inside the plan (AttributeError, a numpy error,
+    # ZeroDivisionError, a misleading UnreachableGoalError), to plan against a
+    # NaN or infinite budget, or, at a negative speed, to loop in `dijkstra`
+    # over negative edge times.
+    args = {"time_budget": 1e4, "speed": 1.0, "restarts": 1, **kwargs}
+    with pytest.raises(ValueError, match="restarts must be|time_budget and speed must be"):
+        plan_global(triangle(), 1, 3, config=de_cfg(pop=8, gens=5),
+                    rng=np.random.default_rng(0), **args)
+
+
 def test_plan_traces_are_monotone_and_per_restart():
     net = triangle()
     plan = plan_global(net, 1, 3, 1e4, 1.0, de_cfg(pop=10, gens=15), restarts=3,

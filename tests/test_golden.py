@@ -61,12 +61,12 @@ def scenario_file(name: str, out_dir: Path) -> Path:
 
 def artifact_hashes(case: str, out_dir: Path) -> dict[str, str]:
     """Run one CLI case into out_dir and return {file name: sha256 hex}."""
-    argv, names = CASES[case]
+    argv, files = CASES[case]
     if argv[2] in VARIANTS:
         out_dir.mkdir(parents=True, exist_ok=True)
         argv = [*argv[:2], str(scenario_file(argv[2], out_dir)), *argv[3:]]
     main([*argv, "--out", str(out_dir)])
-    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in files}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

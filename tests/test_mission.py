@@ -293,77 +293,77 @@ def small_mission(records, edges, **mission):
         "mission": mission})
 
 
-@pytest.mark.parametrize("replans_out", [0, 1])
-def test_trapped_mid_leg_retreats_to_the_leg_start_and_replans_without_the_edge(monkeypatch,
-                                                                                replans_out):
+def test_trapped_mid_leg_retreats_to_the_leg_start_and_replans_without_the_edge(monkeypatch):
     # Triangle 1-2-3: with either edge out of station 1 blocked, the other
-    # still reaches goal 2.
-    sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
-                        {"id": 2, "position": [1800.0, 1000.0, 50.0]},
-                        {"id": 3, "position": [1000.0, 1600.0, 50.0], "value": 2}],
-                       [[1, 2], [1, 3], [3, 2]])
-    sc.current.count = [3, 3]  # a current, so that the paths flown sway
-    ex = _Executor(sc, sc.seed)
-    hazards = []
+    # still reaches goal 2.  The leg flies 0, then 1 hazard replans out before
+    # the replan that finds no path.
+    for replans_out in (0, 1):
+        sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
+                            {"id": 2, "position": [1800.0, 1000.0, 50.0]},
+                            {"id": 3, "position": [1000.0, 1600.0, 50.0], "value": 2}],
+                           [[1, 2], [1, 3], [3, 2]])
+        sc.current.count = [3, 3]  # a current, so that the paths flown sway
+        ex = _Executor(sc, sc.seed)
+        hazards = []
 
-    def hazard(position, path, tau, *args):  # about 120 m into each path flown out
-        if len(hazards) > replans_out or tau < 60.0:
-            return None
-        hazards.append(tau)
-        return 9
+        def hazard(position, path, tau, *args):  # about 120 m into each path flown out
+            if len(hazards) > replans_out or tau < 60.0:
+                return None
+            hazards.append(tau)
+            return 9
 
-    def replan_until_boxed_in(*args, **kwargs):  # the last hazard's replan finds no path
-        if len(hazards) > replans_out:
-            raise NoFeasiblePathError("boxed in")
-        return replan_local(*args, **kwargs)
+        def replan_until_boxed_in(*args, **kwargs):  # the last hazard's replan finds no path
+            if len(hazards) > replans_out:
+                raise NoFeasiblePathError("boxed in")
+            return replan_local(*args, **kwargs)
 
-    monkeypatch.setattr("uuvsim.mission._hazard", hazard)
-    monkeypatch.setattr("uuvsim.mission.replan_local", replan_until_boxed_in)
-    flown = []  # the paths of leg 0: its plan, the hazard replans, the retreat
-    plan_leg = ex._plan_leg
+        monkeypatch.setattr("uuvsim.mission._hazard", hazard)
+        monkeypatch.setattr("uuvsim.mission.replan_local", replan_until_boxed_in)
+        flown = []  # the paths of leg 0: its plan, the hazard replans, the retreat
+        plan_leg = ex._plan_leg
 
-    def recording_plan_leg(*args, **kwargs):
-        plan = plan_leg(*args, **kwargs)
-        if not ex.report.legs:
-            flown.append(plan.path)
-        return plan
+        def recording_plan_leg(*args, **kwargs):
+            plan = plan_leg(*args, **kwargs)
+            if not ex.report.legs:
+                flown.append(plan.path)
+            return plan
 
-    ex._plan_leg = recording_plan_leg
-    routes, blocked = [], []
-    plan_route = ex._plan_route
+        ex._plan_leg = recording_plan_leg
+        routes, blocked = [], []
+        plan_route = ex._plan_route
 
-    def recording_plan_route(start, generations_factor=1.0):
-        blocked.append(set(ex.blocked))
-        plan = plan_route(start, generations_factor)
-        routes.append(plan.route.sequence)
-        return plan
+        def recording_plan_route(start, generations_factor=1.0):
+            blocked.append(set(ex.blocked))
+            plan = plan_route(start, generations_factor)
+            routes.append(plan.route.sequence)
+            return plan
 
-    ex._plan_route = recording_plan_route
-    report = ex.run()
+        ex._plan_route = recording_plan_route
+        report = ex.run()
 
-    target = routes[0][1]
-    first = report.legs[0]
-    assert (first.from_id, first.to_id, first.aborted) == (1, 1, True)
-    # The aborted leg's time counts the way out (60 s per path) and the way back.
-    leg0 = [t[0] for t in report.ticks if t[5] == 0]
-    retreat = report.replans[replans_out]
-    assert first.actual == leg0[-1] == retreat[0] and first.actual > sum(hazards) + 30.0
-    assert report.path_time == pytest.approx(sum(leg.actual for leg in report.legs))
-    np.testing.assert_allclose([t[1:4] for t in report.ticks if t[5] == 0][-1],
-                               ex.network.position(1), atol=1e-6)
-    assert [r[1:] for r in report.replans[:replans_out + 2]] == (
-        [("local", "hazard obstacle 9")] * replans_out
-        + [("local", "retreat to leg start"), ("global", "no feasible local path")])
-    # The row counts the replans flown out and the limits of every path flown.
-    assert first.local_replans == replans_out and len(flown) == replans_out + 2
-    assert first.max_surge == max(float(np.max(p.surge)) for p in flown) > 0
-    assert first.max_sway == max(float(np.max(np.abs(p.sway))) for p in flown) > 0
-    assert first.max_yaw_rate == max(float(np.max(np.abs(p.yaw_rate))) for p in flown) > 0
-    # The edge is masked for the replan that excludes it, and for no other plan.
-    assert blocked[0] == set() and blocked[1] == {tuple(sorted((1, target)))}
-    assert all(b == set() for b in blocked[2:]) and ex.blocked == set()
-    assert report.success and report.executed_sequence[0] == 1
-    assert report.executed_sequence[1] != target
+        target = routes[0][1]
+        first = report.legs[0]
+        assert (first.from_id, first.to_id, first.aborted) == (1, 1, True)
+        # The aborted leg's time counts the way out (60 s per path) and the way back.
+        leg0 = [t[0] for t in report.ticks if t[5] == 0]
+        retreat = report.replans[replans_out]
+        assert first.actual == leg0[-1] == retreat[0] and first.actual > sum(hazards) + 30.0
+        assert report.path_time == pytest.approx(sum(leg.actual for leg in report.legs))
+        np.testing.assert_allclose([t[1:4] for t in report.ticks if t[5] == 0][-1],
+                                   ex.network.position(1), atol=1e-6)
+        assert [r[1:] for r in report.replans[:replans_out + 2]] == (
+            [("local", "hazard obstacle 9")] * replans_out
+            + [("local", "retreat to leg start"), ("global", "no feasible local path")])
+        # The row counts the replans flown out and the limits of every path flown.
+        assert first.local_replans == replans_out and len(flown) == replans_out + 2
+        assert first.max_surge == max(float(np.max(p.surge)) for p in flown) > 0
+        assert first.max_sway == max(float(np.max(np.abs(p.sway))) for p in flown) > 0
+        assert first.max_yaw_rate == max(float(np.max(np.abs(p.yaw_rate))) for p in flown) > 0
+        # The edge is masked for the replan that excludes it, and for no other plan.
+        assert blocked[0] == set() and blocked[1] == {tuple(sorted((1, target)))}
+        assert all(b == set() for b in blocked[2:]) and ex.blocked == set()
+        assert report.success and report.executed_sequence[0] == 1
+        assert report.executed_sequence[1] != target
 
 
 def test_hazard_replans_beyond_the_per_leg_limit_raise(monkeypatch):

@@ -126,21 +126,6 @@ class ClusteredMap:
         c0, c1 = col0 // _TILE, col1 // _TILE + 1
         return t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0] == 0
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
-        """(row, col) of a point, or None when outside the raster."""
-        col = int(math.floor(x / self.grid.cell_size))
-        row = int(math.floor(y / self.grid.cell_size))
-        if 0 <= row < self.grid.height and 0 <= col < self.grid.width:
-            return row, col
-        return None
-
-    def is_water(self, x: float, y: float, padded: bool = False) -> bool:
-        cell = self.cell_of(x, y)
-        if cell is None:
-            return False
-        occ = self.padded_occupancy if padded else self.occupancy
-        return occ[cell] == 0
-
 
 def _initial_centers(values: np.ndarray, k: int) -> np.ndarray:
     """Deterministic init: evenly spaced quantiles of the intensity histogram."""
@@ -465,7 +450,7 @@ def step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
 
 
 def points_in_collision(points: np.ndarray, cmap: ClusteredMap,
-                        obstacles: list[Obstacle], padded: bool = False) -> np.ndarray:
+                        obstacles: list[Obstacle] = (), padded: bool = False) -> np.ndarray:
     """Vectorized collision test for (n, 3) points.
 
     A point collides when its cell is coast, it lies outside the raster or the
@@ -494,9 +479,11 @@ def points_in_collision(points: np.ndarray, cmap: ClusteredMap,
     return out
 
 
-def point_in_collision(point, cmap: ClusteredMap, obstacles: list[Obstacle]) -> bool:
+def point_in_collision(point, cmap: ClusteredMap, obstacles: list[Obstacle] = (),
+                       padded: bool = False) -> bool:
     """Scalar form of points_in_collision, in plain floats with the same arithmetic.
 
+    The one point rule for a vehicle position, a station or an obstacle centre.
     Out-of-bounds and non-finite points are conservatively hits; a 2-D point
     sits at depth 0.
     """
@@ -507,7 +494,8 @@ def point_in_collision(point, cmap: ClusteredMap, obstacles: list[Obstacle]) -> 
     if not (math.isfinite(gx) and math.isfinite(gy) and 0.0 <= z <= grid.depth_extent):
         return True
     col, row = math.floor(gx), math.floor(gy)
-    if not (0 <= col < grid.width and 0 <= row < grid.height) or cmap.occupancy[row, col] == 1:
+    occ = cmap.padded_occupancy if padded else cmap.occupancy
+    if not (0 <= col < grid.width and 0 <= row < grid.height) or occ[row, col] == 1:
         return True
     for obs in obstacles:
         dx, dy, dz = x - obs.position[0], y - obs.position[1], z - obs.position[2]

@@ -14,7 +14,7 @@ class KTooLargeError(UUVSimError):
 
 
 class CoastalPlacementError(UUVSimError):
-    """An explicitly placed station lands on a coast cell."""
+    """A station cannot be placed: off water, near the coast or outside the depth range."""
 
 
 class UnreachableGoalError(UUVSimError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import ClusteredMap, VortexField, current_at
+from .env import ClusteredMap, VortexField, current_at, point_in_collision, points_in_collision
 from .errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
                      UnreachableGoalError)
 
@@ -172,7 +172,8 @@ def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
 
     Per-axis jitter ~ N(0, sigma^2) plus the horizontal current vector at the
     station; the combined move is rejection-resampled until the new position
-    stays inside the per-axis bound box around the anchor and off the coast.
+    stays inside the per-axis bound box around the anchor and passes the
+    padded point rule, as a generated station does.
     After 100 failed attempts the station holds its position.  Fixed stations
     are returned unchanged.  Stations are processed in id order so a single
     rng stream reproduces exactly.
@@ -190,11 +191,7 @@ def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
         for _ in range(_DRIFT_ATTEMPTS):
             jitter = rng.normal(0.0, st.drift_sigma, size=3) if st.drift_sigma > 0 else np.zeros(3)
             cand = pos + jitter + drift
-            if np.any(np.abs(cand - anchor) > bound):
-                continue
-            if not (0.0 <= cand[2] <= cmap.grid.depth_extent):
-                continue
-            if not cmap.is_water(cand[0], cand[1], padded=True):
+            if np.any(np.abs(cand - anchor) > bound) or point_in_collision(cand, cmap, padded=True):
                 continue
             new_stations[sid] = replace(st, position=(float(cand[0]), float(cand[1]), float(cand[2])))
             break
@@ -202,15 +199,11 @@ def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
 
 
 def _clear_chord(cmap: ClusteredMap, a, b) -> bool:
-    """True when the horizontal segment a-b stays over water cells."""
+    """True when the horizontal segment a-b stays over water cells, sampled a cell apart."""
     steps = max(2, int(math.ceil(np.hypot(b[0] - a[0], b[1] - a[1]) / cmap.grid.cell_size)))
     fr = np.linspace(0.0, 1.0, steps)
-    xs = a[0] + fr * (b[0] - a[0])
-    ys = a[1] + fr * (b[1] - a[1])
-    cs = cmap.grid.cell_size
-    cols = np.clip((xs / cs).astype(np.int64), 0, cmap.grid.width - 1)
-    rows = np.clip((ys / cs).astype(np.int64), 0, cmap.grid.height - 1)
-    return not np.any(cmap.occupancy[rows, cols] == 1)
+    chord = np.column_stack((a[0] + fr * (b[0] - a[0]), a[1] + fr * (b[1] - a[1])))
+    return not points_in_collision(chord, cmap).any()
 
 
 def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
@@ -227,19 +220,20 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
 
     Random stations are uniform over the water volume (resampled off the
     coast); adjacency is either the explicit edge list or the comm-range rule,
-    which also requires a land-free chord between the stations.
-    Raises CoastalPlacementError for explicit coast positions and
-    UnreachableGoalError when no placement attempt connects start to goal.
+    which also requires a land-free chord between the stations.  Every station,
+    explicit or random, passes the padded point rule: on water a cell clear of
+    the coast, so every path endpoint clears the planners' conservative coast
+    band, and inside the depth range.  Raises CoastalPlacementError for an
+    explicit position that fails it and UnreachableGoalError when no placement
+    attempt connects start to goal.
     """
     extent = cmap.grid.extent
 
     def sample_water_point() -> tuple[float, float, float]:
-        # Padded test keeps generated stations a cell away from the coast, so
-        # every path endpoint clears the planners' conservative coast band.
         for _ in range(10_000):
             x = rng.uniform(0.0, extent[0])
             y = rng.uniform(0.0, extent[1])
-            if cmap.is_water(x, y, padded=True):
+            if not point_in_collision((x, y), cmap, padded=True):
                 return x, y, float(rng.uniform(0.0, cmap.grid.depth_extent))
         raise CoastalPlacementError("could not sample a water cell; map has no water?")
 
@@ -253,8 +247,9 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
                     pos = sample_water_point()
                 else:
                     pos = tuple(float(c) for c in rec["position"])
-                    if not cmap.is_water(pos[0], pos[1]):
-                        raise CoastalPlacementError(f"station {sid} at {pos[:2]} is on coast")
+                    if len(pos) != 3 or point_in_collision(pos, cmap, padded=True):
+                        raise CoastalPlacementError(f"station {sid} at {pos} is not (x, y, z) on "
+                                                    "water a cell from the coast, in depth range")
                 stations[sid] = Station(
                     id=sid, position=pos, kind=rec.get("kind", "fixed"),
                     value=float(rec.get("value", 0)),

@@ -19,7 +19,7 @@ import yaml
 from . import seeding
 from .de import DEConfig
 from .env import (ClusteredMap, EnvSnapshot, Obstacle, VortexField, cluster_map,
-                  load_raster, sample_vortex_field, synthesize_raster)
+                  load_raster, point_in_collision, sample_vortex_field, synthesize_raster)
 from .errors import ScenarioParseError, ScenarioValidationError
 from .local_planner import LocalCostWeights, SplineConfig
 from .network import Network, build_network
@@ -401,7 +401,7 @@ def build_obstacles(sc: Scenario, cmap: ClusteredMap, network: Network, seed: in
             x = rng.uniform(0.0, sc.field.x)
             y = rng.uniform(0.0, sc.field.y)
             z = rng.uniform(0.0, sc.field.z)
-            if not cmap.is_water(x, y, padded=True):
+            if point_in_collision((x, y, z), cmap, padded=True):
                 continue
             cand = np.array([x, y, z])
             if np.min(np.linalg.norm(stations - cand, axis=1)) <= radius + spec.station_clearance:

@@ -276,13 +276,24 @@ def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, me
     assert not (tmp_path / "out").exists()
 
 
+def two_records(position) -> dict:
+    """A `two_station` network whose station 1 sits at `position`."""
+    return {"network": {"records": [{"id": 1, "position": position},
+                                    {"id": 2, "position": [1800.0, 1700.0, 80.0]}],
+                        "edges": [[1, 2]], "start": 1, "goal": 2}}
+
+
 @pytest.mark.parametrize("command", ["plan", "run"])
 @pytest.mark.parametrize("doc, message", [
     ({"map": {"k": 300}}, "k=300 exceeds"),
     ({"network": {"comm_range": 10.0}}, "goal 20 not reachable from start 1"),
-], ids=["k-too-large", "unreachable-goal"])
+    (two_records([math.nan, 200.0, 50.0]), "station 1 at (nan, 200.0, 50.0) is not (x, y, z)"),
+    (two_records([200.0, 200.0, 250.0]), "station 1 at (200.0, 200.0, 250.0) is not (x, y, z)"),
+    (two_records([25.0, 1000.0, 50.0]), "station 1 at (25.0, 1000.0, 50.0) is not (x, y, z)"),
+], ids=["k-too-large", "unreachable-goal", "station-nan", "station-below-depth",
+        "station-in-coast-band"])
 def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
-    # Both pass validation; the map or the network cannot be built from them.
+    # Each passes validation; the map or the network cannot be built from it.
     path = small_world_file(tmp_path, doc)
     assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -128,7 +128,7 @@ def test_padded_occupancy_covers_coast_neighbours():
     cm = cluster_map(raster, k=2)
     assert cm.occupancy[1, 1] == 1
     assert cm.padded_occupancy.sum() == 9  # the island plus its 8 neighbours
-    assert cm.is_water(1.5, 0.5) and not cm.is_water(1.5, 0.5, padded=True)
+    assert not point_in_collision((1.5, 0.5), cm) and point_in_collision((1.5, 0.5), cm, padded=True)
 
 
 # --- current field ----------------------------------------------------------
@@ -431,7 +431,7 @@ def test_collision_monotone_in_envelope():
 
 
 def test_point_in_collision_matches_vector_form():
-    """The scalar tick test agrees with points_in_collision point for point."""
+    """The scalar point rule agrees with points_in_collision point for point."""
     rng = np.random.default_rng(21)
     values = np.where(rng.random((40, 60)) < 0.1, 255.0, 0.0)
     cmap = cluster_map(grid_from(values, cell_size=2.5, depth=80.0), k=2)
@@ -448,13 +448,14 @@ def test_point_in_collision_matches_vector_form():
              np.nan, np.inf, -np.inf, 40.0]
     pts.append(np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T)
     pts = np.vstack(pts)
-    with np.errstate(invalid="ignore", over="ignore"):
-        want = points_in_collision(pts, cmap, obstacles)
-    got = [point_in_collision(p, cmap, obstacles) for p in pts]
-    assert got == want.tolist()
-    assert want[~np.isfinite(pts).all(axis=1)].all()
-    assert point_in_collision((5.0, 5.0), cmap, []) == points_in_collision(
-        np.array([[5.0, 5.0]]), cmap, [])[0]
+    for padded in (False, True):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = points_in_collision(pts, cmap, obstacles, padded=padded)
+        got = [point_in_collision(p, cmap, obstacles, padded=padded) for p in pts]
+        assert got == want.tolist()
+        assert want[~np.isfinite(pts).all(axis=1)].all()
+        assert point_in_collision((5.0, 5.0), cmap, padded=padded) == points_in_collision(
+            np.array([[5.0, 5.0]]), cmap, padded=padded)[0]
 
 
 @settings(max_examples=50, deadline=None)

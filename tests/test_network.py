@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uuvsim.env import VortexField, VortexParams, cluster_map, current_at
+from uuvsim.env import VortexField, VortexParams, cluster_map, current_at, point_in_collision
 from uuvsim.errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
                            UnreachableGoalError)
 from uuvsim.global_planner import decode_route
@@ -46,12 +46,17 @@ def test_build_explicit_three_stations():
 
 
 def test_build_rejects_coastal_station():
+    # An explicit station passes the padded point rule, as a generated one does:
+    # the coast cell, its one-cell band, above the surface, below the depth
+    # range, non-finite and 2-D positions are all refused.
     cmap = open_water_map()
-    records = [{"id": 1, "position": [50.0, 50.0, 0.0]},  # the coast cell
-               {"id": 2, "position": [5000.0, 5000.0, 10.0]}]
-    with pytest.raises(CoastalPlacementError):
-        build_network(cmap, np.random.default_rng(0), records=records,
-                      explicit_edges=[(1, 2)], start=1, goal=2)
+    for position in ([50.0, 50.0, 0.0], [150.0, 150.0, 10.0], [5000.0, 5000.0, -1.0],
+                     [5000.0, 5000.0, 1001.0], [math.nan, 5000.0, 10.0],
+                     [5000.0, math.inf, 10.0], [5000.0, 5000.0]):
+        records = [{"id": 1, "position": position}, {"id": 2, "position": [5000.0, 5000.0, 10.0]}]
+        with pytest.raises(CoastalPlacementError, match="station 1 at"):
+            build_network(cmap, np.random.default_rng(0), records=records,
+                          explicit_edges=[(1, 2)], start=1, goal=2)
 
 
 def test_build_rejects_unreachable_goal():
@@ -73,7 +78,7 @@ def test_build_generated_twenty_stations():
     for st in net.stations.values():
         x, y, z = st.position
         assert 0 <= x <= 10_000 and 0 <= y <= 10_000 and 0 <= z <= 1000
-        assert cmap.is_water(x, y)
+        assert not point_in_collision(st.position, cmap, padded=True)
     assert net.goal_reachable()
 
 
@@ -270,5 +275,5 @@ def test_build_accepts_random_position_records():
     net = build_network(cmap, np.random.default_rng(2), records=records,
                         explicit_edges=[(1, 2), (2, 3)], start=1, goal=3)
     x, y, z = net.stations[2].position
-    assert cmap.is_water(x, y) and 0 <= z <= 1000.0
+    assert not point_in_collision((x, y, z), cmap, padded=True)
     assert net.stations[2].value == 4.0

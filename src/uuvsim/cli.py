@@ -295,8 +295,6 @@ def _cmd_plan(sc: Scenario, args) -> int:
 
 def _cmd_run(sc: Scenario, args) -> int:
     out_dir = Path(args.out) if args.out else Path("out") / sc.name
-    if args.dt is not None:
-        sc.mission.dt = float(args.dt)
     report, paths = run_once(sc, args.seed, out_dir)
     print(f"success: {report.success}")
     if report.failure_reason:
@@ -363,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a single mission")
     common(p)
-    p.add_argument("--dt", type=float, default=None, help="tick length in seconds")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("montecarlo", help="run a batch of seeded trials")

@@ -101,9 +101,17 @@ def edge_length(p, q) -> float:
 Arc = tuple[int, int, float, float]  # (neighbor id, edge id, edge time, edge length)
 
 
+def _check_speed(speed: float) -> None:
+    """The one rule for a speed that turns edge lengths into times; a negative
+    one would give `dijkstra` negative cycles."""
+    if not (math.isfinite(speed) and speed > 0):
+        raise ValueError(f"speed must be finite and > 0, got {speed!r}")
+
+
 def adjacency(network: Network, speed: float) -> dict[int, list[Arc]]:
     """Each station's unused edges as `Arc`s, ascending by neighbor id.  Edge
     ids number this snapshot's unused edges; `dijkstra` blocks sets of them."""
+    _check_speed(speed)
     adj: dict[int, list[Arc]] = {sid: [] for sid in network.stations}
     for e, (i, j) in enumerate(network.edges - network.used):
         d = edge_length(network.stations[i].position, network.stations[j].position)
@@ -144,8 +152,7 @@ def edge_metrics(network: Network, i: int, j: int, speed: float) -> tuple[float,
     """(distance m, traversal time s) for edge (i, j) at the current positions."""
     if not network.has_edge(i, j):
         raise NoSuchEdgeError(f"no edge between stations {i} and {j}")
-    if speed <= 0:
-        raise ValueError("speed must be > 0")
+    _check_speed(speed)
     d = edge_length(network.stations[i].position, network.stations[j].position)
     return d, d / speed
 

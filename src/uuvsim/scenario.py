@@ -381,11 +381,14 @@ def build_network_from_spec(sc: Scenario, cmap: ClusteredMap, seed: int,
     goal = ns.goal
     if station_count is not None and ns.goal == ns.stations:
         goal = None  # generated goal follows the redrawn station count
-    return build_network(
-        cmap, rng, station_count=count, records=ns.records, start=ns.start, goal=goal,
-        value_range=tuple(int(v) for v in ns.value_range),
-        drifting_fraction=ns.drifting_fraction, drift_bound=tuple(ns.drift_bound),
-        drift_sigma=ns.drift_sigma, comm_range=ns.comm_range, explicit_edges=ns.edges)
+    try:
+        return build_network(
+            cmap, rng, station_count=count, records=ns.records, start=ns.start, goal=goal,
+            value_range=tuple(int(v) for v in ns.value_range),
+            drifting_fraction=ns.drifting_fraction, drift_bound=tuple(ns.drift_bound),
+            drift_sigma=ns.drift_sigma, comm_range=ns.comm_range, explicit_edges=ns.edges)
+    except ValueError as exc:  # a station record or edge the network cannot hold
+        raise ScenarioValidationError(f"network: {exc}") from exc
 
 
 def build_obstacles(sc: Scenario, cmap: ClusteredMap, network: Network, seed: int) -> list[Obstacle]:

@@ -276,11 +276,11 @@ def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, me
     assert not (tmp_path / "out").exists()
 
 
-def two_records(position) -> dict:
-    """A `two_station` network whose station 1 sits at `position`."""
-    return {"network": {"records": [{"id": 1, "position": position},
+def two_records(position=(200.0, 200.0, 50.0), edges=((1, 2),), **station) -> dict:
+    """A `two_station` network whose station 1 sits at `position` with `station`'s keys."""
+    return {"network": {"records": [{"id": 1, "position": list(position), **station},
                                     {"id": 2, "position": [1800.0, 1700.0, 80.0]}],
-                        "edges": [[1, 2]], "start": 1, "goal": 2}}
+                        "edges": [list(e) for e in edges], "start": 1, "goal": 2}}
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])
@@ -290,8 +290,12 @@ def two_records(position) -> dict:
     (two_records([math.nan, 200.0, 50.0]), "station 1 at (nan, 200.0, 50.0) is not (x, y, z)"),
     (two_records([200.0, 200.0, 250.0]), "station 1 at (200.0, 200.0, 250.0) is not (x, y, z)"),
     (two_records([25.0, 1000.0, 50.0]), "station 1 at (25.0, 1000.0, 50.0) is not (x, y, z)"),
+    (two_records([200.0, 200.0]), "station 1 at (200.0, 200.0) is not (x, y, z)"),
+    (two_records(kind="buoy"), "network: unknown station kind 'buoy'"),
+    (two_records(value=-2), "network: station value must be >= 0"),
+    (two_records(edges=[(1, 2), (1, 3)]), "network: edge (1,3) references missing station"),
 ], ids=["k-too-large", "unreachable-goal", "station-nan", "station-below-depth",
-        "station-in-coast-band"])
+        "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere"])
 def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
     # Each passes validation; the map or the network cannot be built from it.
     path = small_world_file(tmp_path, doc)
@@ -299,6 +303,14 @@ def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and message in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_cli_run_has_no_dt_flag(capsys):
+    # The tick length is the scenario key mission.dt, which validation checks.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "two_station", "--dt", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
 
 # A Monte Carlo redraw numbers its stations 1..count with count >= 5 here.

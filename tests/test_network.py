@@ -124,6 +124,19 @@ def test_consuming_goal_edges_cuts_reachability():
     assert not nx.has_path(g, net.start_id, net.goal_id)
 
 
+@pytest.mark.parametrize("speed", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [lambda net, v: shortest_times_to(net, 2, v),
+                                  lambda net, v: adjacency(net, v),
+                                  lambda net, v: edge_metrics(net, 1, 2, v)],
+                         ids=["shortest_times_to", "adjacency", "edge_metrics"])
+def test_network_rejects_speeds_that_give_no_time(call, speed):
+    # Unchecked, -1 looped forever in dijkstra (every edge a negative cycle), 0
+    # divided by zero and NaN came back as an edge time.
+    net = line_network([(0, 0, 0), (3, 4, 0)], [(1, 2)])
+    with pytest.raises(ValueError, match="speed must be finite and > 0"):
+        call(net, speed)
+
+
 def test_shortest_times_match_networkx():
     rng = np.random.default_rng(4)
     positions = rng.uniform(0, 5000, size=(9, 3))

@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uuvsim.env import point_in_collision
 from uuvsim.errors import ScenarioParseError, ScenarioValidationError
-from uuvsim.scenario import (Scenario, build_map, de_config_from_spec, echo, from_dict,
+from uuvsim.network import drift_stations
+from uuvsim.scenario import (Scenario, build_field, build_map, build_network_from_spec,
+                             build_obstacles, de_config_from_spec, echo, from_dict,
                              load_scenario, resolve_scenario, to_dict, validate)
 
 
@@ -156,3 +162,28 @@ def test_stall_defaults_off_and_reaches_the_de_config():
     assert sc.de_global.stall is None
     assert de_config_from_spec(sc.de_local).stall == 20
     assert de_config_from_spec(sc.de_global).stall is None
+
+
+# A 3 x 3 km world of islands whose drifting stations jitter hard against the
+# coast and the surface, so the drift's resampling is exercised.
+ISLAND_WORLD = {"field": {"x": 3000.0, "y": 3000.0, "z": 200.0},
+                "map": {"width": 150, "height": 150, "cell_size": 20.0, "islands": 6,
+                        "island_radius": [150.0, 450.0]},
+                "network": {"stations": 10, "comm_range": 4500.0, "drifting_fraction": 1.0,
+                            "drift_sigma": 80.0, "drift_bound": [300.0, 300.0, 60.0]},
+                "obstacles": {"count": 6, "station_clearance": 100.0}}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_placed_point_passes_the_padded_point_rule(seed):
+    sc = from_dict(ISLAND_WORLD)
+    cmap = build_map(sc, seed)
+    net = build_network_from_spec(sc, cmap, seed)
+    points = [st_.position for st_ in net.stations.values()]
+    points += [obs.position for obs in build_obstacles(sc, cmap, net, seed)]
+    fld, rng = build_field(sc, seed), np.random.default_rng(seed)
+    for _ in range(10):
+        net = drift_stations(net, fld, cmap, rng)
+        points += [st_.position for st_ in net.stations.values()]
+    assert not any(point_in_collision(p, cmap, padded=True) for p in points)

@@ -180,10 +180,10 @@ def test_every_placed_point_passes_the_padded_point_rule(seed):
     sc = from_dict(ISLAND_WORLD)
     cmap = build_map(sc, seed)
     net = build_network_from_spec(sc, cmap, seed)
-    points = [st_.position for st_ in net.stations.values()]
+    points = [s.position for s in net.stations.values()]
     points += [obs.position for obs in build_obstacles(sc, cmap, net, seed)]
     fld, rng = build_field(sc, seed), np.random.default_rng(seed)
     for _ in range(10):
         net = drift_stations(net, fld, cmap, rng)
-        points += [st_.position for st_ in net.stations.values()]
+        points += [s.position for s in net.stations.values()]
     assert not any(point_in_collision(p, cmap, padded=True) for p in points)

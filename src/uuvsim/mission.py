@@ -153,9 +153,8 @@ class _Executor:
         self.global_plans = 0
         self.local_plans = 0
         self.report = MissionReport(scenario=sc.name, seed=seed)
-        # The vehicle: where the last tick left it, and its heading there.
+        # The vehicle: where the last tick left it.
         self.position = self.network.position(self.network.start_id)
-        self.yaw = 0.0
 
     # -- planning ------------------------------------------------------------
 
@@ -214,9 +213,8 @@ class _Executor:
         tau, pos, k, arrived = advance_along_path(path, tau, dt)
         self.elapsed += tau - tau0
         self.position = pos
-        self.yaw = float(path.yaw[k])
         self.report.ticks.append((self.elapsed, float(pos[0]), float(pos[1]), float(pos[2]),
-                                  self.yaw, leg_index))
+                                  float(path.yaw[k]), leg_index))
         if self.elapsed > self.budget:
             raise _MissionAbort("battery exhausted mid-leg")
         if point_in_collision(pos, self.cmap, self.obstacles):
@@ -225,56 +223,41 @@ class _Executor:
         self.obstacles = step_obstacles(self.obstacles, self.field, tau - tau0, self.rng_ticks)
         return tau, arrived
 
-    def _record_path(self, path: LocalPath, leg_index: int):
-        for k in range(len(path.points)):
-            self.report.path_rows.append(
-                (leg_index, k, float(path.points[k, 0]), float(path.points[k, 1]),
-                 float(path.points[k, 2]), float(path.yaw[k]), float(path.pitch[k]),
-                 float(path.surge[k]), float(path.sway[k]), float(path.yaw_rate[k]),
-                 float(path.times[k])))
-
-    def _execute_path(self, plan: LocalPlan, leg_index: int, plans: list[LocalPlan],
-                      allow_replans: bool) -> float:
+    def _execute_path(self, path: LocalPath, leg_index: int, leg: LegOutcome,
+                      allow_replans: bool):
         """Tick a planned path to its end, replanning locally on hazards.
 
-        Returns the time spent; appends each plan flown to `plans` (empty for a leg).
+        The one record of what a leg flew: each path, as it starts, adds its
+        rows to the paths table and its limits to the leg's maxima; each tick
+        adds its time to `leg.actual`, and each hazard replan counts.
         """
-        path = plan.path
-        self._record_path(path, leg_index)
-        plans.append(plan)
-        tau = 0.0
-        spent = 0.0
         while True:
-            before = self.elapsed
-            tau, arrived = self._tick(path, tau, leg_index)
-            spent += self.elapsed - before
-            if arrived:
-                return spent
-            if not allow_replans:
-                continue
-            hazard = _hazard(self.position, path, tau, self.obstacles, self.field,
-                             self.sc.mission.sensing_radius, self.sc.mission.obstacle_margin)
-            if hazard is None:
-                continue
-            if len(plans) > _MAX_LOCAL_REPLANS_PER_LEG:
+            rows = np.column_stack((path.points, path.yaw, path.pitch, path.surge, path.sway,
+                                    path.yaw_rate, path.times)).tolist()
+            self.report.path_rows.extend((leg_index, k, *row) for k, row in enumerate(rows))
+            leg.max_surge = max(leg.max_surge, float(np.max(path.surge)))
+            leg.max_sway = max(leg.max_sway, float(np.max(np.abs(path.sway))))
+            leg.max_yaw_rate = max(leg.max_yaw_rate, float(np.max(np.abs(path.yaw_rate))))
+            tau, hazard = 0.0, None
+            while hazard is None:
+                before = self.elapsed
+                tau, arrived = self._tick(path, tau, leg_index)
+                leg.actual += self.elapsed - before
+                if arrived:
+                    return
+                if allow_replans:
+                    hazard = _hazard(self.position, path, tau, self.obstacles, self.field,
+                                     self.sc.mission.sensing_radius,
+                                     self.sc.mission.obstacle_margin)
+            if leg.local_replans >= _MAX_LOCAL_REPLANS_PER_LEG:
                 raise NoFeasiblePathError("local replan limit reached")
             remaining_chord = float(np.linalg.norm(path.end - self.position))
-            plan = self._plan_leg(self.position, path.end,
+            path = self._plan_leg(self.position, path.end,
                                   horizon=remaining_chord / self.speed,
                                   previous=path, elapsed_on_previous=tau,
-                                  generations_factor=self.sc.mission.replan_generation_factor)
-            path = plan.path
-            self._record_path(path, leg_index)
-            plans.append(plan)
-            tau = 0.0
+                                  generations_factor=self.sc.mission.replan_generation_factor).path
+            leg.local_replans += 1
             self.report.replans.append((self.elapsed, "local", f"hazard obstacle {hazard}"))
-
-    def _leg_bookkeeping(self, outcome: LegOutcome, plans: list[LocalPlan]):
-        for plan in plans:
-            p = plan.path
-            outcome.max_surge = max(outcome.max_surge, float(np.max(p.surge)))
-            outcome.max_sway = max(outcome.max_sway, float(np.max(np.abs(p.sway))))
-            outcome.max_yaw_rate = max(outcome.max_yaw_rate, float(np.max(np.abs(p.yaw_rate))))
 
     def _after_leg(self):
         """Drift, perturbation, and scripted edge failures at a station."""
@@ -329,30 +312,22 @@ class _Executor:
                 leg_index = len(report.legs)
                 outcome = LegOutcome(from_id=current, to_id=target, planned=t_planned, actual=0.0)
                 leg_start = self.elapsed
-                plans_used: list[LocalPlan] = []
                 try:
-                    spent = self._execute_path(leg_plan, leg_index, plans_used,
-                                               allow_replans=True)
+                    self._execute_path(leg_plan.path, leg_index, outcome, allow_replans=True)
                 except NoFeasiblePathError:
                     # Trapped mid-leg: retreat to the leg's start station, then
                     # exclude the blocked edge and replan globally.
-                    outcome.local_replans = len(plans_used) - 1
                     try:
-                        self._retreat(current, leg_index, plans_used)
+                        self._retreat(current, leg_index, outcome)
                     except NoFeasiblePathError:
                         raise _MissionAbort("trapped mid-leg with no retreat path")
                     outcome.to_id = current
                     outcome.actual = self.elapsed - leg_start  # out and back
                     outcome.aborted = True
-                    self._leg_bookkeeping(outcome, plans_used)
                     report.legs.append(outcome)
                     route = self._exclude_and_replan(current, target)
                     pos_in_route = 0
                     continue
-
-                outcome.actual = spent
-                outcome.local_replans = len(plans_used) - 1
-                self._leg_bookkeeping(outcome, plans_used)
                 report.legs.append(outcome)
 
                 if target not in self.visited and target != self.network.start_id:
@@ -406,14 +381,14 @@ class _Executor:
             raise _MissionAbort(f"goal cut off from station {current}")
         return self._replan_global(current, "no feasible local path")
 
-    def _retreat(self, station: int, leg_index: int, plans: list[LocalPlan]):
-        """Fly back to the leg's start station, adding the plan to `plans`; no replans."""
+    def _retreat(self, station: int, leg_index: int, leg: LegOutcome):
+        """Fly back to the leg's start station, recording the path in `leg`; no replans."""
         start_pos = self.network.position(station)
         chord = float(np.linalg.norm(start_pos - self.position))
         if chord < 1e-6:
             return
         plan = self._plan_leg(self.position, start_pos, horizon=chord / self.speed)
-        self._execute_path(plan, leg_index, plans, allow_replans=False)
+        self._execute_path(plan.path, leg_index, leg, allow_replans=False)
         self.report.replans.append((self.elapsed, "local", "retreat to leg start"))
 
     def _finalize(self, report: MissionReport) -> MissionReport:

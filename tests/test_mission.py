@@ -264,13 +264,17 @@ def test_hazard_on_the_planned_path_replans_the_leg_around_it():
     blocker = Obstacle(id=9, kind="uncertain", position=tuple(plan.path.points[k]),
                        radius=60.0)
     ex.obstacles = [blocker]
-    plans = []
-    ex._execute_path(plan, 0, plans, allow_replans=True)
+    leg = LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0)
+    ex._execute_path(plan.path, 0, leg, allow_replans=True)
     assert [r[1:] for r in ex.report.replans] == [("local", "hazard obstacle 9")]
-    assert len(plans) == 2
+    assert leg.local_replans == 1
     np.testing.assert_array_equal(ex.position, plan.path.end)
     envelope = blocker.envelope(0.0, 0.0, ex.sc.mission.obstacle_margin)
-    gap = np.linalg.norm(plans[1].path.points - np.asarray(blocker.position), axis=1)
+    # The paths table holds the plan's samples, then the replan's, each from sample 0.
+    starts = [i for i, row in enumerate(ex.report.path_rows) if row[1] == 0]
+    assert starts == [0, len(plan.path.points)]
+    replanned = np.array([row[2:5] for row in ex.report.path_rows[starts[1]:]])
+    gap = np.linalg.norm(replanned - np.asarray(blocker.position), axis=1)
     assert gap.min() > envelope
 
 
@@ -373,9 +377,10 @@ def test_hazard_replans_beyond_the_per_leg_limit_raise(monkeypatch):
     plan = ex._plan_leg(ex.network.position(1), ex.network.position(2), horizon=0.0)
     monkeypatch.setattr("uuvsim.mission._hazard", lambda *args: 9)
     monkeypatch.setattr(ex, "_plan_leg", lambda *args, **kwargs: plan)
+    leg = LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0)
     with pytest.raises(NoFeasiblePathError, match="local replan limit reached"):
-        ex._execute_path(plan, 0, [], allow_replans=True)
-    assert len(ex.report.replans) == 20
+        ex._execute_path(plan.path, 0, leg, allow_replans=True)
+    assert len(ex.report.replans) == 20 and leg.local_replans == 20
 
 
 def test_forced_global_replan_beyond_the_limit_ends_the_mission():

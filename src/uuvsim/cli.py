@@ -222,13 +222,11 @@ def run_monte_carlo(sc: Scenario, trials: int, base_seed: int, out_dir: Path | N
     if trials < 1:
         raise ScenarioValidationError("trials must be >= 1")
     tasks = [(sc, i, base_seed + i) for i in range(trials)]
-    results = []
-    if jobs > 1:
+    if jobs > 1:  # map returns the results in task order, as the serial list does
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_trial, tasks))
     else:
         results = [_run_trial(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
 
     summary = BatchSummary()
     for trial, seed, report, error in results:

@@ -186,6 +186,11 @@ def _check_nonnegative(name: str, value):
     _require(math.isfinite(value) and value >= 0, f"{name} must be finite and >= 0")
 
 
+def _is_id_pair(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(v) is int for v in value))
+
+
 def validate(sc: Scenario) -> Scenario:
     """Check every documented invariant; returns the scenario for chaining."""
     _require(sc.field.x > 0 and sc.field.y > 0 and sc.field.z > 0,
@@ -223,6 +228,20 @@ def validate(sc: Scenario) -> Scenario:
         _require(sc.network.start in ids, "network.start must be in 1..network.stations")
         _require(sc.network.goal is None or sc.network.goal in ids,
                  "network.goal must be in 1..network.stations")
+    else:  # the shape of explicit stations; where a position lies is the build's point rule
+        _require(isinstance(sc.network.records, list), "network.records must be a list")
+        for i, rec in enumerate(sc.network.records):
+            _require(isinstance(rec, dict), f"network.records[{i}] must be a mapping")
+            _require(type(rec.get("id")) is int, f"network.records[{i}].id must be an integer")
+            pos = rec.get("position")
+            _require(isinstance(pos, (list, tuple)) or pos in (None, "random"),
+                     f"network.records[{i}].position must be absent, random or a list")
+        ids = [rec["id"] for rec in sc.network.records]
+        _require(len(set(ids)) == len(ids), "network.records ids must be unique")
+    if sc.network.edges is not None:
+        _require(isinstance(sc.network.edges, list), "network.edges must be a list")
+        for i, edge in enumerate(sc.network.edges):
+            _require(_is_id_pair(edge), f"network.edges[{i}] must be two station ids")
     _check_range("network.value_range", sc.network.value_range, integer=True)
     _require(0.0 <= sc.network.drifting_fraction <= 1.0,
              "network.drifting_fraction must be in [0, 1]")
@@ -265,15 +284,21 @@ def validate(sc: Scenario) -> Scenario:
     _require(math.isfinite(factor) and factor > 0,
              "mission.replan_generation_factor must be finite and > 0")
     _check_nonnegative("mission.obstacle_margin", sc.mission.obstacle_margin)
-    for failure in sc.mission.edge_failures:
+    for i, failure in enumerate(sc.mission.edge_failures):
         _require(isinstance(failure, dict) and "after_leg" in failure and "edge" in failure,
                  "mission.edge_failures entries need after_leg and edge")
+        _require(type(failure["after_leg"]) is int,
+                 f"mission.edge_failures[{i}].after_leg must be an integer")
+        _require(_is_id_pair(failure["edge"]),
+                 f"mission.edge_failures[{i}].edge must be two station ids")
     if sc.montecarlo.stations is not None:
         _check_range("montecarlo.stations", sc.montecarlo.stations, lo_ok=2, integer=True)
         lo, ns = sc.montecarlo.stations[0], sc.network
-        if ns.records is None:  # redrawn ids are 1..count; a goal of `stations` follows count
-            _require(ns.start <= lo and (ns.goal in (None, ns.stations) or ns.goal <= lo),
-                     "network.start and goal must be <= the montecarlo.stations low bound")
+        _require(ns.records is None, "montecarlo.stations redraws generated stations; "
+                 "it cannot go with network.records")
+        # Redrawn ids are 1..count; a goal of `stations` follows count.
+        _require(ns.start <= lo and (ns.goal in (None, ns.stations) or ns.goal <= lo),
+                 "network.start and goal must be <= the montecarlo.stations low bound")
     # The configs the mission builds also reject infinities, which pass the checks above.
     for label, build, arg in (("de_global", de_config_from_spec, sc.de_global),
                               ("de_local", de_config_from_spec, sc.de_local),

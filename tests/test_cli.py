@@ -276,11 +276,22 @@ def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, me
     assert not (tmp_path / "out").exists()
 
 
-def two_records(position=(200.0, 200.0, 50.0), edges=((1, 2),), **station) -> dict:
-    """A `two_station` network whose station 1 sits at `position` with `station`'s keys."""
-    return {"network": {"records": [{"id": 1, "position": list(position), **station},
-                                    {"id": 2, "position": [1800.0, 1700.0, 80.0]}],
+def two_records(position=(200.0, 200.0, 50.0), edges=((1, 2),), first=None, **station) -> dict:
+    """A `two_station` network whose station 1 sits at `position` with `station`'s keys.
+
+    `first`, when given, is the whole first record instead.
+    """
+    if first is None:
+        first = {"id": 1, "position": list(position) if isinstance(position, tuple) else position,
+                 **station}
+    return {"network": {"records": [first, {"id": 2, "position": [1800.0, 1700.0, 80.0]}],
                         "edges": [list(e) for e in edges], "start": 1, "goal": 2}}
+
+
+def edge_failure(after_leg, edge) -> dict:
+    """`two_records()` with one scripted edge failure."""
+    return {**two_records(), "mission": {"edge_failures": [{"after_leg": after_leg,
+                                                            "edge": edge}]}}
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])
@@ -294,10 +305,24 @@ def two_records(position=(200.0, 200.0, 50.0), edges=((1, 2),), **station) -> di
     (two_records(kind="buoy"), "network: unknown station kind 'buoy'"),
     (two_records(value=-2), "network: station value must be >= 0"),
     (two_records(edges=[(1, 2), (1, 3)]), "network: edge (1,3) references missing station"),
+    (two_records(first="station 1"), "network.records[0] must be a mapping"),
+    (two_records(first={"position": [200.0, 200.0, 50.0]}),
+     "network.records[0].id must be an integer"),
+    (two_records(5), "network.records[0].position must be absent, random or a list"),
+    ({"network": {"records": [{"id": 1, "position": [200.0, 200.0, 50.0]},
+                              {"id": 2, "position": [1800.0, 1700.0, 80.0]},
+                              {"id": 2, "position": [1000.0, 1000.0, 60.0]}],
+                  "edges": [[1, 2]], "start": 1, "goal": 2}}, "network.records ids must be unique"),
+    (two_records(edges=[(1, 2, 3)]), "network.edges[0] must be two station ids"),
+    (edge_failure(1, [1, 2, 3]), "mission.edge_failures[0].edge must be two station ids"),
+    (edge_failure(1.5, [1, 2]), "mission.edge_failures[0].after_leg must be an integer"),
 ], ids=["k-too-large", "unreachable-goal", "station-nan", "station-below-depth",
-        "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere"])
+        "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere",
+        "record-not-mapping", "record-without-id", "position-scalar", "record-id-twice",
+        "edge-three-ids", "failure-edge-three-ids", "failure-after-leg-float"])
 def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
-    # Each passes validation; the map or the network cannot be built from it.
+    # Each is one line naming the key: validation refuses the input's shape,
+    # and the build refuses a map or network that cannot be built from it.
     path = small_world_file(tmp_path, doc)
     assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -328,6 +353,16 @@ def test_cli_rejects_stations_the_montecarlo_redraw_drops(tmp_path, capsys, comm
     assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     assert ("scenario error: network.start and goal must be <= the montecarlo.stations low "
             "bound") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["echo", "montecarlo"])
+def test_cli_rejects_a_montecarlo_redraw_of_explicit_records(tmp_path, capsys, command):
+    # Both used to pass, and every trial flew the records' two stations.
+    path = small_world_file(tmp_path, {**two_records(), "montecarlo": {"stations": [5, 8]}})
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert ("scenario error: montecarlo.stations redraws generated stations; it cannot go "
+            "with network.records") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -416,3 +451,37 @@ def test_cli_montecarlo(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "trials.csv").exists()
     assert (tmp_path / "summary.txt").exists()
+
+
+def test_cli_montecarlo_files_do_not_depend_on_jobs(tmp_path):
+    # Trial i has seed base + i and its row i, in a pool or in one process.
+    for jobs in ("1", "2"):
+        assert main(["montecarlo", "--scenario", "two_station", "--trials", "3",
+                     "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    for name in ("trials.csv", "summary.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_cli_run_legs_agree_with_the_paths_and_replans_flown(tmp_path):
+    # Each legs.csv row is the record of the paths its leg flew (paths.csv),
+    # and the legs' times and hazard replans add up to the mission's.
+    assert main(["run", "--scenario", "paper_baseline", "--seed", "42",
+                 "--out", str(tmp_path)]) == 0
+
+    def table(name):
+        return list(csv.DictReader((tmp_path / name).read_text().splitlines()[1:]))
+
+    legs, paths, replans = table("legs.csv"), table("paths.csv"), table("replans.csv")
+    assert {row["leg"] for row in paths} == {row["leg"] for row in legs}
+    for leg in legs:
+        flown = [row for row in paths if row["leg"] == leg["leg"]]
+        assert float(leg["max_surge"]) == max(float(row["surge"]) for row in flown)
+        assert float(leg["max_sway"]) == max(abs(float(row["sway"])) for row in flown)
+        assert float(leg["max_yaw_rate_deg"]) == math.degrees(
+            max(abs(float(row["yaw_rate"])) for row in flown))
+    report = dict(line.split(": ", 1) for line in (tmp_path / "report.txt").read_text()
+                  .splitlines()[1:])
+    assert sum(float(leg["actual_s"]) for leg in legs) == pytest.approx(
+        float(report["global_path_time_s"]), rel=1e-12)
+    assert sum(int(leg["local_replans"]) for leg in legs) == sum(
+        row["reason"].startswith("hazard obstacle") for row in replans)

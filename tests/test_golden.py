@@ -5,9 +5,14 @@
 `trials.csv` and `summary.txt` that `uuvsim montecarlo --trials 3` writes for
 `two_station`.  It also holds the `route.csv` and `de_traces.csv` of
 `uuvsim plan` for `paper_baseline` seed 42 and for a test-only variant of it
-on 40 stations, whose plans divert onto shortest paths far more often.  Only a
+on 40 stations, whose plans divert onto shortest paths far more often, and the
+`uuvsim run` files of a test-only hazard world: the 2 x 2 km two-record world
+of `tests/test_cli.py` with its default six obstacles.  There seed 6 flies one
+hazard replan, and seed 26 meets a hazard whose replan and retreat both find
+no path, so the mission ends trapped mid-leg (exit 3).  Only a
 change that declares an output change may edit the hashes of a case;
-`python tests/test_golden.py` prints the current hashes in its format.
+`python -m tests.test_golden`, run from the repo root with `src` on the path,
+prints the current hashes in its format.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import yaml
 
 import uuvsim
 from uuvsim.cli import main
+from tests.test_cli import small_world_file, two_records
 
 GOLDEN = Path(__file__).with_name("golden.json")
 BUNDLED = Path(uuvsim.__file__).with_name("scenarios")
@@ -42,18 +48,35 @@ CASES = {
                                       PLAN_FILES),
     "plan paper_baseline_40 --seed 42": (["plan", "--scenario", "paper_baseline_40",
                                           "--seed", "42"], PLAN_FILES),
+    "run hazard_world --seed 6": (["run", "--scenario", "hazard_world", "--seed", "6"],
+                                  RUN_FILES),
+    "run hazard_world --seed 26": (["run", "--scenario", "hazard_world", "--seed", "26"],
+                                   RUN_FILES),
 }
 
-# Test-only scenarios: a bundled scenario with some network keys replaced.
-VARIANTS = {"paper_baseline_40": ("paper_baseline", {"stations": 40, "goal": 40})}
+
+def _bundled(base: str, **network):
+    """A bundled scenario with some network keys replaced."""
+    def doc(out_dir: Path) -> dict:
+        out = yaml.safe_load(BUNDLED.joinpath(f"{base}.yaml").read_text())
+        out["network"].update(network)
+        return out
+    return doc
+
+
+def _hazard_world(out_dir: Path) -> dict:
+    return yaml.safe_load(Path(small_world_file(out_dir, two_records())).read_text())
+
+
+# Test-only scenarios: each writes its document given a scratch directory.
+VARIANTS = {"paper_baseline_40": _bundled("paper_baseline", stations=40, goal=40),
+            "hazard_world": _hazard_world}
 
 
 def scenario_file(name: str, out_dir: Path) -> Path:
     """Write the variant `name` into out_dir and return its path."""
-    base, network = VARIANTS[name]
-    doc = yaml.safe_load(BUNDLED.joinpath(f"{base}.yaml").read_text())
+    doc = VARIANTS[name](out_dir)
     doc["name"] = name
-    doc["network"].update(network)
     path = out_dir / f"{name}.yaml"
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
     return path

@@ -109,7 +109,7 @@ def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Pa
 
     p = out_dir / "ticks.csv"
     _write_csv(p, sc, seed, ["t", "x", "y", "z", "yaw", "leg"],
-               "%.17g,%.17g,%.17g,%.17g,%.17g,%d", report.ticks)
+               "%.17g,%.17g,%.17g,%.17g,%.17g,%d", map(tuple, report.ticks.tolist()))
     paths.append(p)
 
     p = out_dir / "replans.csv"
@@ -340,6 +340,22 @@ def _cmd_echo(sc: Scenario, args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
+def _length(text: str) -> float:
+    """An argparse type: a finite real > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uuvsim",
                                      description="Mission planning simulator for an "
@@ -364,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="run a batch of seeded trials")
     common(p)
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("field-dump", help="sample the current field to CSV")
     common(p)
-    p.add_argument("--resolution", type=int, default=200, help="grid points per axis")
-    p.add_argument("--extent", type=float, nargs=2, default=None,
+    p.add_argument("--resolution", type=_count, default=200, help="grid points per axis")
+    p.add_argument("--extent", type=_length, nargs=2, default=None,
                    metavar=("X", "Y"), help="sample window size in meters")
     p.set_defaults(func=_cmd_field_dump)
 

@@ -3,8 +3,9 @@
 The map is a raster of intensities partitioned by 1-D k-means into water
 (feasible) and coast (forbidden) cells.  The current field is a superposition
 of Lamb vortices; obstacles are spheres that hold still, wobble in radius, or
-drift with the current.  Everything here is a value type: stepping functions
-return new snapshots, and every stochastic operation takes an explicit rng.
+drift with the current.  Everything here is a value type but the executor's
+`ObstacleColumns`, which `step_obstacles` moves in place; every stochastic
+operation takes an explicit rng.
 """
 
 from __future__ import annotations
@@ -374,6 +375,24 @@ def sample_vortex_field(extent: tuple[float, float], rng: np.random.Generator,
     return VortexField(vortices=tuple(vortices), noise_range=noise_range)
 
 
+def envelope(kind: str, radius: float, base_radius: float, radius_sigma: float,
+             motion_sigma: float, horizon, current_mag: float, margin: float = 0.0):
+    """98%-confidence envelope radius of an obstacle for a prediction horizon (s).
+
+    The one envelope rule.  Position uncertainty of mobile obstacles grows
+    linearly with the horizon (a float or an array) at rate
+    motion_sigma * |v_c|; uncertain obstacles add their radius spread.
+    Static obstacles keep envelope = radius + margin.
+    """
+    env_r = radius + margin
+    if kind == "mobile":
+        return env_r + CONFIDENCE_Z * motion_sigma * current_mag * np.maximum(horizon, 0.0)
+    if kind == "uncertain":
+        # Radius resamples around the base value, so predict from it.
+        return max(env_r, base_radius + margin + CONFIDENCE_Z * radius_sigma)
+    return env_r
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Spherical hazard; kind is 'static', 'uncertain' (radius wobbles) or 'mobile'."""
@@ -398,55 +417,115 @@ class Obstacle:
             object.__setattr__(self, "envelope_radius", self.radius)
 
     def envelope(self, horizon, current_mag: float, margin: float = 0.0):
-        """98%-confidence envelope radius for a prediction horizon (s), a float or an array.
-
-        Position uncertainty of mobile obstacles grows linearly with the
-        horizon at rate motion_sigma * |v_c|; uncertain obstacles add their
-        radius spread.  Static obstacles keep envelope = radius + margin.
-        """
-        env_r = self.radius + margin
-        if self.kind == "mobile":
-            return env_r + CONFIDENCE_Z * self.motion_sigma * current_mag * np.maximum(horizon, 0.0)
-        if self.kind == "uncertain":
-            # Radius resamples around the base value, so predict from it.
-            return max(env_r, self.base_radius + margin + CONFIDENCE_Z * self.radius_sigma)
-        return env_r
+        """This obstacle's `envelope` for a prediction horizon (s), a float or an array."""
+        return envelope(self.kind, self.radius, self.base_radius, self.radius_sigma,
+                        self.motion_sigma, horizon, current_mag, margin)
 
     def inflated(self, horizon: float, current_mag: float, margin: float = 0.0) -> "Obstacle":
         """Copy whose envelope_radius is envelope(horizon, current_mag, margin)."""
         return replace(self, envelope_radius=float(self.envelope(horizon, current_mag, margin)))
 
 
-def step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
-                   rng: np.random.Generator) -> list[Obstacle]:
-    """Advance obstacles by one step of duration dt.
+@dataclass(eq=False)
+class ObstacleColumns:
+    """The executor's obstacles as columns, one row per obstacle in list order.
+
+    Plain Python lists, not arrays: at a handful of rows one numpy call costs
+    more than the loop over the rows.  A row's ball has its current radius.
+    `speed` holds |v_c| at each mobile row's position in `tracked` (0.0 on the
+    other rows, whose envelopes ignore it); `currents` holds the (v_cx, v_cy)
+    behind it, one pair per row of `mobile`.
+    """
+
+    ids: list[int]
+    kinds: list[str]
+    x: list[float]
+    y: list[float]
+    z: list[float]
+    radius: list[float]
+    base_radius: list[float]
+    radius_sigma: list[float]
+    motion_sigma: list[float]
+    mobile: list[int]
+    speed: list[float]
+    currents: list[list[float]]
+    tracked: VortexField | None = None  # the field of `currents`
+
+    @classmethod
+    def of(cls, obstacles) -> "ObstacleColumns":
+        obs = list(obstacles)
+        return cls(ids=[o.id for o in obs], kinds=[o.kind for o in obs],
+                   x=[float(o.position[0]) for o in obs], y=[float(o.position[1]) for o in obs],
+                   z=[float(o.position[2]) for o in obs], radius=[o.radius for o in obs],
+                   base_radius=[o.base_radius for o in obs],
+                   radius_sigma=[o.radius_sigma for o in obs],
+                   motion_sigma=[o.motion_sigma for o in obs],
+                   mobile=[i for i, o in enumerate(obs) if o.kind == "mobile"],
+                   speed=[0.0] * len(obs), currents=[])
+
+    def rows(self) -> list[Obstacle]:
+        """The rows as Obstacle values."""
+        return [Obstacle(id=self.ids[i], kind=self.kinds[i],
+                         position=(self.x[i], self.y[i], self.z[i]), radius=self.radius[i],
+                         radius_sigma=self.radius_sigma[i], motion_sigma=self.motion_sigma[i],
+                         base_radius=self.base_radius[i]) for i in range(len(self.ids))]
+
+    def track(self, fld: VortexField) -> None:
+        """Make `currents` and `speed` those of `fld`; no field call if they already are."""
+        if self.tracked is fld:
+            return
+        if self.mobile:
+            points = np.array([(self.x[i], self.y[i]) for i in self.mobile])
+            self.currents = current_grid(points, fld).tolist()
+            for i, (v_cx, v_cy) in zip(self.mobile, self.currents):
+                self.speed[i] = math.hypot(v_cx, v_cy)
+        self.tracked = fld
+
+    def contains(self, x: float, y: float, z: float) -> bool:
+        """Whether the point lies in some row's closed ball, as `point_in_collision` tests it."""
+        for ox, oy, oz, r in zip(self.x, self.y, self.z, self.radius):
+            dx, dy, dz = x - ox, y - oy, z - oz
+            if dx * dx + dy * dy + dz * dz <= r ** 2:
+                return True
+        return False
+
+
+def step_obstacles(obstacles: ObstacleColumns, fld: VortexField, dt: float,
+                   rng: np.random.Generator) -> None:
+    """Advance the obstacles in place by one step of duration dt.
 
     Mobile obstacles drift with the local current plus per-step Gaussian
     jitter of scale motion_sigma * |v_c| on each horizontal axis; uncertain
     obstacles resample their radius around the base value; static obstacles
-    are returned untouched.  One field call serves every mobile obstacle.
+    hold still.  One standard-normal draw serves the step, its values taken
+    in row order and none where a scale is 0: `rng.normal(loc, s)` is
+    `loc + s * z` bit for bit, so values and stream equal one `rng.normal`
+    call per obstacle.  The step ends with one field call at the stepped
+    mobile positions, which the hazard test and the next step read.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    mobile = [obs.position[:2] for obs in obstacles if obs.kind == "mobile"]
-    currents = iter(current_grid(np.array(mobile), fld).tolist() if mobile else ())
-    out = []
-    for obs in obstacles:
-        if obs.kind == "static":
-            out.append(obs)
-        elif obs.kind == "uncertain":
-            r = float(rng.normal(obs.base_radius, obs.radius_sigma)) if obs.radius_sigma > 0 else obs.base_radius
-            r = max(r, 1e-6)
-            out.append(replace(obs, radius=r, envelope_radius=r))
-        else:
+    obs = obstacles
+    obs.track(fld)
+    scales = [obs.radius_sigma[i] if kind == "uncertain"
+              else obs.motion_sigma[i] * obs.speed[i] if kind == "mobile" else 0.0
+              for i, kind in enumerate(obs.kinds)]
+    draws = sum(2 if kind == "mobile" else 1
+                for kind, scale in zip(obs.kinds, scales) if scale > 0)
+    z = iter(rng.standard_normal(draws).tolist() if draws else ())
+    currents = iter(obs.currents)
+    for i, kind in enumerate(obs.kinds):
+        scale = scales[i]
+        if kind == "uncertain":
+            r = obs.base_radius[i] + scale * next(z) if scale > 0 else obs.base_radius[i]
+            obs.radius[i] = max(r, 1e-6)
+        elif kind == "mobile":
             v_cx, v_cy = next(currents)
-            scale = obs.motion_sigma * math.hypot(v_cx, v_cy)
-            jitter = rng.normal(0.0, scale, size=2) if scale > 0 else np.zeros(2)
-            pos = (obs.position[0] + v_cx * dt + jitter[0],
-                   obs.position[1] + v_cy * dt + jitter[1],
-                   obs.position[2])
-            out.append(replace(obs, position=pos))
-    return out
+            jx, jy = (scale * next(z), scale * next(z)) if scale > 0 else (0.0, 0.0)
+            obs.x[i] = obs.x[i] + v_cx * dt + jx
+            obs.y[i] = obs.y[i] + v_cy * dt + jy
+    obs.tracked = None  # the rows moved
+    obs.track(fld)
 
 
 def points_in_collision(points: np.ndarray, cmap: ClusteredMap,

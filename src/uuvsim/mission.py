@@ -10,13 +10,15 @@ the goal station is reached with non-negative residual time.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import seeding
-from .env import EnvSnapshot, current_at, perturb_field, point_in_collision, step_obstacles
+from .env import (EnvSnapshot, ObstacleColumns, envelope, perturb_field, points_in_collision,
+                  step_obstacles)
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
 from .global_planner import GlobalPlan, Route, plan_global, walk_cost
@@ -57,7 +59,7 @@ class MissionReport:
     total_cost: float = 0.0
     wall_clock: float = 0.0         # informational only; never serialized
     legs: list[LegOutcome] = field(default_factory=list)
-    ticks: list[tuple] = field(default_factory=list)      # (t, x, y, z, yaw, leg)
+    ticks: np.ndarray = field(default_factory=lambda: np.empty((0, 6)))  # rows t, x, y, z, yaw, leg
     replans: list[tuple] = field(default_factory=list)    # (t, kind, reason)
     path_rows: list[tuple] = field(default_factory=list)  # per-sample rows of executed paths
     de_traces: list[tuple] = field(default_factory=list)  # (label, [best costs])
@@ -84,38 +86,60 @@ def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: N
     return False, ""
 
 
-def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles, env_field,
+def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles: ObstacleColumns,
             sensing_radius: float, margin: float) -> int | None:
-    """Id of the first obstacle whose `Obstacle.envelope` cuts the remaining path."""
-    k0 = path.sample_index_at_time(tau)
-    rem = path.points[k0:]
-    horizons = path.times[k0:] - tau
-    for obs in obstacles:
-        if obs.kind == "static":
+    """Id of the first obstacle whose `envelope` cuts the remaining path.
+
+    A mobile obstacle's speed is the one `step_obstacles` left in the columns.
+    """
+    px, py, pz = (float(v) for v in position)
+    rem = None
+    for i, kind in enumerate(obstacles.kinds):
+        if kind == "static":
             continue
-        dx = obs.position[0] - position[0]
-        dy = obs.position[1] - position[1]
-        dz = obs.position[2] - position[2]
+        ox, oy, oz = obstacles.x[i], obstacles.y[i], obstacles.z[i]
+        dx, dy, dz = ox - px, oy - py, oz - pz
         if dx * dx + dy * dy + dz * dz > sensing_radius ** 2:
             continue
-        speed = current_at(obs.position[:2], env_field).magnitude
-        d2 = np.sum((rem - np.asarray(obs.position)) ** 2, axis=1)
-        if np.any(d2 <= obs.envelope(horizons, speed, margin) ** 2):
-            return obs.id
+        if rem is None:
+            k0 = path.sample_index_at_time(tau)
+            rem, horizons = path.points[k0:], path.times[k0:] - tau
+        d2 = np.sum((rem - np.array((ox, oy, oz))) ** 2, axis=1)
+        r = envelope(kind, obstacles.radius[i], obstacles.base_radius[i],
+                     obstacles.radius_sigma[i], obstacles.motion_sigma[i], horizons,
+                     obstacles.speed[i], margin)
+        if np.any(d2 <= r ** 2):
+            return obstacles.ids[i]
     return None
 
 
-def advance_along_path(path: LocalPath, tau: float, dt: float) -> tuple[float, np.ndarray, int, bool]:
-    """One time step along a planned path.
+def path_ticks(path: LocalPath, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every tick of flying a path: tau (n,), position (n, 3) and sample index (n,).
 
-    Returns (new elapsed-on-path time, position, sample index, arrived); the
-    final step is truncated so arrival lands exactly on the path's duration.
+    Each tick advances tau by dt; the last is cut short so that tau lands
+    exactly on the path's duration.  Positions interpolate the sampled
+    polyline in the arithmetic of `LocalPath.position_at_time`; the sample
+    index is `LocalPath.sample_index_at_time`'s, the index of the yaw flown.
     """
-    step = min(dt, path.duration - tau)
-    tau = tau + max(step, 0.0)
-    pos = path.position_at_time(tau)
-    k = path.sample_index_at_time(tau)
-    return tau, pos, k, tau >= path.duration
+    duration = path.duration
+    if not math.isfinite(duration):
+        raise ValueError("path duration must be finite")
+    taus, tau = [], 0.0
+    while True:
+        tau = tau + max(min(dt, duration - tau), 0.0)
+        taus.append(tau)
+        if tau >= duration:
+            break
+    t = np.array(taus)
+    times, points = path.times, path.points
+    after = np.searchsorted(times, t, side="right")
+    k = np.clip(after - 1, 0, len(times) - 2)
+    span = times[k + 1] - times[k]
+    w = np.divide(t - times[k], span, out=np.zeros_like(t), where=span > 0)
+    pos = (1 - w)[:, None] * points[k] + w[:, None] * points[k + 1]
+    pos[t <= 0] = points[0]
+    pos[t >= times[-1]] = points[-1]
+    return t, pos, np.minimum(after, len(times) - 1)
 
 
 class _MissionAbort(Exception):
@@ -134,7 +158,7 @@ class _Executor:
         self.base_field = build_field(sc, seed)
         self.field = self.base_field
         self.network = build_network_from_spec(sc, self.cmap, seed, station_count=station_count)
-        self.obstacles = build_obstacles(sc, self.cmap, self.network, seed)
+        self.obstacles = ObstacleColumns.of(build_obstacles(sc, self.cmap, self.network, seed))
         self.weights = weights_from_spec(sc)
         self.spline = spline_from_spec(sc)
         self.rng_ticks = seeding.stream(seed, seeding.MISSION, 0)
@@ -153,6 +177,7 @@ class _Executor:
         self.global_plans = 0
         self.local_plans = 0
         self.report = MissionReport(scenario=sc.name, seed=seed)
+        self.tick_blocks = [self.report.ticks]  # the tick table, one block per path flown
         # The vehicle: where the last tick left it.
         self.position = self.network.position(self.network.start_id)
 
@@ -184,9 +209,9 @@ class _Executor:
         return replace(self.network, used=self.network.used | self.blocked)
 
     def _planning_env(self, horizon: float) -> EnvSnapshot:
-        inflated = tuple(obs.inflated(horizon, current_at(obs.position[:2], self.field).magnitude,
-                                      margin=self.sc.mission.obstacle_margin)
-                         for obs in self.obstacles)
+        self.obstacles.track(self.field)
+        inflated = tuple(obs.inflated(horizon, speed, margin=self.sc.mission.obstacle_margin)
+                         for obs, speed in zip(self.obstacles.rows(), self.obstacles.speed))
         return EnvSnapshot(self.cmap, self.field, inflated)
 
     def _plan_leg(self, start_pos, target_pos, horizon: float,
@@ -206,31 +231,17 @@ class _Executor:
 
     # -- execution -----------------------------------------------------------
 
-    def _tick(self, path: LocalPath, tau: float, leg_index: int) -> tuple[float, bool]:
-        """Advance one tick along the path; returns (new tau, arrived)."""
-        dt = self.sc.mission.dt
-        tau0 = tau
-        tau, pos, k, arrived = advance_along_path(path, tau, dt)
-        self.elapsed += tau - tau0
-        self.position = pos
-        self.report.ticks.append((self.elapsed, float(pos[0]), float(pos[1]), float(pos[2]),
-                                  float(path.yaw[k]), leg_index))
-        if self.elapsed > self.budget:
-            raise _MissionAbort("battery exhausted mid-leg")
-        if point_in_collision(pos, self.cmap, self.obstacles):
-            raise _MissionAbort("collision during execution")
-        # Obstacles move for the tick's real duration, short on a leg's last tick.
-        self.obstacles = step_obstacles(self.obstacles, self.field, tau - tau0, self.rng_ticks)
-        return tau, arrived
-
     def _execute_path(self, path: LocalPath, leg_index: int, leg: LegOutcome,
                       allow_replans: bool):
         """Tick a planned path to its end, replanning locally on hazards.
 
         The one record of what a leg flew: each path, as it starts, adds its
         rows to the paths table and its limits to the leg's maxima; each tick
-        adds its time to `leg.actual`, and each hazard replan counts.
+        adds its time to `leg.actual`, and each hazard replan counts.  The
+        ticks of a path, as far as it was flown, become one block of the tick
+        table.
         """
+        mission = self.sc.mission
         while True:
             rows = np.column_stack((path.points, path.yaw, path.pitch, path.surge, path.sway,
                                     path.yaw_rate, path.times)).tolist()
@@ -238,24 +249,43 @@ class _Executor:
             leg.max_surge = max(leg.max_surge, float(np.max(path.surge)))
             leg.max_sway = max(leg.max_sway, float(np.max(np.abs(path.sway))))
             leg.max_yaw_rate = max(leg.max_yaw_rate, float(np.max(np.abs(path.yaw_rate))))
-            tau, hazard = 0.0, None
-            while hazard is None:
-                before = self.elapsed
-                tau, arrived = self._tick(path, tau, leg_index)
-                leg.actual += self.elapsed - before
-                if arrived:
-                    return
-                if allow_replans:
-                    hazard = _hazard(self.position, path, tau, self.obstacles, self.field,
-                                     self.sc.mission.sensing_radius,
-                                     self.sc.mission.obstacle_margin)
+            taus, points, samples = path_ticks(path, mission.dt)
+            coast = points_in_collision(points, self.cmap).tolist()
+            xyz = points.tolist()
+            flown, hazard = [], None  # the elapsed time after each tick flown
+            try:
+                for i, step in enumerate(np.diff(taus, prepend=0.0).tolist()):
+                    before = self.elapsed
+                    self.elapsed += step
+                    leg.actual += self.elapsed - before
+                    flown.append(self.elapsed)
+                    if self.elapsed > self.budget:
+                        raise _MissionAbort("battery exhausted mid-leg")
+                    if coast[i] or self.obstacles.contains(*xyz[i]):
+                        raise _MissionAbort("collision during execution")
+                    # Obstacles move for the tick's real duration, short on a path's last tick.
+                    step_obstacles(self.obstacles, self.field, step, self.rng_ticks)
+                    if i == len(xyz) - 1:
+                        break  # arrived
+                    if allow_replans:
+                        hazard = _hazard(points[i], path, taus[i], self.obstacles,
+                                         mission.sensing_radius, mission.obstacle_margin)
+                        if hazard is not None:
+                            break
+            finally:
+                n = len(flown)
+                self.position = points[n - 1]
+                self.tick_blocks.append(np.column_stack(
+                    (flown, points[:n], path.yaw[samples[:n]], np.full(n, float(leg_index)))))
+            if hazard is None:
+                return
             if leg.local_replans >= _MAX_LOCAL_REPLANS_PER_LEG:
                 raise NoFeasiblePathError("local replan limit reached")
             remaining_chord = float(np.linalg.norm(path.end - self.position))
             path = self._plan_leg(self.position, path.end,
                                   horizon=remaining_chord / self.speed,
-                                  previous=path, elapsed_on_previous=tau,
-                                  generations_factor=self.sc.mission.replan_generation_factor).path
+                                  previous=path, elapsed_on_previous=float(taus[n - 1]),
+                                  generations_factor=mission.replan_generation_factor).path
             leg.local_replans += 1
             self.report.replans.append((self.elapsed, "local", f"hazard obstacle {hazard}"))
 
@@ -392,6 +422,7 @@ class _Executor:
         self.report.replans.append((self.elapsed, "local", "retreat to leg start"))
 
     def _finalize(self, report: MissionReport) -> MissionReport:
+        report.ticks = np.concatenate(self.tick_blocks)
         report.path_time = self.elapsed
         report.residual_time = self.budget - self.elapsed
         report.stations_visited = len(set(report.executed_sequence))

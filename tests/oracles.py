@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import BSpline
 
-from uuvsim.env import EnvSnapshot, GridMap, VortexField, current_grid, points_in_collision
+from uuvsim.env import (EnvSnapshot, GridMap, Obstacle, VortexField, current_at, current_grid,
+                        points_in_collision)
 from uuvsim.errors import UndecodableError
 from uuvsim.global_planner import Route
 from uuvsim.local_planner import (_CERT_MARGIN, _EPS_LEN, LocalCostWeights, LocalPath,
@@ -449,3 +451,40 @@ def reference_cluster_map(raster: GridMap, k: int, max_iters: int = 100):
         if converged:
             break
     return labels, centers, trace
+
+
+# The obstacle step and the tick advance of the executor before it held the
+# obstacles as columns and flew each path in one pass, kept as the exactness
+# references for `step_obstacles` and `mission.path_ticks`.
+
+
+def reference_step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
+                             rng: np.random.Generator) -> list[Obstacle]:
+    """One step as one `current_at` and one `rng.normal` call per obstacle, in list order."""
+    out = []
+    for obs in obstacles:
+        if obs.kind == "static":
+            out.append(obs)
+        elif obs.kind == "uncertain":
+            r = (float(rng.normal(obs.base_radius, obs.radius_sigma)) if obs.radius_sigma > 0
+                 else obs.base_radius)
+            r = max(r, 1e-6)
+            out.append(replace(obs, radius=r, envelope_radius=r))
+        else:
+            cur = current_at(obs.position[:2], fld)
+            scale = obs.motion_sigma * cur.magnitude
+            jitter = rng.normal(0.0, scale, size=2) if scale > 0 else np.zeros(2)
+            out.append(replace(obs, position=(obs.position[0] + cur.v_cx * dt + jitter[0],
+                                              obs.position[1] + cur.v_cy * dt + jitter[1],
+                                              obs.position[2])))
+    return out
+
+
+def reference_ticks(path: LocalPath, dt: float) -> list[tuple[float, np.ndarray, int]]:
+    """(tau, position, sample index) of each tick, one `position_at_time` call per tick."""
+    out, tau = [], 0.0
+    while True:
+        tau = tau + max(min(dt, path.duration - tau), 0.0)
+        out.append((tau, path.position_at_time(tau), path.sample_index_at_time(tau)))
+        if tau >= path.duration:
+            return out

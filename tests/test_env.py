@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uuvsim.env as env_module
-from uuvsim.env import (ClusteredMap, GridMap, Obstacle, VortexField, VortexParams,
-                        cluster_map, current_at, current_grid, load_raster,
+from uuvsim.env import (ClusteredMap, GridMap, Obstacle, ObstacleColumns, VortexField,
+                        VortexParams, cluster_map, current_at, current_grid, load_raster,
                         perturb_field, point_in_collision, points_in_collision,
                         step_obstacles, synthesize_raster)
 from uuvsim.errors import KTooLargeError
-from tests.oracles import reference_cluster_map, reference_current_grid
+from tests.oracles import (reference_cluster_map, reference_current_grid,
+                           reference_step_obstacles)
 
 
 def grid_from(values, cell_size=1.0, depth=100.0) -> GridMap:
@@ -298,38 +299,30 @@ def make_obstacle(kind="mobile", position=(0.0, 0.0, 0.0), radius=5.0, **kw) -> 
     return Obstacle(id=1, kind=kind, position=position, radius=radius, **kw)
 
 
+def stepped(obstacles, fld, dt, rng) -> list[Obstacle]:
+    """The obstacles after one column step, as Obstacle values."""
+    cols = ObstacleColumns.of(obstacles)
+    step_obstacles(cols, fld, dt, rng)
+    return cols.rows()
+
+
+def obstacle_values(obstacles) -> np.ndarray:
+    """Every obstacle's position and radii, (n, 5)."""
+    return np.array([(*o.position, o.radius, o.envelope_radius) for o in obstacles],
+                    dtype=float).reshape(-1, 5)
+
+
 def test_step_without_forcing_is_identity():
     fld = VortexField(vortices=())
     obstacles = [make_obstacle("static"), make_obstacle("mobile", motion_sigma=0.0),
                  make_obstacle("uncertain", radius_sigma=0.0)]
-    out = step_obstacles(obstacles, fld, dt=1.0, rng=np.random.default_rng(0))
+    out = stepped(obstacles, fld, dt=1.0, rng=np.random.default_rng(0))
     for a, b in zip(obstacles, out):
         assert a.position == b.position and a.radius == b.radius
 
 
-def per_obstacle_step(obstacles, fld, dt, rng):
-    """step_obstacles as one current_at call per mobile obstacle, in list order."""
-    out = []
-    for obs in obstacles:
-        if obs.kind == "static":
-            out.append(obs)
-        elif obs.kind == "uncertain":
-            r = (float(rng.normal(obs.base_radius, obs.radius_sigma)) if obs.radius_sigma > 0
-                 else obs.base_radius)
-            r = max(r, 1e-6)
-            out.append(replace(obs, radius=r, envelope_radius=r))
-        else:
-            cur = current_at(obs.position[:2], fld)
-            scale = obs.motion_sigma * cur.magnitude
-            jitter = rng.normal(0.0, scale, size=2) if scale > 0 else np.zeros(2)
-            out.append(replace(obs, position=(obs.position[0] + cur.v_cx * dt + jitter[0],
-                                              obs.position[1] + cur.v_cy * dt + jitter[1],
-                                              obs.position[2])))
-    return out
-
-
 def test_step_obstacles_matches_per_obstacle_steps():
-    """One field call for all mobile obstacles keeps every value and the rng order."""
+    """One field call and one draw per step keep every value and the rng order."""
     rng = np.random.default_rng(9)
     fld = VortexField(vortices=tuple(
         VortexParams(center=tuple(rng.uniform(0, 1000, 2)), radius=rng.uniform(50, 200),
@@ -341,19 +334,89 @@ def test_step_obstacles_matches_per_obstacle_steps():
     # a mobile obstacle sitting on a vortex centre drifts by exactly zero
     obstacles.append(Obstacle(id=99, kind="mobile", position=(*fld.vortices[0].center, 5.0),
                               radius=3.0, motion_sigma=0.5))
-    got, want = list(obstacles), list(obstacles)
+    got, want = ObstacleColumns.of(obstacles), list(obstacles)
     rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(25):
-        got = step_obstacles(got, fld, 2.0, rng_got)
-        want = per_obstacle_step(want, fld, 2.0, rng_want)
-        assert got == want
+        step_obstacles(got, fld, 2.0, rng_got)
+        want = reference_step_obstacles(want, fld, 2.0, rng_want)
+        assert got.rows() == want
     assert rng_got.random() == rng_want.random()
+
+
+@st.composite
+def obstacle_mixes(draw):
+    """0-8 obstacles of every kind, sigmas often exactly 0, and a field that may be empty."""
+    obstacles = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["static", "uncertain", "mobile"]))
+        obstacles.append(Obstacle(
+            id=i, kind=kind,
+            position=tuple(draw(st.floats(0.0, 1000.0)) for _ in range(3)),
+            radius=draw(st.floats(0.5, 50.0)),
+            radius_sigma=draw(st.sampled_from([0.0, 0.5, 3.0, 40.0])),
+            motion_sigma=draw(st.sampled_from([0.0, 0.1, 0.5]))))
+    vortices = tuple(VortexParams(center=(draw(st.floats(0.0, 1000.0)),
+                                          draw(st.floats(0.0, 1000.0))),
+                                  radius=draw(st.floats(20.0, 300.0)),
+                                  strength=draw(st.floats(-500.0, 500.0)))
+                     for _ in range(draw(st.integers(0, 4))))  # none: a zero field, no jitter
+    return obstacles, VortexField(vortices=vortices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mix=obstacle_mixes(), dts=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_step_is_bit_equal_to_per_obstacle_steps(mix, dts, seed):
+    # Short dts stand for a path's truncated last tick.
+    obstacles, fld = mix
+    got = ObstacleColumns.of(obstacles)
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for dt in dts:
+        step_obstacles(got, fld, dt, rng_got)
+        obstacles = reference_step_obstacles(obstacles, fld, dt, rng_want)
+        np.testing.assert_array_equal(bits(obstacle_values(got.rows())),
+                                      bits(obstacle_values(obstacles)))
+        # The step leaves the speeds at the stepped positions, for the hazard test.
+        assert got.speed == [current_at(o.position[:2], fld).magnitude if o.kind == "mobile"
+                             else 0.0 for o in obstacles]
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_columns_track_a_new_field_once(monkeypatch):
+    cols = ObstacleColumns.of([make_obstacle("mobile", position=(30.0, 0.0, 5.0)),
+                               make_obstacle("static", position=(0.0, 40.0, 5.0))])
+    fld, other = single_vortex(strength=50.0, radius=10.0), single_vortex(strength=-20.0)
+    speeds = [current_at((30.0, 0.0), f).magnitude for f in (fld, other)]
+    calls = []
+
+    def counting(points, f):
+        calls.append(len(points))
+        return current_grid(points, f)
+
+    monkeypatch.setattr(env_module, "current_grid", counting)
+    cols.track(fld)
+    cols.track(fld)
+    assert calls == [1] and cols.speed == [speeds[0], 0.0]
+    cols.track(other)
+    assert calls == [1, 1] and cols.speed == [speeds[1], 0.0]
+
+
+def test_columns_contain_what_the_point_rule_hits():
+    cmap = cluster_map(grid_from(np.where(np.arange(100).reshape(10, 10) == 0, 255, 0),
+                                 cell_size=100.0, depth=100.0), k=2)
+    rng = np.random.default_rng(2)
+    obstacles = [make_obstacle(kind, position=tuple(rng.uniform(100.0, 900.0, 3)),
+                               radius=float(rng.uniform(20.0, 200.0)))
+                 for kind in ("static", "uncertain", "mobile") * 3]
+    cols = ObstacleColumns.of(obstacles)
+    for point in rng.uniform([100.0, 100.0, 0.0], [1000.0, 1000.0, 100.0], (500, 3)):
+        assert cols.contains(*point.tolist()) == point_in_collision(point, cmap, obstacles)
 
 
 def test_static_obstacle_never_moves():
     fld = single_vortex(strength=50.0, radius=10.0)
     obs = make_obstacle("static", position=(3.0, 0.0, 0.0))
-    out = step_obstacles([obs], fld, dt=100.0, rng=np.random.default_rng(0))[0]
+    out = stepped([obs], fld, dt=100.0, rng=np.random.default_rng(0))[0]
     assert out.position == obs.position and out.radius == obs.radius
 
 
@@ -362,17 +425,19 @@ def test_mobile_obstacle_rides_the_current():
     fld = single_vortex(strength=10_000.0, radius=1.0, center=(0.0, -500.0))
     obs = make_obstacle("mobile", position=(0.0, 0.0, 10.0), motion_sigma=0.0)
     cur = current_at((0.0, 0.0), fld)
-    out = step_obstacles([obs], fld, dt=10.0, rng=np.random.default_rng(0))[0]
+    out = stepped([obs], fld, dt=10.0, rng=np.random.default_rng(0))[0]
     assert out.position[0] == pytest.approx(10.0 * cur.v_cx, abs=1e-9)
     assert out.position[1] == pytest.approx(10.0 * cur.v_cy, abs=1e-9)
     assert out.position[2] == 10.0
 
 
 def test_uncertain_obstacle_resamples_radius_positive():
-    obs = make_obstacle("uncertain", radius=5.0, radius_sigma=4.0)
+    cols = ObstacleColumns.of([make_obstacle("uncertain", radius=5.0, radius_sigma=4.0)])
     rng = np.random.default_rng(5)
-    radii = [step_obstacles([obs], VortexField(vortices=()), 1.0, rng)[0].radius
-             for _ in range(500)]
+    radii = []
+    for _ in range(500):
+        step_obstacles(cols, VortexField(vortices=()), 1.0, rng)
+        radii.append(cols.radius[0])
     assert all(r > 0 for r in radii)
     assert np.std(radii) == pytest.approx(4.0, rel=0.2)
 

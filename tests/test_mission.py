@@ -4,13 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uuvsim.errors import NoFeasiblePathError
-from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
-                        current_at, step_obstacles)
+import uuvsim.mission as mission_module
+from uuvsim.env import (EnvSnapshot, Obstacle, ObstacleColumns, VortexField, VortexParams,
+                        cluster_map, current_at, step_obstacles)
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
                                   replan_local, straight_genes)
-from uuvsim.mission import (LegOutcome, _Executor, _hazard, advance_along_path, run_mission,
+from uuvsim.mission import (LegOutcome, _Executor, _hazard, path_ticks, run_mission,
                             should_replan_global)
 from uuvsim.scenario import from_dict, resolve_scenario
+from tests.oracles import reference_ticks
 from tests.test_env import grid_from
 from tests.test_network import line_network
 
@@ -72,7 +74,7 @@ def test_report_cost_and_residual_accounting():
 def test_mission_determinism():
     a = run_mission(two_station_scenario())
     b = run_mission(two_station_scenario())
-    assert a.ticks == b.ticks
+    assert a.ticks.shape == (len(a.ticks), 6) and np.array_equal(a.ticks, b.ticks)
     assert a.executed_sequence == b.executed_sequence
     assert a.path_time == b.path_time and a.total_cost == b.total_cost
 
@@ -148,10 +150,10 @@ def still_path(length=1000.0, cruise=2.0):
 
 def test_tick_advances_by_ground_speed():
     path, env = still_path(cruise=2.0)
-    tau, pos, _, arrived = advance_along_path(path, 0.0, dt=1.0)
-    assert tau == 1.0 and not arrived  # the executor charges tau to the battery
-    assert np.linalg.norm(pos - path.start) == pytest.approx(2.0, rel=1e-9)
-    assert _hazard(pos, path, tau, (), env.field, 500.0, 20.0) is None
+    taus, pos, _ = path_ticks(path, dt=1.0)
+    assert taus[0] == 1.0 and len(taus) > 1  # the executor charges tau to the battery
+    assert np.linalg.norm(pos[0] - path.start) == pytest.approx(2.0, rel=1e-9)
+    assert _hazard(pos[0], path, taus[0], ObstacleColumns.of(()), 500.0, 20.0) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,48 +162,79 @@ def test_tick_advances_by_ground_speed():
 def test_tick_sums_to_planner_duration(length, dt_share):
     path, _ = still_path(length=length, cruise=2.0)
     dt = dt_share * path.duration
-    tau, arrived = 0.0, False
-    while not arrived:
-        before = tau
-        tau, pos, _, arrived = advance_along_path(path, tau, dt)
-        assert before < tau <= before + dt
-        assert arrived == (tau == path.duration)
-    np.testing.assert_array_equal(pos, path.end)
+    taus, pos, samples = path_ticks(path, dt)
+    before = np.concatenate(([0.0], taus[:-1]))
+    assert np.all(before < taus) and np.all(taus <= before + dt)
+    assert taus[-1] == path.duration and np.all(taus[:-1] < path.duration)
+    np.testing.assert_array_equal(pos[-1], path.end)
+    # Bit for bit the ticks of one position_at_time call per tick.
+    want = reference_ticks(path, dt)
+    np.testing.assert_array_equal(taus, [t for t, _, _ in want])
+    np.testing.assert_array_equal(pos, [p for _, p, _ in want])
+    np.testing.assert_array_equal(samples, [k for _, _, k in want])
 
 
 def test_tick_detects_obstacle_stepping_onto_path():
     path, env = still_path(length=1000.0)
-    obs = Obstacle(id=7, kind="mobile", position=(600.0, 1000.0, 100.0), radius=50.0,
-                   motion_sigma=0.0)
-    tau, pos, _, _ = advance_along_path(path, 0.0, dt=1.0)
-    obstacles = step_obstacles([obs], env.field, 1.0, np.random.default_rng(0))
-    assert _hazard(pos, path, tau, obstacles, env.field, 500.0, 20.0) == 7
+    obs = ObstacleColumns.of([Obstacle(id=7, kind="mobile", position=(600.0, 1000.0, 100.0),
+                                       radius=50.0, motion_sigma=0.0)])
+    taus, pos, _ = path_ticks(path, dt=1.0)
+    step_obstacles(obs, env.field, 1.0, np.random.default_rng(0))
+    assert _hazard(pos[0], path, taus[0], obs, 500.0, 20.0) == 7
 
 
 def test_advance_truncates_at_arrival():
     path, _ = still_path(length=100.0, cruise=2.0)
-    tau, pos, _, arrived = advance_along_path(path, path.duration - 0.25, dt=1.0)
-    assert arrived and tau == pytest.approx(path.duration)
-    assert np.linalg.norm(pos - path.end) < 1e-9
+    dt = path.duration / 3.5
+    taus, pos, _ = path_ticks(path, dt)
+    assert len(taus) == 4 and taus[-1] == path.duration
+    assert taus[-1] - taus[-2] == pytest.approx(0.5 * dt)
+    assert np.linalg.norm(pos[-1] - path.end) < 1e-9
 
 
-def test_truncated_last_tick_moves_obstacles_for_its_real_duration():
-    # A leg's last tick is cut short at arrival; the obstacles move for that
+def test_truncated_last_tick_moves_obstacles_for_its_real_duration(monkeypatch):
+    # A path's last tick is cut short at arrival; the obstacles move for that
     # shorter time, not for a full dt.
     ex = _Executor(two_station_scenario(), 7)
     path, _ = still_path(length=1000.0)
+    ex.sc.mission.dt = 0.4 * path.duration  # ticks at 0.4, 0.8 and 1.0 of the path
     ex.field = VortexField(vortices=(VortexParams(center=(1500.0, 700.0), radius=300.0,
                                                   strength=2000.0),))
     obs = Obstacle(id=3, kind="mobile", position=(1500.0, 500.0, 100.0), radius=20.0)
-    ex.obstacles = [obs]
-    cur = current_at(obs.position[:2], ex.field)
-    assert cur.magnitude > 0.1
-    tau0 = path.duration - 0.25 * ex.sc.mission.dt
-    tau, arrived = ex._tick(path, tau0, 0)
-    assert arrived and tau - tau0 < ex.sc.mission.dt
-    moved = np.subtract(ex.obstacles[0].position, obs.position)
-    np.testing.assert_allclose(moved, [cur.v_cx * (tau - tau0), cur.v_cy * (tau - tau0), 0.0],
-                               rtol=1e-9, atol=1e-12)
+    ex.obstacles = ObstacleColumns.of([obs])
+    steps = []
+
+    def recording(cols, fld, dt, rng):
+        steps.append((dt, cols.x[0], cols.y[0], current_at((cols.x[0], cols.y[0]), fld)))
+        step_obstacles(cols, fld, dt, rng)
+
+    monkeypatch.setattr(mission_module, "step_obstacles", recording)
+    ex._execute_path(path, 0, LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0),
+                     allow_replans=False)
+    taus, _, _ = path_ticks(path, ex.sc.mission.dt)
+    assert [dt for dt, *_ in steps] == np.diff(taus, prepend=0.0).tolist()
+    dt, x, y, cur = steps[-1]
+    assert dt < ex.sc.mission.dt and cur.magnitude > 0.1
+    np.testing.assert_allclose([ex.obstacles.x[0] - x, ex.obstacles.y[0] - y],
+                               [cur.v_cx * dt, cur.v_cy * dt], rtol=1e-9, atol=1e-12)
+
+
+def test_aborted_path_keeps_the_ticks_it_flew():
+    ex = _Executor(two_station_scenario(), 7)
+    path, _ = still_path(length=1000.0)
+    ex.obstacles = ObstacleColumns.of(())
+    ex.budget = 100.5
+    with pytest.raises(mission_module._MissionAbort, match="battery exhausted mid-leg"):
+        ex._execute_path(path, 4, LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0),
+                         allow_replans=True)
+    ticks = ex._finalize(ex.report).ticks
+    taus, pos, samples = path_ticks(path, ex.sc.mission.dt)
+    n = int(np.searchsorted(taus, 100.5, side="right")) + 1  # through the first tick past it
+    assert ticks.shape == (n, 6) and ticks[-2, 0] <= 100.5 < ticks[-1, 0]
+    np.testing.assert_array_equal(ticks[:, 1:4], pos[:n])
+    np.testing.assert_array_equal(ticks[:, 4], path.yaw[samples[:n]])
+    assert set(ticks[:, 5]) == {4.0}
+    np.testing.assert_array_equal(ex.position, pos[n - 1])
 
 
 @st.composite
@@ -240,6 +273,8 @@ def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_s
                                              strength=3000.0),))
     tau = tau_share * path.duration
     pos = path.position_at_time(tau)
+    cols = ObstacleColumns.of(obstacles)
+    cols.track(fld)
     k0 = path.sample_index_at_time(tau)
     expected = None
     for obs in obstacles:
@@ -252,18 +287,18 @@ def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_s
                for d, h in zip(d2, path.times[k0:] - tau)):
             expected = obs.id
             break
-    assert _hazard(pos, path, tau, obstacles, fld, sensing, margin) == expected
+    assert _hazard(pos, path, tau, cols, sensing, margin) == expected
 
 
 def test_hazard_on_the_planned_path_replans_the_leg_around_it():
     ex = _Executor(two_station_scenario(), 7)
-    ex.obstacles = []
+    ex.obstacles = ObstacleColumns.of(())
     plan = ex._plan_leg(ex.network.position(1), ex.network.position(2), horizon=0.0)
     k = int(np.searchsorted(plan.path.times, 150.0))  # about 300 m along the leg
     # An uncertain obstacle without spread stands still at its base radius.
     blocker = Obstacle(id=9, kind="uncertain", position=tuple(plan.path.points[k]),
                        radius=60.0)
-    ex.obstacles = [blocker]
+    ex.obstacles = ObstacleColumns.of([blocker])
     leg = LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0)
     ex._execute_path(plan.path, 0, leg, allow_replans=True)
     assert [r[1:] for r in ex.report.replans] == [("local", "hazard obstacle 9")]

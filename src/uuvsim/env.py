@@ -426,7 +426,7 @@ class Obstacle:
         return replace(self, envelope_radius=float(self.envelope(horizon, current_mag, margin)))
 
 
-@dataclass(eq=False)
+@dataclass
 class ObstacleColumns:
     """The executor's obstacles as columns, one row per obstacle in list order.
 
@@ -482,7 +482,7 @@ class ObstacleColumns:
         self.tracked = fld
 
     def contains(self, x: float, y: float, z: float) -> bool:
-        """Whether the point lies in some row's closed ball, as `point_in_collision` tests it."""
+        """Whether the point lies in some row's closed ball, as `points_in_collision` tests it."""
         for ox, oy, oz, r in zip(self.x, self.y, self.z, self.radius):
             dx, dy, dz = x - ox, y - oy, z - oz
             if dx * dx + dy * dy + dz * dz <= r ** 2:
@@ -558,13 +558,12 @@ def points_in_collision(points: np.ndarray, cmap: ClusteredMap,
     return out
 
 
-def point_in_collision(point, cmap: ClusteredMap, obstacles: list[Obstacle] = (),
-                       padded: bool = False) -> bool:
-    """Scalar form of points_in_collision, in plain floats with the same arithmetic.
+def point_in_collision(point, cmap: ClusteredMap, padded: bool = False) -> bool:
+    """Scalar points_in_collision without obstacles, in plain floats with the same arithmetic.
 
-    The one point rule for a vehicle position, a station or an obstacle centre.
-    Out-of-bounds and non-finite points are conservatively hits; a 2-D point
-    sits at depth 0.
+    The one point rule for a station or an obstacle centre; the executor's
+    obstacle balls are `ObstacleColumns.contains`.  Out-of-bounds and
+    non-finite points are conservatively hits; a 2-D point sits at depth 0.
     """
     x, y = float(point[0]), float(point[1])
     z = float(point[2]) if len(point) > 2 else 0.0
@@ -574,13 +573,7 @@ def point_in_collision(point, cmap: ClusteredMap, obstacles: list[Obstacle] = ()
         return True
     col, row = math.floor(gx), math.floor(gy)
     occ = cmap.padded_occupancy if padded else cmap.occupancy
-    if not (0 <= col < grid.width and 0 <= row < grid.height) or occ[row, col] == 1:
-        return True
-    for obs in obstacles:
-        dx, dy, dz = x - obs.position[0], y - obs.position[1], z - obs.position[2]
-        if dx * dx + dy * dy + dz * dz <= obs.envelope_radius ** 2:
-            return True
-    return False
+    return not (0 <= col < grid.width and 0 <= row < grid.height) or occ[row, col] == 1
 
 
 @dataclass(frozen=True)

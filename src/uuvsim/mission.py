@@ -10,7 +10,6 @@ the goal station is reached with non-negative residual time.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -122,8 +121,6 @@ def path_ticks(path: LocalPath, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
     index is `LocalPath.sample_index_at_time`'s, the index of the yaw flown.
     """
     duration = path.duration
-    if not math.isfinite(duration):
-        raise ValueError("path duration must be finite")
     taus, tau = [], 0.0
     while True:
         tau = tau + max(min(dt, duration - tau), 0.0)

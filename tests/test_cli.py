@@ -446,15 +446,15 @@ def test_cli_field_dump(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["field-dump", "--resolution", "-5"], "argument --resolution: must be an integer >= 1, got -5"),
-    (["field-dump", "--resolution", "0"], "argument --resolution: must be an integer >= 1, got 0"),
-    (["field-dump", "--resolution", "2.5"], "argument --resolution: invalid _count value: '2.5'"),
-    (["field-dump", "--extent", "-100", "nan"], "argument --extent: must be finite and > 0, got -100"),
-    (["field-dump", "--extent", "100", "nan"], "argument --extent: must be finite and > 0, got nan"),
-    (["field-dump", "--extent", "100", "inf"], "argument --extent: must be finite and > 0, got inf"),
-    (["field-dump", "--extent", "0", "100"], "argument --extent: must be finite and > 0, got 0"),
-    (["montecarlo", "--jobs", "0"], "argument --jobs: must be an integer >= 1, got 0"),
-    (["montecarlo", "--jobs", "-1"], "argument --jobs: must be an integer >= 1, got -1"),
+    (["field-dump", "--resolution", "-5"], "--resolution: must be an integer >= 1, got -5"),
+    (["field-dump", "--resolution", "0"], "--resolution: must be an integer >= 1, got 0"),
+    (["field-dump", "--resolution", "2.5"], "--resolution: invalid _count value: '2.5'"),
+    (["field-dump", "--extent", "-100", "nan"], "--extent: must be finite and > 0, got -100"),
+    (["field-dump", "--extent", "100", "nan"], "--extent: must be finite and > 0, got nan"),
+    (["field-dump", "--extent", "100", "inf"], "--extent: must be finite and > 0, got inf"),
+    (["field-dump", "--extent", "0", "100"], "--extent: must be finite and > 0, got 0"),
+    (["montecarlo", "--jobs", "0"], "--jobs: must be an integer >= 1, got 0"),
+    (["montecarlo", "--jobs", "-1"], "--jobs: must be an integer >= 1, got -1"),
 ], ids=["resolution-negative", "resolution-zero", "resolution-real", "extent-negative",
         "extent-nan", "extent-inf", "extent-zero", "jobs-zero", "jobs-negative"])
 def test_cli_refuses_arguments_that_crash_or_write_nonsense(tmp_path, capsys, argv, message):

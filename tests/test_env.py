@@ -401,18 +401,6 @@ def test_columns_track_a_new_field_once(monkeypatch):
     assert calls == [1, 1] and cols.speed == [speeds[1], 0.0]
 
 
-def test_columns_contain_what_the_point_rule_hits():
-    cmap = cluster_map(grid_from(np.where(np.arange(100).reshape(10, 10) == 0, 255, 0),
-                                 cell_size=100.0, depth=100.0), k=2)
-    rng = np.random.default_rng(2)
-    obstacles = [make_obstacle(kind, position=tuple(rng.uniform(100.0, 900.0, 3)),
-                               radius=float(rng.uniform(20.0, 200.0)))
-                 for kind in ("static", "uncertain", "mobile") * 3]
-    cols = ObstacleColumns.of(obstacles)
-    for point in rng.uniform([100.0, 100.0, 0.0], [1000.0, 1000.0, 100.0], (500, 3)):
-        assert cols.contains(*point.tolist()) == point_in_collision(point, cmap, obstacles)
-
-
 def test_static_obstacle_never_moves():
     fld = single_vortex(strength=50.0, radius=10.0)
     obs = make_obstacle("static", position=(3.0, 0.0, 0.0))
@@ -461,26 +449,28 @@ def water_map(n=10, cell=1.0, depth=100.0) -> ClusteredMap:
 
 def test_open_water_clear():
     cmap = water_map()
-    assert not point_in_collision((5.0, 5.0, 10.0), cmap, [])
+    assert not point_in_collision((5.0, 5.0, 10.0), cmap)
 
 
 def test_coast_cell_collides():
     cmap = water_map()
-    assert point_in_collision((0.5, 0.5, 0.0), cmap, [])
+    assert point_in_collision((0.5, 0.5, 0.0), cmap)
 
 
 def test_obstacle_center_and_boundary_collide():
     cmap = water_map()
     obs = make_obstacle(position=(5.0, 5.0, 10.0), radius=2.0)
-    assert point_in_collision((5.0, 5.0, 10.0), cmap, [obs])
-    assert point_in_collision((7.0, 5.0, 10.0), cmap, [obs])  # exactly on the ball
-    assert not point_in_collision((7.0 + 1e-9, 5.0, 10.0), cmap, [obs])
+    cols = ObstacleColumns.of([obs])
+    for point, hit in [((5.0, 5.0, 10.0), True), ((7.0, 5.0, 10.0), True),  # on the ball
+                       ((7.0 + 1e-9, 5.0, 10.0), False)]:
+        assert cols.contains(*point) == points_in_collision(np.array([point]), cmap, [obs])[0]
+        assert cols.contains(*point) == hit
 
 
 def test_out_of_bounds_is_conservatively_hit():
     cmap = water_map()
-    assert point_in_collision((-1.0, 5.0, 0.0), cmap, [])
-    assert point_in_collision((5.0, 5.0, 1000.0), cmap, [])
+    assert point_in_collision((-1.0, 5.0, 0.0), cmap)
+    assert point_in_collision((5.0, 5.0, 1000.0), cmap)
 
 
 def test_collision_monotone_in_envelope():
@@ -496,7 +486,8 @@ def test_collision_monotone_in_envelope():
 
 
 def test_point_in_collision_matches_vector_form():
-    """The scalar point rule agrees with points_in_collision point for point."""
+    """The scalar point rule, then the obstacle columns' balls, agree with
+    points_in_collision point for point: the executor's tick test."""
     rng = np.random.default_rng(21)
     values = np.where(rng.random((40, 60)) < 0.1, 255.0, 0.0)
     cmap = cluster_map(grid_from(values, cell_size=2.5, depth=80.0), k=2)
@@ -516,7 +507,9 @@ def test_point_in_collision_matches_vector_form():
     for padded in (False, True):
         with np.errstate(invalid="ignore", over="ignore"):
             want = points_in_collision(pts, cmap, obstacles, padded=padded)
-        got = [point_in_collision(p, cmap, obstacles, padded=padded) for p in pts]
+        cols = ObstacleColumns.of(obstacles)
+        got = [point_in_collision(p, cmap, padded=padded) or cols.contains(*p.tolist())
+               for p in pts]
         assert got == want.tolist()
         assert want[~np.isfinite(pts).all(axis=1)].all()
         assert point_in_collision((5.0, 5.0), cmap, padded=padded) == points_in_collision(

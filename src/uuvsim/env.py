@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyRasterError, KTooLargeError
+from .errors import EmptyRasterError, KTooLargeError, ScenarioValidationError
 
 # Radii below this fraction of the vortex radius use the analytic r -> 0 limit.
 _CORE_EPS = 1e-9
@@ -128,15 +128,18 @@ class ClusteredMap:
         return t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0] == 0
 
 
-def _initial_centers(values: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic init: evenly spaced quantiles of the intensity histogram."""
+def _initial_centers(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Deterministic init: evenly spaced quantiles of the intensity histogram.
+
+    `values` are the sorted distinct intensities and `counts` their cells;
+    the quantiles are those of the raster itself.
+    """
     qs = (np.arange(k) + 0.5) / k
-    centers = np.quantile(values, qs)
+    centers = np.quantile(np.repeat(values, counts), qs)
     if len(np.unique(centers)) < k:
         # Mass-concentrated data can collapse quantiles; fall back to an even
         # grid over the distinct values (precondition guarantees >= k of them).
-        uniq = np.unique(values)
-        centers = uniq[np.round(np.linspace(0, len(uniq) - 1, k)).astype(int)]
+        centers = values[np.round(np.linspace(0, len(values) - 1, k)).astype(int)]
     return centers.astype(float)
 
 
@@ -148,57 +151,68 @@ def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
     non-increasing, and the loop stops once the labels settle.  The cluster
     whose centroid has the lowest (``water="low"``) or highest intensity
     becomes water (0); all other clusters become coast (1).
+
+    Cells of one intensity share their label, so the iterations run over the
+    intensity histogram: each distinct value is labelled once and a centre is
+    (counts . values) / count, which equals the mean of its cells whenever
+    their sum is exact, as for any integer raster.  Only the objective visits
+    every cell, summing each cell's squared distance in cell order.
     """
     flat = np.asarray(raster.values, dtype=float).ravel()
     if flat.size == 0:
         raise EmptyRasterError("raster has no cells")
-    if not np.isfinite(flat).all():
+    values, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    if not np.isfinite(values).all():
         raise ValueError("raster intensities must be finite")
-    n_distinct = len(np.unique(flat))
     if k < 2:
         raise KTooLargeError(f"k must be >= 2, got {k}")
-    if k > n_distinct:
-        raise KTooLargeError(f"k={k} exceeds {n_distinct} distinct intensities")
+    if k > values.size:
+        raise KTooLargeError(f"k={k} exceeds {values.size} distinct intensities")
     if water not in ("low", "high"):
         raise ValueError("water must be 'low' or 'high'")
 
-    centers = _initial_centers(flat, k)
+    centers = _initial_centers(values, counts, k)
+    mass = counts * values
     trace: list[float] = []
-    labels = np.zeros(flat.size, dtype=np.int64)
-    new_labels = np.empty_like(labels)
-    best, dist = np.empty_like(flat), np.empty_like(flat)
-    closer = np.empty(flat.size, dtype=bool)
+    labels = np.zeros(values.size, dtype=np.int64)
+    cell_sq = np.empty_like(flat)
     for _ in range(_KMEANS_ITERS):
         # Nearest centre by a running strict minimum: ties keep the lower
         # index, as argmin does.  best ends as |x - centre of x|.
-        np.abs(np.subtract(flat, centers[0], out=best), out=best)
-        new_labels.fill(0)
+        best = np.abs(values - centers[0])
+        new_labels = np.zeros_like(labels)
         for i in range(1, k):
-            np.abs(np.subtract(flat, centers[i], out=dist), out=dist)
-            np.less(dist, best, out=closer)
-            new_labels[closer] = i
-            np.minimum(best, dist, out=best)
-        trace.append(float(np.sum(np.multiply(best, best, out=best))))
+            dist = np.abs(values - centers[i])
+            new_labels[dist < best] = i
+            best = np.minimum(best, dist)
+        trace.append(float(np.sum(np.take(best * best, inverse, out=cell_sq))))
         converged = bool(np.array_equal(new_labels, labels)) and len(trace) > 1
-        labels, new_labels = new_labels, labels
-        for i in range(k):
-            members = flat[labels == i]
-            if members.size:
-                centers[i] = members.mean()
+        labels = new_labels
+        size = np.bincount(labels, weights=counts, minlength=k)
+        held = size > 0
+        centers[held] = np.bincount(labels, weights=mass, minlength=k)[held] / size[held]
         if converged:
             break
 
     water_label = int(np.argmin(centers) if water == "low" else np.argmax(centers))
-    occupancy = np.where(labels.reshape(raster.values.shape) == water_label, 0, 1).astype(np.int8)
-    grid = replace(raster, values=occupancy)
+    coast = (labels != water_label).astype(np.int8)
+    grid = replace(raster, values=coast[inverse].reshape(raster.values.shape))
     return ClusteredMap(grid=grid, centers=centers, k=k, water_label=water_label,
                         objective_trace=tuple(trace))
 
 
 def load_raster(path, cell_size: float, depth_extent: float) -> GridMap:
-    """Read a headerless whitespace-separated integer grid, one row per line."""
-    values = np.loadtxt(path, dtype=float)
-    values = np.atleast_2d(values)
+    """Read a headerless whitespace-separated integer grid, one row per line.
+
+    Every row holds the same number of finite integer intensities; any
+    other file is a `ScenarioValidationError` naming it.
+    """
+    try:
+        values = np.loadtxt(path, dtype=float, ndmin=2)
+    except ValueError as exc:  # a ragged row or a word that is no number
+        raise ScenarioValidationError(f"raster {path}: {str(exc).partition(';')[0]}") from exc
+    if not (np.isfinite(values).all() and np.array_equal(values, np.rint(values))):
+        raise ScenarioValidationError(f"raster {path}: intensities must be finite integers")
     h, w = values.shape
     return GridMap(width=w, height=h, cell_size=cell_size, values=values, depth_extent=depth_extent)
 
@@ -227,9 +241,15 @@ def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: f
         cx = rng.uniform(0, width * cell_size)
         cy = rng.uniform(0, height * cell_size)
         r = rng.uniform(*island_radius)
-        land |= (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= r * r
+        # A cell is in the disc only if its column's and its row's own squared
+        # offsets are each <= r^2, so the disc is drawn over that box alone.
+        dx2, dy2 = (xs - cx) ** 2, (ys - cy) ** 2
+        cols, rows = np.flatnonzero(dx2 <= r * r), np.flatnonzero(dy2 <= r * r)
+        if cols.size and rows.size:
+            c, d = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
+            land[d, c] |= dx2[None, c] + dy2[d, None] <= r * r
     vals[land] = rng.normal(220.0, 12.0, size=int(land.sum()))
-    vals = np.clip(np.rint(vals), 0, 255)
+    np.clip(np.rint(vals, out=vals), 0, 255, out=vals)
     return GridMap(width=width, height=height, cell_size=cell_size, values=vals,
                    depth_extent=depth_extent)
 

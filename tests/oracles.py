@@ -453,6 +453,36 @@ def reference_cluster_map(raster: GridMap, k: int, max_iters: int = 100):
     return labels, centers, trace
 
 
+# The raster synthesis before it drew each island over its bounding box alone:
+# every disc tested over the whole raster.  Kept verbatim as the exactness
+# reference for `synthesize_raster`, values and rng state both.
+
+
+def reference_synthesize_raster(width: int, height: int, cell_size: float, depth_extent: float,
+                                rng: np.random.Generator, islands: int = 5,
+                                island_radius: tuple[float, float] = (200.0, 600.0),
+                                coast_border: int = 0) -> GridMap:
+    """Generate a coastline-style intensity raster: dark water, bright land."""
+    if islands <= 0 and coast_border <= 0:
+        raise ValueError("synthetic map needs islands or a coast border")
+    vals = rng.normal(40.0, 12.0, size=(height, width))
+    land = np.zeros((height, width), dtype=bool)
+    if coast_border > 0:
+        land[:coast_border, :] = land[-coast_border:, :] = True
+        land[:, :coast_border] = land[:, -coast_border:] = True
+    xs = (np.arange(width) + 0.5) * cell_size
+    ys = (np.arange(height) + 0.5) * cell_size
+    for _ in range(islands):
+        cx = rng.uniform(0, width * cell_size)
+        cy = rng.uniform(0, height * cell_size)
+        r = rng.uniform(*island_radius)
+        land |= (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= r * r
+    vals[land] = rng.normal(220.0, 12.0, size=int(land.sum()))
+    vals = np.clip(np.rint(vals), 0, 255)
+    return GridMap(width=width, height=height, cell_size=cell_size, values=vals,
+                   depth_extent=depth_extent)
+
+
 # The obstacle step and the tick advance of the executor before it held the
 # obstacles as columns and flew each path in one pass, kept as the exactness
 # references for `step_obstacles` and `mission.path_ticks`.

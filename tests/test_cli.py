@@ -294,9 +294,23 @@ def edge_failure(after_leg, edge) -> dict:
                                                             "edge": edge}]}}
 
 
+def raster_map(text: str):
+    """A map section reading `text` from a raster file written under the test's tmp_path."""
+    def doc(tmp_path) -> dict:
+        path = tmp_path / "coast.grid"
+        path.write_text(text)
+        return {"map": {"source": "raster", "path": str(path)}}
+    return doc
+
+
 @pytest.mark.parametrize("command", ["plan", "run"])
 @pytest.mark.parametrize("doc, message", [
     ({"map": {"k": 300}}, "k=300 exceeds"),
+    (raster_map("0 0 255 0\n0 255\n0 0 0 0\n"),
+     "coast.grid: the number of columns changed from 4 to 2 at row 2"),
+    (raster_map("0 0 255\n0 land 0\n"), "coast.grid: could not convert string 'land'"),
+    (raster_map("0 0 255\n0 nan 0\n"), "coast.grid: intensities must be finite integers"),
+    (raster_map("0 0 255\n0 0.5 0\n"), "coast.grid: intensities must be finite integers"),
     ({"network": {"comm_range": 10.0}}, "goal 20 not reachable from start 1"),
     (two_records([math.nan, 200.0, 50.0]), "station 1 at (nan, 200.0, 50.0) is not (x, y, z)"),
     (two_records([200.0, 200.0, 250.0]), "station 1 at (200.0, 200.0, 250.0) is not (x, y, z)"),
@@ -316,14 +330,15 @@ def edge_failure(after_leg, edge) -> dict:
     (two_records(edges=[(1, 2, 3)]), "network.edges[0] must be two station ids"),
     (edge_failure(1, [1, 2, 3]), "mission.edge_failures[0].edge must be two station ids"),
     (edge_failure(1.5, [1, 2]), "mission.edge_failures[0].after_leg must be an integer"),
-], ids=["k-too-large", "unreachable-goal", "station-nan", "station-below-depth",
+], ids=["k-too-large", "raster-ragged", "raster-word", "raster-nan", "raster-fraction",
+        "unreachable-goal", "station-nan", "station-below-depth",
         "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere",
         "record-not-mapping", "record-without-id", "position-scalar", "record-id-twice",
         "edge-three-ids", "failure-edge-three-ids", "failure-after-leg-float"])
 def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
     # Each is one line naming the key: validation refuses the input's shape,
     # and the build refuses a map or network that cannot be built from it.
-    path = small_world_file(tmp_path, doc)
+    path = small_world_file(tmp_path, doc(tmp_path) if callable(doc) else doc)
     assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and message in err

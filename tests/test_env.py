@@ -1,9 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uuvsim.env as env_module
@@ -11,9 +12,11 @@ from uuvsim.env import (ClusteredMap, GridMap, Obstacle, ObstacleColumns, Vortex
                         VortexParams, cluster_map, current_at, current_grid, load_raster,
                         perturb_field, point_in_collision, points_in_collision,
                         step_obstacles, synthesize_raster)
-from uuvsim.errors import KTooLargeError
+from uuvsim import seeding
+from uuvsim.errors import KTooLargeError, ScenarioValidationError
+from uuvsim.scenario import resolve_scenario
 from tests.oracles import (reference_cluster_map, reference_current_grid,
-                           reference_step_obstacles)
+                           reference_step_obstacles, reference_synthesize_raster)
 
 
 def grid_from(values, cell_size=1.0, depth=100.0) -> GridMap:
@@ -51,19 +54,35 @@ def test_cluster_rejects_k_beyond_distinct_values():
         cluster_map(raster, k=3)
 
 
+def paper_raster(seed: int) -> GridMap:
+    """The raster `scenario.build_map` clusters for paper_baseline at `seed`."""
+    sc = resolve_scenario("paper_baseline")
+    return synthesize_raster(sc.map.width, sc.map.height, sc.map.cell_size, sc.field.z,
+                             seeding.stream(seed, seeding.ENV, 0), islands=sc.map.islands,
+                             island_radius=tuple(sc.map.island_radius),
+                             coast_border=sc.map.coast_border)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), water=st.sampled_from(["low", "high"]),
-       levels=st.integers(2, 9), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)))
-def test_cluster_map_matches_reference_kmeans(seed, k, water, levels, shape):
+       levels=st.integers(2, 256), shape=st.tuples(st.integers(1, 100), st.integers(1, 100)),
+       paper=st.just(False))
+@example(seed=42, k=2, water="low", levels=256, shape=(1000, 1000), paper=True)
+def test_cluster_map_matches_reference_kmeans(seed, k, water, levels, shape, paper):
     """Labels, centres and objective trace equal the (n, k) argmin k-means bit for bit.
 
     Few evenly spaced intensity levels make many cells tie and put values
-    exactly midway between two centres, where the first centre must win.
+    exactly midway between two centres, where the first centre must win;
+    up to 256 levels make 8-bit rasters.  `paper` takes the 1000 x 1000
+    raster of paper_baseline at `seed` instead.
     """
     rng = np.random.default_rng(seed)
-    values = rng.integers(0, levels, size=shape) * rng.choice([1.0, 2.0, 0.5, 10.0])
-    if rng.random() < 0.3:  # mass on one level collapses the quantile init
-        values[rng.random(shape) < 0.8] = values.flat[0]
+    if paper:
+        values = paper_raster(seed).values
+    else:
+        values = rng.integers(0, levels, size=shape) * rng.choice([1.0, 2.0, 0.5, 10.0])
+        if rng.random() < 0.3:  # mass on one level collapses the quantile init
+            values[rng.random(shape) < 0.8] = values.flat[0]
     if k > len(np.unique(values)):
         with pytest.raises(KTooLargeError):
             cluster_map(grid_from(values), k=k, water=water)
@@ -107,6 +126,31 @@ def test_cluster_matches_threshold_sweep_optimum():
     cm = cluster_map(raster, k=2)
     oracle = brute_force_two_means(raster.values.ravel())
     assert cm.objective_trace[-1] == pytest.approx(oracle, rel=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 60), height=st.integers(1, 60),
+       cell_size=st.sampled_from([0.3, 1.0, 10.0]), islands=st.integers(0, 6),
+       radius=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)), border=st.integers(0, 3))
+def test_synthesize_raster_matches_full_raster_island_draw(seed, width, height, cell_size,
+                                                           islands, radius, border):
+    """Values and the rng state after equal the whole-raster disc test bit for bit.
+
+    Radii are drawn as fractions of the larger side, so discs range from
+    under a cell to over the whole raster, and centres near an edge cut them.
+    """
+    if not islands and not border:
+        islands = 1
+    span = max(width, height) * cell_size
+    island_radius = (min(radius) * span, max(radius) * span)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    got = synthesize_raster(width, height, cell_size, 50.0, rngs[0], islands=islands,
+                            island_radius=island_radius, coast_border=border)
+    want = reference_synthesize_raster(width, height, cell_size, 50.0, rngs[1], islands=islands,
+                                       island_radius=island_radius, coast_border=border)
+    assert got == replace(want, values=got.values)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_cluster_objective_monotone_and_centers_consistent():
@@ -541,3 +585,18 @@ def test_load_raster_round_trip(tmp_path):
     assert raster.width == 4 and raster.height == 3
     cm = cluster_map(raster, k=2)
     assert cm.occupancy[0, 2] == 1 and cm.occupancy[2, 0] == 0
+    # One row and one column keep their orientation.
+    for text, shape in [("0 255 0\n", (1, 3)), ("0\n255\n0\n", (3, 1))]:
+        path.write_text(text)
+        raster = load_raster(path, cell_size=5.0, depth_extent=50.0)
+        assert (raster.height, raster.width) == shape
+        np.testing.assert_array_equal(raster.values.ravel(), [0.0, 255.0, 0.0])
+    # Anything but equal rows of finite integers is refused, naming the file.
+    for text, message in [("0 0 255 0\n0 255\n0 0 0 0\n", "the number of columns changed"),
+                          ("0 land 255\n", "could not convert string 'land'"),
+                          ("0 nan 255\n", "intensities must be finite integers"),
+                          ("0 inf 255\n", "intensities must be finite integers"),
+                          ("0 127.5 255\n", "intensities must be finite integers")]:
+        path.write_text(text)
+        with pytest.raises(ScenarioValidationError, match=re.escape(f"raster {path}: {message}")):
+            load_raster(path, cell_size=5.0, depth_extent=50.0)

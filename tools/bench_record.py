@@ -7,14 +7,16 @@ it runs `python3 perfbench/run.py --workload W --seed i --seconds 20 --trace 0`
 as its own process, one after another, then each workload once with
 `--trace 1` at seed 1. The file holds, per workload, the median, first and
 third quartile of each end-to-end metric with every run's values and round
-count, the traced per-layer metrics, and the commit, Python and numpy
-versions and the line count of `src/uuvsim/*.py`. If any run is not correct
-or has a failed operation, it writes nothing and exits 1.
+count, the traced per-layer metrics, the commit, the Python, numpy and scipy
+versions, the machine (architecture, usable CPUs and, where /proc/cpuinfo is
+readable, the CPU model) and the line count of `src/uuvsim/*.py`. If any run
+is not correct or has a failed operation, it writes nothing and exits 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import re
 import statistics
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("paper_mission", "route_planning", "leg_planning", "mc_batch")
@@ -38,6 +41,18 @@ def bench(workload: str, seed: int, trace: int) -> tuple[dict, int | None]:
                           cwd=ROOT, capture_output=True, text=True, check=True)
     rounds = re.search(r" (\d+) round\(s\)", done.stdout)
     return json.loads(done.stdout.splitlines()[-1]), rounds and int(rounds.group(1))
+
+
+def machine() -> dict:
+    """Architecture, the CPUs this process may run on, and the CPU model if readable."""
+    model = None
+    try:
+        with open("/proc/cpuinfo") as info:
+            model = next((line.split(":", 1)[1].strip() for line in info
+                          if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"arch": platform.machine(), "cpus": len(os.sched_getaffinity(0)), "model": model}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -78,7 +93,8 @@ def main(argv: list[str]) -> int:
                     for p in sorted((ROOT / "src" / "uuvsim").glob("*.py")))
     doc = {"command": f"python3 perfbench/run.py --workload W --seed i --seconds {SECONDS}",
            "seeds": list(SEEDS), "commit": commit, "python": platform.python_version(),
-           "numpy": np.__version__, "src_lines": src_lines, "workloads": record}
+           "numpy": np.__version__, "scipy": scipy.__version__, "machine": machine(),
+           "src_lines": src_lines, "workloads": record}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

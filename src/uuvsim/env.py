@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,9 +209,13 @@ def load_raster(path, cell_size: float, depth_extent: float) -> GridMap:
     other file is a `ScenarioValidationError` naming it.
     """
     try:
-        values = np.loadtxt(path, dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns of an empty file, refused below
+            values = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:  # a ragged row or a word that is no number
         raise ScenarioValidationError(f"raster {path}: {str(exc).partition(';')[0]}") from exc
+    if values.size == 0:
+        raise ScenarioValidationError(f"raster {path}: no intensities")
     if not (np.isfinite(values).all() and np.array_equal(values, np.rint(values))):
         raise ScenarioValidationError(f"raster {path}: intensities must be finite integers")
     h, w = values.shape

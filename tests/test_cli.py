@@ -306,6 +306,7 @@ def raster_map(text: str):
 @pytest.mark.parametrize("command", ["plan", "run"])
 @pytest.mark.parametrize("doc, message", [
     ({"map": {"k": 300}}, "k=300 exceeds"),
+    (raster_map(""), "coast.grid: no intensities"),
     (raster_map("0 0 255 0\n0 255\n0 0 0 0\n"),
      "coast.grid: the number of columns changed from 4 to 2 at row 2"),
     (raster_map("0 0 255\n0 land 0\n"), "coast.grid: could not convert string 'land'"),
@@ -330,8 +331,8 @@ def raster_map(text: str):
     (two_records(edges=[(1, 2, 3)]), "network.edges[0] must be two station ids"),
     (edge_failure(1, [1, 2, 3]), "mission.edge_failures[0].edge must be two station ids"),
     (edge_failure(1.5, [1, 2]), "mission.edge_failures[0].after_leg must be an integer"),
-], ids=["k-too-large", "raster-ragged", "raster-word", "raster-nan", "raster-fraction",
-        "unreachable-goal", "station-nan", "station-below-depth",
+], ids=["k-too-large", "raster-empty", "raster-ragged", "raster-word", "raster-nan",
+        "raster-fraction", "unreachable-goal", "station-nan", "station-below-depth",
         "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere",
         "record-not-mapping", "record-without-id", "position-scalar", "record-id-twice",
         "edge-three-ids", "failure-edge-three-ids", "failure-after-leg-float"])

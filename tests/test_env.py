@@ -148,7 +148,6 @@ def test_synthesize_raster_matches_full_raster_island_draw(seed, width, height, 
                             island_radius=island_radius, coast_border=border)
     want = reference_synthesize_raster(width, height, cell_size, 50.0, rngs[1], islands=islands,
                                        island_radius=island_radius, coast_border=border)
-    assert got == replace(want, values=got.values)
     assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
@@ -592,7 +591,8 @@ def test_load_raster_round_trip(tmp_path):
         assert (raster.height, raster.width) == shape
         np.testing.assert_array_equal(raster.values.ravel(), [0.0, 255.0, 0.0])
     # Anything but equal rows of finite integers is refused, naming the file.
-    for text, message in [("0 0 255 0\n0 255\n0 0 0 0\n", "the number of columns changed"),
+    for text, message in [("", "no intensities"), ("\n\n", "no intensities"),
+                          ("0 0 255 0\n0 255\n0 0 0 0\n", "the number of columns changed"),
                           ("0 land 255\n", "could not convert string 'land'"),
                           ("0 nan 255\n", "intensities must be finite integers"),
                           ("0 inf 255\n", "intensities must be finite integers"),

@@ -10,7 +10,7 @@ from .env import (ClusteredMap, CurrentSample, EnvSnapshot, GridMap, Obstacle,
                   ObstacleColumns, VortexField, VortexParams, cluster_map, current_at,
                   perturb_field, point_in_collision, step_obstacles)
 from .errors import UUVSimError
-from .global_planner import Route, decode_route, plan_global, route_cost
+from .global_planner import Route, decode_route, plan_global
 from .local_planner import (LocalCostWeights, LocalPath, SplineConfig, evaluate_paths,
                             plan_local, replan_local)
 from .mission import LegOutcome, MissionReport, run_mission, should_replan_global

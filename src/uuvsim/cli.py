@@ -192,10 +192,8 @@ def _trial_row(trial: int, seed: int, report: MissionReport | None, error: str =
                 **{col: math.nan for col in [*_AGG_COLUMNS, "wall_clock"]}, "report": None}
     return {"trial": trial, "seed": seed, "success": report.success,
             "error": report.failure_reason,
-            "global_replans": report.global_replans, "path_time": report.path_time,
-            "residual_time": report.residual_time, "total_value": report.total_value,
-            "stations_visited": report.stations_visited, "total_cost": report.total_cost,
-            "wall_clock": report.wall_clock, "report": report}
+            **{col: getattr(report, col) for col in [*_AGG_COLUMNS, "wall_clock"]},
+            "report": report}
 
 
 def _run_trial(args) -> tuple[int, int, MissionReport | None, str]:
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="run a batch of seeded trials")
     common(p)
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_count, default=30)
     p.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
     p.set_defaults(func=_cmd_montecarlo)
 

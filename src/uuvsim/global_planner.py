@@ -42,7 +42,6 @@ class Route:
     distance: float
     time: float
     total_value: float
-    station_total: int  # network size; normalizes the value term of the cost
 
     @property
     def stations_visited(self) -> int:
@@ -69,7 +68,6 @@ class DecodeGraph:
     `_goal_chain` with nothing blocked.
     """
 
-    network: Network
     goal: int
     speed: float
     adj: dict[int, list[Arc]]  # the network's shared adjacency, searched by the divert
@@ -89,33 +87,24 @@ def decode_graph(network: Network, goal: int, speed: float) -> DecodeGraph:
     index = {sid: k for k, sid in enumerate(sorted(network.stations))}
     walk_adj = {sid: [(v, index[v], e, t, d, to_goal.get(v, math.inf)) for v, e, t, d in lst]
                 for sid, lst in adj.items()}
-    return DecodeGraph(network=network, goal=goal, speed=speed, adj=adj, walk_adj=walk_adj,
-                       to_goal=to_goal,
+    return DecodeGraph(goal=goal, speed=speed, adj=adj, walk_adj=walk_adj, to_goal=to_goal,
                        values={sid: st.value for sid, st in network.stations.items()})
 
 
-def decode_route(keys: np.ndarray, network: Network, start: int, goal: int,
-                 time_budget: float, speed: float,
-                 visited: frozenset[int] = frozenset(), *,
-                 graph: DecodeGraph | None = None) -> Route:
-    """Decode a key vector into a route; raises UndecodableError when cut off.
+def decode_route(keys: np.ndarray, graph: DecodeGraph, start: int, time_budget: float,
+                 visited: frozenset[int] = frozenset()) -> Route:
+    """Decode a key vector into a route to `graph.goal`; raises UndecodableError
+    when cut off.
 
-    `graph` is `decode_graph(network, goal, speed)` of this very `network`
-    object, built here if not given.  The budget check against the remaining
-    shortest path uses its to-goal times; edges consumed within the walk are
+    The budget check against the remaining shortest path uses the graph's
+    to-goal times; edges consumed within the walk are
     not re-blocked there (the overtime penalty absorbs the rare decode this
     lets slip past the budget).  The greedy walk runs for every call; the
     divert, which searches the edges left only until it settles the goal,
     and the route build run once per distinct walk through the graph's memo.
     `visited` stations were collected in earlier legs and add no value.
     """
-    if graph is None:
-        graph = decode_graph(network, goal, speed)
-    elif graph.network is not network:
-        raise ValueError("decode graph was built for another network")
-    elif graph.goal != goal or graph.speed != speed:
-        raise ValueError("decode graph was built for another goal or speed")
-    walk_adj = graph.walk_adj
+    walk_adj, goal = graph.walk_adj, graph.goal
     key_at = np.asarray(keys, dtype=float).tolist()
     if len(key_at) != len(walk_adj):
         raise ValueError(f"{len(key_at)} keys for {len(walk_adj)} stations")
@@ -156,7 +145,7 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
               visited: frozenset[int]) -> Route | str:
     """The route that finishes a stopped walk (`distance` long so far), or
     why the goal is cut off."""
-    network, goal, cur, values = graph.network, graph.goal, seq[-1], graph.values
+    goal, cur, values = graph.goal, seq[-1], graph.values
     if cur != goal:
         # Divert: minimum-time path to the goal over what is left.  Blocking can
         # only raise times and pops go by (time, id), so when the walk used none
@@ -180,7 +169,7 @@ def _complete(graph: DecodeGraph, seq: list[int], used: set[int], distance: floa
             value += values[b]
             seen.add(b)
     return Route(sequence=tuple(seq), edges=tuple(map(_pair, seq, seq[1:])), distance=distance,
-                 time=distance / graph.speed, total_value=value, station_total=network.size)
+                 time=distance / graph.speed, total_value=value)
 
 
 def _goal_chain(adj: dict[int, list[Arc]], src: int, goal: int, blocked: set[int] | frozenset[int]
@@ -196,25 +185,19 @@ def _goal_chain(adj: dict[int, list[Arc]], src: int, goal: int, blocked: set[int
     return steps[::-1], frozenset(e for _, e, _ in steps)
 
 
-def route_cost(route: Route | None, time_budget: float) -> float:
-    """Budget-gap plus inverse-value cost; overtime is penalized past feasibility.
+def walk_cost(time: float, value: float, n_stations: int, time_budget: float) -> float:
+    """Budget-gap plus inverse-value cost of any walk taking `time` and
+    collecting `value` on a network of `n_stations` stations; the route
+    DE and the executor's mission score both use it.
 
-    None (undecodable) scores +inf.  The overtime term carries a constant
-    floor so that even a marginally overtime route costs more than any
-    on-budget route regardless of the value assignment.
+    The overtime term carries a constant floor so that even a marginally
+    overtime route costs more than any on-budget route regardless of the
+    value assignment.
     """
-    if route is None:
-        return math.inf
-    return walk_cost(route.time, route.total_value, route.station_total, time_budget)
-
-
-def walk_cost(time: float, value: float, station_total: int, time_budget: float) -> float:
-    """The route cost of any walk taking `time` and collecting `value` on a
-    network of `station_total` stations; the executor scores missions with it."""
     gap = abs(time - time_budget) / time_budget
-    value_term = station_total / (value + 1.0)
+    value_term = n_stations / (value + 1.0)
     over = max(0.0, (time - time_budget) / time_budget)
-    weight = max(OVERTIME_WEIGHT, station_total + 2.0)
+    weight = max(OVERTIME_WEIGHT, n_stations + 2.0)
     penalty = weight * (1.0 + over) if over > 0.0 else 0.0
     return gap + value_term + penalty
 
@@ -261,12 +244,12 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
                 route = cache[okey]
             else:
                 try:
-                    route = decode_route(mat[i], network, start, goal, time_budget,
-                                         speed, visited, graph=graph)
+                    route = decode_route(mat[i], graph, start, time_budget, visited)
                 except UndecodableError:
                     route = None
                 cache[okey] = route
-            costs[i] = route_cost(route, time_budget)
+            costs[i] = (math.inf if route is None
+                        else walk_cost(route.time, route.total_value, n, time_budget))
         return costs
 
     seeds = rng.integers(0, 2**63 - 1, size=restarts)

@@ -73,10 +73,6 @@ class SplineConfig:
     def interior(self) -> int:
         return self.control_count - 2
 
-    @property
-    def gene_length(self) -> int:
-        return 3 * self.interior
-
 
 @dataclass(frozen=True)
 class LocalCostWeights:
@@ -125,20 +121,23 @@ class LocalPath:
     def end(self) -> np.ndarray:
         return self.points[-1]
 
-    def position_at_time(self, t: float) -> np.ndarray:
-        """Linear interpolation along the sampled polyline at elapsed time t."""
-        times = self.times
-        if t <= 0:
-            return self.points[0].copy()
-        if t >= times[-1]:
-            return self.points[-1].copy()
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        dt = times[k + 1] - times[k]
-        w = 0.0 if dt <= 0 else (t - times[k]) / dt
-        return (1 - w) * self.points[k] + w * self.points[k + 1]
+    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (n, 3) at elapsed times t (n,), linear along the sampled
+        polyline, and each time's sample index, the index of the yaw flown."""
+        t = np.asarray(t, dtype=float)
+        times, points = self.times, self.points
+        after = np.searchsorted(times, t, side="right")
+        k = np.clip(after - 1, 0, len(times) - 2)
+        span = times[k + 1] - times[k]
+        w = np.divide(t - times[k], span, out=np.zeros_like(t), where=span > 0)
+        pos = (1 - w)[:, None] * points[k] + w[:, None] * points[k + 1]
+        pos[t <= 0] = points[0]
+        pos[t >= times[-1]] = points[-1]
+        return pos, np.minimum(after, len(times) - 1)
 
-    def sample_index_at_time(self, t: float) -> int:
-        return min(int(np.searchsorted(self.times, t, side="right")), len(self.times) - 1)
+    def position_at_time(self, t: float) -> np.ndarray:
+        """`at` for one time."""
+        return self.at([t])[0][0]
 
 
 @functools.cache
@@ -153,7 +152,7 @@ def basis_matrix(config: SplineConfig) -> np.ndarray:
 def control_points(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:
     """(3, c, control_count) coordinate-major control polygons with pinned endpoints.
 
-    Genes (c, gene_length) are blocked as (all x, all y, all z) over the
+    Genes (c, 3 * interior) are blocked as (all x, all y, all z) over the
     interior points.
     """
     genes = np.asarray(genes, dtype=float)
@@ -466,8 +465,7 @@ def warm_start_genes(previous: LocalPath, from_time: float, spline: SplineConfig
     t_end = float(times[-1])
     span = max(t_end - from_time, _EPS_LEN)
     fracs = np.linspace(0.0, 1.0, spline.control_count)[1:-1]
-    interior = np.stack([previous.position_at_time(from_time + f * span) for f in fracs])
-    return np.concatenate([interior[:, 0], interior[:, 1], interior[:, 2]])
+    return previous.at(from_time + fracs * span)[0].T.ravel()
 
 
 def replan_local(position, endpoint_j, env: EnvSnapshot, weights: LocalCostWeights,

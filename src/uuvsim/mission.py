@@ -85,9 +85,10 @@ def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: N
     return False, ""
 
 
-def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles: ObstacleColumns,
-            sensing_radius: float, margin: float) -> int | None:
-    """Id of the first obstacle whose `envelope` cuts the remaining path.
+def _hazard(position: np.ndarray, path: LocalPath, tau: float, k0: int,
+            obstacles: ObstacleColumns, sensing_radius: float, margin: float) -> int | None:
+    """Id of the first obstacle whose `envelope` cuts the remaining path: its
+    samples from `k0`, the sample index at `tau`, on.
 
     A mobile obstacle's speed is the one `step_obstacles` left in the columns.
     """
@@ -101,7 +102,6 @@ def _hazard(position: np.ndarray, path: LocalPath, tau: float, obstacles: Obstac
         if dx * dx + dy * dy + dz * dz > sensing_radius ** 2:
             continue
         if rem is None:
-            k0 = path.sample_index_at_time(tau)
             rem, horizons = path.points[k0:], path.times[k0:] - tau
         d2 = np.sum((rem - np.array((ox, oy, oz))) ** 2, axis=1)
         r = envelope(kind, obstacles.radius[i], obstacles.base_radius[i],
@@ -116,9 +116,8 @@ def path_ticks(path: LocalPath, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
     """Every tick of flying a path: tau (n,), position (n, 3) and sample index (n,).
 
     Each tick advances tau by dt; the last is cut short so that tau lands
-    exactly on the path's duration.  Positions interpolate the sampled
-    polyline in the arithmetic of `LocalPath.position_at_time`; the sample
-    index is `LocalPath.sample_index_at_time`'s, the index of the yaw flown.
+    exactly on the path's duration.  Positions and sample indexes are
+    `LocalPath.at`'s.
     """
     duration = path.duration
     taus, tau = [], 0.0
@@ -128,15 +127,7 @@ def path_ticks(path: LocalPath, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
         if tau >= duration:
             break
     t = np.array(taus)
-    times, points = path.times, path.points
-    after = np.searchsorted(times, t, side="right")
-    k = np.clip(after - 1, 0, len(times) - 2)
-    span = times[k + 1] - times[k]
-    w = np.divide(t - times[k], span, out=np.zeros_like(t), where=span > 0)
-    pos = (1 - w)[:, None] * points[k] + w[:, None] * points[k + 1]
-    pos[t <= 0] = points[0]
-    pos[t >= times[-1]] = points[-1]
-    return t, pos, np.minimum(after, len(times) - 1)
+    return (t, *path.at(t))
 
 
 class _MissionAbort(Exception):
@@ -171,7 +162,6 @@ class _Executor:
         # Edges found locally impassable right now (e.g. a hostile current
         # pocket); blocked only for planning and cleared once the world moves.
         self.blocked: set[tuple[int, int]] = set()
-        self.global_plans = 0
         self.local_plans = 0
         self.report = MissionReport(scenario=sc.name, seed=seed)
         self.tick_blocks = [self.report.ticks]  # the tick table, one block per path flown
@@ -188,15 +178,14 @@ class _Executor:
 
     def _plan_route(self, start: int, generations_factor: float = 1.0) -> GlobalPlan:
         cfg = self._de_config(self.sc.de_global, generations_factor)
-        rng = seeding.stream(self.seed, seeding.DE_GLOBAL, self.global_plans)
-        self.global_plans += 1
+        rng = seeding.stream(self.seed, seeding.DE_GLOBAL, self.report.global_replans)
         planning_net = self._planning_network()
         plan = plan_global(planning_net, start, planning_net.goal_id,
                            (self.budget - self.elapsed) * self.sc.mission.budget_margin,
                            self.speed, cfg, restarts=self.sc.de_global.restarts, rng=rng,
                            visited=frozenset(self.visited))
         for i, trace in enumerate(plan.traces):
-            self.report.de_traces.append((f"global-{self.global_plans - 1}-r{i}", trace))
+            self.report.de_traces.append((f"global-{self.report.global_replans}-r{i}", trace))
         return plan
 
     def _planning_network(self) -> Network:
@@ -265,7 +254,7 @@ class _Executor:
                     if i == len(xyz) - 1:
                         break  # arrived
                     if allow_replans:
-                        hazard = _hazard(points[i], path, taus[i], self.obstacles,
+                        hazard = _hazard(points[i], path, taus[i], samples[i], self.obstacles,
                                          mission.sensing_radius, mission.obstacle_margin)
                         if hazard is not None:
                             break

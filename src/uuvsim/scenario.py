@@ -95,8 +95,10 @@ class DESpec:
     generations: int = 200
     scale: float = 0.7
     crossover: float = 0.9
-    restarts: int = 3
-    stall: int | None = None  # stop a run after this many generations without a new best
+    # `must` words a value of the wrong type as `validate` words one out of range.
+    restarts: int = field(default=3, metadata={"must": "an integer >= 1"})
+    # stop a run after this many generations without a new best
+    stall: int | None = field(default=None, metadata={"must": "null or an integer >= 1"})
 
 
 @dataclass
@@ -159,11 +161,26 @@ _SECTIONS = {
 }
 
 
+# The values each declared field type takes, and how a message names them.
+# A bool is neither an int nor a float here.
+_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "None": (lambda v: v is None, "null"),
+}
+
+
 def _merge_section(name: str, obj, data: dict):
-    names = {f.name for f in dataclasses.fields(obj)}
+    fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in data.items():
-        if key not in names:
+        if key not in fields:
             raise ScenarioValidationError(f"unknown key {name}.{key}")
+        kinds = fields[key].type.split(" | ")
+        if not any(_TYPES[kind][0](value) for kind in kinds):
+            must = fields[key].metadata.get("must") or " or ".join(_TYPES[k][1] for k in kinds)
+            raise ScenarioValidationError(f"{name}.{key} must be {must}, got {value!r}")
         setattr(obj, key, value)
     return obj
 
@@ -319,7 +336,8 @@ def from_dict(data: dict) -> Scenario:
         if key == "name":
             sc.name = str(value)
         elif key == "seed":
-            sc.seed = int(value)
+            _require(type(value) is int, f"seed must be an integer, got {value!r}")
+            sc.seed = value
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ScenarioValidationError(f"section {key} must be a mapping")

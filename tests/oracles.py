@@ -176,7 +176,7 @@ def reference_decode_route(keys: np.ndarray, network: Network, start: int, goal:
             value += network.stations[b].value
             seen.add(b)
     return Route(sequence=tuple(seq), edges=tuple(edges), distance=distance,
-                 time=distance / speed, total_value=value, station_total=network.size)
+                 time=distance / speed, total_value=value)
 
 
 def reference_subdivided(points: np.ndarray, subdivide: int) -> np.ndarray:
@@ -484,8 +484,9 @@ def reference_synthesize_raster(width: int, height: int, cell_size: float, depth
 
 
 # The obstacle step and the tick advance of the executor before it held the
-# obstacles as columns and flew each path in one pass, kept as the exactness
-# references for `step_obstacles` and `mission.path_ticks`.
+# obstacles as columns and flew each path in one pass, and the scalar path
+# interpolation before `LocalPath.at`, kept as the exactness references for
+# `step_obstacles`, `LocalPath.at` and `mission.path_ticks`.
 
 
 def reference_step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
@@ -510,11 +511,29 @@ def reference_step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: fl
     return out
 
 
+def reference_position_at_time(path: LocalPath, t: float) -> np.ndarray:
+    """Linear interpolation along the sampled polyline at elapsed time t."""
+    times = path.times
+    if t <= 0:
+        return path.points[0].copy()
+    if t >= times[-1]:
+        return path.points[-1].copy()
+    k = int(np.searchsorted(times, t, side="right")) - 1
+    dt = times[k + 1] - times[k]
+    w = 0.0 if dt <= 0 else (t - times[k]) / dt
+    return (1 - w) * path.points[k] + w * path.points[k + 1]
+
+
+def reference_sample_index_at_time(path: LocalPath, t: float) -> int:
+    return min(int(np.searchsorted(path.times, t, side="right")), len(path.times) - 1)
+
+
 def reference_ticks(path: LocalPath, dt: float) -> list[tuple[float, np.ndarray, int]]:
-    """(tau, position, sample index) of each tick, one `position_at_time` call per tick."""
+    """(tau, position, sample index) of each tick, one scalar interpolation per tick."""
     out, tau = [], 0.0
     while True:
         tau = tau + max(min(dt, path.duration - tau), 0.0)
-        out.append((tau, path.position_at_time(tau), path.sample_index_at_time(tau)))
+        out.append((tau, reference_position_at_time(path, tau),
+                    reference_sample_index_at_time(path, tau)))
         if tau >= path.duration:
             return out

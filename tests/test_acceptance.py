@@ -15,7 +15,7 @@ from uuvsim.cli import aggregate_rows, run_monte_carlo, run_once
 from uuvsim.de import DEConfig
 from uuvsim.env import VortexField, VortexParams, current_at, current_grid
 from uuvsim.errors import UndecodableError
-from uuvsim.global_planner import decode_route, plan_global
+from uuvsim.global_planner import decode_graph, decode_route, plan_global
 from uuvsim.local_planner import LocalCostWeights, SplineConfig, corridor_bounds, evaluate_paths
 from uuvsim.network import adjacency, build_network, shortest_times_to
 from uuvsim.scenario import resolve_scenario
@@ -263,11 +263,12 @@ def test_criterion_8_spline_and_decode_invariants():
         if not net.goal_reachable():
             continue
         networks += 1
+        graph = decode_graph(net, 20, 2.2)
         for _ in range(200):
             keys = net_rng.random(20)
             budget = float(net_rng.uniform(5000.0, 20_000.0))
             try:
-                route = decode_route(keys, net, 1, 20, budget, 2.2)
+                route = decode_route(keys, graph, 1, budget)
             except UndecodableError:
                 continue  # walk wandered into a cul-de-sac: the error path, not a violation
             decodes += 1

@@ -250,7 +250,8 @@ def small_world_file(tmp_path, doc) -> str:
              "map": {"width": 200, "height": 200, "cell_size": 10.0, "islands": 0,
                      "coast_border": 2}}
     for section, values in doc.items():
-        world[section] = {**world.get(section, {}), **values}
+        world[section] = ({**world.get(section, {}), **values} if isinstance(values, dict)
+                          else values)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(world))
     return str(path)
@@ -266,9 +267,25 @@ def small_world_file(tmp_path, doc) -> str:
     ({"montecarlo": {"stations": [1, 5]}}, "montecarlo.stations low bound must be >= 2"),
     ({"vehicle": {"time_budget": math.inf}}, "vehicle.time_budget must be finite and > 0"),
     ({"de_global": {"restarts": 1.5}}, "de_global.restarts must be an integer >= 1"),
+    # A value of another type than its field's used to crash or be truncated.
+    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ({"seed": 4.5}, "seed must be an integer, got 4.5"),
+    ({"mission": {"dt": "fast"}}, "mission.dt must be a number, got 'fast'"),
+    ({"field": {"x": "2000"}}, "field.x must be a number, got '2000'"),
+    ({"vehicle": {"cruise_speed": True}}, "vehicle.cruise_speed must be a number, got True"),
+    ({"map": {"k": 2.5}}, "map.k must be an integer, got 2.5"),
+    ({"map": {"width": 1000.5}}, "map.width must be an integer, got 1000.5"),
+    ({"map": {"water": 1}}, "map.water must be a string, got 1"),
+    ({"de_global": {"population": 36.5}}, "de_global.population must be an integer, got 36.5"),
+    ({"obstacles": {"count": 2.5}}, "obstacles.count must be an integer, got 2.5"),
+    ({"obstacles": {"kinds": "static"}}, "obstacles.kinds must be a list, got 'static'"),
+    ({"network": {"stations": 20.5}}, "network.stations must be an integer or null, got 20.5"),
+    ({"spline": {"samples": 100.5}}, "spline.samples must be an integer, got 100.5"),
 ], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
         "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range", "budget-inf",
-        "restarts-float"])
+        "restarts-float", "seed-word", "seed-real", "dt-word", "field-x-text", "cruise-bool",
+        "map-k-real", "map-width-real", "water-number", "population-real", "obstacle-count-real",
+        "kinds-text", "stations-real", "samples-real"])
 def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
     path = small_world_file(tmp_path, doc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
@@ -471,8 +488,11 @@ def test_cli_field_dump(tmp_path):
     (["field-dump", "--extent", "0", "100"], "--extent: must be finite and > 0, got 0"),
     (["montecarlo", "--jobs", "0"], "--jobs: must be an integer >= 1, got 0"),
     (["montecarlo", "--jobs", "-1"], "--jobs: must be an integer >= 1, got -1"),
+    (["montecarlo", "--trials", "0"], "--trials: must be an integer >= 1, got 0"),
+    (["montecarlo", "--trials", "-3"], "--trials: must be an integer >= 1, got -3"),
 ], ids=["resolution-negative", "resolution-zero", "resolution-real", "extent-negative",
-        "extent-nan", "extent-inf", "extent-zero", "jobs-zero", "jobs-negative"])
+        "extent-nan", "extent-inf", "extent-zero", "jobs-zero", "jobs-negative", "trials-zero",
+        "trials-negative"])
 def test_cli_refuses_arguments_that_crash_or_write_nonsense(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 import uuvsim.global_planner as gp
 from uuvsim.de import DEConfig
 from uuvsim.errors import NoFeasibleRouteError, UndecodableError
-from uuvsim.global_planner import (Route, decode_graph, decode_route, plan_global,
-                                   route_cost)
+from uuvsim.global_planner import Route, decode_graph, decode_route, plan_global, walk_cost
 from uuvsim.network import consume_edge
-from tests.oracles import best_walk_cost, reference_decode_route, walk_cost
+from tests.oracles import best_walk_cost, reference_decode_route
+from tests.oracles import walk_cost as reference_walk_cost
 from tests.test_network import line_network
 
 
 def keys_for(net, mapping):
     ids = sorted(net.stations)
     return np.array([mapping.get(sid, 0.0) for sid in ids])
+
+
+def decode(keys, net, start, goal, time_budget, speed, visited=frozenset()):
+    """`decode_route` through a fresh graph of `net`, called as the reference decoder is."""
+    return decode_route(keys, decode_graph(net, goal, speed), start, time_budget, visited)
 
 
 def triangle(values=(0, 5, 1)):
@@ -31,13 +36,13 @@ def triangle(values=(0, 5, 1)):
 def test_decode_forced_line_topology():
     net = line_network([(0, 0, 0), (100, 0, 0), (200, 0, 0)], [(1, 2), (2, 3)])
     for keyset in ({2: 0.9, 3: 0.1}, {2: 0.1, 3: 0.9}):
-        route = decode_route(keys_for(net, keyset), net, 1, 3, time_budget=1e6, speed=2.0)
+        route = decode(keys_for(net, keyset), net, 1, 3, time_budget=1e6, speed=2.0)
         assert route.sequence == (1, 2, 3)
 
 
 def test_decode_triangle_prefers_high_key_detour():
     net = triangle()
-    route = decode_route(keys_for(net, {2: 0.9, 3: 0.1}), net, 1, 3,
+    route = decode(keys_for(net, {2: 0.9, 3: 0.1}), net, 1, 3,
                          time_budget=1e6, speed=1.0)
     assert route.sequence == (1, 2, 3)
     assert route.distance == pytest.approx(300 + 500)
@@ -46,7 +51,7 @@ def test_decode_triangle_prefers_high_key_detour():
 def test_decode_triangle_diverts_under_tight_budget():
     net = triangle()
     # budget only covers the direct 400 m edge at 1 m/s (plus a sliver)
-    route = decode_route(keys_for(net, {2: 0.9, 3: 0.1}), net, 1, 3,
+    route = decode(keys_for(net, {2: 0.9, 3: 0.1}), net, 1, 3,
                          time_budget=450.0, speed=1.0)
     assert route.sequence == (1, 3)
     assert route.time == pytest.approx(400.0)
@@ -61,7 +66,7 @@ def test_decode_never_reuses_edges_and_terminates_at_goal():
                        values=list(rng.integers(1, 6, 9).astype(float)))
     for _ in range(300):
         keys = rng.random(9)
-        route = decode_route(keys, net, 1, 9, time_budget=6000.0, speed=2.0)
+        route = decode(keys, net, 1, 9, time_budget=6000.0, speed=2.0)
         assert route.sequence[0] == 1 and route.sequence[-1] == 9
         assert len(set(route.edges)) == len(route.edges)
         for a, b in route.edges:
@@ -71,28 +76,28 @@ def test_decode_never_reuses_edges_and_terminates_at_goal():
 def test_decode_is_pure():
     net = triangle()
     keys = np.array([0.3, 0.8, 0.2])
-    a = decode_route(keys, net, 1, 3, 1e5, 1.5)
-    b = decode_route(keys, net, 1, 3, 1e5, 1.5)
+    a = decode(keys, net, 1, 3, 1e5, 1.5)
+    b = decode(keys, net, 1, 3, 1e5, 1.5)
     assert a == b
 
 
 def test_decode_skips_consumed_edges():
     net = consume_edge(triangle(), 1, 2)
-    route = decode_route(keys_for(net, {2: 0.99, 3: 0.01}), net, 1, 3, 1e6, 1.0)
+    route = decode(keys_for(net, {2: 0.99, 3: 0.01}), net, 1, 3, 1e6, 1.0)
     assert (1, 2) not in route.edges
 
 
 def test_decode_raises_when_cut_off():
     net = consume_edge(consume_edge(triangle(), 1, 3), 2, 3)
     with pytest.raises(UndecodableError):
-        decode_route(keys_for(net, {2: 0.5, 3: 0.5}), net, 1, 3, 1e6, 1.0)
+        decode(keys_for(net, {2: 0.5, 3: 0.5}), net, 1, 3, 1e6, 1.0)
 
 
 def test_decode_visited_stations_carry_no_value():
     net = triangle(values=(0, 5, 1))
     keys = keys_for(net, {2: 0.9, 3: 0.1})
-    fresh = decode_route(keys, net, 1, 3, 1e6, 1.0)
-    replay = decode_route(keys, net, 1, 3, 1e6, 1.0, visited=frozenset({2}))
+    fresh = decode(keys, net, 1, 3, 1e6, 1.0)
+    replay = decode(keys, net, 1, 3, 1e6, 1.0, visited=frozenset({2}))
     assert fresh.total_value == 6.0 and replay.total_value == 1.0
 
 
@@ -146,10 +151,7 @@ def decode_outcome(decode, *args, **kwargs):
 def test_decode_matches_reference_decoder(case):
     keys, net, start, goal, budget, speed, visited = case
     ref = decode_outcome(reference_decode_route, keys, net, start, goal, budget, speed, visited)
-    assert decode_outcome(decode_route, keys, net, start, goal, budget, speed, visited) == ref
-    graph = decode_graph(net, goal, speed)
-    assert decode_outcome(decode_route, keys, net, start, goal, budget, speed, visited,
-                          graph=graph) == ref
+    assert decode_outcome(decode, keys, net, start, goal, budget, speed, visited) == ref
     if ref[0] == "UndecodableError":
         return
     route = Route(*ref)
@@ -192,7 +194,7 @@ def test_divert_reuses_the_goal_chain_unless_the_walk_cut_it(monkeypatch, budget
     args = (keys, net, 1, 4, budget, 1.0)
     ref = decode_outcome(reference_decode_route, *args)
     recorded = recording_dijkstra(monkeypatch)
-    assert decode_outcome(decode_route, *args) == ref
+    assert decode_outcome(decode, *args) == ref
     assert ref[0] == stop and recorded == calls
 
 
@@ -234,62 +236,57 @@ def test_warm_decode_graph_matches_reference_decoder(net, goal_draw, speed, seed
     visiteds = [frozenset(), frozenset(rng.integers(1, n + 1, size=n // 2).tolist()),
                 frozenset(range(1, n + 1))]
     for _ in range(240):
-        args = (tied_keys(rng, n), net, int(rng.integers(1, n + 1)), goal,
-                float(budgets[rng.integers(3)]), speed, visiteds[rng.integers(3)])
-        assert (decode_outcome(decode_route, *args, graph=graph)
-                == decode_outcome(reference_decode_route, *args))
-
-
-def test_decode_rejects_graph_of_another_goal_or_speed():
-    net = triangle()
-    keys = np.array([0.3, 0.8, 0.2])
-    with pytest.raises(ValueError):
-        decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(net, 2, 1.5))
-    with pytest.raises(ValueError):
-        decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(net, 3, 1.0))
-    # An equal network is still another object; its graph's memo is not this one's.
-    with pytest.raises(ValueError):
-        decode_route(keys, net, 1, 3, 1e5, 1.5, graph=decode_graph(triangle(), 3, 1.5))
-    with pytest.raises(ValueError):
-        decode_route(keys, triangle(values=(0, 1, 1)), 1, 3, 1e5, 1.5,
-                     graph=decode_graph(net, 3, 1.5))
+        keys, start = tied_keys(rng, n), int(rng.integers(1, n + 1))
+        budget, visited = float(budgets[rng.integers(3)]), visiteds[rng.integers(3)]
+        assert (decode_outcome(decode_route, keys, graph, start, budget, visited)
+                == decode_outcome(reference_decode_route, keys, net, start, goal, budget, speed,
+                                  visited))
 
 
 # --- route cost -------------------------------------------------------------
 
 
-def make_route(time, value, n=20):
-    return Route(sequence=(1, 2), edges=((1, 2),), distance=time, time=time,
-                 total_value=value, station_total=n)
-
-
 def test_route_cost_zero_gap_leaves_value_term():
-    cost = route_cost(make_route(time=1000.0, value=1e9), time_budget=1000.0)
+    cost = walk_cost(1000.0, 1e9, 20, time_budget=1000.0)
     assert cost == pytest.approx(20 / (1e9 + 1), rel=1e-12)
 
 
 def test_route_cost_monotone_in_value():
-    assert (route_cost(make_route(900.0, 20.0), 1000.0)
-            < route_cost(make_route(900.0, 10.0), 1000.0))
+    assert walk_cost(900.0, 20.0, 20, 1000.0) < walk_cost(900.0, 10.0, 20, 1000.0)
 
 
 def test_route_cost_hand_value():
     # |900 - 1000|/1000 + 20/(9 + 1) = 0.1 + 2.0
-    assert route_cost(make_route(900.0, 9.0), 1000.0) == pytest.approx(2.1)
+    assert walk_cost(900.0, 9.0, 20, 1000.0) == pytest.approx(2.1)
 
 
-def test_route_cost_undecodable_is_infinite():
-    assert route_cost(None, 1000.0) == math.inf
+def test_route_cost_undecodable_is_infinite(monkeypatch):
+    # Station 2 is a dead end: a walk that enters it cannot reach the goal.
+    net = line_network([(0, 0, 0), (0, 300, 0), (400, 0, 0)], [(1, 2), (1, 3)])
+    scored, optimize = [], gp.de.optimize
+
+    def recording_optimize(evaluate, *args, **kwargs):
+        def recorded(mat):
+            costs = evaluate(mat)
+            scored.extend(zip(mat.tolist(), costs.tolist()))
+            return costs
+        return optimize(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(gp.de, "optimize", recording_optimize)
+    plan_global(net, 1, 3, 1e4, 1.0, de_cfg(pop=8, gens=3), restarts=1,
+                rng=np.random.default_rng(0))
+    dead = [cost for keys, cost in scored if keys[1] >= keys[2]]
+    assert dead and all(cost == math.inf for cost in dead)
+    assert all(cost < math.inf for keys, cost in scored if keys[1] < keys[2])
 
 
 def test_route_cost_feasibility_dominance():
     rng = np.random.default_rng(0)
     for _ in range(500):
         n = int(rng.integers(2, 60))
-        feasible = make_route(rng.uniform(0, 1000.0), rng.uniform(0, n * 5), n)
-        overtime = make_route(1000.0 * (1 + rng.uniform(1e-9, 2.0)),
-                              rng.uniform(0, n * 5), n)
-        assert route_cost(feasible, 1000.0) < route_cost(overtime, 1000.0)
+        feasible = (rng.uniform(0, 1000.0), rng.uniform(0, n * 5))
+        overtime = (1000.0 * (1 + rng.uniform(1e-9, 2.0)), rng.uniform(0, n * 5))
+        assert walk_cost(*feasible, n, 1000.0) < walk_cost(*overtime, n, 1000.0)
 
 
 def test_route_cost_overtime_dominates_on_150_stations():
@@ -297,19 +294,19 @@ def test_route_cost_overtime_dominates_on_150_stations():
     # stations a fixed overtime weight of 100 would fall below it.
     budget, n = 1000.0, 150
     values = (0.0, 1.0, 100.0, 5.0 * n, 1e9)
-    on_budget = [route_cost(make_route(t, v, n), budget)
+    on_budget = [walk_cost(t, v, n, budget)
                  for t in (0.0, 1.0, 500.0, budget) for v in values]
-    overtime = [route_cost(make_route(t, v, n), budget)
+    overtime = [walk_cost(t, v, n, budget)
                 for t in (math.nextafter(budget, math.inf), 1001.0, 3000.0) for v in values]
     assert max(on_budget) < min(overtime)
 
 
 def test_route_cost_factors_through_decoded_route():
     net = triangle()
-    a = decode_route(np.array([0.1, 0.9, 0.2]), net, 1, 3, 1e5, 1.0)
-    b = decode_route(np.array([0.4, 0.7, 0.6]), net, 1, 3, 1e5, 1.0)
+    a = decode(np.array([0.1, 0.9, 0.2]), net, 1, 3, 1e5, 1.0)
+    b = decode(np.array([0.4, 0.7, 0.6]), net, 1, 3, 1e5, 1.0)
     assert a.sequence == b.sequence
-    assert route_cost(a, 1e5) == route_cost(b, 1e5)
+    assert walk_cost(a.time, a.total_value, 3, 1e5) == walk_cost(b.time, b.total_value, 3, 1e5)
 
 
 # --- plan_global ------------------------------------------------------------
@@ -385,8 +382,8 @@ def test_plan_route_is_the_decode_of_its_best_genes():
         visited = frozenset({3, 5}) if case % 2 else frozenset()
         plan = plan_global(net, 1, 7, budget, 1.5, de_cfg(pop=10, gens=12), restarts=2,
                            rng=np.random.default_rng(case), visited=visited)
-        assert plan.route == decode_route(plan.genes, net, 1, 7, budget, 1.5, visited)
-        assert plan.cost == route_cost(plan.route, budget)
+        assert plan.route == decode(plan.genes, net, 1, 7, budget, 1.5, visited)
+        assert plan.cost == walk_cost(plan.route.time, plan.route.total_value, 7, budget)
 
 
 def test_plan_rejects_unaffordable_budget():
@@ -464,4 +461,5 @@ def test_plan_matches_enumeration_on_small_network():
     assert plan.cost <= oracle * 1.05 + 1e-9
     # the planner's reported cost is the independent formula applied to its route
     assert plan.cost == pytest.approx(
-        walk_cost(plan.route.time, plan.route.total_value, net.size, budget), rel=1e-12)
+        reference_walk_cost(plan.route.time, plan.route.total_value, net.size, budget),
+        rel=1e-12)

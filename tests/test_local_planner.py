@@ -501,7 +501,7 @@ def _batch_case(seed, m, aggregate):
                           sway_max=rng.uniform(0.0, 0.5), yaw_rate_max=rng.uniform(0.0, 0.05),
                           aggregate=aggregate)
     lo, hi = corridor_bounds(p_i, p_j, env, SPL)
-    return p_i, p_j, w, env, rng.uniform(lo, hi, size=(m, SPL.gene_length))
+    return p_i, p_j, w, env, rng.uniform(lo, hi, size=(m, 3 * SPL.interior))
 
 
 def _assert_batch_equals_rows_alone(seed, m, aggregate):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,8 @@ from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths
 from uuvsim.mission import (LegOutcome, _Executor, _hazard, path_ticks, run_mission,
                             should_replan_global)
 from uuvsim.scenario import from_dict, resolve_scenario
-from tests.oracles import reference_ticks
+from tests.oracles import (reference_position_at_time, reference_sample_index_at_time,
+                          reference_ticks)
 from tests.test_env import grid_from
 from tests.test_network import line_network
 
@@ -150,24 +153,38 @@ def still_path(length=1000.0, cruise=2.0):
 
 def test_tick_advances_by_ground_speed():
     path, env = still_path(cruise=2.0)
-    taus, pos, _ = path_ticks(path, dt=1.0)
+    taus, pos, samples = path_ticks(path, dt=1.0)
     assert taus[0] == 1.0 and len(taus) > 1  # the executor charges tau to the battery
     assert np.linalg.norm(pos[0] - path.start) == pytest.approx(2.0, rel=1e-9)
-    assert _hazard(pos[0], path, taus[0], ObstacleColumns.of(()), 500.0, 20.0) is None
+    assert _hazard(pos[0], path, taus[0], samples[0], ObstacleColumns.of(()), 500.0,
+                   20.0) is None
+
+
+def with_repeated_sample(path, k):
+    """`path` with sample k doubled: a zero-length segment whose end times are equal."""
+    names = ("points", "yaw", "pitch", "surge", "sway", "yaw_rate", "times")
+    return replace(path, **{n: np.insert(getattr(path, n), k, getattr(path, n)[k], axis=0)
+                            for n in names})
 
 
 @settings(max_examples=40, deadline=None)
-@given(length=st.floats(1.0, 3000.0), dt_share=st.floats(1e-3, 2.0))
-@example(length=5.0, dt_share=0.001)  # a full step ends 4e-14 s short of the end
-def test_tick_sums_to_planner_duration(length, dt_share):
+@given(length=st.floats(1.0, 3000.0), dt_share=st.floats(1e-3, 2.0),
+       repeat=st.none() | st.integers(0, 99))
+@example(length=5.0, dt_share=0.001, repeat=None)  # a full step ends 4e-14 s short of the end
+# The last two samples share a time: the final tick lands on a zero-length segment.
+@example(length=100.0, dt_share=0.3, repeat=99)
+@example(length=100.0, dt_share=0.3, repeat=0)
+def test_tick_sums_to_planner_duration(length, dt_share, repeat):
     path, _ = still_path(length=length, cruise=2.0)
+    if repeat is not None:
+        path = with_repeated_sample(path, repeat)
     dt = dt_share * path.duration
     taus, pos, samples = path_ticks(path, dt)
     before = np.concatenate(([0.0], taus[:-1]))
     assert np.all(before < taus) and np.all(taus <= before + dt)
     assert taus[-1] == path.duration and np.all(taus[:-1] < path.duration)
     np.testing.assert_array_equal(pos[-1], path.end)
-    # Bit for bit the ticks of one position_at_time call per tick.
+    # Bit for bit the ticks of one scalar interpolation per tick.
     want = reference_ticks(path, dt)
     np.testing.assert_array_equal(taus, [t for t, _, _ in want])
     np.testing.assert_array_equal(pos, [p for _, p, _ in want])
@@ -178,9 +195,9 @@ def test_tick_detects_obstacle_stepping_onto_path():
     path, env = still_path(length=1000.0)
     obs = ObstacleColumns.of([Obstacle(id=7, kind="mobile", position=(600.0, 1000.0, 100.0),
                                        radius=50.0, motion_sigma=0.0)])
-    taus, pos, _ = path_ticks(path, dt=1.0)
+    taus, pos, samples = path_ticks(path, dt=1.0)
     step_obstacles(obs, env.field, 1.0, np.random.default_rng(0))
-    assert _hazard(pos[0], path, taus[0], obs, 500.0, 20.0) == 7
+    assert _hazard(pos[0], path, taus[0], samples[0], obs, 500.0, 20.0) == 7
 
 
 def test_advance_truncates_at_arrival():
@@ -272,10 +289,10 @@ def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_s
     fld = VortexField(vortices=(VortexParams(center=(600.0, 1200.0), radius=200.0,
                                              strength=3000.0),))
     tau = tau_share * path.duration
-    pos = path.position_at_time(tau)
+    pos = reference_position_at_time(path, tau)
     cols = ObstacleColumns.of(obstacles)
     cols.track(fld)
-    k0 = path.sample_index_at_time(tau)
+    k0 = reference_sample_index_at_time(path, tau)
     expected = None
     for obs in obstacles:
         dx, dy, dz = (obs.position[i] - pos[i] for i in range(3))
@@ -287,7 +304,7 @@ def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_s
                for d, h in zip(d2, path.times[k0:] - tau)):
             expected = obs.id
             break
-    assert _hazard(pos, path, tau, cols, sensing, margin) == expected
+    assert _hazard(pos, path, tau, k0, cols, sensing, margin) == expected
 
 
 def test_hazard_on_the_planned_path_replans_the_leg_around_it():

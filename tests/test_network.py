@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uuvsim.env import VortexField, VortexParams, cluster_map, current_at, point_in_collision
 from uuvsim.errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
                            UnreachableGoalError)
-from uuvsim.global_planner import decode_route
+from uuvsim.global_planner import decode_graph, decode_route
 from uuvsim.network import (Network, Station, adjacency, build_network, consume_edge,
                             drift_stations, edge_metrics, shortest_times_to)
 from tests.test_env import grid_from
@@ -188,7 +188,7 @@ def test_edge_metrics_equal_the_decoders_edge_bit_for_bit(net, speed):
     for i, j in net.edges - net.used:
         for a, b in ((i, j), (j, i)):
             keys = np.array([1.0 if sid == b else 0.0 for sid in ids])
-            route = decode_route(keys, net, a, b, math.inf, speed)
+            route = decode_route(keys, decode_graph(net, b, speed), a, math.inf)
             assert route.sequence == (a, b)
             assert (route.distance, route.time) == edge_metrics(net, a, b, speed)
 

@@ -7,10 +7,15 @@ it runs `python3 perfbench/run.py --workload W --seed i --seconds 20 --trace 0`
 as its own process, one after another, then each workload once with
 `--trace 1` at seed 1. The file holds, per workload, the median, first and
 third quartile of each end-to-end metric with every run's values and round
-count, the traced per-layer metrics, the commit, the Python, numpy and scipy
-versions, the machine (architecture, usable CPUs and, where /proc/cpuinfo is
-readable, the CPU model) and the line count of `src/uuvsim/*.py`. If any run
-is not correct or has a failed operation, it writes nothing and exits 1.
+count, the traced per-layer metrics, the commit, whether `src`, `tests` or
+`tools` differ from it (`dirty`), the Python, numpy and scipy versions, the
+machine (architecture, usable CPUs and, where /proc/cpuinfo is readable, the
+CPU model) and the line count of `src/uuvsim/*.py`. Its `end_to_end` block
+holds the wall time of `cli.run_once` on `paper_baseline` seeds 42, 43 and
+20180520 (median of 2 runs) and the trials per minute of a 30-trial
+`run_monte_carlo` of `paper_baseline` at jobs 1 and 2, run in this process.
+If any run is not correct or has a failed operation, it writes nothing and
+exits 1.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("paper_mission", "route_planning", "leg_planning", "mc_batch")
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 20
+MISSION_SEEDS = (42, 43, 20180520)
+MC_TRIALS = 30
 
 
 def bench(workload: str, seed: int, trace: int) -> tuple[dict, int | None]:
@@ -53,6 +62,34 @@ def machine() -> dict:
     except OSError:
         pass
     return {"arch": platform.machine(), "cpus": len(os.sched_getaffinity(0)), "model": model}
+
+
+def end_to_end() -> dict:
+    """Mission walls and Monte Carlo throughput of `paper_baseline`."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from uuvsim import cli, scenario
+
+    sc = scenario.resolve_scenario("paper_baseline")
+    missions = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in MISSION_SEEDS:
+            walls = []
+            for run in range(2):
+                start = time.perf_counter()
+                cli.run_once(sc, seed, Path(tmp) / f"{seed}-{run}")
+                walls.append(time.perf_counter() - start)
+            missions[str(seed)] = {"median_s": statistics.median(walls), "runs_s": walls}
+            print(f"run_once seed {seed}: {walls}", file=sys.stderr, flush=True)
+    batches = {}
+    for jobs in (1, 2):
+        start = time.perf_counter()
+        summary = cli.run_monte_carlo(sc, MC_TRIALS, sc.seed, jobs=jobs)
+        wall = time.perf_counter() - start
+        batches[f"jobs_{jobs}"] = {"trials_per_min": 60.0 * MC_TRIALS / wall, "wall_s": wall,
+                                   "successes": summary.aggregates["successes"]}
+        print(f"montecarlo jobs {jobs}: {batches[f'jobs_{jobs}']}", file=sys.stderr, flush=True)
+    return {"run_once_wall_s": missions,
+            "montecarlo": {"trials": MC_TRIALS, "base_seed": sc.seed, **batches}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -87,14 +124,18 @@ def main(argv: list[str]) -> int:
     if bad:
         print(f"not written: incorrect or failed runs: {', '.join(bad)}", file=sys.stderr)
         return 1
+    measured = end_to_end()
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                             text=True, check=True).stdout.strip()
+    changed = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests", "tools"],
+                             cwd=ROOT, capture_output=True, text=True, check=True).stdout
     src_lines = sum(len(p.read_text().splitlines())
                     for p in sorted((ROOT / "src" / "uuvsim").glob("*.py")))
     doc = {"command": f"python3 perfbench/run.py --workload W --seed i --seconds {SECONDS}",
-           "seeds": list(SEEDS), "commit": commit, "python": platform.python_version(),
-           "numpy": np.__version__, "scipy": scipy.__version__, "machine": machine(),
-           "src_lines": src_lines, "workloads": record}
+           "seeds": list(SEEDS), "commit": commit, "dirty": bool(changed.strip()),
+           "python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "machine": machine(), "src_lines": src_lines,
+           "workloads": record, "end_to_end": measured}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

@@ -189,6 +189,7 @@ def test_tick_sums_to_planner_duration(length, dt_share, repeat):
     np.testing.assert_array_equal(taus, [t for t, _, _ in want])
     np.testing.assert_array_equal(pos, [p for _, p, _ in want])
     np.testing.assert_array_equal(samples, [k for _, _, k in want])
+    assert all(np.array_equal(path.position_at_time(t), p) for t, p, _ in want)
 
 
 def test_tick_detects_obstacle_stepping_onto_path():

@@ -97,9 +97,9 @@ def decode_route(keys: np.ndarray, graph: DecodeGraph, start: int, time_budget: 
     when cut off.
 
     The budget check against the remaining shortest path uses the graph's
-    to-goal times; edges consumed within the walk are
-    not re-blocked there (the overtime penalty absorbs the rare decode this
-    lets slip past the budget).  The greedy walk runs for every call; the
+    to-goal times; edges consumed within the walk are not re-blocked there
+    (the overtime penalty absorbs the rare decode this lets slip past the
+    budget).  The greedy walk runs for every call; the
     divert, which searches the edges left only until it settles the goal,
     and the route build run once per distinct walk through the graph's memo.
     `visited` stations were collected in earlier legs and add no value.

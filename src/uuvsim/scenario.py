@@ -241,12 +241,11 @@ def validate(sc: Scenario) -> Scenario:
     if sc.network.stations is not None:
         _require(sc.network.stations >= 2, "network.stations must be >= 2")
     if sc.network.records is None:  # generated stations are numbered 1..stations
-        ids = range(1, int(sc.network.stations) + 1)
+        ids = range(1, sc.network.stations + 1)
         _require(sc.network.start in ids, "network.start must be in 1..network.stations")
         _require(sc.network.goal is None or sc.network.goal in ids,
                  "network.goal must be in 1..network.stations")
     else:  # the shape of explicit stations; where a position lies is the build's point rule
-        _require(isinstance(sc.network.records, list), "network.records must be a list")
         for i, rec in enumerate(sc.network.records):
             _require(isinstance(rec, dict), f"network.records[{i}] must be a mapping")
             _require(type(rec.get("id")) is int, f"network.records[{i}].id must be an integer")
@@ -256,7 +255,6 @@ def validate(sc: Scenario) -> Scenario:
         ids = [rec["id"] for rec in sc.network.records]
         _require(len(set(ids)) == len(ids), "network.records ids must be unique")
     if sc.network.edges is not None:
-        _require(isinstance(sc.network.edges, list), "network.edges must be a list")
         for i, edge in enumerate(sc.network.edges):
             _require(_is_id_pair(edge), f"network.edges[{i}] must be two station ids")
     _check_range("network.value_range", sc.network.value_range, integer=True)
@@ -277,9 +275,8 @@ def validate(sc: Scenario) -> Scenario:
         _require(de_spec.generations >= 1, f"{label}.generations must be >= 1")
         _require(0.0 <= de_spec.scale <= 2.0, f"{label}.scale must be in [0, 2]")
         _require(0.0 <= de_spec.crossover <= 1.0, f"{label}.crossover must be in [0, 1]")
-        _require(type(de_spec.restarts) is int and de_spec.restarts >= 1,
-                 f"{label}.restarts must be an integer >= 1")
-        _require(de_spec.stall is None or (type(de_spec.stall) is int and de_spec.stall >= 1),
+        _require(de_spec.restarts >= 1, f"{label}.restarts must be an integer >= 1")
+        _require(de_spec.stall is None or de_spec.stall >= 1,
                  f"{label}.stall must be null or an integer >= 1")
     # Local planning runs one DE per leg; any other restart count would be ignored.
     _require(sc.de_local.restarts == 1, "de_local.restarts must be 1")

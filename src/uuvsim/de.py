@@ -9,9 +9,10 @@ a generation happen in `propose`, before any cost evaluation, so evaluation
 order can never change the result.
 
 `optimize` runs the configured generations, or stops early once `stall`
-generations in a row have not strictly improved the best.  Since each
-generation draws before it evaluates, a stopped run is an exact prefix of
-the full run on the same generator: the same populations, trace and best.
+generations in a row have not strictly improved the best, or once the
+caller's `stop` predicate holds after a generation.  Since each generation
+draws before it evaluates, a stopped run is an exact prefix of the full run
+on the same generator: the same populations, trace and best.
 """
 
 from __future__ import annotations
@@ -136,12 +137,16 @@ def survive(parents: Generation, mutants: Generation, trials: Generation) -> Gen
 
 
 def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
-             seed_genes: Sequence[np.ndarray] = ()) -> DEResult:
+             seed_genes: Sequence[np.ndarray] = (),
+             stop: Callable[[list[float]], bool] | None = None) -> DEResult:
     """Run the configured generations and return the best-ever individual.
 
     `evaluate` maps a (m, n) gene matrix to its (m,) costs.  With
     `config.stall` set, the run ends after the generation that makes
-    `stall` in a row without a strictly lower best; the trace ends there.
+    `stall` in a row without a strictly lower best.  With `stop` given, it
+    also ends after a generation once `stop(trace)` is true, where `trace`
+    holds the best cost after init and after each generation so far.  The
+    returned trace ends where the run did.
     """
     if config.lower is None:
         raise ValueError("config bounds are required")
@@ -169,7 +174,7 @@ def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
         else:
             stalled += 1
         trace.append(best.cost)
-        if stalled == config.stall:
+        if stalled == config.stall or (stop is not None and stop(trace)):
             break
 
     return DEResult(best=best, trace=trace, evaluations=evaluations)

@@ -393,3 +393,47 @@ def test_stall_stops_a_run_as_a_prefix_of_the_full_run(problem):
     never, _ = run(replace(cfg, stall=cfg.generations + 1))
     assert never.trace == full.trace and never.evaluations == full.evaluations
     np.testing.assert_array_equal(never.best.genes, full.best.genes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=stall_problems(), window=st.integers(1, 12), settled=st.booleans())
+def test_stop_predicate_stops_a_run_as_a_prefix_of_the_full_run(problem, window, settled):
+    cfg, _, quantum, seed = problem
+    calls = []
+
+    def stop(trace):
+        # The local planner's shape of rule when `settled`, a plain count otherwise.
+        calls.append(list(trace))
+        return len(trace) > window and (not settled or trace[-1] == trace[0])
+
+    def run(config, stop=None):
+        seen = []
+
+        def evaluate(mat):
+            seen.append(mat.copy())
+            costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
+            return np.floor(costs / quantum) * quantum if quantum else costs
+
+        return optimize(evaluate, config, np.random.default_rng(seed), stop=stop), seen
+
+    full, full_seen = run(cfg)
+    stopped, stopped_seen = run(cfg, stop)
+    ran = len(stopped.trace) - 1
+
+    # A prefix of the full run: the same trace and the same matrices evaluated.
+    assert 1 <= ran <= cfg.generations
+    assert stopped.trace == full.trace[:ran + 1]
+    assert len(stopped_seen) == ran + 1
+    assert all(np.array_equal(a, b) for a, b in zip(stopped_seen, full_seen))
+    assert stopped.evaluations == cfg.population_size * (1 + 2 * ran)
+
+    # The predicate saw the trace after each generation and the run ended at
+    # the first generation where it held.
+    assert calls == [full.trace[:g + 1] for g in range(1, ran + 1)]
+    assert all(not stop(full.trace[:g + 1]) for g in range(1, ran))
+    assert stop(stopped.trace) or ran == cfg.generations
+
+    # Its best is the full run's best after as many generations.
+    short, _ = run(replace(cfg, generations=ran))
+    assert short.trace == stopped.trace and short.best.cost == stopped.best.cost
+    np.testing.assert_array_equal(short.best.genes, stopped.best.genes)

@@ -430,6 +430,44 @@ def test_plan_raises_when_target_engulfed():
                    SPL, local_cfg(pop=10, gens=10), rng=np.random.default_rng(0))
 
 
+def test_plan_with_a_clean_unbeaten_chord_stops_after_the_window():
+    # In still water nothing beats the straight chord, which is clean.
+    env = open_env()
+    p_i = np.array([500.0, 800.0, 100.0])
+    p_j = np.array([4200.0, 2500.0, 300.0])
+    chord = straight_genes(p_i, p_j, SPL)
+    plan = plan_local(p_i, p_j, env, still_weights(), SPL,
+                      DEConfig(population_size=20, generations=40, stall=20),
+                      rng=np.random.default_rng(0))
+    assert len(plan.trace) == lp.SETTLE_WINDOW + 1 == 6
+    assert plan.cost == plan.trace[0] == scored(chord, p_i, p_j, env)[0]
+    np.testing.assert_array_equal(plan.genes, chord)
+    # Without `stall` the same leg runs every generation.
+    full = plan_local(p_i, p_j, env, still_weights(), SPL, local_cfg(gens=40),
+                      rng=np.random.default_rng(0))
+    assert len(full.trace) == 41 and full.trace[:6] == plan.trace
+
+
+def test_plan_whose_generation_0_best_is_unclean_runs_past_the_window():
+    # The chord grazes an obstacle: with a light collision weight it stays the
+    # best of the first generations, but it is not clean, so the window must
+    # not end the run on it.
+    p_i = np.array([1000.0, 2000.0, 150.0])
+    p_j = np.array([4000.0, 2000.0, 150.0])
+    obs = Obstacle(id=1, kind="static", position=(2500.0, 2000.0, 150.0), radius=100.0)
+    env = open_env(obstacles=[obs])
+    w = still_weights(w_collision=1.0)
+    chord_cost, chord_clean, _ = scored(straight_genes(p_i, p_j, SPL), p_i, p_j, env, w)
+    plan = plan_local(p_i, p_j, env, w, SPL,
+                      DEConfig(population_size=24, generations=60, stall=20),
+                      rng=np.random.default_rng(0))
+    assert not chord_clean
+    assert plan.trace[:lp.SETTLE_WINDOW + 1] == [chord_cost] * (lp.SETTLE_WINDOW + 1)
+    assert len(plan.trace) > lp.SETTLE_WINDOW + 1
+    cost, clean, _ = scored(plan.genes, p_i, p_j, env, w)
+    assert clean and cost == plan.cost < chord_cost
+
+
 def test_replan_without_changes_keeps_cost():
     env = open_env()
     p_i = np.array([500.0, 800.0, 100.0])

@@ -346,6 +346,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer >= 0, as the random streams take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return value
+
+
 def _length(text: str) -> float:
     """An argparse type: a finite real > 0."""
     value = float(text)
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True,
                        help="scenario file path or bundled scenario name")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help="output directory or file")
 
     p = sub.add_parser("plan", help="plan the initial global route only")

@@ -190,8 +190,13 @@ def _require(cond: bool, message: str):
         raise ScenarioValidationError(message)
 
 
+def _is_real(value) -> bool:
+    return _TYPES["float"][0](value) and math.isfinite(value)
+
+
 def _check_range(name: str, pair, lo_ok=0.0, integer=False):
-    _require(isinstance(pair, (list, tuple)) and len(pair) == 2, f"{name} must be a [low, high] pair")
+    _require(isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair)),
+             f"{name} must be a [low, high] pair of finite numbers, got {pair!r}")
     lo, hi = pair
     _require(lo >= lo_ok, f"{name} low bound must be >= {lo_ok}")
     _require(lo <= hi, f"{name} low bound must not exceed high bound")
@@ -223,6 +228,7 @@ def validate(sc: Scenario) -> Scenario:
         _require(sc.map.islands > 0 or sc.map.coast_border > 0,
                  "synthetic map needs map.islands > 0 or map.coast_border > 0")
     _require(sc.map.water in ("low", "high"), "map.water must be low or high")
+    _check_range("map.island_radius", sc.map.island_radius)
     _check_range("current.count", sc.current.count, lo_ok=0, integer=True)
     _check_range("current.radius", sc.current.radius, lo_ok=1e-9)
     _check_range("current.peak_speed", sc.current.peak_speed)
@@ -261,6 +267,9 @@ def validate(sc: Scenario) -> Scenario:
     _require(0.0 <= sc.network.drifting_fraction <= 1.0,
              "network.drifting_fraction must be in [0, 1]")
     _check_nonnegative("network.drift_sigma", sc.network.drift_sigma)
+    bound = sc.network.drift_bound
+    _require(len(bound) == 3 and all(_is_real(b) and b >= 0 for b in bound),
+             f"network.drift_bound must be three finite numbers >= 0, got {bound!r}")
     _require(sc.network.comm_range > 0 or sc.network.edges is not None,
              "network.comm_range must be > 0 when no edge list is given")
     _require(0 < sc.vehicle.time_budget < math.inf, "vehicle.time_budget must be finite and > 0")
@@ -331,9 +340,11 @@ def from_dict(data: dict) -> Scenario:
     sc = Scenario()
     for key, value in data.items():
         if key == "name":
-            sc.name = str(value)
+            _require(isinstance(value, str), f"name must be a string, got {value!r}")
+            sc.name = value
         elif key == "seed":
             _require(type(value) is int, f"seed must be an integer, got {value!r}")
+            _require(value >= 0, f"seed must be >= 0, got {value}")
             sc.seed = value
         elif key in _SECTIONS:
             if not isinstance(value, dict):

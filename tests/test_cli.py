@@ -281,11 +281,22 @@ def small_world_file(tmp_path, doc) -> str:
     ({"obstacles": {"kinds": "static"}}, "obstacles.kinds must be a list, got 'static'"),
     ({"network": {"stations": 20.5}}, "network.stations must be an integer or null, got 20.5"),
     ({"spline": {"samples": 100.5}}, "spline.samples must be an integer, got 100.5"),
+    # List elements, key shapes and seeds that used to crash with a traceback.
+    ({"network": {"value_range": ["a", 5]}},
+     "network.value_range must be a [low, high] pair of finite numbers, got ['a', 5]"),
+    ({"map": {"island_radius": ["a", 600]}},
+     "map.island_radius must be a [low, high] pair of finite numbers, got ['a', 600]"),
+    ({"map": {"island_radius": [2, 1]}}, "map.island_radius low bound must not exceed high bound"),
+    ({"network": {"drift_bound": ["a", 1, 2]}},
+     "network.drift_bound must be three finite numbers >= 0, got ['a', 1, 2]"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"name": [1, 2]}, "name must be a string, got [1, 2]"),
 ], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
         "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range", "budget-inf",
         "restarts-float", "seed-word", "seed-real", "dt-word", "field-x-text", "cruise-bool",
         "map-k-real", "map-width-real", "water-number", "population-real", "obstacle-count-real",
-        "kinds-text", "stations-real", "samples-real"])
+        "kinds-text", "stations-real", "samples-real", "pair-element-word", "island-radius-word",
+        "island-radius-reversed", "drift-bound-word", "seed-negative", "name-list"])
 def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
     path = small_world_file(tmp_path, doc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
@@ -490,9 +501,10 @@ def test_cli_field_dump(tmp_path):
     (["montecarlo", "--jobs", "-1"], "--jobs: must be an integer >= 1, got -1"),
     (["montecarlo", "--trials", "0"], "--trials: must be an integer >= 1, got 0"),
     (["montecarlo", "--trials", "-3"], "--trials: must be an integer >= 1, got -3"),
+    (["run", "--seed", "-1"], "--seed: must be an integer >= 0, got -1"),
 ], ids=["resolution-negative", "resolution-zero", "resolution-real", "extent-negative",
         "extent-nan", "extent-inf", "extent-zero", "jobs-zero", "jobs-negative", "trials-zero",
-        "trials-negative"])
+        "trials-negative", "seed-negative"])
 def test_cli_refuses_arguments_that_crash_or_write_nonsense(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

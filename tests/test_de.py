@@ -348,20 +348,25 @@ def stall_problems(draw):
     return cfg, draw(st.integers(1, 12)), quantum, draw(st.integers(0, 2**32 - 1))
 
 
+def plateau_run(config, quantum, seed, stop=None):
+    """`optimize` on a quantized cost; returns the result and every matrix evaluated."""
+    seen = []
+
+    def evaluate(mat):
+        seen.append(mat.copy())
+        costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
+        return np.floor(costs / quantum) * quantum if quantum else costs
+
+    return optimize(evaluate, config, np.random.default_rng(seed), stop=stop), seen
+
+
 @settings(max_examples=100, deadline=None)
 @given(problem=stall_problems())
 def test_stall_stops_a_run_as_a_prefix_of_the_full_run(problem):
     cfg, stall, quantum, seed = problem
 
     def run(config):
-        seen = []
-
-        def evaluate(mat):
-            seen.append(mat.copy())
-            costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
-            return np.floor(costs / quantum) * quantum if quantum else costs
-
-        return optimize(evaluate, config, np.random.default_rng(seed)), seen
+        return plateau_run(config, quantum, seed)
 
     full, full_seen = run(cfg)
     stopped, stopped_seen = run(replace(cfg, stall=stall))
@@ -407,14 +412,7 @@ def test_stop_predicate_stops_a_run_as_a_prefix_of_the_full_run(problem, window,
         return len(trace) > window and (not settled or trace[-1] == trace[0])
 
     def run(config, stop=None):
-        seen = []
-
-        def evaluate(mat):
-            seen.append(mat.copy())
-            costs = np.sum(np.sin(3.0 * mat) + 0.01 * mat * mat, axis=1)
-            return np.floor(costs / quantum) * quantum if quantum else costs
-
-        return optimize(evaluate, config, np.random.default_rng(seed), stop=stop), seen
+        return plateau_run(config, quantum, seed, stop)
 
     full, full_seen = run(cfg)
     stopped, stopped_seen = run(cfg, stop)

@@ -227,8 +227,9 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
     if start not in graph.to_goal:
         raise UnreachableGoalError(f"goal {goal} unreachable from station {start}")
     if graph.to_goal[start] > time_budget:
-        raise NoFeasibleRouteError(
-            f"minimum route time {graph.to_goal[start]:.0f}s exceeds budget {time_budget:.0f}s")
+        # Rounded away from each other, so the two numbers never read equal.
+        raise NoFeasibleRouteError(f"minimum route time {math.ceil(graph.to_goal[start])}s "
+                                   f"exceeds budget {math.floor(time_budget)}s")
 
     n = network.size
     cache: dict[bytes, Route | None] = {}

@@ -2,8 +2,9 @@
 
 A scenario is one YAML document with named sections mirroring the module
 configs.  Loading applies every default explicitly, rejects unknown keys,
-and validates invariants with messages naming the offending key.  All units
-are SI except yaw-rate limits, which carry an explicit _deg suffix.
+and checks each key against the rule its field declares, then `validate`
+checks the rules that span keys; every message names the offending key.
+All units are SI except yaw-rate limits, which carry an explicit _deg suffix.
 """
 
 from __future__ import annotations
@@ -12,133 +13,222 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from . import seeding
 from .de import DEConfig
-from .env import (ClusteredMap, EnvSnapshot, Obstacle, VortexField, cluster_map,
-                  load_raster, point_in_collision, sample_vortex_field, synthesize_raster)
+from .env import (ClusteredMap, Obstacle, VortexField, cluster_map, load_raster,
+                  point_in_collision, sample_vortex_field, synthesize_raster)
 from .errors import ScenarioParseError, ScenarioValidationError
 from .local_planner import LocalCostWeights, SplineConfig
 from .network import Network, build_network
 
 
+# --- one rule per key ----------------------------------------------------------
+
+
+class Rule(NamedTuple):
+    """What one key may hold; `words` completes '<key> must be ...'."""
+    words: str
+    test: Callable[[object], bool]
+    each: Rule | None = None    # a list's element rule, checked before `test`
+    keys: dict | None = None    # a mapping's key rules, checked before `test`
+
+
+def _finite(v) -> bool:  # a bool is never a number
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _real(*, gt=None, ge=None, le=None) -> Rule:
+    """A finite number > gt (or >= ge), and <= le when given."""
+    low, op, bracket = (gt, ">", "(") if gt is not None else (ge, ">=", "[")
+    words = f"in {bracket}{low:g}, {le:g}]" if le is not None else f"finite and {op} {low:g}"
+    return Rule(words, lambda v: (_finite(v) and (v > gt if gt is not None else v >= ge)
+                                  and (le is None or v <= le)))
+
+
+def _int(ge=None) -> Rule:
+    return Rule("an integer" + (f" >= {ge}" if ge is not None else ""),
+                lambda v: type(v) is int and (ge is None or v >= ge))
+
+
+def _whole(ge) -> Rule:  # a count drawn from a range: 3.0 reads as 3
+    return Rule(f"a whole number >= {ge}", lambda v: _finite(v) and v >= ge and v == int(v))
+
+
+def _or_null(rule: Rule) -> Rule:
+    return rule._replace(words=f"null or {rule.words}", test=lambda v: v is None or rule.test(v))
+
+
+def _one_of(*choices: str) -> Rule:
+    return Rule(", ".join(choices[:-1]) + f" or {choices[-1]}",
+                lambda v: isinstance(v, str) and v in choices)
+
+
+def _list(each: Rule, words="a list", length=None) -> Rule:
+    return Rule(words, lambda v: isinstance(v, list) and length in (None, len(v)), each)
+
+
+def _pair(each: Rule) -> Rule:
+    return Rule("a [low, high] pair with low <= high",
+                lambda v: isinstance(v, list) and len(v) == 2 and v[0] <= v[1], each)
+
+
+def _mapping(**keys: Rule) -> Rule:  # keys the rule does not name are left to the build
+    return Rule("a mapping", lambda v: isinstance(v, dict), keys=keys)
+
+
+def _check(name: str, rule: Rule, value):
+    """Raise naming `name` unless `value` passes `rule`; a bad element names its index."""
+    if rule.each is not None and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check(f"{name}[{i}]", rule.each, item)
+    if rule.keys is not None and isinstance(value, dict):
+        for key, sub in rule.keys.items():
+            _check(f"{name}.{key}", sub, value.get(key))
+    if not rule.test(value):
+        raise ScenarioValidationError(f"{name} must be {rule.words}, got {value!r}")
+
+
+def _key(default, rule: Rule):
+    """A scenario key's field: its default and its whole single-key rule."""
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
+
+
+_POSITIVE, _NONNEGATIVE, _UNIT = _real(gt=0), _real(ge=0), _real(ge=0, le=1)
+_FRACTION = _real(gt=0, le=1)
+_STRING = Rule("a string", lambda v: isinstance(v, str))
+_ID_PAIR = _list(_int(), "two station ids", length=2)
+
+
+# --- the sections --------------------------------------------------------------
+
+
 @dataclass
 class FieldSpec:
-    x: float = 10_000.0
-    y: float = 10_000.0
-    z: float = 1_000.0
+    x: float = _key(10_000.0, _POSITIVE)
+    y: float = _key(10_000.0, _POSITIVE)
+    z: float = _key(1_000.0, _POSITIVE)
 
 
 @dataclass
 class MapSpec:
-    source: str = "synthetic"          # 'synthetic' or 'raster'
-    path: str | None = None
-    width: int = 1000
-    height: int = 1000
-    cell_size: float = 10.0
-    islands: int = 5
-    island_radius: list = field(default_factory=lambda: [200.0, 600.0])
-    coast_border: int = 0
-    k: int = 2
-    water: str = "low"
+    source: str = _key("synthetic", _one_of("synthetic", "raster"))
+    path: str | None = _key(None, _or_null(_STRING))
+    width: int = _key(1000, _int(1))
+    height: int = _key(1000, _int(1))
+    cell_size: float = _key(10.0, _POSITIVE)
+    islands: int = _key(5, _int(0))
+    island_radius: list = _key([200.0, 600.0], _pair(_NONNEGATIVE))
+    coast_border: int = _key(0, _int(0))
+    k: int = _key(2, _int(2))
+    water: str = _key("low", _one_of("low", "high"))
 
 
 @dataclass
 class CurrentSpec:
-    window: float = 2000.0
-    count: list = field(default_factory=lambda: [2, 5])
-    radius: list = field(default_factory=lambda: [100.0, 250.0])
-    peak_speed: list = field(default_factory=lambda: [0.05, 0.3])
-    noise: list = field(default_factory=lambda: [0.1, 0.8])
+    window: float = _key(2000.0, _POSITIVE)
+    count: list = _key([2, 5], _pair(_whole(0)))
+    radius: list = _key([100.0, 250.0], _pair(_real(ge=1e-9)))
+    peak_speed: list = _key([0.05, 0.3], _pair(_NONNEGATIVE))
+    noise: list = _key([0.1, 0.8], _pair(_NONNEGATIVE))
 
 
 @dataclass
 class ObstacleSpec:
-    count: int = 6
-    kinds: list = field(default_factory=lambda: ["static", "uncertain", "mobile"])
-    radius: list = field(default_factory=lambda: [100.0, 250.0])
-    radius_sigma: float = 15.0
-    motion_sigma: float = 0.05
-    station_clearance: float = 400.0
+    count: int = _key(6, _int(0))
+    kinds: list = _key(["static", "uncertain", "mobile"],
+                       _list(_one_of("static", "uncertain", "mobile")))
+    radius: list = _key([100.0, 250.0], _pair(_real(ge=1e-9)))
+    radius_sigma: float = _key(15.0, _NONNEGATIVE)
+    motion_sigma: float = _key(0.05, _NONNEGATIVE)
+    station_clearance: float = _key(400.0, _NONNEGATIVE)
+
+
+# The shape of an explicit station; where its position lies is the build's point rule.
+_RECORD = _mapping(id=_int(), position=Rule(
+    "absent, random or a list", lambda v: v in (None, "random") or isinstance(v, list)))
 
 
 @dataclass
 class NetworkSpec:
-    stations: int | None = 20
-    records: list | None = None
-    edges: list | None = None
-    comm_range: float = 3500.0
-    start: int = 1
-    goal: int | None = None
-    value_range: list = field(default_factory=lambda: [1, 5])
-    drifting_fraction: float = 0.5
-    drift_bound: list = field(default_factory=lambda: [300.0, 300.0, 50.0])
-    drift_sigma: float = 40.0
+    stations: int | None = _key(20, _or_null(_int(2)))
+    records: list | None = _key(None, _or_null(_list(_RECORD)))
+    edges: list | None = _key(None, _or_null(_list(_ID_PAIR)))
+    comm_range: float = _key(3500.0, _NONNEGATIVE)
+    start: int = _key(1, _int())
+    goal: int | None = _key(None, _or_null(_int()))
+    value_range: list = _key([1, 5], _pair(_whole(0)))
+    drifting_fraction: float = _key(0.5, _UNIT)
+    drift_bound: list = _key([300.0, 300.0, 50.0], _list(_NONNEGATIVE, "three numbers", length=3))
+    drift_sigma: float = _key(40.0, _NONNEGATIVE)
 
 
 @dataclass
 class VehicleSpec:
-    max_speed: float = 2.82
-    cruise_speed: float = 2.2
-    time_budget: float = 14_400.0
-    surge_max: float = 2.7
-    sway_max: float = 0.5
-    yaw_rate_max_deg: float = 17.0
+    max_speed: float = _key(2.82, _POSITIVE)
+    cruise_speed: float = _key(2.2, _POSITIVE)
+    time_budget: float = _key(14_400.0, _POSITIVE)
+    surge_max: float = _key(2.7, _POSITIVE)
+    sway_max: float = _key(0.5, _POSITIVE)
+    yaw_rate_max_deg: float = _key(17.0, _POSITIVE)
 
 
 @dataclass
 class DESpec:
-    population: int = 50
-    generations: int = 200
-    scale: float = 0.7
-    crossover: float = 0.9
-    # `must` words a value of the wrong type as `validate` words one out of range.
-    restarts: int = field(default=3, metadata={"must": "an integer >= 1"})
+    population: int = _key(50, _int(4))
+    generations: int = _key(200, _int(1))
+    scale: float = _key(0.7, _real(ge=0, le=2))
+    crossover: float = _key(0.9, _UNIT)
+    restarts: int = _key(3, _int(1))
     # stop a run after this many generations without a new best
-    stall: int | None = field(default=None, metadata={"must": "null or an integer >= 1"})
+    stall: int | None = _key(None, _or_null(_int(1)))
 
 
 @dataclass
 class WeightsSpec:
-    surge: float = 10.0
-    sway: float = 10.0
-    yaw_rate: float = 10.0
-    collision: float = 100.0
-    aggregate: str = "max"
+    surge: float = _key(10.0, _NONNEGATIVE)
+    sway: float = _key(10.0, _NONNEGATIVE)
+    yaw_rate: float = _key(10.0, _NONNEGATIVE)
+    collision: float = _key(100.0, _NONNEGATIVE)
+    aggregate: str = _key("max", _one_of("max", "sum"))
 
 
 @dataclass
 class SplineSpec:
-    control_points: int = 8
-    degree: int = 3
-    samples: int = 100
+    control_points: int = _key(8, _int(4))
+    degree: int = _key(3, _int(3))
+    samples: int = _key(100, _int())
 
 
 @dataclass
 class MissionSpec:
-    dt: float = 1.0
-    replan_slack: float = 0.05
-    nominal_speed_factor: float = 0.97
-    sensing_radius: float = 500.0
-    budget_margin: float = 0.995
-    max_global_replans: int = 10
-    replan_generation_factor: float = 0.5
-    obstacle_margin: float = 20.0
-    edge_failures: list = field(default_factory=list)
+    dt: float = _key(1.0, _POSITIVE)
+    replan_slack: float = _key(0.05, _NONNEGATIVE)
+    nominal_speed_factor: float = _key(0.97, _FRACTION)
+    sensing_radius: float = _key(500.0, _POSITIVE)
+    budget_margin: float = _key(0.995, _FRACTION)
+    max_global_replans: int = _key(10, _int(0))
+    replan_generation_factor: float = _key(0.5, _POSITIVE)
+    obstacle_margin: float = _key(20.0, _NONNEGATIVE)
+    edge_failures: list = _key([], _list(_mapping(after_leg=_int(), edge=_ID_PAIR)))
 
 
 @dataclass
 class MonteCarloSpec:
-    stations: list | None = None       # [lo, hi]: redraw station count per trial
+    # [lo, hi]: redraw the station count per trial
+    stations: list | None = _key(None, _or_null(_pair(_whole(2))))
 
 
 @dataclass
 class Scenario:
-    name: str = "scenario"
-    seed: int = 0
+    name: str = _key("scenario", _STRING)
+    seed: int = _key(0, _int(0))
     field: FieldSpec = dataclasses.field(default_factory=FieldSpec)
     map: MapSpec = dataclasses.field(default_factory=MapSpec)
     current: CurrentSpec = dataclasses.field(default_factory=CurrentSpec)
@@ -153,35 +243,18 @@ class Scenario:
     montecarlo: MonteCarloSpec = dataclasses.field(default_factory=MonteCarloSpec)
 
 
-_SECTIONS = {
-    "field": FieldSpec, "map": MapSpec, "current": CurrentSpec, "obstacles": ObstacleSpec,
-    "network": NetworkSpec, "vehicle": VehicleSpec, "de_global": DESpec, "de_local": DESpec,
-    "weights": WeightsSpec, "spline": SplineSpec, "mission": MissionSpec,
-    "montecarlo": MonteCarloSpec,
-}
-
-
-# The values each declared field type takes, and how a message names them.
-# A bool is neither an int nor a float here.
-_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "list": (lambda v: isinstance(v, list), "a list"),
-    "None": (lambda v: v is None, "null"),
-}
-
-
-def _merge_section(name: str, obj, data: dict):
+def _merge(prefix: str, obj, data: dict):
+    """Set `data`'s keys on `obj`: each value passes its field's rule, each section merges."""
     fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in data.items():
-        if key not in fields:
-            raise ScenarioValidationError(f"unknown key {name}.{key}")
-        kinds = fields[key].type.split(" | ")
-        if not any(_TYPES[kind][0](value) for kind in kinds):
-            must = fields[key].metadata.get("must") or " or ".join(_TYPES[k][1] for k in kinds)
-            raise ScenarioValidationError(f"{name}.{key} must be {must}, got {value!r}")
-        setattr(obj, key, value)
+        name = f"{prefix}{key}"
+        _require(key in fields, f"unknown key {name}")
+        rule = fields[key].metadata.get("rule")
+        _check(name, rule or _mapping(), value)
+        if rule is None:  # a section
+            _merge(f"{name}.", getattr(obj, key), value)
+        else:
+            setattr(obj, key, value)
     return obj
 
 
@@ -190,169 +263,50 @@ def _require(cond: bool, message: str):
         raise ScenarioValidationError(message)
 
 
-def _is_real(value) -> bool:
-    return _TYPES["float"][0](value) and math.isfinite(value)
-
-
-def _check_range(name: str, pair, lo_ok=0.0, integer=False):
-    _require(isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair)),
-             f"{name} must be a [low, high] pair of finite numbers, got {pair!r}")
-    lo, hi = pair
-    _require(lo >= lo_ok, f"{name} low bound must be >= {lo_ok}")
-    _require(lo <= hi, f"{name} low bound must not exceed high bound")
-    if integer:
-        _require(float(lo).is_integer() and float(hi).is_integer(), f"{name} must be integers")
-
-
-def _check_nonnegative(name: str, value):
-    _require(math.isfinite(value) and value >= 0, f"{name} must be finite and >= 0")
-
-
-def _is_id_pair(value) -> bool:
-    return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(type(v) is int for v in value))
-
-
 def validate(sc: Scenario) -> Scenario:
-    """Check every documented invariant; returns the scenario for chaining."""
-    _require(sc.field.x > 0 and sc.field.y > 0 and sc.field.z > 0,
-             "field extents must be > 0")
-    _require(sc.map.source in ("synthetic", "raster"), "map.source must be synthetic or raster")
+    """Check the rules that span keys; returns the scenario for chaining.
+
+    Each key's own rule is its field's, checked as the document is read.
+    """
     if sc.map.source == "raster":
         _require(sc.map.path is not None, "map.path is required for raster maps")
         _require(Path(sc.map.path).exists(), f"map.path {sc.map.path!r} does not exist")
-    _require(sc.map.cell_size > 0, "map.cell_size must be > 0")
-    _require(sc.map.width > 0 and sc.map.height > 0, "map dimensions must be > 0")
-    _require(sc.map.k >= 2, "map.k must be >= 2")
-    if sc.map.source == "synthetic":
+    else:
         _require(sc.map.islands > 0 or sc.map.coast_border > 0,
                  "synthetic map needs map.islands > 0 or map.coast_border > 0")
-    _require(sc.map.water in ("low", "high"), "map.water must be low or high")
-    _check_range("map.island_radius", sc.map.island_radius)
-    _check_range("current.count", sc.current.count, lo_ok=0, integer=True)
-    _check_range("current.radius", sc.current.radius, lo_ok=1e-9)
-    _check_range("current.peak_speed", sc.current.peak_speed)
-    _check_range("current.noise", sc.current.noise)
-    _require(sc.current.window > 0, "current.window must be > 0")
-    _require(sc.obstacles.count >= 0, "obstacles.count must be >= 0")
     _require(sc.obstacles.count == 0 or len(sc.obstacles.kinds) > 0,
              "obstacles.kinds must not be empty when obstacles.count > 0")
-    _check_range("obstacles.radius", sc.obstacles.radius, lo_ok=1e-9)
-    _check_nonnegative("obstacles.radius_sigma", sc.obstacles.radius_sigma)
-    _check_nonnegative("obstacles.motion_sigma", sc.obstacles.motion_sigma)
-    for kind in sc.obstacles.kinds:
-        _require(kind in ("static", "uncertain", "mobile"), f"unknown obstacle kind {kind!r}")
-    _require(sc.network.records is not None or sc.network.stations is not None,
-             "network needs stations count or explicit records")
-    if sc.network.stations is not None:
-        _require(sc.network.stations >= 2, "network.stations must be >= 2")
-    if sc.network.records is None:  # generated stations are numbered 1..stations
-        ids = range(1, sc.network.stations + 1)
-        _require(sc.network.start in ids, "network.start must be in 1..network.stations")
-        _require(sc.network.goal is None or sc.network.goal in ids,
-                 "network.goal must be in 1..network.stations")
-    else:  # the shape of explicit stations; where a position lies is the build's point rule
-        for i, rec in enumerate(sc.network.records):
-            _require(isinstance(rec, dict), f"network.records[{i}] must be a mapping")
-            _require(type(rec.get("id")) is int, f"network.records[{i}].id must be an integer")
-            pos = rec.get("position")
-            _require(isinstance(pos, (list, tuple)) or pos in (None, "random"),
-                     f"network.records[{i}].position must be absent, random or a list")
-        ids = [rec["id"] for rec in sc.network.records]
+    ns = sc.network
+    if ns.records is None:  # generated stations are numbered 1..stations
+        _require(ns.stations is not None, "network needs stations count or explicit records")
+        ids = range(1, ns.stations + 1)
+        _require(ns.start in ids, "network.start must be in 1..network.stations")
+        _require(ns.goal is None or ns.goal in ids, "network.goal must be in 1..network.stations")
+    else:
+        ids = [rec["id"] for rec in ns.records]
         _require(len(set(ids)) == len(ids), "network.records ids must be unique")
-    if sc.network.edges is not None:
-        for i, edge in enumerate(sc.network.edges):
-            _require(_is_id_pair(edge), f"network.edges[{i}] must be two station ids")
-    _check_range("network.value_range", sc.network.value_range, integer=True)
-    _require(0.0 <= sc.network.drifting_fraction <= 1.0,
-             "network.drifting_fraction must be in [0, 1]")
-    _check_nonnegative("network.drift_sigma", sc.network.drift_sigma)
-    bound = sc.network.drift_bound
-    _require(len(bound) == 3 and all(_is_real(b) and b >= 0 for b in bound),
-             f"network.drift_bound must be three finite numbers >= 0, got {bound!r}")
-    _require(sc.network.comm_range > 0 or sc.network.edges is not None,
+    _require(ns.comm_range > 0 or ns.edges is not None,
              "network.comm_range must be > 0 when no edge list is given")
-    _require(0 < sc.vehicle.time_budget < math.inf, "vehicle.time_budget must be finite and > 0")
-    _require(0 < sc.vehicle.cruise_speed <= sc.vehicle.max_speed,
-             "vehicle.cruise_speed must be in (0, max_speed]")
-    _require(sc.vehicle.max_speed > 0, "vehicle.max_speed must be > 0")
-    _require(sc.vehicle.surge_max > 0 and sc.vehicle.sway_max > 0,
-             "vehicle velocity limits must be > 0")
-    _require(sc.vehicle.yaw_rate_max_deg > 0, "vehicle.yaw_rate_max_deg must be > 0")
-    for label, de_spec in (("de_global", sc.de_global), ("de_local", sc.de_local)):
-        _require(de_spec.population >= 4, f"{label}.population must be >= 4")
-        _require(de_spec.generations >= 1, f"{label}.generations must be >= 1")
-        _require(0.0 <= de_spec.scale <= 2.0, f"{label}.scale must be in [0, 2]")
-        _require(0.0 <= de_spec.crossover <= 1.0, f"{label}.crossover must be in [0, 1]")
-        _require(de_spec.restarts >= 1, f"{label}.restarts must be an integer >= 1")
-        _require(de_spec.stall is None or de_spec.stall >= 1,
-                 f"{label}.stall must be null or an integer >= 1")
+    _require(sc.vehicle.cruise_speed <= sc.vehicle.max_speed,
+             "vehicle.cruise_speed must be <= vehicle.max_speed")
     # Local planning runs one DE per leg; any other restart count would be ignored.
     _require(sc.de_local.restarts == 1, "de_local.restarts must be 1")
-    for key in ("surge", "sway", "yaw_rate", "collision"):
-        _check_nonnegative(f"weights.{key}", getattr(sc.weights, key))
-    _require(sc.weights.aggregate in ("max", "sum"), "weights.aggregate must be max or sum")
-    _require(sc.spline.control_points >= 4, "spline.control_points must be >= 4")
-    _require(sc.spline.degree >= 3, "spline.degree must be >= 3")
     _require(sc.spline.samples >= 10 * sc.spline.control_points,
              "spline.samples must be >= 10 * control_points")
-    _require(sc.mission.dt > 0, "mission.dt must be > 0")
-    _require(sc.mission.replan_slack >= 0, "mission.replan_slack must be >= 0")
-    _require(0 < sc.mission.nominal_speed_factor <= 1.0,
-             "mission.nominal_speed_factor must be in (0, 1]")
-    _require(0 < sc.mission.budget_margin <= 1.0, "mission.budget_margin must be in (0, 1]")
-    _require(sc.mission.sensing_radius > 0, "mission.sensing_radius must be > 0")
-    _require(sc.mission.max_global_replans >= 0, "mission.max_global_replans must be >= 0")
-    factor = sc.mission.replan_generation_factor
-    _require(math.isfinite(factor) and factor > 0,
-             "mission.replan_generation_factor must be finite and > 0")
-    _check_nonnegative("mission.obstacle_margin", sc.mission.obstacle_margin)
-    for i, failure in enumerate(sc.mission.edge_failures):
-        _require(isinstance(failure, dict) and "after_leg" in failure and "edge" in failure,
-                 "mission.edge_failures entries need after_leg and edge")
-        _require(type(failure["after_leg"]) is int,
-                 f"mission.edge_failures[{i}].after_leg must be an integer")
-        _require(_is_id_pair(failure["edge"]),
-                 f"mission.edge_failures[{i}].edge must be two station ids")
     if sc.montecarlo.stations is not None:
-        _check_range("montecarlo.stations", sc.montecarlo.stations, lo_ok=2, integer=True)
-        lo, ns = sc.montecarlo.stations[0], sc.network
         _require(ns.records is None, "montecarlo.stations redraws generated stations; "
                  "it cannot go with network.records")
         # Redrawn ids are 1..count; a goal of `stations` follows count.
+        lo = sc.montecarlo.stations[0]
         _require(ns.start <= lo and (ns.goal in (None, ns.stations) or ns.goal <= lo),
                  "network.start and goal must be <= the montecarlo.stations low bound")
-    # The configs the mission builds also reject infinities, which pass the checks above.
-    for label, build, arg in (("de_global", de_config_from_spec, sc.de_global),
-                              ("de_local", de_config_from_spec, sc.de_local),
-                              ("spline", spline_from_spec, sc), ("vehicle", weights_from_spec, sc)):
-        try:
-            build(arg)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{label}: {exc}") from exc
     return sc
 
 
 def from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario from a parsed document."""
-    if not isinstance(data, dict):
-        raise ScenarioValidationError("scenario document must be a mapping")
-    sc = Scenario()
-    for key, value in data.items():
-        if key == "name":
-            _require(isinstance(value, str), f"name must be a string, got {value!r}")
-            sc.name = value
-        elif key == "seed":
-            _require(type(value) is int, f"seed must be an integer, got {value!r}")
-            _require(value >= 0, f"seed must be >= 0, got {value}")
-            sc.seed = value
-        elif key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ScenarioValidationError(f"section {key} must be a mapping")
-            _merge_section(key, getattr(sc, key), value)
-        else:
-            raise ScenarioValidationError(f"unknown key {key}")
-    return validate(sc)
+    _require(isinstance(data, dict), "scenario document must be a mapping")
+    return validate(_merge("", Scenario(), data))
 
 
 def load_scenario(path) -> Scenario:
@@ -372,8 +326,7 @@ def load_scenario(path) -> Scenario:
 
 def to_dict(sc: Scenario) -> dict:
     """Normalized document with every default filled in (echo form)."""
-    return {"name": sc.name, "seed": sc.seed,
-            **{key: dataclasses.asdict(getattr(sc, key)) for key in _SECTIONS}}
+    return dataclasses.asdict(sc)
 
 
 def echo(sc: Scenario) -> str:

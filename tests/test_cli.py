@@ -232,18 +232,6 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
     assert "time_budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vehicle", [{"surge_max": math.inf}, {"sway_max": math.inf},
-                                     {"yaw_rate_max_deg": math.inf},
-                                     {"cruise_speed": math.inf, "max_speed": math.inf}])
-def test_cli_run_rejects_infinite_vehicle_limits(tmp_path, capsys, vehicle):
-    # Each passes the `> 0` checks; the mission's LocalCostWeights used to raise mid-run.
-    path = tmp_path / "inf.yaml"
-    path.write_text(yaml.safe_dump({"vehicle": vehicle}))
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "scenario error: vehicle: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def small_world_file(tmp_path, doc) -> str:
     """`doc`'s sections merged into a small generated world: 2 x 2 km, a coast border."""
     world = {"field": {"x": 2000.0, "y": 2000.0, "z": 200.0},
@@ -264,39 +252,51 @@ def small_world_file(tmp_path, doc) -> str:
     ({"obstacles": {"motion_sigma": math.nan}}, "obstacles.motion_sigma must be finite and >= 0"),
     ({"obstacles": {"radius_sigma": -1.0}}, "obstacles.radius_sigma must be finite and >= 0"),
     ({"network": {"drift_sigma": math.nan}}, "network.drift_sigma must be finite and >= 0"),
-    ({"montecarlo": {"stations": [1, 5]}}, "montecarlo.stations low bound must be >= 2"),
+    ({"montecarlo": {"stations": [1, 5]}},
+     "montecarlo.stations[0] must be a whole number >= 2, got 1"),
     ({"vehicle": {"time_budget": math.inf}}, "vehicle.time_budget must be finite and > 0"),
     ({"de_global": {"restarts": 1.5}}, "de_global.restarts must be an integer >= 1"),
     # A value of another type than its field's used to crash or be truncated.
-    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
-    ({"seed": 4.5}, "seed must be an integer, got 4.5"),
-    ({"mission": {"dt": "fast"}}, "mission.dt must be a number, got 'fast'"),
-    ({"field": {"x": "2000"}}, "field.x must be a number, got '2000'"),
-    ({"vehicle": {"cruise_speed": True}}, "vehicle.cruise_speed must be a number, got True"),
-    ({"map": {"k": 2.5}}, "map.k must be an integer, got 2.5"),
-    ({"map": {"width": 1000.5}}, "map.width must be an integer, got 1000.5"),
-    ({"map": {"water": 1}}, "map.water must be a string, got 1"),
-    ({"de_global": {"population": 36.5}}, "de_global.population must be an integer, got 36.5"),
-    ({"obstacles": {"count": 2.5}}, "obstacles.count must be an integer, got 2.5"),
+    ({"seed": "abc"}, "seed must be an integer >= 0, got 'abc'"),
+    ({"seed": 4.5}, "seed must be an integer >= 0, got 4.5"),
+    ({"mission": {"dt": "fast"}}, "mission.dt must be finite and > 0, got 'fast'"),
+    ({"field": {"x": "2000"}}, "field.x must be finite and > 0, got '2000'"),
+    ({"vehicle": {"cruise_speed": True}}, "vehicle.cruise_speed must be finite and > 0, got True"),
+    ({"map": {"k": 2.5}}, "map.k must be an integer >= 2, got 2.5"),
+    ({"map": {"width": 1000.5}}, "map.width must be an integer >= 1, got 1000.5"),
+    ({"map": {"water": 1}}, "map.water must be low or high, got 1"),
+    ({"de_global": {"population": 36.5}},
+     "de_global.population must be an integer >= 4, got 36.5"),
+    ({"obstacles": {"count": 2.5}}, "obstacles.count must be an integer >= 0, got 2.5"),
     ({"obstacles": {"kinds": "static"}}, "obstacles.kinds must be a list, got 'static'"),
-    ({"network": {"stations": 20.5}}, "network.stations must be an integer or null, got 20.5"),
+    ({"network": {"stations": 20.5}},
+     "network.stations must be null or an integer >= 2, got 20.5"),
     ({"spline": {"samples": 100.5}}, "spline.samples must be an integer, got 100.5"),
     # List elements, key shapes and seeds that used to crash with a traceback.
     ({"network": {"value_range": ["a", 5]}},
-     "network.value_range must be a [low, high] pair of finite numbers, got ['a', 5]"),
+     "network.value_range[0] must be a whole number >= 0, got 'a'"),
     ({"map": {"island_radius": ["a", 600]}},
-     "map.island_radius must be a [low, high] pair of finite numbers, got ['a', 600]"),
-    ({"map": {"island_radius": [2, 1]}}, "map.island_radius low bound must not exceed high bound"),
+     "map.island_radius[0] must be finite and >= 0, got 'a'"),
+    ({"map": {"island_radius": [2, 1]}},
+     "map.island_radius must be a [low, high] pair with low <= high, got [2, 1]"),
     ({"network": {"drift_bound": ["a", 1, 2]}},
-     "network.drift_bound must be three finite numbers >= 0, got ['a', 1, 2]"),
-    ({"seed": -1}, "seed must be >= 0, got -1"),
+     "network.drift_bound[0] must be finite and >= 0, got 'a'"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"name": [1, 2]}, "name must be a string, got [1, 2]"),
+    # Each passed a `> 0` check; the mission's LocalCostWeights used to raise mid-run.
+    ({"vehicle": {"surge_max": math.inf}}, "vehicle.surge_max must be finite and > 0, got inf"),
+    ({"vehicle": {"sway_max": math.inf}}, "vehicle.sway_max must be finite and > 0, got inf"),
+    ({"vehicle": {"yaw_rate_max_deg": math.inf}},
+     "vehicle.yaw_rate_max_deg must be finite and > 0, got inf"),
+    ({"vehicle": {"cruise_speed": math.inf, "max_speed": math.inf}},
+     "vehicle.cruise_speed must be finite and > 0, got inf"),
 ], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
         "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range", "budget-inf",
         "restarts-float", "seed-word", "seed-real", "dt-word", "field-x-text", "cruise-bool",
         "map-k-real", "map-width-real", "water-number", "population-real", "obstacle-count-real",
         "kinds-text", "stations-real", "samples-real", "pair-element-word", "island-radius-word",
-        "island-radius-reversed", "drift-bound-word", "seed-negative", "name-list"])
+        "island-radius-reversed", "drift-bound-word", "seed-negative", "name-list",
+        "surge-max-inf", "sway-max-inf", "yaw-rate-inf", "cruise-and-max-speed-inf"])
 def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
     path = small_world_file(tmp_path, doc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2

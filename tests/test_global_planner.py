@@ -393,6 +393,15 @@ def test_plan_rejects_unaffordable_budget():
                     rng=np.random.default_rng(0))
 
 
+def test_unaffordable_budget_message_never_reads_equal_numbers():
+    # Both rounded to the nearest second, a 0.3 s miss read '3604s exceeds budget 3604s'.
+    net = line_network([(0, 0, 0), (3604.2, 0, 0)], [(1, 2)])
+    with pytest.raises(NoFeasibleRouteError,
+                       match="^minimum route time 3605s exceeds budget 3603s$"):
+        plan_global(net, 1, 2, time_budget=3603.9, speed=1.0, config=de_cfg(),
+                    rng=np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("kwargs", [
     {"restarts": 0}, {"restarts": -1}, {"restarts": 2.0}, {"time_budget": math.nan},
     {"time_budget": math.inf}, {"time_budget": 0.0}, {"speed": 0.0}, {"speed": math.nan},

@@ -1,4 +1,9 @@
+import collections
+import copy
+import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +11,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uuvsim.cli import main
 from uuvsim.env import point_in_collision
 from uuvsim.errors import ScenarioParseError, ScenarioValidationError
 from uuvsim.network import drift_stations
-from uuvsim.scenario import (Scenario, build_field, build_map, build_network_from_spec,
+from uuvsim.scenario import (Scenario, _check, build_field, build_map, build_network_from_spec,
                              build_obstacles, de_config_from_spec, echo, from_dict,
-                             load_scenario, resolve_scenario, to_dict, validate)
+                             load_scenario, resolve_scenario, spline_from_spec, to_dict,
+                             weights_from_spec)
 
 
 def test_minimal_document_gets_all_defaults(tmp_path):
@@ -28,6 +35,28 @@ def test_minimal_document_gets_all_defaults(tmp_path):
     for section in ("field", "map", "current", "obstacles", "network", "vehicle",
                     "de_global", "de_local", "weights", "spline", "mission", "montecarlo"):
         assert section in doc
+
+
+def test_every_default_passes_its_own_rule():
+    # de_global and de_local are DESpecs with defaults of their own; both are checked.
+    sc = Scenario()
+    sections = [f.name for f in dataclasses.fields(sc) if "rule" not in f.metadata]
+    checked = [("", f, sc) for f in dataclasses.fields(sc) if "rule" in f.metadata]
+    checked += [(f"{name}.", f, getattr(sc, name)) for name in sections
+                for f in dataclasses.fields(getattr(sc, name))]
+    for prefix, f, spec in checked:
+        _check(prefix + f.name, f.metadata["rule"], getattr(spec, f.name))
+    assert len(sections) == 12 and len(checked) == 72
+
+
+@pytest.mark.parametrize("ref, digest", [
+    ("paper_baseline", "b62ba39add118903fe395c0282b382d0994212bf159de75255cf94f364852617"),
+    ("two_station", "46e1c6d789d9634835745934f8114ff79677fba45dc5b842d959f531a840a1df"),
+    (str(Path(__file__).parents[1] / "perfbench" / "scenarios" / "mc_reduced.yaml"),
+     "1a9c66e3abf67ad9c7e358bcd844bb6dcd63b39a321b1d1a050a5d185b2f0437"),
+], ids=["paper_baseline", "two_station", "mc_reduced"])
+def test_echo_of_the_shipped_scenarios_is_unchanged(ref, digest):
+    assert hashlib.sha256(echo(resolve_scenario(ref)).encode()).hexdigest() == digest
 
 
 def test_echo_round_trip_is_identity():
@@ -187,3 +216,42 @@ def test_every_placed_point_passes_the_padded_point_rule(seed):
         net = drift_stations(net, fld, cmap, rng)
         points += [s.position for s in net.stations.values()]
     assert not any(point_in_collision(p, cmap, padded=True) for p in points)
+
+
+# One-key mutations of a 2 x 2 km, 6-station world: every key of every section,
+# and `name` and `seed`, takes each of these values in turn.
+FUZZ_WORLD = {"field": {"x": 2000.0, "y": 2000.0, "z": 200.0},
+              "map": {"width": 200, "height": 200, "cell_size": 10.0, "islands": 0,
+                      "coast_border": 2},
+              "network": {"stations": 6, "goal": 6}}
+FUZZ_VALUES = [None, True, "a", -1, 0, 0.5, 2, math.nan, math.inf, -1.5, [], [1], ["a", 1],
+               [1, "a"], [-1, -1], [2, 1], [1.5, 2.5], [0, 0, 0], ["a", 1, 2], {"a": 1}]
+
+
+def test_one_key_mutations_exit_cleanly_and_accepted_ones_build(tmp_path, capsys):
+    # `uuvsim plan` exits 0, 2 or 3 on each, never with a traceback; whatever it
+    # accepts also builds the DE, spline and weights configs the mission builds.
+    doc = to_dict(from_dict(FUZZ_WORLD))
+    keys = [(section, key) for section, value in doc.items()
+            for key in (value if isinstance(value, dict) else [None])]
+    assert len(keys) == 72
+    path, exits = tmp_path / "fuzz.yaml", collections.Counter()
+    for section, key in keys:
+        for value in FUZZ_VALUES:
+            mutant = copy.deepcopy(FUZZ_WORLD)
+            if key is None:
+                mutant[section] = value
+            else:
+                mutant.setdefault(section, {})[key] = value
+            path.write_text(yaml.safe_dump(mutant))
+            rc = main(["plan", "--scenario", str(path)])
+            assert rc in (0, 2, 3), (section, key, value)
+            if rc != 2:
+                sc = from_dict(mutant)
+                de_config_from_spec(sc.de_global)
+                de_config_from_spec(sc.de_local)
+                spline_from_spec(sc)
+                weights_from_spec(sc)
+            exits[rc] += 1
+            capsys.readouterr()
+    assert exits == {2: 1343, 0: 95, 3: 2}

@@ -449,3 +449,97 @@ def test_forced_global_replan_beyond_the_limit_ends_the_mission():
     assert not report.success
     assert report.failure_reason == "replan required (route edge missing) beyond limit"
     assert report.global_replans == 0 and report.executed_sequence == [1, 2]
+
+
+# --- the replan policy's exits ------------------------------------------------
+
+LINE = [{"id": 1, "position": [200.0, 1000.0, 50.0]},
+        {"id": 2, "position": [700.0, 1000.0, 50.0], "value": 2},
+        {"id": 3, "position": [1200.0, 1000.0, 50.0], "value": 2},
+        {"id": 4, "position": [1800.0, 1000.0, 50.0], "value": 2}]
+
+
+def line_mission(stations, **mission):
+    """`small_mission` on the first `stations` of LINE, chained 1-2-..., the goal the last."""
+    sc = small_mission(LINE[:stations], [[i, i + 1] for i in range(1, stations)], **mission)
+    sc.network.goal = stations
+    return sc
+
+
+def test_unforced_overrun_beyond_the_limit_keeps_the_route(monkeypatch):
+    # Every leg overruns. The first overrun replans; past the limit of one,
+    # the next is not forced, so the mission flies on along the route it has.
+    monkeypatch.setattr("uuvsim.mission.should_replan_global",
+                        lambda *args, **kwargs: (True, "leg overran plan"))
+    sc = line_mission(4, max_global_replans=1)
+    report = _Executor(sc, sc.seed).run()
+    assert report.success and report.failure_reason == ""
+    assert report.global_replans == 1
+    assert [r[1:] for r in report.replans] == [("global", "leg overran plan")]
+    assert report.executed_sequence == [1, 2, 3, 4]
+
+
+def refuse_legs_after(monkeypatch, flown: int):
+    """Every leg plan after the first `flown` finds no path, at either horizon."""
+    calls, real = [], mission_module.plan_local
+
+    def plan_local(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > flown:
+            raise NoFeasiblePathError("boxed in")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("uuvsim.mission.plan_local", plan_local)
+    return calls
+
+
+def test_no_local_path_beyond_the_limit_ends_the_mission_before_the_reachability_check(
+        monkeypatch):
+    # Excluding edge 1-2 cuts the goal off too; the limit is checked first.
+    calls = refuse_legs_after(monkeypatch, 0)
+    sc = line_mission(2, max_global_replans=0)
+    report = _Executor(sc, sc.seed).run()
+    assert not report.success
+    assert report.failure_reason == "replan required (no feasible local path) beyond limit"
+    assert report.global_replans == 0 and report.replans == [] and report.legs == []
+    assert report.executed_sequence == [1] and len(calls) == 2
+
+
+def test_no_local_path_that_cuts_the_goal_off_ends_the_mission(monkeypatch):
+    # Leg 1-2 flies; both plans of leg 2-3 fail, and without edge 2-3 the goal
+    # is cut off from station 2.
+    calls = refuse_legs_after(monkeypatch, 1)
+    sc = line_mission(3)
+    report = _Executor(sc, sc.seed).run()
+    assert not report.success and report.failure_reason == "goal cut off from station 2"
+    assert report.global_replans == 0 and report.replans == [] and len(report.legs) == 1
+    assert report.executed_sequence == [1, 2] and len(calls) == 3
+
+
+def test_initial_plan_failure_is_prefixed():
+    # 1,600 m at 2 * 0.97 m/s is 825 s against a budget of 300 * 0.995 s.
+    sc = small_mission([LINE[0], {**LINE[3], "id": 2}], [[1, 2]])
+    sc.vehicle.time_budget = 300.0
+    report = _Executor(sc, sc.seed).run()
+    assert not report.success
+    assert report.failure_reason == ("initial plan failed: minimum route time 825s exceeds "
+                                     "budget 298s")
+    assert report.global_replans == 0 and report.replans == [] and report.legs == []
+    assert report.executed_sequence == [1]
+
+
+def test_battery_exhausted_at_a_station_ends_the_mission():
+    # The battery runs out exactly on arrival at station 2, short of the goal.
+    sc = line_mission(3)
+    ex = _Executor(sc, sc.seed)
+    after_leg = ex._after_leg
+
+    def drained():
+        after_leg()
+        ex.budget = ex.elapsed
+
+    ex._after_leg = drained
+    report = ex.run()
+    assert not report.success and report.failure_reason == "battery exhausted at station"
+    assert report.global_replans == 0 and report.replans == [] and len(report.legs) == 1
+    assert report.executed_sequence == [1, 2] and report.residual_time == 0.0

@@ -4,8 +4,11 @@ Runs the plan/execute/replan loop: a global route over the network, a local
 path per leg, tick-level traversal with obstacle motion and hazard-triggered
 local replans, and station-level global replans whenever a leg overran its
 plan, the remaining route broke, or the remaining budget no longer covers it.
-All timing is accounted against the battery budget; the mission succeeds when
-the goal station is reached with non-negative residual time.
+A leg no local path reaches (at its nominal horizon, then at horizon 0, or
+after a retreat from mid-leg) has its edge excluded until the world next moves,
+and the route is replanned without it.  All timing is accounted against the
+battery budget; the mission succeeds when the goal station is reached with
+non-negative residual time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .env import (EnvSnapshot, ObstacleColumns, envelope, perturb_field, points_
                   step_obstacles)
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
-from .global_planner import GlobalPlan, Route, plan_global, walk_cost
+from .global_planner import GlobalPlan, plan_global, walk_cost
 from .local_planner import LocalPath, LocalPlan, plan_local, replan_local
 from .network import Network, _pair, consume_edge, drift_stations, edge_metrics
 from .scenario import (Scenario, build_field, build_map, build_network_from_spec,
@@ -292,63 +295,27 @@ class _Executor:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> MissionReport:
-        sc = self.sc
         report = self.report
         current = self.network.start_id
         report.executed_sequence = [current]
         try:
-            plan = self._plan_route(current)
+            ahead = list(self._plan_route(current).route.sequence[1:])  # stations still to reach
         except (NoFeasibleRouteError, UnreachableGoalError, UndecodableError) as exc:
             report.failure_reason = f"initial plan failed: {exc}"
             return self._finalize(report)
-        route = plan.route
-        pos_in_route = 0
 
         try:
             while current != self.network.goal_id:
-                target = route.sequence[pos_in_route + 1]
-                d_now, t_planned = edge_metrics(self.network, current, target, self.speed)
-                try:
-                    leg_plan = self._plan_leg(self.network.position(current),
-                                              self.network.position(target),
-                                              horizon=t_planned)
-                except NoFeasiblePathError:
-                    # Retry with unexpanded envelopes: a predicted-motion
-                    # envelope parked over either endpoint would otherwise
-                    # block every candidate.
-                    try:
-                        leg_plan = self._plan_leg(self.network.position(current),
-                                                  self.network.position(target),
-                                                  horizon=0.0)
-                    except NoFeasiblePathError:
-                        route = self._exclude_and_replan(current, target)
-                        pos_in_route = 0
-                        continue
-
-                leg_index = len(report.legs)
-                outcome = LegOutcome(from_id=current, to_id=target, planned=t_planned, actual=0.0)
-                leg_start = self.elapsed
-                try:
-                    self._execute_path(leg_plan.path, leg_index, outcome, allow_replans=True)
-                except NoFeasiblePathError:
-                    # Trapped mid-leg: retreat to the leg's start station, then
-                    # exclude the blocked edge and replan globally.
-                    try:
-                        self._retreat(current, leg_index, outcome)
-                    except NoFeasiblePathError:
-                        raise _MissionAbort("trapped mid-leg with no retreat path")
-                    outcome.to_id = current
-                    outcome.actual = self.elapsed - leg_start  # out and back
-                    outcome.aborted = True
-                    report.legs.append(outcome)
-                    route = self._exclude_and_replan(current, target)
-                    pos_in_route = 0
+                target = ahead.pop(0)
+                if not self._fly_leg(current, target):
+                    # No path to the target: mask its edge until the world moves.
+                    self.blocked.add(_pair(current, target))
+                    ahead = self._replan_global(current, "no feasible local path", forced=True)
                     continue
-                report.legs.append(outcome)
-
+                leg = report.legs[-1]
                 if target not in self.visited and target != self.network.start_id:
-                    outcome.value_gained = self.network.stations[target].value
-                    report.total_value += outcome.value_gained
+                    leg.value_gained = self.network.stations[target].value
+                    report.total_value += leg.value_gained
                     self.visited.add(target)
                 self.network = consume_edge(self.network, current, target)
                 current = target
@@ -360,21 +327,12 @@ class _Executor:
                 remaining_budget = self.budget - self.elapsed
                 if remaining_budget <= 0:
                     raise _MissionAbort("battery exhausted at station")
-                remaining_route = list(route.sequence[pos_in_route + 1:])
-                flag, reason = should_replan_global(outcome, remaining_route, self.network,
+                flag, reason = should_replan_global(leg, [current, *ahead], self.network,
                                                     remaining_budget, self.speed,
-                                                    slack=sc.mission.replan_slack)
-                if flag:
+                                                    slack=self.sc.mission.replan_slack)
+                if flag:  # an overrun alone leaves a route that still reaches the goal
                     forced = reason != "leg overran plan"
-                    if report.global_replans >= sc.mission.max_global_replans:
-                        if forced:
-                            raise _MissionAbort(f"replan required ({reason}) beyond limit")
-                        pos_in_route += 1
-                        continue
-                    route = self._replan_global(current, reason)
-                    pos_in_route = 0
-                else:
-                    pos_in_route += 1
+                    ahead = self._replan_global(current, reason, forced) or ahead
 
             report.success = True
         except _MissionAbort as exc:
@@ -383,19 +341,58 @@ class _Executor:
             report.failure_reason = str(exc)
         return self._finalize(report)
 
-    def _replan_global(self, current: int, reason: str) -> Route:
+    def _fly_leg(self, current: int, target: int) -> bool:
+        """Plan and fly the leg to `target`; whether the vehicle reached it.
+
+        A vehicle trapped mid-leg retreats to `current`, and the leg's row is
+        marked aborted.  A leg no plan finds a path for gets no row, and
+        neither does one whose flight ends the mission.
+        """
+        _, t_planned = edge_metrics(self.network, current, target, self.speed)
+        start, end = self.network.position(current), self.network.position(target)
+        # The retry at horizon 0 uses unexpanded envelopes: a predicted-motion
+        # envelope parked over either endpoint would otherwise block every candidate.
+        for horizon in (t_planned, 0.0):
+            try:
+                path = self._plan_leg(start, end, horizon=horizon).path
+                break
+            except NoFeasiblePathError:
+                continue
+        else:
+            return False
+
+        leg_index, leg_start = len(self.report.legs), self.elapsed
+        leg = LegOutcome(from_id=current, to_id=target, planned=t_planned, actual=0.0)
+        try:
+            self._execute_path(path, leg_index, leg, allow_replans=True)
+        except NoFeasiblePathError:
+            try:
+                self._retreat(current, leg_index, leg)
+            except NoFeasiblePathError:
+                raise _MissionAbort("trapped mid-leg with no retreat path")
+            leg.to_id, leg.aborted = current, True
+            leg.actual = self.elapsed - leg_start  # out and back
+        self.report.legs.append(leg)
+        return not leg.aborted
+
+    def _replan_global(self, current: int, reason: str, forced: bool) -> list[int] | None:
+        """The stations ahead of a new route from `current`; None keeps the route.
+
+        Past `max_global_replans` a forced replan ends the mission and an
+        unforced one keeps the route.  An edge masked at this station may
+        have cut the goal off, which also ends it.
+        """
+        mission = self.sc.mission
+        if self.report.global_replans >= mission.max_global_replans:
+            if forced:
+                raise _MissionAbort(f"replan required ({reason}) beyond limit")
+            return None
+        if self.blocked and not self._planning_network().goal_reachable(current):
+            raise _MissionAbort(f"goal cut off from station {current}")
         self.report.replans.append((self.elapsed, "global", reason))
         self.report.global_replans += 1
-        plan = self._plan_route(current, generations_factor=self.sc.mission.replan_generation_factor)
-        return plan.route
-
-    def _exclude_and_replan(self, current: int, target: int) -> Route:
-        self.blocked.add(_pair(current, target))
-        if self.report.global_replans >= self.sc.mission.max_global_replans:
-            raise _MissionAbort("replan required (no feasible local path) beyond limit")
-        if not self._planning_network().goal_reachable(current):
-            raise _MissionAbort(f"goal cut off from station {current}")
-        return self._replan_global(current, "no feasible local path")
+        plan = self._plan_route(current, generations_factor=mission.replan_generation_factor)
+        return list(plan.route.sequence[1:])
 
     def _retreat(self, station: int, leg_index: int, leg: LegOutcome):
         """Fly back to the leg's start station, recording the path in `leg`; no replans."""

@@ -134,9 +134,10 @@ def path_ticks(path: LocalPath, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 class _MissionAbort(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Ends the mission; the message is its failure reason."""
+
+
+_PLAN_FAILURES = (NoFeasibleRouteError, UnreachableGoalError, UndecodableError)
 
 
 class _Executor:
@@ -300,7 +301,7 @@ class _Executor:
         report.executed_sequence = [current]
         try:
             ahead = list(self._plan_route(current).route.sequence[1:])  # stations still to reach
-        except (NoFeasibleRouteError, UnreachableGoalError, UndecodableError) as exc:
+        except _PLAN_FAILURES as exc:
             report.failure_reason = f"initial plan failed: {exc}"
             return self._finalize(report)
 
@@ -335,18 +336,15 @@ class _Executor:
                     ahead = self._replan_global(current, reason, forced) or ahead
 
             report.success = True
-        except _MissionAbort as exc:
-            report.failure_reason = exc.reason
-        except (NoFeasibleRouteError, UnreachableGoalError, UndecodableError) as exc:
+        except (_MissionAbort, *_PLAN_FAILURES) as exc:
             report.failure_reason = str(exc)
         return self._finalize(report)
 
     def _fly_leg(self, current: int, target: int) -> bool:
         """Plan and fly the leg to `target`; whether the vehicle reached it.
 
-        A vehicle trapped mid-leg retreats to `current`, and the leg's row is
-        marked aborted.  A leg no plan finds a path for gets no row, and
-        neither does one whose flight ends the mission.
+        Trapped mid-leg, the vehicle retreats to `current` and the row is marked
+        aborted; a leg with no plan, or whose flight ends the mission, has no row.
         """
         _, t_planned = edge_metrics(self.network, current, target, self.speed)
         start, end = self.network.position(current), self.network.position(target)
@@ -370,20 +368,17 @@ class _Executor:
                 self._retreat(current, leg_index, leg)
             except NoFeasiblePathError:
                 raise _MissionAbort("trapped mid-leg with no retreat path")
-            leg.to_id, leg.aborted = current, True
-            leg.actual = self.elapsed - leg_start  # out and back
+            leg.to_id, leg.actual, leg.aborted = current, self.elapsed - leg_start, True
         self.report.legs.append(leg)
         return not leg.aborted
 
     def _replan_global(self, current: int, reason: str, forced: bool) -> list[int] | None:
         """The stations ahead of a new route from `current`; None keeps the route.
 
-        Past `max_global_replans` a forced replan ends the mission and an
-        unforced one keeps the route.  An edge masked at this station may
-        have cut the goal off, which also ends it.
+        Past `max_global_replans` a forced replan ends the mission and an unforced
+        one keeps the route.  An edge masked at this station may cut the goal off.
         """
-        mission = self.sc.mission
-        if self.report.global_replans >= mission.max_global_replans:
+        if self.report.global_replans >= self.sc.mission.max_global_replans:
             if forced:
                 raise _MissionAbort(f"replan required ({reason}) beyond limit")
             return None
@@ -391,7 +386,7 @@ class _Executor:
             raise _MissionAbort(f"goal cut off from station {current}")
         self.report.replans.append((self.elapsed, "global", reason))
         self.report.global_replans += 1
-        plan = self._plan_route(current, generations_factor=mission.replan_generation_factor)
+        plan = self._plan_route(current, generations_factor=self.sc.mission.replan_generation_factor)
         return list(plan.route.sequence[1:])
 
     def _retreat(self, station: int, leg_index: int, leg: LegOutcome):

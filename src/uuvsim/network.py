@@ -36,12 +36,6 @@ class Station:
     drift_bound: tuple[float, float, float] = (0.0, 0.0, 0.0)
     drift_sigma: float = 0.0
 
-    def __post_init__(self):
-        if self.kind not in ("fixed", "drifting"):
-            raise ValueError(f"unknown station kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("station value must be >= 0")
-
 
 def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
@@ -249,8 +243,9 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
         stations: dict[int, Station] = {}
         if records is not None:
             for rec in records:
+                rec = {key: v for key, v in rec.items() if v is not None}  # null reads as absent
                 sid = int(rec["id"])
-                if rec.get("position") in (None, "random"):
+                if rec.get("position", "random") == "random":
                     pos = sample_water_point()
                 else:
                     pos = tuple(float(c) for c in rec["position"])

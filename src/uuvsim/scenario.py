@@ -59,8 +59,8 @@ def _whole(ge) -> Rule:  # a count drawn from a range: 3.0 reads as 3
     return Rule(f"a whole number >= {ge}", lambda v: _finite(v) and v >= ge and v == int(v))
 
 
-def _or_null(rule: Rule) -> Rule:
-    return rule._replace(words=f"null or {rule.words}", test=lambda v: v is None or rule.test(v))
+def _or_null(rule: Rule, null="null") -> Rule:
+    return rule._replace(words=f"{null} or {rule.words}", test=lambda v: v is None or rule.test(v))
 
 
 def _one_of(*choices: str) -> Rule:
@@ -77,8 +77,11 @@ def _pair(each: Rule) -> Rule:
                 lambda v: isinstance(v, list) and len(v) == 2 and v[0] <= v[1], each)
 
 
-def _mapping(**keys: Rule) -> Rule:  # keys the rule does not name are left to the build
-    return Rule("a mapping", lambda v: isinstance(v, dict), keys=keys)
+_SECTION = Rule("a mapping", lambda v: isinstance(v, dict))  # its keys are its fields'
+
+
+def _mapping(**keys: Rule) -> Rule:  # a key no rule names is refused
+    return _SECTION._replace(keys=keys)
 
 
 def _check(name: str, rule: Rule, value):
@@ -87,6 +90,8 @@ def _check(name: str, rule: Rule, value):
         for i, item in enumerate(value):
             _check(f"{name}[{i}]", rule.each, item)
     if rule.keys is not None and isinstance(value, dict):
+        for key in value:
+            _require(key in rule.keys, f"unknown key {name}.{key}")
         for key, sub in rule.keys.items():
             _check(f"{name}.{key}", sub, value.get(key))
     if not rule.test(value):
@@ -150,9 +155,16 @@ class ObstacleSpec:
     station_clearance: float = _key(400.0, _NONNEGATIVE)
 
 
-# The shape of an explicit station; where its position lies is the build's point rule.
-_RECORD = _mapping(id=_int(), position=Rule(
-    "absent, random or a list", lambda v: v in (None, "random") or isinstance(v, list)))
+_DRIFT_BOUND = _list(_NONNEGATIVE, "three numbers", length=3)
+# An explicit station, null reading as absent; where its position lies is the
+# build's point rule.
+_RECORD = _mapping(
+    id=_int(),
+    position=Rule("absent, random or a list",
+                  lambda v: v in (None, "random") or isinstance(v, list)),
+    kind=Rule("absent, fixed or drifting", lambda v: v in (None, "fixed", "drifting")),
+    value=_or_null(_NONNEGATIVE, "absent"), drift_sigma=_or_null(_NONNEGATIVE, "absent"),
+    drift_bound=_or_null(_DRIFT_BOUND, "absent"))
 
 
 @dataclass
@@ -165,7 +177,7 @@ class NetworkSpec:
     goal: int | None = _key(None, _or_null(_int()))
     value_range: list = _key([1, 5], _pair(_whole(0)))
     drifting_fraction: float = _key(0.5, _UNIT)
-    drift_bound: list = _key([300.0, 300.0, 50.0], _list(_NONNEGATIVE, "three numbers", length=3))
+    drift_bound: list = _key([300.0, 300.0, 50.0], _DRIFT_BOUND)
     drift_sigma: float = _key(40.0, _NONNEGATIVE)
 
 
@@ -250,7 +262,7 @@ def _merge(prefix: str, obj, data: dict):
         name = f"{prefix}{key}"
         _require(key in fields, f"unknown key {name}")
         rule = fields[key].metadata.get("rule")
-        _check(name, rule or _mapping(), value)
+        _check(name, rule or _SECTION, value)
         if rule is None:  # a section
             _merge(f"{name}.", getattr(obj, key), value)
         else:

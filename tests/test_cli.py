@@ -245,6 +245,33 @@ def small_world_file(tmp_path, doc) -> str:
     return str(path)
 
 
+def two_records(position=(200.0, 200.0, 50.0), edges=((1, 2),), first=None, **station) -> dict:
+    """A `two_station` network whose station 1 sits at `position` with `station`'s keys.
+
+    `first`, when given, is the whole first record instead.
+    """
+    if first is None:
+        first = {"id": 1, "position": list(position) if isinstance(position, tuple) else position,
+                 **station}
+    return {"network": {"records": [first, {"id": 2, "position": [1800.0, 1700.0, 80.0]}],
+                        "edges": [list(e) for e in edges], "start": 1, "goal": 2}}
+
+
+def drifting_middle(**station) -> dict:
+    """A network of three records in a line whose middle station drifts, with `station`'s keys."""
+    return {"network": {"records": [
+        {"id": 1, "position": [200.0, 1000.0, 50.0]},
+        {"id": 2, "position": [1000.0, 1000.0, 50.0], "kind": "drifting", **station},
+        {"id": 3, "position": [1800.0, 1000.0, 50.0]}], "edges": [[1, 2], [2, 3]],
+        "start": 1, "goal": 3}}
+
+
+def edge_failure(after_leg, edge) -> dict:
+    """`two_records()` with one scripted edge failure."""
+    return {**two_records(), "mission": {"edge_failures": [{"after_leg": after_leg,
+                                                            "edge": edge}]}}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"obstacles": {"count": 2, "kinds": []}}, "obstacles.kinds must not be empty"),
     ({"network": {"stations": 5, "goal": 9}}, "network.goal must be in 1..network.stations"),
@@ -290,36 +317,41 @@ def small_world_file(tmp_path, doc) -> str:
      "vehicle.yaw_rate_max_deg must be finite and > 0, got inf"),
     ({"vehicle": {"cruise_speed": math.inf, "max_speed": math.inf}},
      "vehicle.cruise_speed must be finite and > 0, got inf"),
+    # Station record keys the build read unchecked: each crashed, or passed `plan`
+    # and crashed `run` at the first drift, or was accepted silently.
+    (drifting_middle(drift_bound=-5),
+     "network.records[1].drift_bound must be absent or three numbers, got -5"),
+    (drifting_middle(drift_bound=[1, 2]),
+     "network.records[1].drift_bound must be absent or three numbers, got [1, 2]"),
+    (drifting_middle(drift_bound="abc"),
+     "network.records[1].drift_bound must be absent or three numbers, got 'abc'"),
+    (drifting_middle(drift_bound=["a", "b", "c"]),
+     "network.records[1].drift_bound[0] must be finite and >= 0, got 'a'"),
+    (drifting_middle(value=math.inf), "network.records[1].value must be absent or finite and >= 0"),
+    (drifting_middle(value=math.nan), "network.records[1].value must be absent or finite and >= 0"),
+    (drifting_middle(value=True),
+     "network.records[1].value must be absent or finite and >= 0, got True"),
+    (drifting_middle(drift_sigma=math.inf),
+     "network.records[1].drift_sigma must be absent or finite and >= 0, got inf"),
+    (drifting_middle(colour="red"), "unknown key network.records[1].colour"),
+    ({**two_records(), "mission": {"edge_failures": [
+        {"after_leg": 1, "edge": [1, 2], "colour": "red"}]}},
+     "unknown key mission.edge_failures[0].colour"),
 ], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
         "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range", "budget-inf",
         "restarts-float", "seed-word", "seed-real", "dt-word", "field-x-text", "cruise-bool",
         "map-k-real", "map-width-real", "water-number", "population-real", "obstacle-count-real",
         "kinds-text", "stations-real", "samples-real", "pair-element-word", "island-radius-word",
         "island-radius-reversed", "drift-bound-word", "seed-negative", "name-list",
-        "surge-max-inf", "sway-max-inf", "yaw-rate-inf", "cruise-and-max-speed-inf"])
+        "surge-max-inf", "sway-max-inf", "yaw-rate-inf", "cruise-and-max-speed-inf",
+        "record-drift-bound-negative", "record-drift-bound-pair", "record-drift-bound-word",
+        "record-drift-bound-words", "record-value-inf", "record-value-nan", "record-value-bool",
+        "record-drift-sigma-inf", "record-unknown-key", "edge-failure-unknown-key"])
 def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
     path = small_world_file(tmp_path, doc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     assert f"scenario error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def two_records(position=(200.0, 200.0, 50.0), edges=((1, 2),), first=None, **station) -> dict:
-    """A `two_station` network whose station 1 sits at `position` with `station`'s keys.
-
-    `first`, when given, is the whole first record instead.
-    """
-    if first is None:
-        first = {"id": 1, "position": list(position) if isinstance(position, tuple) else position,
-                 **station}
-    return {"network": {"records": [first, {"id": 2, "position": [1800.0, 1700.0, 80.0]}],
-                        "edges": [list(e) for e in edges], "start": 1, "goal": 2}}
-
-
-def edge_failure(after_leg, edge) -> dict:
-    """`two_records()` with one scripted edge failure."""
-    return {**two_records(), "mission": {"edge_failures": [{"after_leg": after_leg,
-                                                            "edge": edge}]}}
 
 
 def raster_map(text: str):
@@ -345,8 +377,9 @@ def raster_map(text: str):
     (two_records([200.0, 200.0, 250.0]), "station 1 at (200.0, 200.0, 250.0) is not (x, y, z)"),
     (two_records([25.0, 1000.0, 50.0]), "station 1 at (25.0, 1000.0, 50.0) is not (x, y, z)"),
     (two_records([200.0, 200.0]), "station 1 at (200.0, 200.0) is not (x, y, z)"),
-    (two_records(kind="buoy"), "network: unknown station kind 'buoy'"),
-    (two_records(value=-2), "network: station value must be >= 0"),
+    (two_records(kind="buoy"),
+     "network.records[0].kind must be absent, fixed or drifting, got 'buoy'"),
+    (two_records(value=-2), "network.records[0].value must be absent or finite and >= 0, got -2"),
     (two_records(edges=[(1, 2), (1, 3)]), "network: edge (1,3) references missing station"),
     (two_records(first="station 1"), "network.records[0] must be a mapping"),
     (two_records(first={"position": [200.0, 200.0, 50.0]}),

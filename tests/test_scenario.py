@@ -255,3 +255,34 @@ def test_one_key_mutations_exit_cleanly_and_accepted_ones_build(tmp_path, capsys
             exits[rc] += 1
             capsys.readouterr()
     assert exits == {2: 1343, 0: 95, 3: 2}
+
+
+# One-key mutations of a station record: each key the record rule names, and
+# one it does not, takes each of FUZZ_VALUES on the first record, a drifting
+# station between the fixed start and goal.
+RECORD_WORLD = {**FUZZ_WORLD, "network": {
+    "records": [{"id": 2, "position": [1000.0, 1000.0, 50.0], "kind": "drifting"},
+                {"id": 1, "position": [200.0, 1000.0, 50.0]},
+                {"id": 3, "position": [1800.0, 1000.0, 50.0]}],
+    "edges": [[1, 2], [2, 3]], "start": 1, "goal": 3}}
+
+
+def test_record_key_mutations_exit_cleanly_and_accepted_ones_drift(tmp_path, capsys):
+    # `plan` never drifts a station, so each accepted network drifts once here:
+    # a record the drift cannot read used to crash only `run`.
+    path, exits = tmp_path / "fuzz.yaml", collections.Counter()
+    for key in ["id", "position", "kind", "value", "drift_bound", "drift_sigma", "colour"]:
+        for value in FUZZ_VALUES:
+            mutant = copy.deepcopy(RECORD_WORLD)
+            mutant["network"]["records"][0][key] = value
+            path.write_text(yaml.safe_dump(mutant))
+            rc = main(["plan", "--scenario", str(path)])
+            assert rc in (0, 2, 3), (key, value)
+            if rc != 2:
+                sc = from_dict(mutant)
+                cmap = build_map(sc, sc.seed)
+                net = build_network_from_spec(sc, cmap, sc.seed)
+                drift_stations(net, build_field(sc, sc.seed), cmap, np.random.default_rng(0))
+            exits[rc] += 1
+            assert "Traceback" not in capsys.readouterr().err
+    assert exits == {2: 127, 0: 13}

@@ -221,7 +221,7 @@ def run_monte_carlo(sc: Scenario, trials: int, base_seed: int, out_dir: Path | N
         raise ScenarioValidationError("trials must be >= 1")
     tasks = [(sc, i, base_seed + i) for i in range(trials)]
     if jobs > 1:  # map returns the results in task order, as the serial list does
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
             results = list(pool.map(_run_trial, tasks))
     else:
         results = [_run_trial(t) for t in tasks]

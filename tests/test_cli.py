@@ -564,6 +564,31 @@ def test_cli_montecarlo_files_do_not_depend_on_jobs(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def test_montecarlo_pool_has_no_more_workers_than_trials(monkeypatch):
+    # Under fork the pool starts every worker at its first submit, so a worker
+    # beyond the trial count would be a process that never runs a trial.
+    asked = []
+
+    class InProcess:  # records the pool size and runs the trials here
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    pooled = run_monte_carlo(small_scenario(), trials=2, base_seed=10, jobs=8)
+    serial = run_monte_carlo(small_scenario(), trials=2, base_seed=10, jobs=1)
+    assert asked == [2]
+    assert [row["path_time"] for row in pooled.rows] == [row["path_time"] for row in serial.rows]
+
+
 def test_cli_run_legs_agree_with_the_paths_and_replans_flown(tmp_path):
     # Each legs.csv row is the record of the paths its leg flew (paths.csv),
     # and the legs' times and hazard replans add up to the mission's.

@@ -245,7 +245,7 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
             for rec in records:
                 rec = {key: v for key, v in rec.items() if v is not None}  # null reads as absent
                 sid = int(rec["id"])
-                if rec.get("position", "random") == "random":
+                if rec.get("position") in (None, "random"):
                     pos = sample_water_point()
                 else:
                     pos = tuple(float(c) for c in rec["position"])

@@ -36,8 +36,10 @@ _NEAR = 40.0
 # more memory than the whole leg planner.
 _TILE = 8
 
-# Lloyd iterations cluster_map runs at most.
+# Lloyd iterations cluster_map runs at most, and the cells per block of its
+# final labelling pass, whose temporaries stay cache-sized.
 _KMEANS_ITERS = 100
+_LABEL_BLOCK = 1 << 16
 
 # Two-sided 98% envelope z-score for obstacle position/radius uncertainty.
 CONFIDENCE_Z = 2.05
@@ -75,7 +77,7 @@ class ClusteredMap:
     centers: np.ndarray  # (k,) intensity centroids
     k: int
     water_label: int  # index into centers
-    objective_trace: tuple[float, ...] = ()
+    center_trace: tuple[tuple[float, ...], ...] = ()  # the centres each iteration assigned with
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -136,7 +138,7 @@ def _initial_centers(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarr
     the quantiles are those of the raster itself.
     """
     qs = (np.arange(k) + 0.5) / k
-    centers = np.quantile(np.repeat(values, counts), qs)
+    centers = np.quantile(np.repeat(values, counts), qs, overwrite_input=True)
     if len(np.unique(centers)) < k:
         # Mass-concentrated data can collapse quantiles; fall back to an even
         # grid over the distinct values (precondition guarantees >= k of them).
@@ -144,25 +146,40 @@ def _initial_centers(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarr
     return centers.astype(float)
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the centre nearest each x, by a running strict minimum.
+
+    Ties keep the lower index, as argmin does.  Equal x get equal labels, so
+    labelling a distinct value labels every cell that holds it.
+    """
+    labels = np.zeros(x.shape, dtype=np.min_scalar_type(len(centers) - 1))
+    best = np.abs(x - centers[0])
+    dist = np.empty_like(best)
+    for i in range(1, len(centers)):
+        np.abs(np.subtract(x, centers[i], out=dist), out=dist)
+        np.putmask(labels, dist < best, i)
+        np.minimum(best, dist, out=best)
+    return labels
+
+
 def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
     """Partition raster intensities into k clusters and binarize to water/coast.
 
     Up to _KMEANS_ITERS (100) Lloyd iterations from a deterministic quantile
-    init; the squared-error objective is recorded per iteration and is
-    non-increasing, and the loop stops once the labels settle.  The cluster
-    whose centroid has the lowest (``water="low"``) or highest intensity
-    becomes water (0); all other clusters become coast (1).
+    init, until the labels settle; `center_trace` keeps the centres each
+    iteration assigned with.  The cluster whose centroid has the lowest
+    (``water="low"``) or highest intensity is water (0), all others coast (1).
 
     Cells of one intensity share their label, so the iterations run over the
     intensity histogram: each distinct value is labelled once and a centre is
     (counts . values) / count, which equals the mean of its cells whenever
-    their sum is exact, as for any integer raster.  Only the objective visits
-    every cell, summing each cell's squared distance in cell order.
+    their sum is exact, as for any integer raster.  The cells are labelled
+    once, after the last iteration, with the centres it assigned with.
     """
     flat = np.asarray(raster.values, dtype=float).ravel()
     if flat.size == 0:
         raise EmptyRasterError("raster has no cells")
-    values, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    values, counts = np.unique(flat, return_counts=True)
     if not np.isfinite(values).all():
         raise ValueError("raster intensities must be finite")
     if k < 2:
@@ -174,32 +191,24 @@ def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
 
     centers = _initial_centers(values, counts, k)
     mass = counts * values
-    trace: list[float] = []
-    labels = np.zeros(values.size, dtype=np.int64)
-    cell_sq = np.empty_like(flat)
+    trace, labels = [], None
     for _ in range(_KMEANS_ITERS):
-        # Nearest centre by a running strict minimum: ties keep the lower
-        # index, as argmin does.  best ends as |x - centre of x|.
-        best = np.abs(values - centers[0])
-        new_labels = np.zeros_like(labels)
-        for i in range(1, k):
-            dist = np.abs(values - centers[i])
-            new_labels[dist < best] = i
-            best = np.minimum(best, dist)
-        trace.append(float(np.sum(np.take(best * best, inverse, out=cell_sq))))
-        converged = bool(np.array_equal(new_labels, labels)) and len(trace) > 1
-        labels = new_labels
+        trace.append(tuple(centers.tolist()))
+        labels, last = _nearest(values, centers), labels
         size = np.bincount(labels, weights=counts, minlength=k)
         held = size > 0
         centers[held] = np.bincount(labels, weights=mass, minlength=k)[held] / size[held]
-        if converged:
+        if last is not None and np.array_equal(labels, last):
             break
 
     water_label = int(np.argmin(centers) if water == "low" else np.argmax(centers))
-    coast = (labels != water_label).astype(np.int8)
-    grid = replace(raster, values=coast[inverse].reshape(raster.values.shape))
+    coast = np.empty(flat.size, dtype=bool)
+    for block in range(0, flat.size, _LABEL_BLOCK):
+        cells = slice(block, block + _LABEL_BLOCK)
+        coast[cells] = _nearest(flat[cells], trace[-1]) != water_label
+    grid = replace(raster, values=coast.view(np.int8).reshape(raster.values.shape))
     return ClusteredMap(grid=grid, centers=centers, k=k, water_label=water_label,
-                        objective_trace=tuple(trace))
+                        center_trace=tuple(trace))
 
 
 def load_raster(path, cell_size: float, depth_extent: float) -> GridMap:

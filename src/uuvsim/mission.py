@@ -169,6 +169,7 @@ class _Executor:
         self.local_plans = 0
         self.report = MissionReport(scenario=sc.name, seed=seed)
         self.tick_blocks = [self.report.ticks]  # the tick table, one block per path flown
+        self.rows_at_arrival = 0  # legs.csv rows when the last station was reached
         # The vehicle: where the last tick left it.
         self.position = self.network.position(self.network.start_id)
 
@@ -286,8 +287,10 @@ class _Executor:
         # multiplicative update compounds into unbounded parameter drift.
         self.field = perturb_field(self.base_field, self.rng_perturb)
         self.blocked.clear()
+        # A failure fires at the first arrival that leaves at least after_leg rows.
+        seen, self.rows_at_arrival = self.rows_at_arrival, len(self.report.legs)
         for failure in self.sc.mission.edge_failures:
-            if int(failure["after_leg"]) == len(self.report.legs):
+            if seen < int(failure["after_leg"]) <= self.rows_at_arrival:
                 i, j = (int(v) for v in failure["edge"])
                 if self.network.has_edge(i, j) and not self.network.is_used(i, j):
                     self.network = consume_edge(self.network, i, j)

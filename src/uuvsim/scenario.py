@@ -228,7 +228,7 @@ class MissionSpec:
     max_global_replans: int = _key(10, _int(0))
     replan_generation_factor: float = _key(0.5, _POSITIVE)
     obstacle_margin: float = _key(20.0, _NONNEGATIVE)
-    edge_failures: list = _key([], _list(_mapping(after_leg=_int(), edge=_ID_PAIR)))
+    edge_failures: list = _key([], _list(_mapping(after_leg=_int(1), edge=_ID_PAIR)))
 
 
 @dataclass

@@ -453,6 +453,19 @@ def reference_cluster_map(raster: GridMap, k: int, max_iters: int = 100):
     return labels, centers, trace
 
 
+def kmeans_objective(raster: GridMap, center_trace) -> list[float]:
+    """Each iteration's squared-error objective, from the centres it assigned with.
+
+    The labels and the sum over cells in cell order are `reference_cluster_map`'s.
+    """
+    flat = np.asarray(raster.values, dtype=float).ravel()
+    trace = []
+    for centers in map(np.asarray, center_trace):
+        labels = np.argmin(np.abs(flat[:, None] - centers[None, :]), axis=1)
+        trace.append(float(np.sum((flat - centers[labels]) ** 2)))
+    return trace
+
+
 # The raster synthesis before it drew each island over its bounding box alone:
 # every disc tested over the whole raster.  Kept verbatim as the exactness
 # reference for `synthesize_raster`, values and rng state both.

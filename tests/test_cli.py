@@ -337,6 +337,9 @@ def edge_failure(after_leg, edge) -> dict:
     ({**two_records(), "mission": {"edge_failures": [
         {"after_leg": 1, "edge": [1, 2], "colour": "red"}]}},
      "unknown key mission.edge_failures[0].colour"),
+    # A failure fires on arrival, when legs.csv has at least one row: these never fired.
+    (edge_failure(0, [1, 2]), "mission.edge_failures[0].after_leg must be an integer >= 1"),
+    (edge_failure(-1, [1, 2]), "mission.edge_failures[0].after_leg must be an integer >= 1"),
 ], ids=["empty-kinds", "goal-out-of-range", "start-out-of-range", "motion-sigma-nan",
         "radius-sigma-negative", "drift-sigma-nan", "mc-stations-range", "budget-inf",
         "restarts-float", "seed-word", "seed-real", "dt-word", "field-x-text", "cruise-bool",
@@ -346,7 +349,8 @@ def edge_failure(after_leg, edge) -> dict:
         "surge-max-inf", "sway-max-inf", "yaw-rate-inf", "cruise-and-max-speed-inf",
         "record-drift-bound-negative", "record-drift-bound-pair", "record-drift-bound-word",
         "record-drift-bound-words", "record-value-inf", "record-value-nan", "record-value-bool",
-        "record-drift-sigma-inf", "record-unknown-key", "edge-failure-unknown-key"])
+        "record-drift-sigma-inf", "record-unknown-key", "edge-failure-unknown-key",
+        "failure-after-leg-zero", "failure-after-leg-negative"])
 def test_cli_run_rejects_values_that_break_the_mission(tmp_path, capsys, doc, message):
     path = small_world_file(tmp_path, doc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
@@ -392,11 +396,13 @@ def raster_map(text: str):
     (two_records(edges=[(1, 2, 3)]), "network.edges[0] must be two station ids"),
     (edge_failure(1, [1, 2, 3]), "mission.edge_failures[0].edge must be two station ids"),
     (edge_failure(1.5, [1, 2]), "mission.edge_failures[0].after_leg must be an integer"),
+    (edge_failure(0, [1, 2]), "mission.edge_failures[0].after_leg must be an integer >= 1"),
 ], ids=["k-too-large", "raster-empty", "raster-ragged", "raster-word", "raster-nan",
         "raster-fraction", "unreachable-goal", "station-nan", "station-below-depth",
         "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere",
         "record-not-mapping", "record-without-id", "position-scalar", "record-id-twice",
-        "edge-three-ids", "failure-edge-three-ids", "failure-after-leg-float"])
+        "edge-three-ids", "failure-edge-three-ids", "failure-after-leg-float",
+        "failure-after-leg-zero"])
 def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
     # Each is one line naming the key: validation refuses the input's shape,
     # and the build refuses a map or network that cannot be built from it.

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from uuvsim.env import (ClusteredMap, GridMap, Obstacle, ObstacleColumns, Vortex
 from uuvsim import seeding
 from uuvsim.errors import KTooLargeError, ScenarioValidationError
 from uuvsim.scenario import resolve_scenario
-from tests.oracles import (reference_cluster_map, reference_current_grid,
+from tests.oracles import (kmeans_objective, reference_cluster_map, reference_current_grid,
                            reference_step_obstacles, reference_synthesize_raster)
 
 
@@ -71,6 +72,7 @@ def paper_raster(seed: int) -> GridMap:
 def test_cluster_map_matches_reference_kmeans(seed, k, water, levels, shape, paper):
     """Labels, centres and objective trace equal the (n, k) argmin k-means bit for bit.
 
+    The objective is computed from `center_trace` by the reference's formula.
     Few evenly spaced intensity levels make many cells tie and put values
     exactly midway between two centres, where the first centre must win;
     up to 256 levels make 8-bit rasters.  `paper` takes the 1000 x 1000
@@ -89,12 +91,26 @@ def test_cluster_map_matches_reference_kmeans(seed, k, water, levels, shape, pap
         return
     labels, centers, trace = reference_cluster_map(grid_from(values), k)
     cm = cluster_map(grid_from(values), k=k, water=water)
-    assert cm.objective_trace == tuple(trace)
+    assert kmeans_objective(grid_from(values), cm.center_trace) == trace
     assert np.array_equal(cm.centers.view(np.int64), centers.view(np.int64))
     water_label = int(np.argmin(centers) if water == "low" else np.argmax(centers))
     assert cm.water_label == water_label
     np.testing.assert_array_equal(cm.occupancy,
                                   np.where(labels.reshape(shape) == water_label, 0, 1))
+
+
+def test_cluster_map_memory_on_the_paper_raster():
+    # The peak is np.unique's copy of the raster (8 MB) and the final
+    # labelling's blocks; each per-cell sort, index or distance array kept
+    # would add 8 MB or more.
+    raster = paper_raster(42)
+    tracemalloc.start()
+    try:
+        cluster_map(raster, k=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 def test_cluster_rejects_non_finite_intensities():
@@ -125,7 +141,7 @@ def test_cluster_matches_threshold_sweep_optimum():
                                island_radius=(50.0, 200.0))
     cm = cluster_map(raster, k=2)
     oracle = brute_force_two_means(raster.values.ravel())
-    assert cm.objective_trace[-1] == pytest.approx(oracle, rel=1e-9)
+    assert kmeans_objective(raster, cm.center_trace)[-1] == pytest.approx(oracle, rel=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,7 +172,7 @@ def test_cluster_objective_monotone_and_centers_consistent():
     rng = np.random.default_rng(3)
     raster = grid_from(rng.integers(0, 256, size=(60, 80)))
     cm = cluster_map(raster, k=4)
-    trace = np.array(cm.objective_trace)
+    trace = np.array(kmeans_objective(raster, cm.center_trace))
     assert np.all(np.diff(trace) <= 1e-9)
     # recomputing each centroid from its assigned cells reproduces it
     flat = raster.values.ravel()

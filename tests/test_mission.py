@@ -423,6 +423,41 @@ def test_trapped_mid_leg_retreats_to_the_leg_start_and_replans_without_the_edge(
         assert report.executed_sequence[1] != target
 
 
+def test_edge_failure_after_an_aborted_leg_fires_at_the_next_arrival(monkeypatch):
+    # Leg 0 flies out along 1-4 and aborts, so legs.csv has 2 rows at the
+    # first arrival, at 3: the failure of 1-4 fires there, as a failure
+    # whose after_leg the first arrival passes.
+    sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
+                        {"id": 2, "position": [1800.0, 1000.0, 50.0]},
+                        {"id": 3, "position": [1000.0, 1000.0, 50.0], "value": 2},
+                        {"id": 4, "position": [600.0, 1500.0, 50.0], "value": 2}],
+                       [[1, 3], [3, 2], [1, 4], [3, 4]],
+                       edge_failures=[{"after_leg": 1, "edge": [1, 4]}])
+    ex = _Executor(sc, sc.seed)
+    hazards = []
+
+    def hazard(position, path, tau, *args):  # once, 120 m into leg 0
+        if hazards or tau < 60.0:
+            return None
+        hazards.append(tau)
+        return 9
+
+    def boxed_in(*args, **kwargs):
+        raise NoFeasiblePathError("boxed in")
+
+    monkeypatch.setattr("uuvsim.mission._hazard", hazard)
+    monkeypatch.setattr("uuvsim.mission.replan_local", boxed_in)
+    report = ex.run()
+    assert [(leg.from_id, leg.to_id, leg.aborted) for leg in report.legs[:2]] == [
+        (1, 1, True), (1, 3, False)]
+    arrival = report.ticks[report.ticks[:, 5] == 1][-1, 0]  # at 3
+    assert (arrival, "event", "edge (1,4) failed") in report.replans
+    assert report.success and ex.network.is_used(1, 4)
+    flown = {tuple(sorted(pair)) for pair in zip(report.executed_sequence,
+                                                   report.executed_sequence[1:])}
+    assert (1, 4) not in flown
+
+
 def test_hazard_replans_beyond_the_per_leg_limit_raise(monkeypatch):
     sc = small_mission([{"id": 1, "position": [200.0, 1000.0, 50.0]},
                         {"id": 2, "position": [1800.0, 1000.0, 50.0]}], [[1, 2]])

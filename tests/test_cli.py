@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import uuvsim.cli as cli
 import uuvsim.mission as mission
+from uuvsim import __version__
 from uuvsim.cli import (aggregate_rows, field_dump, main, run_monte_carlo, run_once)
 from uuvsim.env import current_at
 from uuvsim.scenario import Scenario, build_field, from_dict, resolve_scenario
@@ -151,6 +152,41 @@ def test_monte_carlo_records_trial_failures(tmp_path):
     summary = run_monte_carlo(sc, trials=2, base_seed=0)
     assert summary.aggregates["successes"] == 0
     assert all(not r["success"] and r["error"] for r in summary.rows)
+
+
+HEADER = f"# uuvsim={__version__} scenario=two_station"
+
+
+@pytest.mark.parametrize("raised, error", [
+    (None, "goal 2 not reachable from start 1"),
+    (ValueError('bad, "draw"'), '"ValueError: bad, ""draw"""'),
+], ids=["world-cannot-build", "error-text-quoted"])
+def test_monte_carlo_all_failed_batch_files(tmp_path, monkeypatch, raised, error):
+    # No golden case has a failed trial: every number is NaN, so is every
+    # aggregate, and the error text is the last field, quoted as csv quotes it.
+    sc = small_scenario()
+    sc.network.records = None
+    sc.network.stations = 2
+    sc.network.edges = None
+    sc.network.comm_range = 1.0
+
+    def fail(*args, **kw):
+        raise raised
+
+    if raised is not None:
+        monkeypatch.setattr(cli, "run_mission", fail)
+    run_monte_carlo(sc, trials=2, base_seed=0, out_dir=tmp_path)
+    assert (tmp_path / "summary.txt").read_text() == "".join(
+        [f"{HEADER} seed=0\ntrials: 2\nsuccesses: 0\nsuccess_rate: 0\n"]
+        + [f"{col}: mean=nan std=nan se=nan\n" for col in
+           ("global_replans", "path_time", "residual_time", "total_value",
+            "stations_visited", "total_cost")])
+    assert (tmp_path / "trials.csv").read_text() == (
+        f"{HEADER} seed=0\n"
+        "trial,seed,success,global_replans,path_time,residual_time,total_value,"
+        "stations_visited,total_cost,error\n"
+        f"0,0,0,nan,nan,nan,nan,nan,nan,{error}\n"
+        f"1,1,0,nan,nan,nan,nan,nan,nan,{error}\n")
 
 
 def test_monte_carlo_survives_unexpected_trial_error(monkeypatch):
@@ -526,6 +562,24 @@ def test_cli_field_dump(tmp_path):
                "--out", str(tmp_path / "grid.csv")])
     assert rc == 0
     assert len((tmp_path / "grid.csv").read_text().splitlines()) == 2 + 400
+
+
+def test_cli_field_dump_file_text(tmp_path):
+    # x-major rows over the --extent window, every real at %.17g.
+    assert main(["field-dump", "--scenario", "two_station", "--resolution", "3",
+                 "--extent", "500", "400", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert (tmp_path / "grid.csv").read_text() == (
+        f"{HEADER} seed=7\n"
+        "x,y,v_cx,v_cy\n"
+        "0,0,-0.042942744507148682,0.089250776378141619\n"
+        "0,200,-0.022711429778491325,0.093968393332126893\n"
+        "0,400,-0.0069945724191790883,0.087979524347699123\n"
+        "250,0,-0.066185025648056575,0.12464808073959004\n"
+        "250,200,-0.012861587797538297,0.13184735634618985\n"
+        "250,400,0.015541872609227791,0.10215523135930338\n"
+        "500,0,-0.13582823099220628,0.13111175078121129\n"
+        "500,200,0.036914534532804778,0.14196079132807246\n"
+        "500,400,0.071872815587611688,0.082458412463180877\n")
 
 
 @pytest.mark.parametrize("argv, message", [

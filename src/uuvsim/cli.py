@@ -17,7 +17,7 @@ import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,9 @@ from .errors import NoFeasibleRouteError, ScenarioValidationError, UUVSimError
 from .global_planner import plan_global
 from .mission import MissionReport, run_mission
 from .network import edge_metrics
-from .scenario import (Scenario, build_field, build_map, build_network_from_spec,
-                       de_config_from_spec, echo, resolve_scenario)
+from .scenario import (POSITIVE, Rule, Scenario, build_field, build_map,
+                       build_network_from_spec, de_config_from_spec, echo, integer,
+                       resolve_scenario)
 
 
 def _real(x: float) -> str:
@@ -60,6 +61,11 @@ def _write_csv(path: Path, sc: Scenario, seed: int, columns: list[str], fmt: str
         fh.write("".join([line % row for row in rows]))
 
 
+def _write_record(path: Path, sc: Scenario, seed: int, items) -> None:
+    """The header line, then a `key: value` line for each (key, value) pair."""
+    path.write_text("".join([f"{_header(sc, seed)}\n", *(f"{k}: {v}\n" for k, v in items)]))
+
+
 def _trace_rows(traces) -> list[tuple]:
     """(quoted label, generation, best cost) rows of labelled DE traces."""
     rows = []
@@ -69,65 +75,40 @@ def _trace_rows(traces) -> list[tuple]:
     return rows
 
 
-def write_report_text(report: MissionReport, sc: Scenario, path: Path) -> None:
-    """One structured record; wall-clock time is deliberately not serialized."""
-    lines = [
-        _header(sc, report.seed),
-        f"success: {report.success}",
-        f"failure_reason: {report.failure_reason}",
-        f"global_replans: {report.global_replans}",
-        f"global_path_time_s: {_real(report.path_time)}",
-        f"residual_time_s: {_real(report.residual_time)}",
-        f"total_value: {_real(report.total_value)}",
-        f"stations_visited: {report.stations_visited}",
-        f"total_cost: {_real(report.total_cost)}",
-        f"legs: {len(report.legs)}",
-        f"sequence: {'-'.join(str(s) for s in report.executed_sequence)}",
-    ]
-    path.write_text("\n".join(lines) + "\n")
+_DE_TRACES = (["plan", "generation", "best_cost"], "%s,%d,%.17g")  # columns, row format
 
 
 def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Path]:
+    """report.txt, then each table; wall-clock time is deliberately not written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = report.seed
-    paths = []
-
-    p = out_dir / "report.txt"
-    write_report_text(report, sc, p)
-    paths.append(p)
-
-    p = out_dir / "legs.csv"
-    _write_csv(p, sc, seed,
-               ["leg", "from", "to", "planned_s", "actual_s", "local_replans", "aborted",
-                "max_surge", "max_sway", "max_yaw_rate_deg", "value_gained"],
-               "%d,%d,%d,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g",
-               [(i, leg.from_id, leg.to_id, leg.planned, leg.actual, leg.local_replans,
-                 leg.aborted, leg.max_surge, leg.max_sway,
-                 math.degrees(leg.max_yaw_rate), leg.value_gained)
-                for i, leg in enumerate(report.legs)])
-    paths.append(p)
-
-    p = out_dir / "ticks.csv"
-    _write_csv(p, sc, seed, ["t", "x", "y", "z", "yaw", "leg"],
-               "%.17g,%.17g,%.17g,%.17g,%.17g,%d", map(tuple, report.ticks.tolist()))
-    paths.append(p)
-
-    p = out_dir / "replans.csv"
-    _write_csv(p, sc, seed, ["t", "kind", "reason"], "%.17g,%s,%s",
-               [(t, _quote(kind), _quote(reason)) for t, kind, reason in report.replans])
-    paths.append(p)
-
-    p = out_dir / "paths.csv"
-    _write_csv(p, sc, seed,
-               ["leg", "sample", "x", "y", "z", "yaw", "pitch", "surge", "sway",
-                "yaw_rate", "t"], "%d,%d" + ",%.17g" * 9, report.path_rows)
-    paths.append(p)
-
-    p = out_dir / "de_traces.csv"
-    _write_csv(p, sc, seed, ["plan", "generation", "best_cost"], "%s,%d,%.17g",
-               _trace_rows(report.de_traces))
-    paths.append(p)
-    return paths
+    _write_record(out_dir / "report.txt", sc, report.seed, [
+        ("success", report.success), ("failure_reason", report.failure_reason),
+        ("global_replans", report.global_replans),
+        ("global_path_time_s", _real(report.path_time)),
+        ("residual_time_s", _real(report.residual_time)),
+        ("total_value", _real(report.total_value)),
+        ("stations_visited", report.stations_visited),
+        ("total_cost", _real(report.total_cost)), ("legs", len(report.legs)),
+        ("sequence", "-".join(str(s) for s in report.executed_sequence))])
+    # (file, columns, row format, rows); each table's rows are built as it is written.
+    tables = [
+        ("legs.csv", ["leg", "from", "to", "planned_s", "actual_s", "local_replans", "aborted",
+                      "max_surge", "max_sway", "max_yaw_rate_deg", "value_gained"],
+         "%d,%d,%d,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g",
+         lambda: [(i, leg.from_id, leg.to_id, leg.planned, leg.actual, leg.local_replans,
+                   leg.aborted, leg.max_surge, leg.max_sway, math.degrees(leg.max_yaw_rate),
+                   leg.value_gained) for i, leg in enumerate(report.legs)]),
+        ("ticks.csv", ["t", "x", "y", "z", "yaw", "leg"], "%.17g,%.17g,%.17g,%.17g,%.17g,%d",
+         lambda: map(tuple, report.ticks.tolist())),
+        ("replans.csv", ["t", "kind", "reason"], "%.17g,%s,%s",
+         lambda: [(t, _quote(kind), _quote(reason)) for t, kind, reason in report.replans]),
+        ("paths.csv", ["leg", "sample", "x", "y", "z", "yaw", "pitch", "surge", "sway",
+                       "yaw_rate", "t"], "%d,%d" + ",%.17g" * 9, lambda: report.path_rows),
+        ("de_traces.csv", *_DE_TRACES, lambda: _trace_rows(report.de_traces)),
+    ]
+    for name, columns, fmt, rows in tables:
+        _write_csv(out_dir / name, sc, report.seed, columns, fmt, rows())
+    return [out_dir / name for name in ["report.txt", *(table[0] for table in tables)]]
 
 
 def run_once(sc: Scenario, seed: int | None, out_dir: Path) -> tuple[MissionReport, list[Path]]:
@@ -187,12 +168,10 @@ def aggregate_rows(rows: list[dict]) -> dict:
 
 
 def _trial_row(trial: int, seed: int, report: MissionReport | None, error: str = "") -> dict:
-    if report is None:
-        return {"trial": trial, "seed": seed, "success": False, "error": error,
-                **{col: math.nan for col in [*_AGG_COLUMNS, "wall_clock"]}, "report": None}
-    return {"trial": trial, "seed": seed, "success": report.success,
-            "error": report.failure_reason,
-            **{col: getattr(report, col) for col in [*_AGG_COLUMNS, "wall_clock"]},
+    """A trial's row; with no report, its error text and NaN for every number."""
+    return {"trial": trial, "seed": seed, "success": getattr(report, "success", False),
+            "error": getattr(report, "failure_reason", error),
+            **{col: getattr(report, col, math.nan) for col in [*_AGG_COLUMNS, "wall_clock"]},
             "report": report}
 
 
@@ -239,14 +218,12 @@ def run_monte_carlo(sc: Scenario, trials: int, base_seed: int, out_dir: Path | N
                    "%d,%d,%d" + ",%.17g" * len(_AGG_COLUMNS) + ",%s",
                    [(*(row[c] for c in cols[:-1]), _quote(row["error"]))
                     for row in summary.rows])
-        lines = [_header(sc, base_seed),
-                 f"trials: {summary.aggregates['trials']}",
-                 f"successes: {summary.aggregates['successes']}",
-                 f"success_rate: {_real(summary.aggregates['success_rate'])}"]
-        for col in _AGG_COLUMNS:
-            agg = summary.aggregates[col]
-            lines.append(f"{col}: mean={_real(agg['mean'])} std={_real(agg['std'])} se={_real(agg['se'])}")
-        (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
+        agg = summary.aggregates
+        _write_record(out_dir / "summary.txt", sc, base_seed, [
+            ("trials", agg["trials"]), ("successes", agg["successes"]),
+            ("success_rate", _real(agg["success_rate"])),
+            *((col, " ".join(f"{k}={_real(agg[col][k])}" for k in ("mean", "std", "se")))
+              for col in _AGG_COLUMNS)])
     return summary
 
 
@@ -283,8 +260,7 @@ def _cmd_plan(sc: Scenario, args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "route.csv", sc, seed, ["leg", "from", "to", "distance_m", "time_s"],
                    "%d,%d,%d,%.17g,%.17g", rows)
-        _write_csv(out / "de_traces.csv", sc, seed, ["plan", "generation", "best_cost"],
-                   "%s,%d,%.17g",
+        _write_csv(out / "de_traces.csv", sc, seed, *_DE_TRACES,
                    _trace_rows((f"global-r{i}", tr) for i, tr in enumerate(plan.traces)))
     return 0
 
@@ -338,28 +314,20 @@ def _cmd_echo(sc: Scenario, args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+def _flag(name: str, cast, rule: Rule):
+    """An argparse type called `name`: `cast` the text, then refuse what `rule` refuses."""
+    def check(text: str):
+        value = cast(text)
+        if not rule.test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule.words}, got {text}")
+        return value
+    check.__name__ = name  # argparse names it in "invalid <name> value"
+    return check
 
 
-def _seed(text: str) -> int:
-    """An argparse type: an integer >= 0, as the random streams take."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
-    return value
-
-
-def _length(text: str) -> float:
-    """An argparse type: a finite real > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+_count = _flag("_count", int, integer(1))
+_seed = _flag("_seed", int, next(f for f in fields(Scenario) if f.name == "seed").metadata["rule"])
+_length = _flag("_length", float, POSITIVE)
 
 
 def build_parser() -> argparse.ArgumentParser:

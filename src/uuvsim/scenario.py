@@ -50,7 +50,7 @@ def _real(*, gt=None, ge=None, le=None) -> Rule:
                                   and (le is None or v <= le)))
 
 
-def _int(ge=None) -> Rule:
+def integer(ge=None) -> Rule:
     return Rule("an integer" + (f" >= {ge}" if ge is not None else ""),
                 lambda v: type(v) is int and (ge is None or v >= ge))
 
@@ -105,10 +105,10 @@ def _key(default, rule: Rule):
     return field(default=default, metadata={"rule": rule})
 
 
-_POSITIVE, _NONNEGATIVE, _UNIT = _real(gt=0), _real(ge=0), _real(ge=0, le=1)
+POSITIVE, _NONNEGATIVE, _UNIT = _real(gt=0), _real(ge=0), _real(ge=0, le=1)
 _FRACTION = _real(gt=0, le=1)
 _STRING = Rule("a string", lambda v: isinstance(v, str))
-_ID_PAIR = _list(_int(), "two station ids", length=2)
+_ID_PAIR = _list(integer(), "two station ids", length=2)
 
 
 # --- the sections --------------------------------------------------------------
@@ -116,28 +116,28 @@ _ID_PAIR = _list(_int(), "two station ids", length=2)
 
 @dataclass
 class FieldSpec:
-    x: float = _key(10_000.0, _POSITIVE)
-    y: float = _key(10_000.0, _POSITIVE)
-    z: float = _key(1_000.0, _POSITIVE)
+    x: float = _key(10_000.0, POSITIVE)
+    y: float = _key(10_000.0, POSITIVE)
+    z: float = _key(1_000.0, POSITIVE)
 
 
 @dataclass
 class MapSpec:
     source: str = _key("synthetic", _one_of("synthetic", "raster"))
     path: str | None = _key(None, _or_null(_STRING))
-    width: int = _key(1000, _int(1))
-    height: int = _key(1000, _int(1))
-    cell_size: float = _key(10.0, _POSITIVE)
-    islands: int = _key(5, _int(0))
+    width: int = _key(1000, integer(1))
+    height: int = _key(1000, integer(1))
+    cell_size: float = _key(10.0, POSITIVE)
+    islands: int = _key(5, integer(0))
     island_radius: list = _key([200.0, 600.0], _pair(_NONNEGATIVE))
-    coast_border: int = _key(0, _int(0))
-    k: int = _key(2, _int(2))
+    coast_border: int = _key(0, integer(0))
+    k: int = _key(2, integer(2))
     water: str = _key("low", _one_of("low", "high"))
 
 
 @dataclass
 class CurrentSpec:
-    window: float = _key(2000.0, _POSITIVE)
+    window: float = _key(2000.0, POSITIVE)
     count: list = _key([2, 5], _pair(_whole(0)))
     radius: list = _key([100.0, 250.0], _pair(_real(ge=1e-9)))
     peak_speed: list = _key([0.05, 0.3], _pair(_NONNEGATIVE))
@@ -146,7 +146,7 @@ class CurrentSpec:
 
 @dataclass
 class ObstacleSpec:
-    count: int = _key(6, _int(0))
+    count: int = _key(6, integer(0))
     kinds: list = _key(["static", "uncertain", "mobile"],
                        _list(_one_of("static", "uncertain", "mobile")))
     radius: list = _key([100.0, 250.0], _pair(_real(ge=1e-9)))
@@ -159,7 +159,7 @@ _DRIFT_BOUND = _list(_NONNEGATIVE, "three numbers", length=3)
 # An explicit station, null reading as absent; where its position lies is the
 # build's point rule.
 _RECORD = _mapping(
-    id=_int(),
+    id=integer(),
     position=Rule("absent, random or a list",
                   lambda v: v in (None, "random") or isinstance(v, list)),
     kind=Rule("absent, fixed or drifting", lambda v: v in (None, "fixed", "drifting")),
@@ -169,12 +169,12 @@ _RECORD = _mapping(
 
 @dataclass
 class NetworkSpec:
-    stations: int | None = _key(20, _or_null(_int(2)))
+    stations: int | None = _key(20, _or_null(integer(2)))
     records: list | None = _key(None, _or_null(_list(_RECORD)))
     edges: list | None = _key(None, _or_null(_list(_ID_PAIR)))
     comm_range: float = _key(3500.0, _NONNEGATIVE)
-    start: int = _key(1, _int())
-    goal: int | None = _key(None, _or_null(_int()))
+    start: int = _key(1, integer())
+    goal: int | None = _key(None, _or_null(integer()))
     value_range: list = _key([1, 5], _pair(_whole(0)))
     drifting_fraction: float = _key(0.5, _UNIT)
     drift_bound: list = _key([300.0, 300.0, 50.0], _DRIFT_BOUND)
@@ -183,23 +183,23 @@ class NetworkSpec:
 
 @dataclass
 class VehicleSpec:
-    max_speed: float = _key(2.82, _POSITIVE)
-    cruise_speed: float = _key(2.2, _POSITIVE)
-    time_budget: float = _key(14_400.0, _POSITIVE)
-    surge_max: float = _key(2.7, _POSITIVE)
-    sway_max: float = _key(0.5, _POSITIVE)
-    yaw_rate_max_deg: float = _key(17.0, _POSITIVE)
+    max_speed: float = _key(2.82, POSITIVE)
+    cruise_speed: float = _key(2.2, POSITIVE)
+    time_budget: float = _key(14_400.0, POSITIVE)
+    surge_max: float = _key(2.7, POSITIVE)
+    sway_max: float = _key(0.5, POSITIVE)
+    yaw_rate_max_deg: float = _key(17.0, POSITIVE)
 
 
 @dataclass
 class DESpec:
-    population: int = _key(50, _int(4))
-    generations: int = _key(200, _int(1))
+    population: int = _key(50, integer(4))
+    generations: int = _key(200, integer(1))
     scale: float = _key(0.7, _real(ge=0, le=2))
     crossover: float = _key(0.9, _UNIT)
-    restarts: int = _key(3, _int(1))
+    restarts: int = _key(3, integer(1))
     # stop a run after this many generations without a new best
-    stall: int | None = _key(None, _or_null(_int(1)))
+    stall: int | None = _key(None, _or_null(integer(1)))
 
 
 @dataclass
@@ -213,22 +213,22 @@ class WeightsSpec:
 
 @dataclass
 class SplineSpec:
-    control_points: int = _key(8, _int(4))
-    degree: int = _key(3, _int(3))
-    samples: int = _key(100, _int())
+    control_points: int = _key(8, integer(4))
+    degree: int = _key(3, integer(3))
+    samples: int = _key(100, integer())
 
 
 @dataclass
 class MissionSpec:
-    dt: float = _key(1.0, _POSITIVE)
+    dt: float = _key(1.0, POSITIVE)
     replan_slack: float = _key(0.05, _NONNEGATIVE)
     nominal_speed_factor: float = _key(0.97, _FRACTION)
-    sensing_radius: float = _key(500.0, _POSITIVE)
+    sensing_radius: float = _key(500.0, POSITIVE)
     budget_margin: float = _key(0.995, _FRACTION)
-    max_global_replans: int = _key(10, _int(0))
-    replan_generation_factor: float = _key(0.5, _POSITIVE)
+    max_global_replans: int = _key(10, integer(0))
+    replan_generation_factor: float = _key(0.5, POSITIVE)
     obstacle_margin: float = _key(20.0, _NONNEGATIVE)
-    edge_failures: list = _key([], _list(_mapping(after_leg=_int(1), edge=_ID_PAIR)))
+    edge_failures: list = _key([], _list(_mapping(after_leg=integer(1), edge=_ID_PAIR)))
 
 
 @dataclass
@@ -240,7 +240,7 @@ class MonteCarloSpec:
 @dataclass
 class Scenario:
     name: str = _key("scenario", _STRING)
-    seed: int = _key(0, _int(0))
+    seed: int = _key(0, integer(0))
     field: FieldSpec = dataclasses.field(default_factory=FieldSpec)
     map: MapSpec = dataclasses.field(default_factory=MapSpec)
     current: CurrentSpec = dataclasses.field(default_factory=CurrentSpec)
@@ -297,6 +297,10 @@ def validate(sc: Scenario) -> Scenario:
     else:
         ids = [rec["id"] for rec in ns.records]
         _require(len(set(ids)) == len(ids), "network.records ids must be unique")
+    # The decoder's walk stops at the goal, so a goal that is the start has no tour.
+    _require(ns.start != (ns.goal if ns.goal is not None else max(ids, default=None)),
+             "network.start and goal must differ (the goal defaults to network.stations "
+             "or the largest record id)")
     _require(ns.comm_range > 0 or ns.edges is not None,
              "network.comm_range must be > 0 when no edge list is given")
     _require(sc.vehicle.cruise_speed <= sc.vehicle.max_speed,
@@ -309,9 +313,17 @@ def validate(sc: Scenario) -> Scenario:
         _require(ns.records is None, "montecarlo.stations redraws generated stations; "
                  "it cannot go with network.records")
         # Redrawn ids are 1..count; a goal of `stations` follows count.
-        lo = sc.montecarlo.stations[0]
-        _require(ns.start <= lo and (ns.goal in (None, ns.stations) or ns.goal <= lo),
+        lo = int(sc.montecarlo.stations[0])
+        follows = ns.goal in (None, ns.stations)
+        _require(ns.start <= lo and (follows or ns.goal <= lo),
                  "network.start and goal must be <= the montecarlo.stations low bound")
+        _require(ns.start < lo or not follows, "network.start must be below the "
+                 "montecarlo.stations low bound when the goal follows the redraw")
+        ids = range(1, lo + 1)
+    # A scripted failure can only fire on an edge between two stations of the network.
+    for i, (a, b) in enumerate(f["edge"] for f in sc.mission.edge_failures):
+        _require(a != b and a in ids and b in ids, f"mission.edge_failures[{i}].edge must be "
+                 f"two different station ids, got {[a, b]}")
     return sc
 
 

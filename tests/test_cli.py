@@ -12,7 +12,9 @@ import uuvsim.mission as mission
 from uuvsim import __version__
 from uuvsim.cli import (aggregate_rows, field_dump, main, run_monte_carlo, run_once)
 from uuvsim.env import current_at
-from uuvsim.scenario import Scenario, build_field, from_dict, resolve_scenario
+from uuvsim.errors import ScenarioValidationError
+from uuvsim.scenario import (POSITIVE, Scenario, build_field, from_dict, integer,
+                             resolve_scenario)
 
 
 def small_scenario(**mission):
@@ -498,6 +500,43 @@ def test_cli_montecarlo_accepts_stations_every_redraw_keeps(tmp_path, capsys, ne
     assert (trial["success"], trial["error"]) == ("1", "")
 
 
+def generated_failure(edge, **network) -> dict:
+    """Generated stations with `network`'s keys and one scripted failure of `edge`."""
+    return {"network": {"stations": 4, **network},
+            "mission": {"edge_failures": [{"after_leg": 1, "edge": edge}]}}
+
+
+@pytest.mark.parametrize("command", ["plan", "run", "montecarlo"])
+@pytest.mark.parametrize("doc, message", [
+    # The decoder's walk stops at the goal: each planned no leg and "succeeded".
+    ({"network": {"stations": 4, "start": 2, "goal": 2}}, "network.start and goal must differ"),
+    ({"network": {"stations": 4, "start": 4}}, "network.start and goal must differ"),
+    ({"network": {**two_records()["network"], "start": 2, "goal": None}},
+     "network.start and goal must differ"),
+    ({"network": {"stations": 5, "start": 2}, "montecarlo": {"stations": [2, 3]}},
+     "network.start must be below the montecarlo.stations low bound when the goal follows "
+     "the redraw"),
+    # Scripted failures of edges no network can hold: each never fired.
+    (generated_failure([1, 99]),
+     "mission.edge_failures[0].edge must be two different station ids, got [1, 99]"),
+    (generated_failure([2, 2]),
+     "mission.edge_failures[0].edge must be two different station ids, got [2, 2]"),
+    (edge_failure(1, [1, 3]),
+     "mission.edge_failures[0].edge must be two different station ids, got [1, 3]"),
+    (generated_failure([1, 5], stations=6, goal=2) | {"montecarlo": {"stations": [4, 6]}},
+     "mission.edge_failures[0].edge must be two different station ids, got [1, 5]"),
+], ids=["goal-is-start", "default-goal-is-start", "last-record-is-start",
+        "redraw-goal-can-be-start", "failure-edge-to-nowhere", "failure-self-edge",
+        "failure-edge-to-no-record", "failure-edge-beyond-redraw"])
+def test_cli_refuses_missions_that_cannot_fly_what_they_say(tmp_path, capsys, command, doc,
+                                                            message):
+    path = small_world_file(tmp_path, doc)
+    argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
+    assert main(argv + (["--trials", "1"] if command == "montecarlo" else [])) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     rc = main(["run", "--scenario", "two_station", "--out", str(tmp_path / "ok")])
     assert rc == 0
@@ -605,6 +644,40 @@ def test_cli_refuses_arguments_that_crash_or_write_nonsense(tmp_path, capsys, ar
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def seed_key_refusal(value):
+    """The words of the `seed` key's refusal of `value`, or None when it takes it."""
+    try:
+        from_dict({"seed": value})
+    except ScenarioValidationError as exc:
+        return str(exc).removeprefix("seed must be ").rsplit(", got ", 1)[0]
+    return None
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-1", "2.5", "1e3", "abc", "nan", "inf"])
+@pytest.mark.parametrize("command, flag, cast, rule", [
+    ("echo", "--seed", int, None),  # the scenario's own seed key
+    ("montecarlo", "--trials", int, integer(1)),
+    ("field-dump", "--extent", float, POSITIVE),
+], ids=["seed", "trials", "extent"])
+def test_a_flag_takes_what_its_rule_takes(capsys, command, flag, cast, rule, text):
+    argv = [command, "--scenario", "two_station", flag, text, *(["100"] * (flag == "--extent"))]
+    try:
+        value = cast(text)
+    except ValueError:  # argparse refuses what the flag's type cannot cast
+        expected = f"{flag}: invalid"
+    else:
+        refused = seed_key_refusal(value) if rule is None else (
+            None if rule.test(value) else rule.words)
+        expected = refused and f"{flag}: must be {refused}, got {text}"
+    if expected is None:
+        assert getattr(cli.build_parser().parse_args(argv), flag[2:]) in (value, [value, 100.0])
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert expected in capsys.readouterr().err
 
 
 def test_cli_montecarlo(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Command line interface: plan, run, montecarlo, field-dump, echo.
 
-Every output file starts with a comment line naming the artifact version,
-scenario and seed.  CSV files are comma-separated with '.' decimals and LF
-line endings; text holding a comma, quote or newline is double-quoted.
+Every file of `plan`, `run`, `montecarlo` and `field-dump` starts with a
+comment line naming the artifact version, scenario and seed; `echo --out`
+writes the bare resolved YAML, which loads as a scenario.  CSV files are
+comma-separated with '.' decimals and LF line endings; text holding a comma,
+quote or newline is double-quoted.
 Identical (scenario, seed) runs produce byte-identical files.
 Exit codes: 0 success, 2 scenario error (invalid, or its world cannot be built),
 3 mission failure, 4 IO error.

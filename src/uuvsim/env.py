@@ -135,10 +135,18 @@ def _initial_centers(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarr
     """Deterministic init: evenly spaced quantiles of the intensity histogram.
 
     `values` are the sorted distinct intensities and `counts` their cells;
-    the quantiles are those of the raster itself.
+    the quantiles are those of the raster itself, bit for bit `np.quantile`'s
+    linear ones: the same virtual index into the sorted cells, whose values
+    the cumulative counts give, and the same two-sided lerp.
     """
     qs = (np.arange(k) + 0.5) / k
-    centers = np.quantile(np.repeat(values, counts), qs, overwrite_input=True)
+    cum = np.cumsum(counts)
+    virtual = (cum[-1] - 1) * qs
+    below = np.floor(virtual)
+    t = virtual - below
+    # Sorted cell i holds the first value whose cumulative count exceeds i.
+    a, b = values[np.searchsorted(cum, (below, np.minimum(below + 1, cum[-1] - 1)), side="right")]
+    centers = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     if len(np.unique(centers)) < k:
         # Mass-concentrated data can collapse quantiles; fall back to an even
         # grid over the distinct values (precondition guarantees >= k of them).

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +32,12 @@ from .network import Arc, Network, _pair, adjacency, dijkstra, shortest_times_to
 # is at most 1 + N (gap <= 1, value term <= N), so the weight is raised to
 # N + 2 past 98 stations; up to there it is exactly this constant.
 OVERTIME_WEIGHT = 100.0
+
+# A plan given seed genes (a warm-started replan) stops after this many
+# generations in a row without a new best.  Replans settle early; initial
+# plans, which take no seed genes, keep their full generations because they
+# still improve late.
+REPLAN_STALL = 20
 
 
 @dataclass(frozen=True)
@@ -212,12 +219,17 @@ class GlobalPlan:
 
 def plan_global(network: Network, start: int, goal: int, time_budget: float, speed: float,
                 config: de.DEConfig, rng: np.random.Generator, restarts: int = 3,
-                visited: frozenset[int] = frozenset()) -> GlobalPlan:
+                visited: frozenset[int] = frozenset(),
+                seed_genes: Sequence[np.ndarray] = ()) -> GlobalPlan:
     """Best route over `restarts` independent DE runs.
 
-    Raises NoFeasibleRouteError when even the minimum-time start-to-goal route
-    exceeds the budget.  Decoding is memoized on the ranking of the keys: two
-    genomes ordering the stations identically decode to the same route.
+    `seed_genes` (a warm start, such as the replaced plan's genes) enter
+    generation 0 of every restart, so the plan never costs more than their
+    decode, and each restart then stops after `REPLAN_STALL` generations
+    without a new best.  Raises NoFeasibleRouteError when even the
+    minimum-time start-to-goal route exceeds the budget.  Decoding is
+    memoized on the ranking of the keys: two genomes ordering the stations
+    identically decode to the same route.
     """
     if not (isinstance(restarts, int) and restarts >= 1):
         raise ValueError("restarts must be an int >= 1")
@@ -254,12 +266,13 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
         return costs
 
     seeds = rng.integers(0, 2**63 - 1, size=restarts)
-    bounded = replace(config, lower=np.zeros(n), upper=np.ones(n))
+    bounded = replace(config, lower=np.zeros(n), upper=np.ones(n),
+                      stall=REPLAN_STALL if len(seed_genes) else config.stall)
 
     best_result: de.DEResult | None = None
     traces: list[list[float]] = []
     for r in range(restarts):
-        result = de.optimize(evaluate, bounded, np.random.default_rng(int(seeds[r])))
+        result = de.optimize(evaluate, bounded, np.random.default_rng(int(seeds[r])), seed_genes)
         traces.append(result.trace)
         if best_result is None or result.best.cost < best_result.best.cost:
             best_result = result

@@ -2,8 +2,9 @@
 
 Runs the plan/execute/replan loop: a global route over the network, a local
 path per leg, tick-level traversal with obstacle motion and hazard-triggered
-local replans, and station-level global replans whenever a leg overran its
-plan, the remaining route broke, or the remaining budget no longer covers it.
+local replans, and station-level global replans, warm-started from the plan
+they replace, whenever a leg overran its plan, the remaining route broke, or
+the remaining budget no longer covers it.
 A leg no local path reaches (at its nominal horizon, then at horizon 0, or
 after a retreat from mid-leg) has its edge excluded until the world next moves,
 and the route is replanned without it.  All timing is accounted against the
@@ -167,6 +168,7 @@ class _Executor:
         # pocket); blocked only for planning and cleared once the world moves.
         self.blocked: set[tuple[int, int]] = set()
         self.local_plans = 0
+        self.seed_genes: tuple[np.ndarray, ...] = ()  # the last global plan's best genes
         self.report = MissionReport(scenario=sc.name, seed=seed)
         self.tick_blocks = [self.report.ticks]  # the tick table, one block per path flown
         self.rows_at_arrival = 0  # legs.csv rows when the last station was reached
@@ -182,13 +184,15 @@ class _Executor:
         return cfg
 
     def _plan_route(self, start: int, generations_factor: float = 1.0) -> GlobalPlan:
+        """A route from `start`; a replan is warm-started from the last plan's genes."""
         cfg = self._de_config(self.sc.de_global, generations_factor)
         rng = seeding.stream(self.seed, seeding.DE_GLOBAL, self.report.global_replans)
         planning_net = self._planning_network()
         plan = plan_global(planning_net, start, planning_net.goal_id,
                            (self.budget - self.elapsed) * self.sc.mission.budget_margin,
                            self.speed, cfg, restarts=self.sc.de_global.restarts, rng=rng,
-                           visited=frozenset(self.visited))
+                           visited=frozenset(self.visited), seed_genes=self.seed_genes)
+        self.seed_genes = (plan.genes,)
         for i, trace in enumerate(plan.traces):
             self.report.de_traces.append((f"global-{self.report.global_replans}-r{i}", trace))
         return plan

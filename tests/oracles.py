@@ -453,6 +453,16 @@ def reference_cluster_map(raster: GridMap, k: int, max_iters: int = 100):
     return labels, centers, trace
 
 
+def reference_initial_centers(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """`cluster_map`'s quantile init before it read the cumulative counts:
+    `np.quantile` over the histogram repeated out to one value per cell."""
+    qs = (np.arange(k) + 0.5) / k
+    centers = np.quantile(np.repeat(values, counts), qs, overwrite_input=True)
+    if len(np.unique(centers)) < k:
+        centers = values[np.round(np.linspace(0, len(values) - 1, k)).astype(int)]
+    return centers.astype(float)
+
+
 def kmeans_objective(raster: GridMap, center_trace) -> list[float]:
     """Each iteration's squared-error objective, from the centres it assigned with.
 

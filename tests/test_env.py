@@ -15,9 +15,10 @@ from uuvsim.env import (ClusteredMap, GridMap, Obstacle, ObstacleColumns, Vortex
                         step_obstacles, synthesize_raster)
 from uuvsim import seeding
 from uuvsim.errors import KTooLargeError, ScenarioValidationError
-from uuvsim.scenario import resolve_scenario
+from uuvsim.scenario import build_map, resolve_scenario
 from tests.oracles import (kmeans_objective, reference_cluster_map, reference_current_grid,
-                           reference_step_obstacles, reference_synthesize_raster)
+                           reference_initial_centers, reference_step_obstacles,
+                           reference_synthesize_raster)
 
 
 def grid_from(values, cell_size=1.0, depth=100.0) -> GridMap:
@@ -97,6 +98,33 @@ def test_cluster_map_matches_reference_kmeans(seed, k, water, levels, shape, pap
     assert cm.water_label == water_label
     np.testing.assert_array_equal(cm.occupancy,
                                   np.where(labels.reshape(shape) == water_label, 0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(-300, 300).map(float),
+                                 st.floats(-1e6, 1e6, allow_nan=False)),
+                       min_size=2, max_size=40, unique=True),
+       counts=st.lists(st.one_of(st.integers(1, 5), st.integers(1, 200_000)),
+                       min_size=40, max_size=40),
+       k_draw=st.integers(0, 38))
+def test_initial_centers_equal_the_quantiles_of_the_repeated_histogram(values, counts, k_draw):
+    # Read from the cumulative counts, the quantiles are np.quantile's linear
+    # ones bit for bit, the collapsed-quantile fallback included.
+    values = np.unique(values)
+    counts = np.array(counts[:values.size])
+    k = 2 + k_draw % (values.size - 1)
+    got = env_module._initial_centers(values, counts, k)
+    want = reference_initial_centers(values, counts, k)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name, seed", [("paper_baseline", 42), ("paper_baseline", 43),
+                                        ("paper_baseline", 20180520), ("two_station", 1)])
+def test_bundled_worlds_cluster_as_from_the_repeated_histogram(monkeypatch, name, seed):
+    sc = resolve_scenario(name)
+    trace = build_map(sc, seed).center_trace
+    monkeypatch.setattr(env_module, "_initial_centers", reference_initial_centers)
+    assert build_map(sc, seed).center_trace == trace
 
 
 def test_cluster_map_memory_on_the_paper_raster():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import uuvsim.global_planner as gp
 from uuvsim.de import DEConfig
 from uuvsim.errors import NoFeasibleRouteError, UndecodableError
-from uuvsim.global_planner import Route, decode_graph, decode_route, plan_global, walk_cost
+from uuvsim.global_planner import (REPLAN_STALL, Route, decode_graph, decode_route, plan_global,
+                                   walk_cost)
 from uuvsim.network import consume_edge
 from tests.oracles import best_walk_cost, reference_decode_route
 from tests.oracles import walk_cost as reference_walk_cost
@@ -472,3 +473,60 @@ def test_plan_matches_enumeration_on_small_network():
     assert plan.cost == pytest.approx(
         reference_walk_cost(plan.route.time, plan.route.total_value, net.size, budget),
         rel=1e-12)
+
+
+# --- warm-started plans -----------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=decode_networks(), ends=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+       speed=st.sampled_from([0.5, 1.0, 2.2]), budget=st.floats(1.0, 30_000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_warm_plan_never_costs_more_than_its_seed_genes(net, ends, speed, budget, seed):
+    # The seed genes enter generation 0 of every restart, so the replaced
+    # plan's route (their decode) is a candidate that only a cheaper route beats.
+    n = net.size
+    start, goal = ends[0] % n + 1, ends[1] % n + 1
+    graph = decode_graph(net, goal, speed)
+    if graph.to_goal.get(start, math.inf) > budget:
+        return  # refused before any search
+    rng = np.random.default_rng(seed)
+    genes = tied_keys(rng, n)
+    visited = frozenset(rng.integers(1, n + 1, size=n // 2).tolist())
+    try:
+        route = decode_route(genes, graph, start, budget, visited)
+        seeded = walk_cost(route.time, route.total_value, n, budget)
+    except UndecodableError:
+        seeded = math.inf
+    try:
+        plan = plan_global(net, start, goal, budget, speed, de_cfg(pop=4, gens=1),
+                           rng=rng, restarts=2, visited=visited, seed_genes=(genes,))
+    except NoFeasibleRouteError:  # no genome decoded, the seed genes included
+        assert seeded == math.inf
+        return
+    assert plan.cost <= seeded
+
+
+def test_warm_plan_stops_after_replan_stall_generations_without_a_new_best():
+    rng = np.random.default_rng(8)
+    positions = rng.uniform(0, 3000, size=(7, 3))
+    edges = [(i, j) for i in range(1, 8) for j in range(i + 1, 8) if rng.random() < 0.6]
+    net = line_network(positions, [*edges, (1, 7)], start=1, goal=7,
+                       values=list(rng.integers(1, 6, 7).astype(float)))
+    budget = 2.5 * float(np.linalg.norm(positions[0] - positions[6]))
+    cold = plan_global(net, 1, 7, budget, 1.5, de_cfg(pop=10, gens=120), restarts=3,
+                       rng=np.random.default_rng(1))
+    assert [len(t) for t in cold.traces] == [121] * 3  # a cold plan runs every generation
+    warm = plan_global(net, 1, 7, budget, 1.5, de_cfg(pop=10, gens=120), restarts=3,
+                       rng=np.random.default_rng(1), seed_genes=(cold.genes,))
+    assert warm.cost <= cold.cost
+    for trace in warm.traces:
+        # The last new best stands for exactly REPLAN_STALL generations.
+        last_best = len(trace) - 1 - REPLAN_STALL
+        assert last_best >= 0 and len(set(trace[last_best:])) == 1
+        assert last_best == 0 or trace[last_best - 1] > trace[last_best]
+    # A settled warm start: the seeded route is the only route, so generation 0 holds the best.
+    line = line_network([(0, 0, 0), (500, 0, 0)], [(1, 2)])
+    settled = plan_global(line, 1, 2, 1e4, 2.0, de_cfg(gens=120), rng=np.random.default_rng(0),
+                          restarts=2, seed_genes=(np.array([0.3, 0.6]),))
+    assert [len(t) for t in settled.traces] == [1 + REPLAN_STALL] * 2

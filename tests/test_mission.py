@@ -1,3 +1,5 @@
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,14 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uuvsim.errors import NoFeasiblePathError
+from uuvsim.errors import NoFeasiblePathError, UndecodableError
 import uuvsim.mission as mission_module
 from uuvsim.env import (EnvSnapshot, Obstacle, ObstacleColumns, VortexField, VortexParams,
                         cluster_map, current_at, step_obstacles)
+from uuvsim.global_planner import decode_graph, decode_route, walk_cost
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
                                   replan_local, straight_genes)
 from uuvsim.mission import (LegOutcome, _Executor, _hazard, path_ticks, run_mission,
                             should_replan_global)
+from uuvsim.network import edge_length
 from uuvsim.scenario import from_dict, resolve_scenario
 from tests.oracles import (reference_position_at_time, reference_sample_index_at_time,
                           reference_ticks)
@@ -578,3 +582,80 @@ def test_battery_exhausted_at_a_station_ends_the_mission():
     assert not report.success and report.failure_reason == "battery exhausted at station"
     assert report.global_replans == 0 and report.replans == [] and len(report.legs) == 1
     assert report.executed_sequence == [1, 2] and report.residual_time == 0.0
+
+
+# --- warm-started global replans ----------------------------------------------
+
+
+def route_cost(network, sequence, visited, budget: float, speed: float) -> float:
+    """`walk_cost` of flying `sequence` on `network`, as the route planner scores
+    the same walk; inf when one of its edges is gone, used or masked."""
+    distance = 0.0
+    for a, b in zip(sequence, sequence[1:]):
+        if not network.has_edge(a, b) or network.is_used(a, b):
+            return math.inf
+        distance += edge_length(network.stations[a].position, network.stations[b].position)
+    value, seen = 0.0, set(visited) | {sequence[0]}
+    for s in sequence[1:]:
+        if s not in seen:
+            value += network.stations[s].value
+            seen.add(s)
+    return walk_cost(distance / speed, value, network.size, budget)
+
+
+@functools.lru_cache(maxsize=None)
+def replan_log(name: str, seed: int) -> tuple[dict, ...]:
+    """Fly one mission and record each global replan that planned: its reason,
+    the route it kept (the last plan's stations from the vehicle on), what
+    the seeded genes decode to, the route it returned, and both routes'
+    `walk_cost` over the replan's budget on the network it planned over."""
+    ex = _Executor(resolve_scenario(name), seed)
+    plan_route, replan_global = ex._plan_route, ex._replan_global
+    last, log = {}, []
+
+    def recording_plan_route(start, generations_factor=1.0):
+        plan = plan_route(start, generations_factor)
+        last.update(plan=plan, at=len(ex.report.executed_sequence))
+        return plan
+
+    def recording_replan_global(current, reason, forced):
+        kept_plan = last["plan"]
+        kept = kept_plan.route.sequence[len(ex.report.executed_sequence) - last["at"]:]
+        network, visited = ex._planning_network(), frozenset(ex.visited)
+        budget = (ex.budget - ex.elapsed) * ex.sc.mission.budget_margin
+        try:
+            seeded = decode_route(ex.seed_genes[0], decode_graph(network, network.goal_id, ex.speed),
+                                  current, budget, visited).sequence
+        except UndecodableError:
+            seeded = None
+        ahead = replan_global(current, reason, forced)
+        if last["plan"] is not kept_plan:
+            new = last["plan"].route.sequence
+            new_cost = route_cost(network, new, visited, budget, ex.speed)
+            assert kept[0] == current and new_cost == last["plan"].cost
+            log.append({"reason": reason, "kept": kept, "seeded": seeded, "new": new,
+                        "kept_cost": route_cost(network, kept, visited, budget, ex.speed),
+                        "new_cost": new_cost})
+        return ahead
+
+    ex._plan_route, ex._replan_global = recording_plan_route, recording_replan_global
+    assert ex.run().success
+    return tuple(log)
+
+
+# At the cold-started replans these three each had a "leg overran plan"
+# replan that returned a costlier route than the one it replaced.
+REGRESSED_SEEDS = (20180521, 20180534, 20180548)
+
+
+@pytest.mark.parametrize("seed", REGRESSED_SEEDS)
+def test_overrun_replan_whose_seed_genes_decode_to_the_route_keeps_it(seed):
+    first = replan_log("paper_baseline", seed)[0]
+    assert first["reason"] == "leg overran plan" and first["seeded"] == first["kept"]
+    assert first["new"] == first["kept"]
+
+
+@pytest.mark.parametrize("seed", REGRESSED_SEEDS)
+def test_no_global_replan_returns_a_costlier_route(seed):
+    log = replan_log("paper_baseline", seed)
+    assert log and all(r["new_cost"] <= r["kept_cost"] for r in log)

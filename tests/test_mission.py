@@ -623,9 +623,9 @@ def replan_log(name: str, seed: int) -> tuple[dict, ...]:
         kept = kept_plan.route.sequence[len(ex.report.executed_sequence) - last["at"]:]
         network, visited = ex._planning_network(), frozenset(ex.visited)
         budget = (ex.budget - ex.elapsed) * ex.sc.mission.budget_margin
+        graph = decode_graph(network, network.goal_id, ex.speed)
         try:
-            seeded = decode_route(ex.seed_genes[0], decode_graph(network, network.goal_id, ex.speed),
-                                  current, budget, visited).sequence
+            seeded = decode_route(ex.seed_genes[0], graph, current, budget, visited).sequence
         except UndecodableError:
             seeded = None
         ahead = replan_global(current, reason, forced)
@@ -643,8 +643,8 @@ def replan_log(name: str, seed: int) -> tuple[dict, ...]:
     return tuple(log)
 
 
-# At the cold-started replans these three each had a "leg overran plan"
-# replan that returned a costlier route than the one it replaced.
+# With cold-started replans, each of these three missions had a "leg overran
+# plan" replan that returned a costlier route than the one it replaced.
 REGRESSED_SEEDS = (20180521, 20180534, 20180548)
 
 

@@ -18,14 +18,6 @@ step runs on contiguous rows of one coordinate; a sample is its control
 points' basis-weighted terms summed in order.  The field and collision tests
 take (n, 2) and (n, 3) point rows, handed over as transposed views.
 
-A DE generation arrives as [mutants; trials].  A trial bit-equal to its
-mutant in every gene is not scored again: it takes the mutant's cost, clean
-flag and path.  Elsewhere a trial's spline sample equals its mutant's
-wherever the genes that sample rests on crossed over, so the current field
-is evaluated once per distinct sample: a row with a partner row copies the
-field at every sample that is bit for bit the partner's at the same index.
-Rows do not depend on the rest of their batch, so neither changes a result.
-
 The collision fraction counts a path's samples plus q - 1 evenly spaced
 checkpoints on each segment, q from the path's longest segment.  All samples
 are tested; a segment whose end samples certify it clear of raster edge,
@@ -201,44 +193,42 @@ def _geometry(ctrl: np.ndarray, config: SplineConfig):
     bad = lens < _EPS_LEN
     if np.any(bad):
         c, nseg = lens.shape
-        idx = np.where(~bad, np.arange(nseg)[None, :], -1)
-        idx = np.maximum.accumulate(idx, axis=1)
-        any_valid = (idx >= 0).any(axis=1)
-        first_valid = np.where(any_valid, np.argmax(idx >= 0, axis=1), 0)
-        fill = idx[np.arange(c), first_valid]
-        fill = np.where(fill >= 0, fill, 0)
-        idx = np.where(idx < 0, fill[:, None], idx)
+        idx = np.maximum.accumulate(np.where(bad, -1, np.arange(nseg)), axis=1)
+        # Leading gaps take the first moving segment, or 0 when none moves.
+        idx = np.where(idx < 0, np.argmax(~bad, axis=1)[:, None], idx)
         rows = np.arange(c)[:, None]
         yaw_seg = yaw_seg[rows, idx]
         pitch_seg = pitch_seg[rows, idx]
     return pts, diffs, lens, yaw_seg, pitch_seg
 
 
-def _kinematics(pts, diffs, lens, yaw, partner, weights: LocalCostWeights, env: EnvSnapshot):
+def _kinematics(pts, diffs, lens, yaw, weights: LocalCostWeights, env: EnvSnapshot):
     """Ground-frame kinematics for batched (3, c, S) geometry; yaw is per sample (c,S).
 
     Ground velocity per segment is cruise speed along the tangent plus the
     horizontal current; surge is its tangential component and sway the
     cross-track horizontal current.  A segment whose tangential ground speed
     drops to zero or below marks the whole path stalled (infeasible).
-    Row r with partner[r] >= 0 copies the field at each sample bit-equal to
-    its partner's; a partner row must have no partner itself.
+    A DE generation arrives as [mutants; trials], and a trial's sample equals
+    its mutant's wherever the genes it rests on crossed over.  So row c - h + i
+    (h = c // 2) copies the field at each sample bit-equal to row i's at the
+    same index, and the field is evaluated once per distinct sample; the copy
+    is the value a fresh evaluation would give.
     Returns the per-sample series surge, sway, yaw_rate and times (c,S),
     times[:, 0] == 0, then stalled (c,).
     """
     c, nseg = lens.shape
+    h = c // 2
     safe = np.maximum(lens, _EPS_LEN)
     tx, ty = diffs[0] / safe, diffs[1] / safe
     x, y = pts[0, :, :-1], pts[1, :, :-1]
-    rows = np.flatnonzero(partner >= 0)
-    of = partner[rows]
-    repeat = ((x[rows].view(np.int64) == x[of].view(np.int64))
-              & (y[rows].view(np.int64) == y[of].view(np.int64)))
+    repeat = ((x[c - h:].view(np.int64) == x[:h].view(np.int64))
+              & (y[c - h:].view(np.int64) == y[:h].view(np.int64)))
     fresh = np.ones((c, nseg), dtype=bool)
-    fresh[rows] = ~repeat
+    fresh[c - h:] = ~repeat
     cur = np.empty((2, c, nseg))
     cur[:, fresh] = current_grid(np.stack([x[fresh], y[fresh]]).T, env.field).T
-    cur[:, rows] = np.where(repeat, cur[:, of], cur[:, rows])
+    np.copyto(cur[:, c - h:], cur[:, :h], where=repeat)
     cx, cy = cur
     along = tx * cx + ty * cy
     surge = weights.cruise_speed + along
@@ -385,25 +375,11 @@ def evaluate_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
     the dilated coast, so an accepted path cannot clip a coast corner between
     checkpoints.  A row is clean when it does not stall, no checkpoint
     collides and no kinematic limit is exceeded.
-
-    The matrix is read as [mutants; trials]: row m - h + i (h = m // 2) is
-    the partner of row i.  A row bit-equal to its partner in every gene is
-    not scored; it takes its partner's cost, clean flag and path.
     """
-    mat = np.ascontiguousarray(mat, dtype=float)
-    m = mat.shape[0]
-    h = m // 2
-    dup = np.zeros(m, dtype=bool)
-    dup[m - h:] = (mat[m - h:].view(np.int64) == mat[:h].view(np.int64)).all(axis=1)
-    scored = np.flatnonzero(~dup)  # scored[i] == i for i < m - h
-    src = np.where(dup, np.arange(m) - (m - h), np.cumsum(~dup) - 1)
-    partner = np.where(scored >= m - h, scored - (m - h), -1)
-
-    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(
-        control_points(mat[scored], p_i, p_j, spline), spline)
+    pts, diffs, lens, yaw_seg, pitch_seg = _geometry(control_points(mat, p_i, p_j, spline),
+                                                     spline)
     yaw, pitch = _pad(yaw_seg), _pad(pitch_seg)
-    surge, sway, yaw_rate, times, stalled = _kinematics(pts, diffs, lens, yaw, partner,
-                                                        weights, env)
+    surge, sway, yaw_rate, times, stalled = _kinematics(pts, diffs, lens, yaw, weights, env)
     qs = np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int)
     violation = _violations(pts, qs, env, padded=True)
     # The clamped basis is exactly 1 at both ends, so every row samples the
@@ -414,12 +390,11 @@ def evaluate_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
     clean = ~stalled & (violation <= 0) & (excess.max(axis=1) == 0.0)
 
     def path_of(i: int) -> LocalPath:
-        j = src[i]
-        return LocalPath(points=pts[:, j].T.copy(), yaw=yaw[j], pitch=pitch[j], surge=surge[j],
-                         sway=sway[j], yaw_rate=yaw_rate[j], times=times[j],
-                         duration=float(times[j, -1]))
+        return LocalPath(points=pts[:, i].T.copy(), yaw=yaw[i], pitch=pitch[i], surge=surge[i],
+                         sway=sway[i], yaw_rate=yaw_rate[i], times=times[i],
+                         duration=float(times[i, -1]))
 
-    return costs[src], clean[src], path_of
+    return costs, clean, path_of
 
 
 @dataclass

@@ -72,13 +72,12 @@ class MissionReport:
 def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: Network,
                          remaining_budget: float, speed: float,
                          slack: float = 0.05) -> tuple[bool, str]:
-    """Replan when the leg overran its plan, the route broke, or time ran short.
+    """Replan when the route broke, time ran short, or the leg overran its plan.
 
-    The overrun check allows `slack` relative tolerance; the budget check
-    recomputes the remaining route time over the drifted snapshot.
+    The budget check recomputes the remaining route time over the drifted
+    snapshot; the overrun check allows `slack` relative tolerance.  The two
+    forced triggers come first, so "leg overran plan" is an overrun alone.
     """
-    if leg.actual > leg.planned * (1.0 + slack):
-        return True, "leg overran plan"
     total = 0.0
     for a, b in zip(remaining_route, remaining_route[1:]):
         if not network.has_edge(a, b) or network.is_used(a, b):
@@ -86,6 +85,8 @@ def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: N
         total += edge_metrics(network, a, b, speed)[1]
     if total > remaining_budget:
         return True, "remaining route exceeds budget"
+    if leg.actual > leg.planned * (1.0 + slack):
+        return True, "leg overran plan"
     return False, ""
 
 

@@ -1,12 +1,15 @@
 import functools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uuvsim
 from uuvsim.errors import NoFeasiblePathError, UndecodableError
 import uuvsim.mission as mission_module
 from uuvsim.env import (EnvSnapshot, Obstacle, ObstacleColumns, VortexField, VortexParams,
@@ -136,6 +139,18 @@ def test_replan_on_missing_edge():
     from uuvsim.network import consume_edge
     net = consume_edge(net, 2, 3)
     flag, reason = should_replan_global(leg, [2, 3], net, 10_000.0, 2.0)
+    assert flag and reason == "route edge missing"
+
+
+def test_forced_triggers_win_over_an_overrun():
+    # With the leg overrun too, the reason names the forced trigger, which the
+    # executor may not skip past max_global_replans.
+    net, leg = replan_fixture()
+    leg.actual = 1.5 * leg.planned
+    flag, reason = should_replan_global(leg, [2, 3], net, remaining_budget=400.0, speed=2.0)
+    assert flag and reason == "remaining route exceeds budget"
+    from uuvsim.network import consume_edge
+    flag, reason = should_replan_global(leg, [2, 3], consume_edge(net, 2, 3), 10_000.0, 2.0)
     assert flag and reason == "route edge missing"
 
 
@@ -488,6 +503,29 @@ def test_forced_global_replan_beyond_the_limit_ends_the_mission():
     assert not report.success
     assert report.failure_reason == "replan required (route edge missing) beyond limit"
     assert report.global_replans == 0 and report.executed_sequence == [1, 2]
+
+
+def test_overrun_leg_onto_a_failed_route_edge_ends_the_mission_at_the_limit():
+    # Leg 1->2 overruns (773 s planned, 801 s flown at seed 4) as edge 2-3 of
+    # the route ahead fails.  The missing edge forces the replan, and past
+    # max_global_replans = 0 the mission ends; taken as an unforced overrun,
+    # the route was kept and the next leg flew onto the failed edge.
+    doc = yaml.safe_load((Path(uuvsim.__file__).with_name("scenarios")
+                          / "two_station.yaml").read_text())
+    doc["current"]["peak_speed"] = [0.2, 0.3]
+    doc["network"].update(
+        records=[{"id": 1, "position": [200.0, 200.0, 50.0]},
+                 {"id": 2, "position": [1000.0, 1700.0, 80.0], "value": 5},
+                 {"id": 3, "position": [1800.0, 300.0, 80.0]}],
+        edges=[[1, 2], [2, 3], [1, 3]], goal=3)
+    doc["mission"] = {"max_global_replans": 0, "replan_slack": 0.0,
+                      "nominal_speed_factor": 1.0,
+                      "edge_failures": [{"after_leg": 1, "edge": [2, 3]}]}
+    report = run_mission(from_dict(doc), 4)
+    assert report.executed_sequence == [1, 2]
+    assert report.legs[0].actual > report.legs[0].planned
+    assert not report.success
+    assert report.failure_reason == "replan required (route edge missing) beyond limit"
 
 
 # --- the replan policy's exits ------------------------------------------------

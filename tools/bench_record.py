@@ -1,6 +1,6 @@
 """Record the benchmark of this checkout in one JSON file.
 
-    python3 tools/bench_record.py BENCH_<n>.json
+    python3 tools/bench_record.py BENCH_<n>.json [--against REV]
 
 Run from the repository root. For each of the four workloads and seeds 1-5,
 it runs `python3 perfbench/run.py --workload W --seed i --seconds 20 --trace 0`
@@ -16,10 +16,21 @@ holds the wall time of `cli.run_once` on `paper_baseline` seeds 42, 43 and
 `run_monte_carlo` of `paper_baseline` at jobs 1 and 2, run in this process.
 If any run is not correct or has a failed operation, it writes nothing and
 exits 1.
+
+With `--against REV`, REV is extracted with `git archive` into a temporary
+directory, and each (workload, seed) run is made from there and from this
+checkout in turn, alternating which side goes first, so both sides see the
+same machine phase. Each workload then also holds an `against` block: REV's
+runs and traced per-layer metrics, and per end-to-end metric both sides'
+median and quartiles, the pairs the checkout won, lost and tied in the
+direction `BENCHMARK.json` declares as better, and whether the gap between
+the medians exceeds REV's quartile spread.
 """
 
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
 import platform
@@ -27,6 +38,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -42,14 +54,31 @@ MISSION_SEEDS = (42, 43, 20180520)
 MC_TRIALS = 30
 
 
-def bench(workload: str, seed: int, trace: int) -> tuple[dict, int | None]:
-    """One perfbench run: its result object and, untraced, its round count."""
+def bench(workload: str, seed: int, trace: int, root: Path = ROOT) -> tuple[dict, int | None]:
+    """One perfbench run of the tree at `root`: its result and, untraced, its round count."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS),
                            "--trace", str(trace)],
-                          cwd=ROOT, capture_output=True, text=True, check=True)
+                          cwd=root, capture_output=True, text=True, check=True)
     rounds = re.search(r" (\d+) round\(s\)", done.stdout)
     return json.loads(done.stdout.splitlines()[-1]), rounds and int(rounds.group(1))
+
+
+def run_row(seed: int, result: dict, rounds: int | None) -> dict:
+    return {"seed": seed, "rounds": rounds, "attempted": result["attempted"],
+            "failed": result["failed"], "correct": result["correct"],
+            **{k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def extract(rev: str, into: Path) -> str:
+    """Write the tree of `rev` into `into`; return its commit."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return commit
 
 
 def machine() -> dict:
@@ -97,30 +126,67 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def paired_summary(parent_runs: list[dict], change_runs: list[dict],
+                   better: dict[str, str]) -> dict:
+    """Per end-to-end metric in `better` ("lower" or "higher"): both sides'
+    quartiles, the seeds' pairs the change won, lost and tied, and whether the
+    median gap exceeds the parent's quartile spread."""
+    by_seed = {r["seed"]: r for r in parent_runs}
+    out = {}
+    for name, direction in better.items():
+        sign = -1.0 if direction == "lower" else 1.0
+        gains = [sign * (r[name] - by_seed[r["seed"]][name]) for r in change_runs]
+        parent = quartiles([r[name] for r in parent_runs])
+        change = quartiles([r[name] for r in change_runs])
+        out[name] = {"better": direction, "parent": parent, "change": change,
+                     "won": sum(g > 0 for g in gains), "lost": sum(g < 0 for g in gains),
+                     "tied": sum(g == 0 for g in gains),
+                     "gap_exceeds_parent_spread": (abs(change["median"] - parent["median"])
+                                                   > parent["q3"] - parent["q1"])}
+    return out
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        sys.exit(__doc__)
-    out = Path(argv[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--against", metavar="REV")
+    args = parser.parse_args(argv)
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     record, bad = {}, []
-    for workload in WORKLOADS:
-        runs = []
-        for seed in SEEDS:
-            result, rounds = bench(workload, seed, 0)
-            runs.append({"seed": seed, "rounds": rounds, "attempted": result["attempted"],
-                         "failed": result["failed"], "correct": result["correct"],
-                         **{k: m["value"] for k, m in result["metrics"].items()}})
-            print(f"{workload} seed {seed}: {runs[-1]}", file=sys.stderr, flush=True)
-        traced, _ = bench(workload, 1, 1)
-        bad += [f"{workload} seed {r['seed']}" for r in runs if not r["correct"] or r["failed"]]
-        if not traced["correct"] or traced["failed"]:
-            bad.append(f"{workload} traced")
-        names = [k for k in runs[0] if k not in ("seed", "rounds", "attempted", "failed",
-                                                 "correct")]
-        record[workload] = {
-            "end_to_end": {k: quartiles([r[k] for r in runs]) for k in names},
-            "runs": runs,
-            "per_layer_seed_1": {k: m["value"] for k, m in traced["metrics"].items()},
-        }
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp)
+        against = args.against and {"rev": args.against, "commit": extract(args.against, parent)}
+        for workload in WORKLOADS:
+            sides = {"change": ROOT, "parent": parent} if against else {"change": ROOT}
+            runs = {side: [] for side in sides}
+            for k, seed in enumerate(SEEDS):
+                for side in sorted(sides, reverse=k % 2 == 1):  # change first on even k
+                    runs[side].append(run_row(seed, *bench(workload, seed, 0, sides[side])))
+                    print(f"{workload} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr,
+                          flush=True)
+            traced = {side: bench(workload, 1, 1, root)[0] for side, root in sides.items()}
+            for side in sides:
+                label = "" if side == "change" else f"{side} "
+                bad += [f"{label}{workload} seed {r['seed']}" for r in runs[side]
+                        if not r["correct"] or r["failed"]]
+                if not traced[side]["correct"] or traced[side]["failed"]:
+                    bad.append(f"{label}{workload} traced")
+            names = [k for k in runs["change"][0] if k not in ("seed", "rounds", "attempted",
+                                                               "failed", "correct")]
+            layers = {side: {k: m["value"] for k, m in t["metrics"].items()}
+                      for side, t in traced.items()}
+            record[workload] = {
+                "end_to_end": {k: quartiles([r[k] for r in runs["change"]]) for k in names},
+                "runs": runs["change"],
+                "per_layer_seed_1": layers["change"],
+            }
+            if against:
+                record[workload]["against"] = {
+                    "runs": runs["parent"], "per_layer_seed_1": layers["parent"],
+                    "summary": paired_summary(runs["parent"], runs["change"],
+                                              {k: v for k, v in better.items() if k in names}),
+                }
     if bad:
         print(f"not written: incorrect or failed runs: {', '.join(bad)}", file=sys.stderr)
         return 1
@@ -136,8 +202,10 @@ def main(argv: list[str]) -> int:
            "python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "machine": machine(), "src_lines": src_lines,
            "workloads": record, "end_to_end": measured}
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    if against:
+        doc["against"] = against
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 

@@ -27,12 +27,12 @@ misses unbuilt, so only segments near coast or obstacles are subdivided.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from . import de
 from .env import EnvSnapshot, current_grid, points_in_collision
@@ -69,6 +69,8 @@ class SplineConfig:
             raise ValueError("control_count must be >= 4")
         if self.degree < 3:
             raise ValueError("degree must be >= 3")
+        if self.degree >= self.control_count:
+            raise ValueError("degree must be < control_count")
         if self.samples < 10 * self.control_count:
             raise ValueError("samples must be >= 10 * control_count")
 
@@ -145,11 +147,31 @@ class LocalPath:
 
 @functools.cache
 def basis_matrix(config: SplineConfig) -> np.ndarray:
-    """(control_count, samples) clamped B-spline basis at uniform params."""
+    """(control_count, samples) clamped B-spline basis at uniform params.
+
+    Each sample's column is de Boor's recursion in the operation order of
+    scipy's `BSpline.design_matrix`, so the two are bit-equal; plain float
+    arithmetic never fuses a multiply-add.
+    """
     n, k = config.control_count, config.degree
-    knots = np.concatenate([np.zeros(k), np.linspace(0.0, 1.0, n - k + 1), np.ones(k)])
-    t = np.linspace(0.0, 1.0, config.samples)
-    return np.ascontiguousarray(BSpline.design_matrix(t, knots, k).toarray().T)
+    t = [0.0] * k + np.linspace(0.0, 1.0, n - k + 1).tolist() + [1.0] * k
+    basis = np.zeros((n, config.samples))
+    for s, x in enumerate(np.linspace(0.0, 1.0, config.samples).tolist()):
+        ell = min(bisect.bisect_right(t, x), n) - 1   # t[ell] <= x < t[ell+1]; 1.0 takes the last
+        h = [1.0] + [0.0] * k
+        for j in range(1, k + 1):
+            hh = h[:j]
+            h[0] = 0.0
+            for m in range(1, j + 1):
+                xb, xa = t[ell + m], t[ell + m - j]
+                if xb == xa:
+                    h[m] = 0.0
+                    continue
+                w = hh[m - 1] / (xb - xa)
+                h[m - 1] += w * (xb - x)
+                h[m] = w * (x - xa)
+        basis[ell - k:ell + 1, s] = h
+    return basis
 
 
 def control_points(genes: np.ndarray, endpoint_i, endpoint_j, config: SplineConfig) -> np.ndarray:
@@ -382,8 +404,8 @@ def evaluate_paths(mat: np.ndarray, p_i: np.ndarray, p_j: np.ndarray,
     surge, sway, yaw_rate, times, stalled = _kinematics(pts, diffs, lens, yaw, weights, env)
     qs = np.ceil(lens.max(axis=1) / env.map.grid.cell_size).astype(int)
     violation = _violations(pts, qs, env, padded=True)
-    # The clamped basis is exactly 1 at both ends, so every row samples the
-    # pinned endpoints bit for bit and shares one chord.
+    # The clamped basis weights only the pinned endpoints at the first and
+    # last samples, so every row has the same end samples and shares one chord.
     chord = float(np.linalg.norm(pts[:, 0, -1] - pts[:, 0, 0]))
     costs, excess = _costs(chord, times[:, -1], surge, sway, yaw_rate, stalled, violation,
                            weights)

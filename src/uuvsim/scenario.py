@@ -309,6 +309,8 @@ def validate(sc: Scenario) -> Scenario:
     _require(sc.de_local.restarts == 1, "de_local.restarts must be 1")
     _require(sc.spline.samples >= 10 * sc.spline.control_points,
              "spline.samples must be >= 10 * control_points")
+    _require(sc.spline.degree < sc.spline.control_points,
+             "spline.degree must be < control_points")
     if sc.montecarlo.stations is not None:
         _require(ns.records is None, "montecarlo.stations redraws generated stations; "
                  "it cannot go with network.records")

@@ -40,3 +40,13 @@ def test_a_gap_within_the_parent_spread_is_not_flagged():
     assert (got["won"], got["lost"], got["tied"]) == (1, 4, 0)
     assert got["change"]["median"] - got["parent"]["median"] == 1.0
     assert not got["gap_exceeds_parent_spread"]
+
+
+def test_startup_block_holds_each_fresh_process_and_their_median(monkeypatch):
+    monkeypatch.setattr(bench_record, "STARTUP_RUNS", 3)
+    got = bench_record.startup()
+    assert set(got) == {"import_rss_mb", "help_wall_s", "runs"}
+    for name in ("import_rss_mb", "help_wall_s"):
+        runs = got["runs"][name]
+        assert len(runs) == 3 and all(v > 0 for v in runs)
+        assert got[name] == sorted(runs)[1]

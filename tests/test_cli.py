@@ -1,6 +1,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -15,6 +20,22 @@ from uuvsim.env import current_at
 from uuvsim.errors import ScenarioValidationError
 from uuvsim.scenario import (POSITIVE, Scenario, build_field, from_dict, integer,
                              resolve_scenario)
+
+
+def test_the_program_imports_no_scipy():
+    # scipy is the tests' reference for the spline basis, not a runtime
+    # dependency; a stray import would bring back its ~50 MB per process.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import pkgutil, sys, uuvsim\n"
+            "for m in pkgutil.iter_modules(uuvsim.__path__, 'uuvsim.'):\n"
+            "    __import__(m.name)\n"
+            "print(len([m for m in sys.modules if m.startswith('uuvsim.')]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    loaded, scipy_modules = done.stdout.splitlines()
+    assert int(loaded) >= 10 and scipy_modules == "[]"
 
 
 def small_scenario(**mission):

@@ -14,7 +14,7 @@ from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluste
 from uuvsim.errors import NoFeasiblePathError
 from uuvsim.local_planner import (LocalCostWeights, LocalPath, SplineConfig, corridor_bounds,
                                   evaluate_paths, plan_local, replan_local, straight_genes)
-from tests.oracles import reference_evaluate_paths, reference_violations
+from tests.oracles import _reference_basis_matrix, reference_evaluate_paths, reference_violations
 from tests.test_env import grid_from
 
 SPL = SplineConfig(control_count=8, degree=3, samples=100)
@@ -98,6 +98,41 @@ def test_endpoint_interpolation_random_legs():
         path = scored(rng.uniform(lo, hi), p_i, p_j, env)[2]
         assert np.linalg.norm(path.start - p_i) <= 1e-6
         assert np.linalg.norm(path.end - p_j) <= 1e-6
+
+
+def spline_grid():
+    """control_count 4-30 and degree 3-7 at 10 * control_count, 100 and a count
+    (control_count - degree) * m + 1 whose samples land on the interior knots."""
+    for n in range(4, 31):
+        for k in range(3, min(7, n - 1) + 1):
+            on_knots = (n - k) * -(-(10 * n - 1) // (n - k)) + 1
+            for samples in sorted({10 * n, max(100, 10 * n), on_knots}):
+                yield SplineConfig(control_count=n, degree=k, samples=samples)
+
+
+def test_basis_is_bit_equal_to_the_reference_design_matrix():
+    on_knots = 0
+    for config in spline_grid():
+        basis = lp.basis_matrix(config)
+        ref = np.ascontiguousarray(_reference_basis_matrix(config).T)
+        assert basis.flags.c_contiguous and basis.shape == ref.shape, config
+        assert np.array_equal(basis.view(np.int64), ref.view(np.int64)), config
+        # The first and last samples weight only the pinned endpoints, so every
+        # row of a batch shares its end samples and its chord.
+        assert np.flatnonzero(basis[:, 0]).tolist() == [0] and basis[0, 0] == 1.0, config
+        assert np.flatnonzero(basis[:, -1]).tolist() == [config.control_count - 1], config
+        assert basis[-1, -1] in (1.0, np.nextafter(1.0, 0.0)), config
+        knots = np.linspace(0.0, 1.0, config.control_count - config.degree + 1)[1:-1]
+        on_knots += np.isin(np.linspace(0.0, 1.0, config.samples), knots).sum()
+    assert on_knots > 1000
+    assert lp.basis_matrix(SPL)[-1, -1] == 1.0
+
+
+@pytest.mark.parametrize("n, k", [(4, 4), (4, 5), (8, 8)])
+def test_degree_must_be_below_control_count(n, k):
+    with pytest.raises(ValueError, match="degree must be < control_count"):
+        SplineConfig(control_count=n, degree=k, samples=10 * n)
+    assert SplineConfig(control_count=n, degree=n - 1, samples=10 * n).degree == n - 1
 
 
 @pytest.mark.parametrize("field", ["w_surge", "w_sway", "w_yaw", "w_collision"])

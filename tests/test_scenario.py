@@ -128,6 +128,20 @@ def test_validate_spline_sampling_floor():
         from_dict({"spline": {"control_points": 8, "samples": 50}})
 
 
+def test_validate_spline_degree_below_control_points(tmp_path, capsys):
+    # A degree of control_points or more leaves the clamped knot vector too
+    # short for the basis; `run` used to accept it and crash at the first leg.
+    doc = to_dict(resolve_scenario("paper_baseline"))
+    doc["spline"] = {"control_points": 4, "degree": 4, "samples": 100}
+    path = tmp_path / "degree.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--scenario", str(path), "--seed", "42",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "spline.degree must be < control_points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert from_dict({"spline": {"control_points": 4, "degree": 3}}).spline.degree == 3
+
+
 def test_map_extent_must_match_field(tmp_path):
     small = {"field": {"x": 300.0, "y": 200.0, "z": 50.0},
              "map": {"width": 30, "height": 20, "cell_size": 10.0, "coast_border": 1}}

@@ -8,14 +8,17 @@ as its own process, one after another, then each workload once with
 `--trace 1` at seed 1. The file holds, per workload, the median, first and
 third quartile of each end-to-end metric with every run's values and round
 count, the traced per-layer metrics, the commit, whether `src`, `tests` or
-`tools` differ from it (`dirty`), the Python, numpy and scipy versions, the
-machine (architecture, usable CPUs and, where /proc/cpuinfo is readable, the
-CPU model) and the line count of `src/uuvsim/*.py`. Its `end_to_end` block
-holds the wall time of `cli.run_once` on `paper_baseline` seeds 42, 43 and
-20180520 (median of 2 runs) and the trials per minute of a 30-trial
-`run_monte_carlo` of `paper_baseline` at jobs 1 and 2, run in this process.
-If any run is not correct or has a failed operation, it writes nothing and
-exits 1.
+`tools` differ from it (`dirty`), the Python, numpy and PyYAML versions and
+that of scipy, which only the tests' reference basis uses, the machine
+(architecture, usable CPUs and, where /proc/cpuinfo is readable, the CPU
+model) and the line count of `src/uuvsim/*.py`. Its `startup` block holds
+the peak RSS of a fresh process after `import uuvsim.cli` and the wall time
+of `python -m uuvsim.cli --help`, each the median of 5 processes. Its
+`end_to_end` block holds the wall time of `cli.run_once` on `paper_baseline`
+seeds 42, 43 and 20180520 (median of 2 runs) and the trials per minute of a
+30-trial `run_monte_carlo` of `paper_baseline` at jobs 1 and 2, run in this
+process. If any run is not correct or has a failed operation, it writes
+nothing and exits 1.
 
 With `--against REV`, REV is extracted with `git archive` into a temporary
 directory, and each (workload, seed) run is made from there and from this
@@ -24,12 +27,14 @@ same machine phase. Each workload then also holds an `against` block: REV's
 runs and traced per-layer metrics, and per end-to-end metric both sides'
 median and quartiles, the pairs the checkout won, lost and tied in the
 direction `BENCHMARK.json` declares as better, and whether the gap between
-the medians exceeds REV's quartile spread.
+the medians exceeds REV's quartile spread. The top-level `against` block
+holds REV's commit and its `startup` block.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import os
@@ -44,7 +49,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("paper_mission", "route_planning", "leg_planning", "mc_batch")
@@ -52,6 +56,9 @@ SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 20
 MISSION_SEEDS = (42, 43, 20180520)
 MC_TRIALS = 30
+STARTUP_RUNS = 5
+IMPORT_RSS = ("import resource, uuvsim.cli; "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def bench(workload: str, seed: int, trace: int, root: Path = ROOT) -> tuple[dict, int | None]:
@@ -91,6 +98,31 @@ def machine() -> dict:
     except OSError:
         pass
     return {"arch": platform.machine(), "cpus": len(os.sched_getaffinity(0)), "model": model}
+
+
+def startup(root: Path = ROOT) -> dict:
+    """Median over STARTUP_RUNS fresh processes of the tree at `root`: peak RSS
+    (MB, Linux `ru_maxrss`) after `import uuvsim.cli`, and the wall time of
+    `python -m uuvsim.cli --help`."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    rss, walls = [], []
+    for _ in range(STARTUP_RUNS):
+        done = subprocess.run([sys.executable, "-c", IMPORT_RSS], cwd=root, env=env,
+                              capture_output=True, text=True, check=True)
+        rss.append(float(done.stdout))
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "uuvsim.cli", "--help"], cwd=root, env=env,
+                       capture_output=True, check=True)
+        walls.append(time.perf_counter() - start)
+    return {"import_rss_mb": statistics.median(rss), "help_wall_s": statistics.median(walls),
+            "runs": {"import_rss_mb": rss, "help_wall_s": walls}}
+
+
+def version(distribution: str) -> str | None:
+    try:
+        return importlib.metadata.version(distribution)
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
 
 def end_to_end() -> dict:
@@ -187,6 +219,9 @@ def main(argv: list[str]) -> int:
                     "summary": paired_summary(runs["parent"], runs["change"],
                                               {k: v for k, v in better.items() if k in names}),
                 }
+        started = startup()
+        if against:
+            against["startup"] = startup(parent)
     if bad:
         print(f"not written: incorrect or failed runs: {', '.join(bad)}", file=sys.stderr)
         return 1
@@ -200,7 +235,8 @@ def main(argv: list[str]) -> int:
     doc = {"command": f"python3 perfbench/run.py --workload W --seed i --seconds {SECONDS}",
            "seeds": list(SEEDS), "commit": commit, "dirty": bool(changed.strip()),
            "python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__, "machine": machine(), "src_lines": src_lines,
+           "pyyaml": version("PyYAML"), "scipy_test_oracle": version("scipy"),
+           "machine": machine(), "src_lines": src_lines, "startup": started,
            "workloads": record, "end_to_end": measured}
     if against:
         doc["against"] = against

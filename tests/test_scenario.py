@@ -130,7 +130,7 @@ def test_validate_spline_sampling_floor():
 
 def test_validate_spline_degree_below_control_points(tmp_path, capsys):
     # A degree of control_points or more leaves the clamped knot vector too
-    # short for the basis; `run` used to accept it and crash at the first leg.
+    # short for the basis, so `run` must exit 2 before it plans a leg.
     doc = to_dict(resolve_scenario("paper_baseline"))
     doc["spline"] = {"control_points": 4, "degree": 4, "samples": 100}
     path = tmp_path / "degree.yaml"

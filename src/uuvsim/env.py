@@ -89,18 +89,16 @@ class ClusteredMap:
 
         Any point on a true coast cell lies at least one full cell inside the
         dilated region, so checking a path against this mask at sub-cell
-        spacing cannot miss a true-coast crossing between checkpoints.
+        spacing cannot miss a true-coast crossing between checkpoints.  The
+        3 x 3 dilation is separable: down the columns, then along the rows.
+        Each OR reads its shifted operand as it was before the OR, since numpy
+        buffers overlapping operands.
         """
-        occ = self.occupancy == 1
-        padded = occ.copy()
-        padded[1:, :] |= occ[:-1, :]
-        padded[:-1, :] |= occ[1:, :]
-        padded[:, 1:] |= occ[:, :-1]
-        padded[:, :-1] |= occ[:, 1:]
-        padded[1:, 1:] |= occ[:-1, :-1]
-        padded[1:, :-1] |= occ[:-1, 1:]
-        padded[:-1, 1:] |= occ[1:, :-1]
-        padded[:-1, :-1] |= occ[1:, 1:]
+        padded = self.occupancy == 1
+        padded[1:, :] |= padded[:-1, :]
+        padded[:-1, :] |= padded[1:, :]
+        padded[:, 1:] |= padded[:, :-1]
+        padded[:, :-1] |= padded[:, 1:]
         return padded.astype(np.int8)
 
     @functools.cached_property

@@ -151,7 +151,9 @@ def basis_matrix(config: SplineConfig) -> np.ndarray:
 
     Each sample's column is de Boor's recursion in the operation order of
     scipy's `BSpline.design_matrix`, so the two are bit-equal; plain float
-    arithmetic never fuses a multiply-add.
+    arithmetic never fuses a multiply-add.  The first and last columns are
+    exact unit vectors, since a clamped spline interpolates its end control
+    points; the recursion can round the last weight to 1 - 2**-53.
     """
     n, k = config.control_count, config.degree
     t = [0.0] * k + np.linspace(0.0, 1.0, n - k + 1).tolist() + [1.0] * k
@@ -171,6 +173,8 @@ def basis_matrix(config: SplineConfig) -> np.ndarray:
                 h[m - 1] += w * (xb - x)
                 h[m] = w * (x - xa)
         basis[ell - k:ell + 1, s] = h
+    basis[:, 0] = basis[:, -1] = 0.0
+    basis[0, 0] = basis[-1, -1] = 1.0
     return basis
 
 

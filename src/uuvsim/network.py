@@ -199,14 +199,6 @@ def drift_stations(network: Network, fld: VortexField, cmap: ClusteredMap,
     return replace(network, stations=new_stations)
 
 
-def _clear_chord(cmap: ClusteredMap, a, b) -> bool:
-    """True when the horizontal segment a-b stays over water cells, sampled a cell apart."""
-    steps = max(2, int(math.ceil(np.hypot(b[0] - a[0], b[1] - a[1]) / cmap.grid.cell_size)))
-    fr = np.linspace(0.0, 1.0, steps)
-    chord = np.column_stack((a[0] + fr * (b[0] - a[0]), a[1] + fr * (b[1] - a[1])))
-    return not points_in_collision(chord, cmap).any()
-
-
 def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
                   station_count: int | None = None,
                   records: list[dict] | None = None,
@@ -220,8 +212,13 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
     """Build a network from explicit records or a random recipe.
 
     Random stations are uniform over the water volume (resampled off the
-    coast); adjacency is either the explicit edge list or the comm-range rule,
-    which also requires a land-free chord between the stations.  Every station,
+    coast); adjacency is either the explicit edge list or the comm-range rule:
+    stations at most `comm_range` apart whose horizontal chord stays over water
+    cells.  A chord of length L is sampled at max(2, ceil(L / cell_size))
+    fractions, those of `np.linspace(0, 1, steps)`: k * (1 / (steps - 1)), the
+    last exactly 1.  All in-range chords are tested in one pass, and the edge
+    set is built in `combinations` order over the sorted ids, the order
+    `adjacency` numbers edge ids by.  Every station,
     explicit or random, passes the padded point rule: on water a cell clear of
     the coast, so every path endpoint clears the planners' conservative coast
     band, and inside the depth range.  Raises CoastalPlacementError for an
@@ -276,10 +273,19 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
             edges = frozenset(_pair(int(i), int(j)) for i, j in explicit_edges)
         else:
             pos = {sid: st.position for sid, st in stations.items()}
-            edges = frozenset(
-                (a, b) for a, b in itertools.combinations(sorted(stations), 2)
-                if edge_length(pos[a], pos[b]) <= comm_range
-                and _clear_chord(cmap, pos[a], pos[b]))
+            pairs = [(a, b) for a, b in itertools.combinations(sorted(stations), 2)
+                     if edge_length(pos[a], pos[b]) <= comm_range]
+            ends = np.array([(pos[a][:2], pos[b][:2]) for a, b in pairs]).reshape(-1, 2, 2)
+            origin, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+            steps = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / cmap.grid.cell_size)
+                               .astype(np.int64))
+            first = np.cumsum(steps) - steps
+            fr = ((np.arange(steps.sum()) - np.repeat(first, steps))
+                  * np.repeat(1.0 / (steps - 1), steps))
+            fr[first + steps - 1] = 1.0
+            chords = np.repeat(origin, steps, axis=0) + fr[:, None] * np.repeat(d, steps, axis=0)
+            blocked = np.logical_or.reduceat(points_in_collision(chords, cmap), first).tolist()
+            edges = frozenset(pair for pair, bad in zip(pairs, blocked) if not bad)
 
         net = Network(stations=stations, edges=edges, start_id=start, goal_id=goal_id,
                       anchors={sid: st.position for sid, st in stations.items()})

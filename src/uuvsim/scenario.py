@@ -26,6 +26,10 @@ from .errors import ScenarioParseError, ScenarioValidationError
 from .local_planner import LocalCostWeights, SplineConfig
 from .network import Network, build_network
 
+# libyaml's parser when PyYAML was built with it, about 8x faster; both loaders
+# use the one safe constructor, so they build the same documents.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 # --- one rule per key ----------------------------------------------------------
 
@@ -342,7 +346,7 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import BSpline
 
-from uuvsim.env import (EnvSnapshot, GridMap, Obstacle, VortexField, current_at, current_grid,
-                        points_in_collision)
+from uuvsim.env import (ClusteredMap, EnvSnapshot, GridMap, Obstacle, VortexField, current_at,
+                        current_grid, points_in_collision)
 from uuvsim.errors import UndecodableError
 from uuvsim.global_planner import Route
 from uuvsim.local_planner import (_CERT_MARGIN, _EPS_LEN, LocalCostWeights, LocalPath,
                                   SplineConfig, _costs, _pad, yaw_rates)
-from uuvsim.network import Network, _pair
+from uuvsim.network import Network, Station, _pair, edge_length
 
 
 def walk_cost(time: float, value: float, n_stations: int, budget: float) -> float:
@@ -421,6 +422,44 @@ def reference_current_grid(points: np.ndarray, fld: VortexField) -> np.ndarray:
         out[s:s + 512, 0] = np.add.reduce(-coeff * dy, axis=1)
         out[s:s + 512, 1] = np.add.reduce(coeff * dx, axis=1)
     return out
+
+
+# The comm-range rule and the coast dilation as `build_network` and
+# `ClusteredMap.padded_occupancy` computed them before the one-pass chord test
+# and the separable dilation, kept verbatim as their exactness references.
+
+
+def _clear_chord(cmap: ClusteredMap, a, b) -> bool:
+    """True when the horizontal segment a-b stays over water cells, sampled a cell apart."""
+    steps = max(2, int(math.ceil(np.hypot(b[0] - a[0], b[1] - a[1]) / cmap.grid.cell_size)))
+    fr = np.linspace(0.0, 1.0, steps)
+    chord = np.column_stack((a[0] + fr * (b[0] - a[0]), a[1] + fr * (b[1] - a[1])))
+    return not points_in_collision(chord, cmap).any()
+
+
+def reference_comm_edges(cmap: ClusteredMap, stations: dict[int, Station],
+                         comm_range: float) -> frozenset[tuple[int, int]]:
+    """The comm-range edge set, one chord test per in-range pair."""
+    pos = {sid: st.position for sid, st in stations.items()}
+    return frozenset(
+        (a, b) for a, b in itertools.combinations(sorted(stations), 2)
+        if edge_length(pos[a], pos[b]) <= comm_range
+        and _clear_chord(cmap, pos[a], pos[b]))
+
+
+def reference_padded_occupancy(occupancy: np.ndarray) -> np.ndarray:
+    """Occupancy dilated by one cell, one shifted OR per neighbour."""
+    occ = occupancy == 1
+    padded = occ.copy()
+    padded[1:, :] |= occ[:-1, :]
+    padded[:-1, :] |= occ[1:, :]
+    padded[:, 1:] |= occ[:, :-1]
+    padded[:, :-1] |= occ[:, 1:]
+    padded[1:, 1:] |= occ[:-1, :-1]
+    padded[1:, :-1] |= occ[:-1, 1:]
+    padded[:-1, 1:] |= occ[1:, :-1]
+    padded[:-1, :-1] |= occ[1:, 1:]
+    return padded.astype(np.int8)
 
 
 # The k-means of `cluster_map` before it dropped the (n, k) distance matrix,

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import yaml
+
 _spec = importlib.util.spec_from_file_location(
     "bench_record", Path(__file__).resolve().parents[1] / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(_spec)
@@ -50,3 +52,12 @@ def test_startup_block_holds_each_fresh_process_and_their_median(monkeypatch):
         runs = got["runs"][name]
         assert len(runs) == 3 and all(v > 0 for v in runs)
         assert got[name] == sorted(runs)[1]
+
+
+def test_environment_records_whether_pyyaml_has_libyaml():
+    # Scenario parsing, and so setup_s, is faster with libyaml; under --against
+    # the parent's tree is asked the same in a fresh process.
+    got = bench_record.environment()
+    assert got["pyyaml"] == yaml.__version__
+    assert got["pyyaml_libyaml"] is yaml.__with_libyaml__
+    assert {"python", "numpy", "scipy_test_oracle", "machine"} <= set(got)

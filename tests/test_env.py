@@ -17,14 +17,22 @@ from uuvsim import seeding
 from uuvsim.errors import KTooLargeError, ScenarioValidationError
 from uuvsim.scenario import build_map, resolve_scenario
 from tests.oracles import (kmeans_objective, reference_cluster_map, reference_current_grid,
-                           reference_initial_centers, reference_step_obstacles,
-                           reference_synthesize_raster)
+                           reference_initial_centers, reference_padded_occupancy,
+                           reference_step_obstacles, reference_synthesize_raster)
 
 
 def grid_from(values, cell_size=1.0, depth=100.0) -> GridMap:
     arr = np.asarray(values, dtype=float)
     return GridMap(width=arr.shape[1], height=arr.shape[0], cell_size=cell_size,
                    values=arr, depth_extent=depth)
+
+
+def occupancy_map(occupancy, cell_size=1.0, depth=100.0) -> ClusteredMap:
+    """A clustered map whose occupancy is given: 1 is coast, 0 water."""
+    occ = np.asarray(occupancy, dtype=np.int8)
+    return ClusteredMap(grid=GridMap(width=occ.shape[1], height=occ.shape[0],
+                                     cell_size=cell_size, values=occ, depth_extent=depth),
+                        centers=np.array([0.0, 255.0]), k=2, water_label=0)
 
 
 def single_vortex(strength=1.0, radius=1.0, center=(0.0, 0.0)) -> VortexField:
@@ -217,6 +225,33 @@ def test_padded_occupancy_covers_coast_neighbours():
     assert cm.occupancy[1, 1] == 1
     assert cm.padded_occupancy.sum() == 9  # the island plus its 8 neighbours
     assert not point_in_collision((1.5, 0.5), cm) and point_in_collision((1.5, 0.5), cm, padded=True)
+
+
+@st.composite
+def coast_rasters(draw):
+    """A 1-12 x 1-12 occupancy raster: random coast, then coast forced onto
+    some edges and corners."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occ = (rng.random((h, w)) < density).astype(np.int8)
+    edges = (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1],
+             np.s_[0, 0], np.s_[0, -1], np.s_[-1, 0], np.s_[-1, -1])
+    for i in draw(st.sets(st.integers(0, len(edges) - 1))):
+        occ[edges[i]] = 1
+    return occ
+
+
+@settings(max_examples=300, deadline=None)
+@given(occ=coast_rasters())
+@example(occ=np.array([[1]], dtype=np.int8))
+@example(occ=np.array([[0, 1, 0, 0, 1]], dtype=np.int8))
+@example(occ=np.array([[1], [0], [0], [0], [1]], dtype=np.int8))
+def test_separable_dilation_equals_the_eight_shift_reference(occ):
+    padded = occupancy_map(occ).padded_occupancy
+    ref = reference_padded_occupancy(occ)
+    assert padded.dtype == ref.dtype == np.int8
+    assert np.array_equal(padded, ref)
 
 
 # --- current field ----------------------------------------------------------

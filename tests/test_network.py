@@ -4,7 +4,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uuvsim.env import VortexField, VortexParams, cluster_map, current_at, point_in_collision
@@ -13,7 +13,8 @@ from uuvsim.errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeEr
 from uuvsim.global_planner import decode_graph, decode_route
 from uuvsim.network import (Network, Station, adjacency, build_network, consume_edge,
                             drift_stations, edge_metrics, shortest_times_to)
-from tests.test_env import grid_from
+from tests.oracles import reference_comm_edges
+from tests.test_env import grid_from, occupancy_map
 
 
 def open_water_map(n=100, cell=100.0, depth=1000.0):
@@ -290,3 +291,59 @@ def test_build_accepts_random_position_records():
     x, y, z = net.stations[2].position
     assert not point_in_collision((x, y, z), cmap, padded=True)
     assert net.stations[2].value == 4.0
+
+
+@st.composite
+def chord_worlds(draw):
+    """A random coast raster, 1-15 station records on water a cell clear of the
+    coast and a comm range.  Some stations sit on cell edges, and some share a
+    cell with the one before, so their chord is shorter than a cell."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    cell = draw(st.sampled_from([1.0, 0.1, 7.3, 100.0]))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cmap = occupancy_map(rng.random((h, w)) < density, cell, depth=100.0)
+    positions = []
+    for _ in range(draw(st.integers(1, 15))):
+        if positions and rng.random() < 0.2:
+            col, row = (math.floor(c / cell) for c in positions[-1][:2])
+        else:
+            col, row = rng.integers(w), rng.integers(h)
+        fx, fy = (0.0 if rng.random() < 0.3 else rng.random() for _ in range(2))
+        positions.append(((col + fx) * cell, (row + fy) * cell, rng.uniform(0.0, 100.0)))
+    positions = [p for p in positions if not point_in_collision(p, cmap, padded=True)]
+    assume(positions)
+    records = [{"id": sid, "position": list(p)} for sid, p in enumerate(positions, start=1)]
+    comm_range = draw(st.sampled_from([0.5, 3.0, 10.0, 40.0, math.inf])) * cell
+    return cmap, records, comm_range
+
+
+def comm_network(cmap, records, comm_range):
+    """build_network's comm-range edges over the records; start = goal keeps
+    every edge set reachable."""
+    return build_network(cmap, np.random.default_rng(0), records=records, start=1, goal=1,
+                         comm_range=comm_range)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=chord_worlds())
+def test_comm_edges_equal_the_per_pair_chord_rule(world):
+    cmap, records, comm_range = world
+    net = comm_network(cmap, records, comm_range)
+    # Same pairs in the same iteration order: `adjacency` numbers edge ids by it.
+    assert list(net.edges) == list(reference_comm_edges(cmap, net.stations, comm_range))
+
+
+def test_comm_edges_on_cell_edges_short_chords_and_coast():
+    # A coast wall along column 6 of a 7 x 13 raster of 10 m cells.  Stations 1
+    # and 2 share a cell (a two-sample chord), 1 sits on a cell corner and 4 on
+    # the raster's last row; 3 is across the wall from the others.
+    occ = np.zeros((7, 13), dtype=np.int8)
+    occ[:, 6] = 1
+    cmap = occupancy_map(occ, 10.0)
+    records = [{"id": 1, "position": [20.0, 20.0, 5.0]}, {"id": 2, "position": [25.0, 25.0, 5.0]},
+               {"id": 3, "position": [100.0, 30.0, 5.0]}, {"id": 4, "position": [40.0, 60.0, 5.0]}]
+    net = comm_network(cmap, records, math.inf)
+    assert net.edges == {(1, 2), (1, 4), (2, 4)}
+    assert list(net.edges) == list(reference_comm_edges(cmap, net.stations, math.inf))
+    assert comm_network(cmap, records, 8.0).edges == {(1, 2)}

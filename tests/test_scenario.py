@@ -11,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uuvsim.scenario as scenario_module
 from uuvsim.cli import main
 from uuvsim.env import point_in_collision
 from uuvsim.errors import ScenarioParseError, ScenarioValidationError
@@ -98,11 +99,35 @@ def test_missing_raster_rejected(tmp_path):
         from_dict({"map": {"source": "raster", "path": str(tmp_path / "nope.grid")}})
 
 
-def test_malformed_yaml_reports_location(tmp_path):
+# The pure-Python parser, and libyaml's where PyYAML was built with it; the
+# loader picks the second when it can.
+LOADERS = [pytest.param(yaml.SafeLoader, id="SafeLoader"),
+           pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                        marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                                 reason="PyYAML built without libyaml"))]
+MC_REDUCED = Path(__file__).parents[1] / "perfbench" / "scenarios" / "mc_reduced.yaml"
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_both_yaml_loaders_build_the_same_scenarios(loader, monkeypatch):
+    bundled = Path(scenario_module.__file__).parent / "scenarios"
+    paths = sorted(bundled.glob("*.yaml")) + [MC_REDUCED]
+    assert len(paths) == 3
+    docs = [yaml.load(path.read_text(), Loader=yaml.SafeLoader) for path in paths]
+    assert [yaml.load(path.read_text(), Loader=loader) for path in paths] == docs
+    monkeypatch.setattr(scenario_module, "_LOADER", loader)
+    assert [load_scenario(path) for path in paths] == [from_dict(doc) for doc in docs]
+
+
+def test_malformed_yaml_reports_location(tmp_path, monkeypatch):
     path = tmp_path / "broken.yaml"
-    path.write_text("name: [unclosed\n")
-    with pytest.raises(ScenarioParseError, match="line"):
-        load_scenario(path)
+    for loader in [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else []):
+        monkeypatch.setattr(scenario_module, "_LOADER", loader)
+        for text, line in [("name: [unclosed\n", 2), ("name: a\nseed: 1\n  bad: [\n", 3),
+                           ("name: 'open\n", 2), ("\t- x\n", 1)]:
+            path.write_text(text)
+            with pytest.raises(ScenarioParseError, match=f"\\(line {line}, column \\d+\\)"):
+                load_scenario(path)
 
 
 def test_paper_baseline_values():

@@ -8,8 +8,10 @@ as its own process, one after another, then each workload once with
 `--trace 1` at seed 1. The file holds, per workload, the median, first and
 third quartile of each end-to-end metric with every run's values and round
 count, the traced per-layer metrics, the commit, whether `src`, `tests` or
-`tools` differ from it (`dirty`), the Python, numpy and PyYAML versions and
-that of scipy, which only the tests' reference basis uses, the machine
+`tools` differ from it (`dirty`), the Python, numpy and PyYAML versions,
+whether that PyYAML has libyaml (`pyyaml_libyaml`: scenario parsing, and so
+`setup_s`, uses it when present), the version of scipy, which only the
+tests' reference basis uses, the machine
 (architecture, usable CPUs and, where /proc/cpuinfo is readable, the CPU
 model) and the line count of `src/uuvsim/*.py`. Its `startup` block holds
 the peak RSS of a fresh process after `import uuvsim.cli` and the wall time
@@ -28,7 +30,7 @@ runs and traced per-layer metrics, and per end-to-end metric both sides'
 median and quartiles, the pairs the checkout won, lost and tied in the
 direction `BENCHMARK.json` declares as better, and whether the gap between
 the medians exceeds REV's quartile spread. The top-level `against` block
-holds REV's commit and its `startup` block.
+holds REV's commit, its `startup` block and its `pyyaml_libyaml`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ MC_TRIALS = 30
 STARTUP_RUNS = 5
 IMPORT_RSS = ("import resource, uuvsim.cli; "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+LIBYAML = "import yaml; print(yaml.__with_libyaml__)"
 
 
 def bench(workload: str, seed: int, trace: int, root: Path = ROOT) -> tuple[dict, int | None]:
@@ -98,6 +101,21 @@ def machine() -> dict:
     except OSError:
         pass
     return {"arch": platform.machine(), "cpus": len(os.sched_getaffinity(0)), "model": model}
+
+
+def libyaml(root: Path = ROOT) -> bool:
+    """Whether the PyYAML a fresh process of the tree at `root` imports has libyaml."""
+    done = subprocess.run([sys.executable, "-c", LIBYAML], cwd=root,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip() == "True"
+
+
+def environment() -> dict:
+    """The versions and the machine this checkout runs on."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "pyyaml": version("PyYAML"), "pyyaml_libyaml": libyaml(),
+            "scipy_test_oracle": version("scipy"), "machine": machine()}
 
 
 def startup(root: Path = ROOT) -> dict:
@@ -222,6 +240,7 @@ def main(argv: list[str]) -> int:
         started = startup()
         if against:
             against["startup"] = startup(parent)
+            against["pyyaml_libyaml"] = libyaml(parent)
     if bad:
         print(f"not written: incorrect or failed runs: {', '.join(bad)}", file=sys.stderr)
         return 1
@@ -234,9 +253,7 @@ def main(argv: list[str]) -> int:
                     for p in sorted((ROOT / "src" / "uuvsim").glob("*.py")))
     doc = {"command": f"python3 perfbench/run.py --workload W --seed i --seconds {SECONDS}",
            "seeds": list(SEEDS), "commit": commit, "dirty": bool(changed.strip()),
-           "python": platform.python_version(), "numpy": np.__version__,
-           "pyyaml": version("PyYAML"), "scipy_test_oracle": version("scipy"),
-           "machine": machine(), "src_lines": src_lines, "startup": started,
+           **environment(), "src_lines": src_lines, "startup": started,
            "workloads": record, "end_to_end": measured}
     if against:
         doc["against"] = against

@@ -25,6 +25,11 @@ from .errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
 _DRIFT_ATTEMPTS = 100
 # Random station placements tried before the goal is declared unreachable.
 _BUILD_ATTEMPTS = 20
+# Comm chords are tested in blocks of at most this many samples (or one longer
+# chord).  Set-up's freed heap stays resident, so one pass over every chord of
+# a 40-station network (4.6 MB of temporaries) would raise every later
+# request's peak RSS.
+_CHORD_SAMPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,10 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
     stations at most `comm_range` apart whose horizontal chord stays over water
     cells.  A chord of length L is sampled at max(2, ceil(L / cell_size))
     fractions, those of `np.linspace(0, 1, steps)`: k * (1 / (steps - 1)), the
-    last exactly 1.  All in-range chords are tested in one pass, and the edge
-    set is built in `combinations` order over the sorted ids, the order
-    `adjacency` numbers edge ids by.  Every station,
+    last exactly 1.  The chords of many pairs are tested together, one
+    `points_in_collision` call per block of at most `_CHORD_SAMPLES` samples,
+    and the edge set is built in `combinations` order over the sorted ids,
+    the order `adjacency` numbers edge ids by.  Every station,
     explicit or random, passes the padded point rule: on water a cell clear of
     the coast, so every path endpoint clears the planners' conservative coast
     band, and inside the depth range.  Raises CoastalPlacementError for an
@@ -279,12 +285,17 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
             origin, d = ends[:, 0], ends[:, 1] - ends[:, 0]
             steps = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / cmap.grid.cell_size)
                                .astype(np.int64))
-            first = np.cumsum(steps) - steps
-            fr = ((np.arange(steps.sum()) - np.repeat(first, steps))
-                  * np.repeat(1.0 / (steps - 1), steps))
-            fr[first + steps - 1] = 1.0
-            chords = np.repeat(origin, steps, axis=0) + fr[:, None] * np.repeat(d, steps, axis=0)
-            blocked = np.logical_or.reduceat(points_in_collision(chords, cmap), first).tolist()
+            per_block = max(1, _CHORD_SAMPLES // int(steps.max(initial=2)))
+            blocked = []
+            for lo in range(0, len(pairs), per_block):
+                block = slice(lo, lo + per_block)
+                n = steps[block]
+                first = np.cumsum(n) - n
+                fr = (np.arange(n.sum()) - np.repeat(first, n)) * np.repeat(1.0 / (n - 1), n)
+                fr[first + n - 1] = 1.0
+                chords = (np.repeat(origin[block], n, axis=0)
+                          + fr[:, None] * np.repeat(d[block], n, axis=0))
+                blocked += np.logical_or.reduceat(points_in_collision(chords, cmap), first).tolist()
             edges = frozenset(pair for pair, bad in zip(pairs, blocked) if not bad)
 
         net = Network(stations=stations, edges=edges, start_id=start, goal_id=goal_id,

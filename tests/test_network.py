@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import uuvsim.network as network_module
 from uuvsim.env import VortexField, VortexParams, cluster_map, current_at, point_in_collision
 from uuvsim.errors import (AlreadyUsedError, CoastalPlacementError, NoSuchEdgeError,
                            UnreachableGoalError)
@@ -326,10 +328,11 @@ def comm_network(cmap, records, comm_range):
 
 
 @settings(max_examples=300, deadline=None)
-@given(world=chord_worlds())
-def test_comm_edges_equal_the_per_pair_chord_rule(world):
+@given(world=chord_worlds(), block=st.sampled_from([1, 64, network_module._CHORD_SAMPLES]))
+def test_comm_edges_equal_the_per_pair_chord_rule(world, block):
     cmap, records, comm_range = world
-    net = comm_network(cmap, records, comm_range)
+    with mock.patch.object(network_module, "_CHORD_SAMPLES", block):
+        net = comm_network(cmap, records, comm_range)
     # Same pairs in the same iteration order: `adjacency` numbers edge ids by it.
     assert list(net.edges) == list(reference_comm_edges(cmap, net.stations, comm_range))
 

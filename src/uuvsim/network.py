@@ -26,10 +26,10 @@ _DRIFT_ATTEMPTS = 100
 # Random station placements tried before the goal is declared unreachable.
 _BUILD_ATTEMPTS = 20
 # Comm chords are tested in blocks of at most this many samples (or one longer
-# chord).  Set-up's freed heap stays resident, so one pass over every chord of
-# a 40-station network (4.6 MB of temporaries) would raise every later
-# request's peak RSS.
-_CHORD_SAMPLES = 1 << 13
+# chord), ~100 bytes of temporaries each: a 40-station `paper_baseline`
+# network (50,000 samples) takes one block, and the memory of a large network's
+# build stays bounded.
+_CHORD_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 One generation is `propose` then `survive`.  `propose` builds each donor as a
 random convex combination of three population members, perturbs it with a
-scaled difference of two further members, clips it to the bounds, and applies
+scaled difference of two further members, clips it to the box, and applies
 binomial crossover against the parent.  `survive` keeps the best of {parent,
 mutant, trial} row by row (ties prefer newer material).  All random draws for
 a generation happen in `propose`, before any cost evaluation, so evaluation
 order can never change the result.
 
+The box (`lower`, `upper`) belongs to the problem, so it is an argument of
+`optimize` and its operators; `DEConfig` holds only the search settings.
 `optimize` runs the configured generations, or stops early once `stall`
 generations in a row have not strictly improved the best, or once the
 caller's `stop` predicate holds after a generation.  Since each generation
@@ -22,8 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError
-
 
 @dataclass
 class DEConfig:
@@ -31,8 +31,6 @@ class DEConfig:
     generations: int = 200
     scale: float = 0.7          # difference-vector amplification, in [0, 2]
     crossover_rate: float = 0.9
-    lower: np.ndarray | None = None  # per-gene bounds
-    upper: np.ndarray | None = None
     stall: int | None = None    # stop after this many generations without a new best
 
     def __post_init__(self):
@@ -47,17 +45,6 @@ class DEConfig:
         # `type(...) is int` turns away bools and whole floats.
         if self.stall is not None and not (type(self.stall) is int and self.stall >= 1):
             raise ValueError("stall must be None or an integer >= 1")
-        if (self.lower is None) != (self.upper is None):
-            raise ValueError("lower and upper bounds must be given together")
-        if self.lower is not None:
-            self.lower = np.asarray(self.lower, dtype=float)
-            self.upper = np.asarray(self.upper, dtype=float)
-            if self.lower.shape != self.upper.shape:
-                raise LengthMismatchError("bounds length mismatch")
-            if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
-                raise ValueError("bounds must be finite")
-            if np.any(self.lower > self.upper):
-                raise ValueError("lower bound exceeds upper bound")
 
 
 @dataclass
@@ -78,29 +65,29 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 Generation = tuple[np.ndarray, np.ndarray]
 
 
-def init_population(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
+def init_population(evaluate: Evaluator, config: DEConfig, lower: np.ndarray,
+                    upper: np.ndarray, rng: np.random.Generator,
                     seed_genes: Sequence[np.ndarray] = ()) -> Generation:
-    """Uniform population over the bounded box, costs evaluated.
+    """Uniform population over the box [lower, upper], costs evaluated.
 
     `seed_genes` overwrite the first members after the uniform draw (used for
     warm starts); the rng consumption is identical either way.
     """
-    n = config.lower.shape[0]
-    genes = config.lower + rng.random((config.population_size, n)) * (config.upper - config.lower)
+    genes = lower + rng.random((config.population_size, lower.shape[0])) * (upper - lower)
     for i, sg in enumerate(seed_genes):
         if i >= config.population_size:
             break
-        genes[i] = np.clip(np.asarray(sg, dtype=float), config.lower, config.upper)
+        genes[i] = np.clip(np.asarray(sg, dtype=float), lower, upper)
     return genes, evaluate(genes)
 
 
-def propose(genes: np.ndarray, config: DEConfig,
+def propose(genes: np.ndarray, config: DEConfig, lower: np.ndarray, upper: np.ndarray,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One generation's (mutants, trials) for a (P, n) population.
 
     Row p's donor is a convex combination of three distinct members with
     U(0,1) weights; its mutant adds `scale` times the difference of two
-    distinct members and is clipped to the bounds; its trial takes one forced
+    distinct members and is clipped to the box; its trial takes one forced
     gene, and each other gene with probability `crossover_rate`, from the
     mutant and the rest from the parent.
     """
@@ -119,7 +106,7 @@ def propose(genes: np.ndarray, config: DEConfig,
     w = lam / lam.sum(axis=1, keepdims=True)
     donors = np.einsum("pk,pkn->pn", w, genes[trio])
     mutants = donors + config.scale * (genes[pair[:, 0]] - genes[pair[:, 1]])
-    np.clip(mutants, config.lower, config.upper, out=mutants)
+    np.clip(mutants, lower, upper, out=mutants)
     trials = np.where(cross, mutants, genes)
     return mutants, trials
 
@@ -136,23 +123,31 @@ def survive(parents: Generation, mutants: Generation, trials: Generation) -> Gen
     return new_genes, new_costs
 
 
-def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
+def optimize(evaluate: Evaluator, config: DEConfig, lower: np.ndarray, upper: np.ndarray,
+             rng: np.random.Generator,
              seed_genes: Sequence[np.ndarray] = (),
              stop: Callable[[list[float]], bool] | None = None) -> DEResult:
-    """Run the configured generations and return the best-ever individual.
+    """Run the configured generations over [lower, upper]; return the best-ever individual.
 
-    `evaluate` maps a (m, n) gene matrix to its (m,) costs.  With
+    `evaluate` maps a (m, n) gene matrix to its (m,) costs.  The box must be
+    finite, with `lower <= upper` and both of one shape (ValueError).  With
     `config.stall` set, the run ends after the generation that makes
     `stall` in a row without a strictly lower best.  With `stop` given, it
     also ends after a generation once `stop(trace)` is true, where `trace`
     holds the best cost after init and after each generation so far.  The
     returned trace ends where the run did.
     """
-    if config.lower is None:
-        raise ValueError("config bounds are required")
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape != upper.shape:
+        raise ValueError("bounds length mismatch")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("bounds must be finite")
+    if np.any(lower > upper):
+        raise ValueError("lower bound exceeds upper bound")
     pop_n = config.population_size
 
-    genes, costs = init_population(evaluate, config, rng, seed_genes)
+    genes, costs = init_population(evaluate, config, lower, upper, rng, seed_genes)
     evaluations = pop_n
 
     best_i = int(np.argmin(costs))
@@ -161,7 +156,7 @@ def optimize(evaluate: Evaluator, config: DEConfig, rng: np.random.Generator,
     stalled = 0
 
     for _ in range(config.generations):
-        mutants, trials = propose(genes, config, rng)
+        mutants, trials = propose(genes, config, lower, upper, rng)
         cand_costs = evaluate(np.vstack([mutants, trials]))
         evaluations += 2 * pop_n
         genes, costs = survive((genes, costs), (mutants, cand_costs[:pop_n]),

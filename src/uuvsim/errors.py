@@ -29,10 +29,6 @@ class AlreadyUsedError(UUVSimError):
     """Edge was already consumed earlier in the mission."""
 
 
-class LengthMismatchError(UUVSimError):
-    """The lower and upper DE bounds differ in length."""
-
-
 class UndecodableError(UUVSimError):
     """Route genome cannot be decoded into a start-to-goal walk."""
 

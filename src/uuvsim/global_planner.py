@@ -266,13 +266,14 @@ def plan_global(network: Network, start: int, goal: int, time_budget: float, spe
         return costs
 
     seeds = rng.integers(0, 2**63 - 1, size=restarts)
-    bounded = replace(config, lower=np.zeros(n), upper=np.ones(n),
-                      stall=REPLAN_STALL if len(seed_genes) else config.stall)
+    if len(seed_genes):
+        config = replace(config, stall=REPLAN_STALL)
 
     best_result: de.DEResult | None = None
     traces: list[list[float]] = []
     for r in range(restarts):
-        result = de.optimize(evaluate, bounded, np.random.default_rng(int(seeds[r])), seed_genes)
+        result = de.optimize(evaluate, config, np.zeros(n), np.ones(n),
+                             np.random.default_rng(int(seeds[r])), seed_genes)
         traces.append(result.trace)
         if best_result is None or result.best.cost < best_result.best.cost:
             best_result = result

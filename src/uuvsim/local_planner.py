@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -448,7 +448,6 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
     if not np.linalg.norm(p_j - p_i) >= _EPS_LEN:  # NaN included
         raise NoFeasiblePathError(f"zero-length leg from {p_i[:2]} to {p_j[:2]}")
     lo, hi = corridor_bounds(p_i, p_j, env, spline)
-    cfg = replace(config, lower=lo, upper=hi)
     seeds = [straight_genes(p_i, p_j, spline), *seed_genes]
 
     best_clean: dict = {"cost": math.inf, "path": None, "genes": None}
@@ -468,7 +467,7 @@ def plan_local(endpoint_i, endpoint_j, env: EnvSnapshot, weights: LocalCostWeigh
         return (len(trace) > SETTLE_WINDOW and trace[-1] == trace[0]
                 and best_clean["path"] is not None and best_clean["cost"] <= trace[-1])
 
-    result = de.optimize(evaluate, cfg, rng, seed_genes=seeds,
+    result = de.optimize(evaluate, config, lo, hi, rng, seed_genes=seeds,
                          stop=settled if config.stall is not None else None)
     if best_clean["path"] is None:
         raise NoFeasiblePathError(

@@ -229,7 +229,9 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
     the coast, so every path endpoint clears the planners' conservative coast
     band, and inside the depth range.  Raises CoastalPlacementError for an
     explicit position that fails it and UnreachableGoalError when no placement
-    attempt connects start to goal.
+    attempt connects start to goal.  Only a random station under the
+    comm-range rule can change the edges, so only then is a placement retried,
+    up to `_BUILD_ATTEMPTS` times; otherwise one attempt decides.
     """
     extent = cmap.grid.extent
 
@@ -241,8 +243,9 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
                 return x, y, float(rng.uniform(0.0, cmap.grid.depth_extent))
         raise CoastalPlacementError("could not sample a water cell; map has no water?")
 
-    last_error: Exception | None = None
-    for _ in range(_BUILD_ATTEMPTS):
+    any_random = records is None or any(r.get("position") in (None, "random") for r in records)
+    attempts = _BUILD_ATTEMPTS if explicit_edges is None and any_random else 1
+    for _ in range(attempts):
         stations: dict[int, Station] = {}
         if records is not None:
             for rec in records:
@@ -302,8 +305,4 @@ def build_network(cmap: ClusteredMap, rng: np.random.Generator, *,
                       anchors={sid: st.position for sid, st in stations.items()})
         if net.goal_reachable():
             return net
-        last_error = UnreachableGoalError(
-            f"goal {goal_id} not reachable from start {start}")
-        if records is not None and explicit_edges is not None:
-            break  # fully explicit: retrying cannot help
-    raise last_error
+    raise UnreachableGoalError(f"goal {goal_id} not reachable from start {start}")

@@ -72,6 +72,31 @@ def test_build_rejects_unreachable_goal():
                       explicit_edges=[(1, 2)], start=1, goal=3)
 
 
+def test_build_with_fixed_positions_tests_the_chords_once():
+    # Two given stations on either side of a coast wall, comm-range edges: no
+    # placement can change the edges, so one chord pass decides.
+    occ = np.zeros((7, 13), dtype=np.int8)
+    occ[:, 6] = 1
+    cmap = occupancy_map(occ, 10.0)
+    records = [{"id": 1, "position": [20.0, 30.0, 5.0]}, {"id": 2, "position": [100.0, 30.0, 5.0]}]
+    with mock.patch.object(network_module, "points_in_collision",
+                           wraps=network_module.points_in_collision) as spy:
+        with pytest.raises(UnreachableGoalError, match="goal 2 not reachable from start 1"):
+            build_network(cmap, np.random.default_rng(0), records=records, start=1, goal=2,
+                          comm_range=math.inf)
+    assert spy.call_count == 1
+
+
+def test_build_generated_stations_with_cut_off_edges_place_once():
+    # Explicit edges do not depend on where the stations fall, so generated
+    # stations are placed once.
+    with mock.patch.object(network_module, "Network", wraps=Network) as built:
+        with pytest.raises(UnreachableGoalError, match="goal 5 not reachable from start 1"):
+            build_network(open_water_map(), np.random.default_rng(0), station_count=5,
+                          explicit_edges=[(1, 2), (2, 3)], start=1, goal=5)
+    assert built.call_count == 1
+
+
 def test_build_generated_twenty_stations():
     cmap = open_water_map()
     net = build_network(cmap, np.random.default_rng(12), station_count=20,

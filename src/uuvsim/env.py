@@ -183,8 +183,6 @@ def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
     once, after the last iteration, with the centres it assigned with.
     """
     flat = np.asarray(raster.values, dtype=float).ravel()
-    if flat.size == 0:
-        raise EmptyRasterError("raster has no cells")
     values, counts = np.unique(flat, return_counts=True)
     if not np.isfinite(values).all():
         raise ValueError("raster intensities must be finite")
@@ -456,14 +454,11 @@ class Obstacle:
         if self.envelope_radius is None:
             object.__setattr__(self, "envelope_radius", self.radius)
 
-    def envelope(self, horizon, current_mag: float, margin: float = 0.0):
-        """This obstacle's `envelope` for a prediction horizon (s), a float or an array."""
-        return envelope(self.kind, self.radius, self.base_radius, self.radius_sigma,
-                        self.motion_sigma, horizon, current_mag, margin)
-
     def inflated(self, horizon: float, current_mag: float, margin: float = 0.0) -> "Obstacle":
-        """Copy whose envelope_radius is envelope(horizon, current_mag, margin)."""
-        return replace(self, envelope_radius=float(self.envelope(horizon, current_mag, margin)))
+        """Copy whose envelope_radius is this obstacle's `envelope` for the horizon (s)."""
+        return replace(self, envelope_radius=float(envelope(
+            self.kind, self.radius, self.base_radius, self.radius_sigma, self.motion_sigma,
+            horizon, current_mag, margin)))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from uuvsim.env import (ClusteredMap, GridMap, Obstacle, ObstacleColumns, Vortex
                         perturb_field, point_in_collision, points_in_collision,
                         step_obstacles, synthesize_raster)
 from uuvsim import seeding
-from uuvsim.errors import KTooLargeError, ScenarioValidationError
+from uuvsim.errors import EmptyRasterError, KTooLargeError, ScenarioValidationError
 from uuvsim.scenario import build_map, resolve_scenario
 from tests.oracles import (kmeans_objective, reference_cluster_map, reference_current_grid,
                            reference_initial_centers, reference_padded_occupancy,
@@ -50,6 +50,13 @@ def test_cluster_two_perfect_groups():
     assert set(np.unique(cm.occupancy)) <= {0, 1}
     # low intensity is water by default
     assert cm.occupancy[0, 0] == 0 and cm.occupancy[1, 0] == 1
+
+
+@pytest.mark.parametrize("height, width", [(0, 3), (3, 0), (0, 0)])
+def test_grid_without_cells_is_refused(height, width):
+    # The raster refuses to exist, so `cluster_map` never sees an empty one.
+    with pytest.raises(EmptyRasterError):
+        grid_from(np.zeros((height, width)))
 
 
 def test_cluster_rejects_k_below_two():

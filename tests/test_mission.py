@@ -341,7 +341,7 @@ def test_hazard_on_the_planned_path_replans_the_leg_around_it():
     assert [r[1:] for r in ex.report.replans] == [("local", "hazard obstacle 9")]
     assert leg.local_replans == 1
     np.testing.assert_array_equal(ex.position, plan.path.end)
-    envelope = blocker.envelope(0.0, 0.0, ex.sc.mission.obstacle_margin)
+    envelope = blocker.inflated(0.0, 0.0, ex.sc.mission.obstacle_margin).envelope_radius
     # The paths table holds the plan's samples, then the replan's, each from sample 0.
     starts = [i for i, row in enumerate(ex.report.path_rows) if row[1] == 0]
     assert starts == [0, len(plan.path.points)]

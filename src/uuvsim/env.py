@@ -527,10 +527,12 @@ class ObstacleColumns:
 
 def step_obstacles(obstacles: ObstacleColumns, fld: VortexField, dt: float,
                    rng: np.random.Generator) -> None:
-    """Advance the obstacles in place by one step of duration dt.
+    """Advance the obstacles in place by one step of duration dt (s).
 
-    Mobile obstacles drift with the local current plus per-step Gaussian
-    jitter of scale motion_sigma * |v_c| on each horizontal axis; uncertain
+    Mobile obstacles drift with the local current plus a Brownian term: on
+    each horizontal axis Gaussian jitter of scale motion_sigma * |v_c| *
+    sqrt(dt), so its variance grows per second of flight whatever the step
+    size, and a 1 s step draws scale motion_sigma * |v_c|.  Uncertain
     obstacles resample their radius around the base value; static obstacles
     hold still.  One standard-normal draw serves the step, its values taken
     in row order and none where a scale is 0: `rng.normal(loc, s)` is
@@ -543,7 +545,8 @@ def step_obstacles(obstacles: ObstacleColumns, fld: VortexField, dt: float,
     obs = obstacles
     obs.track(fld)
     scales = [obs.radius_sigma[i] if kind == "uncertain"
-              else obs.motion_sigma[i] * obs.speed[i] if kind == "mobile" else 0.0
+              else obs.motion_sigma[i] * obs.speed[i] * math.sqrt(dt) if kind == "mobile"
+              else 0.0
               for i, kind in enumerate(obs.kinds)]
     draws = sum(2 if kind == "mobile" else 1
                 for kind, scale in zip(obs.kinds, scales) if scale > 0)

@@ -553,7 +553,10 @@ def reference_synthesize_raster(width: int, height: int, cell_size: float, depth
 
 def reference_step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: float,
                              rng: np.random.Generator) -> list[Obstacle]:
-    """One step as one `current_at` and one `rng.normal` call per obstacle, in list order."""
+    """One step as one `current_at` and one `rng.normal` call per obstacle, in list order.
+
+    A mobile obstacle's jitter is `normal(0, motion_sigma * |v_c| * sqrt(dt))`.
+    """
     out = []
     for obs in obstacles:
         if obs.kind == "static":
@@ -565,7 +568,7 @@ def reference_step_obstacles(obstacles: list[Obstacle], fld: VortexField, dt: fl
             out.append(replace(obs, radius=r, envelope_radius=r))
         else:
             cur = current_at(obs.position[:2], fld)
-            scale = obs.motion_sigma * cur.magnitude
+            scale = obs.motion_sigma * cur.magnitude * math.sqrt(dt)  # Brownian per second
             jitter = rng.normal(0.0, scale, size=2) if scale > 0 else np.zeros(2)
             out.append(replace(obs, position=(obs.position[0] + cur.v_cx * dt + jitter[0],
                                               obs.position[1] + cur.v_cy * dt + jitter[1],

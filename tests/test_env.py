@@ -548,6 +548,20 @@ def test_mobile_obstacle_rides_the_current():
     assert out.position[2] == 10.0
 
 
+@pytest.mark.parametrize("dt", [0.25, 4.0])
+def test_mobile_jitter_is_brownian_per_second(dt):
+    # One step of dt moves a mobile obstacle by v * dt + scale * sqrt(dt) * z bit for
+    # bit, scale being motion_sigma * |v_c| and z the stream's next two normals.
+    fld = single_vortex(strength=10_000.0, radius=1.0, center=(0.0, -500.0))
+    obs = make_obstacle("mobile", position=(3.0, 4.0, 10.0), motion_sigma=0.5)
+    cur = current_at((3.0, 4.0), fld)
+    scale = 0.5 * cur.magnitude
+    zx, zy = np.random.default_rng(11).standard_normal(2).tolist()
+    out = stepped([obs], fld, dt=dt, rng=np.random.default_rng(11))[0]
+    assert out.position == (3.0 + cur.v_cx * dt + scale * math.sqrt(dt) * zx,
+                            4.0 + cur.v_cy * dt + scale * math.sqrt(dt) * zy, 10.0)
+
+
 def test_uncertain_obstacle_resamples_radius_positive():
     cols = ObstacleColumns.of([make_obstacle("uncertain", radius=5.0, radius_sigma=4.0)])
     rng = np.random.default_rng(5)

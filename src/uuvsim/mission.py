@@ -32,6 +32,10 @@ from .scenario import (Scenario, build_field, build_map, build_network_from_spec
                        weights_from_spec)
 
 _MAX_LOCAL_REPLANS_PER_LEG = 20
+# Seconds of mission time between obstacle steps.  The mobile jitter is
+# Brownian per second, so a coarser step integrates the same stochastic model
+# with a coarser Euler-Maruyama step; at or below `mission.dt` every tick steps.
+OBSTACLE_STEP = 10.0
 
 
 @dataclass
@@ -164,6 +168,7 @@ class _Executor:
         # detours) do not overrun every leg's nominal estimate.
         self.speed = sc.vehicle.cruise_speed * sc.mission.nominal_speed_factor
         self.elapsed = 0.0
+        self.unstepped = 0.0  # mission time since the obstacles last stepped
         self.visited: set[int] = set()
         # Edges found locally impassable right now (e.g. a hostile current
         # pocket); blocked only for planning and cleared once the world moves.
@@ -235,7 +240,11 @@ class _Executor:
         rows to the paths table and its limits to the leg's maxima; each tick
         adds its time to `leg.actual`, and each hazard replan counts.  The
         ticks of a path, as far as it was flown, become one block of the tick
-        table.
+        table.  The obstacles step for the time since they last stepped once
+        that reaches `OBSTACLE_STEP`, and on the path's last tick, so each
+        field moves them only for the time flown under it; across a hazard
+        break the time carries over.  The collision and hazard tests read the
+        last stepped obstacles.
         """
         mission = self.sc.mission
         while True:
@@ -259,10 +268,14 @@ class _Executor:
                         raise _MissionAbort("battery exhausted mid-leg")
                     if coast[i] or self.obstacles.contains(*xyz[i]):
                         raise _MissionAbort("collision during execution")
-                    # Obstacles move for the tick's real duration, short on a path's last tick.
-                    step_obstacles(self.obstacles, self.field, step, self.rng_ticks)
-                    if i == len(xyz) - 1:
-                        break  # arrived
+                    self.unstepped += step
+                    arrived = i == len(xyz) - 1
+                    if arrived or self.unstepped >= OBSTACLE_STEP:
+                        step_obstacles(self.obstacles, self.field, self.unstepped,
+                                       self.rng_ticks)
+                        self.unstepped = 0.0
+                    if arrived:
+                        break
                     if allow_replans:
                         hazard = _hazard(points[i], path, taus[i], samples[i], self.obstacles,
                                          mission.sensing_radius, mission.obstacle_margin)

@@ -24,6 +24,7 @@ from uuvsim.scenario import from_dict, resolve_scenario
 from tests.oracles import (reference_position_at_time, reference_sample_index_at_time,
                           reference_ticks)
 from tests.test_env import grid_from
+from tests.test_golden import VARIANTS, artifact_hashes, scenario_file
 from tests.test_network import line_network
 
 
@@ -272,6 +273,64 @@ def test_aborted_path_keeps_the_ticks_it_flew():
     np.testing.assert_array_equal(ticks[:, 4], path.yaw[samples[:n]])
     assert set(ticks[:, 5]) == {4.0}
     np.testing.assert_array_equal(ex.position, pos[n - 1])
+
+
+@pytest.mark.parametrize("scenario, seed, hazard", [("hazard_world", 6, False),
+                                                    ("hazard_world", 26, True),
+                                                    ("two_station", None, False)])
+def test_obstacles_step_on_their_own_clock(scenario, seed, hazard, tmp_path, monkeypatch):
+    # Each obstacle step covers the mission time since the last one, carried across
+    # a hazard break, and every path's arrival steps: on a mission that ends at an
+    # arrival the steps add up to the path time.
+    sc = resolve_scenario(str(scenario_file(scenario, tmp_path)) if scenario in VARIANTS
+                          else scenario)
+    steps = []
+
+    def recording(cols, fld, dt, rng):
+        steps.append(dt)
+        step_obstacles(cols, fld, dt, rng)
+
+    monkeypatch.setattr(mission_module, "step_obstacles", recording)
+    report = run_mission(sc, seed)
+    assert report.success
+    assert any(r[1] == "local" for r in report.replans) == hazard
+    assert sum(steps) == pytest.approx(report.path_time, rel=0.0, abs=1e-9)
+    assert max(steps) <= mission_module.OBSTACLE_STEP + sc.mission.dt
+    paths = sum(row[1] == 0 for row in report.path_rows)
+    assert len(steps) <= math.ceil(report.path_time / mission_module.OBSTACLE_STEP) + paths
+
+
+# `tests/golden.json`'s `run hazard_world` hashes from when the obstacles stepped on
+# every tick, with the Brownian jitter.
+EVERY_TICK_HASHES = {
+    6: {
+        "de_traces.csv": "000a889d4362e0d791916c879f93aafae51dd65db2c15140eaed6741794cd1b9",
+        "field.csv": "5522f40782d5e6cdb95e8c48ecdf680558233ce6854d0d820161e990f1176317",
+        "legs.csv": "91e98d5092aac2d3f498f22e71a2c4c3866256e88dafab700811a882f891b740",
+        "paths.csv": "36a017446829e7ebf00694e78422b5bab504dbe7daf72219b41d74c05118158a",
+        "replans.csv": "2bac3621bff7f4210b3458e6386575c649ae951865ea2f49b1c05100e84f7a6b",
+        "report.txt": "b8400b310d4754cea748c6408f34518ee8fca6193e367ce51f38ac7ad15336e1",
+        "ticks.csv": "41af1fd324e3aa0fae1c662886cc0d75114c7b2559cad4a63dca925bac63be07",
+    },
+    26: {
+        "de_traces.csv": "4fbb90e21d1a035866b45af22acdf0d1794c03196be99da0e82e47b8787b2864",
+        "field.csv": "60fbad1e5627d2207a9afad84503af17ea277c289060e8862e576624299d07d5",
+        "legs.csv": "fb9ab2e7e68a0bed3c8ceda04a3455fe9da3522d4fec6bee1ac1981a9bfa00b9",
+        "paths.csv": "512be827802175bbb4b7066da6836a4472d81e41fccd442bfad7177d6cde56cc",
+        "replans.csv": "36ec9c2f98e1f54c0b585e6e04f0b876540592728aaf9a6ebe6b3524800d464f",
+        "report.txt": "6c0d43cb69d564ca25266c458a85ac0ae774c014c9d0a095dfbf69c533df9fd2",
+        "ticks.csv": "62a0c408d634f7409e283949f217791b1dd340acd7fa1c8379c8190d99702ed2",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EVERY_TICK_HASHES))
+def test_obstacle_step_of_one_tick_flies_the_every_tick_mission(seed, tmp_path, monkeypatch):
+    # OBSTACLE_STEP is the integration step of one model, not a second model: at the
+    # tick's length every tick steps, and the outputs are byte for byte those of
+    # stepping on every tick.
+    monkeypatch.setattr(mission_module, "OBSTACLE_STEP", 1.0)
+    assert artifact_hashes(f"run hazard_world --seed {seed}", tmp_path) == EVERY_TICK_HASHES[seed]
 
 
 @st.composite

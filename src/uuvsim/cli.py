@@ -105,7 +105,8 @@ def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Pa
         ("replans.csv", ["t", "kind", "reason"], "%.17g,%s,%s",
          lambda: [(t, _quote(kind), _quote(reason)) for t, kind, reason in report.replans]),
         ("paths.csv", ["leg", "sample", "x", "y", "z", "yaw", "pitch", "surge", "sway",
-                       "yaw_rate", "t"], "%d,%d" + ",%.17g" * 9, lambda: report.path_rows),
+                       "yaw_rate", "t"], "%d,%d" + ",%.17g" * 9,
+         lambda: map(tuple, report.path_rows.tolist())),
         ("de_traces.csv", *_DE_TRACES, lambda: _trace_rows(report.de_traces)),
     ]
     for name, columns, fmt, rows in tables:

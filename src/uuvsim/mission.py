@@ -68,7 +68,9 @@ class MissionReport:
     legs: list[LegOutcome] = field(default_factory=list)
     ticks: np.ndarray = field(default_factory=lambda: np.empty((0, 6)))  # rows t, x, y, z, yaw, leg
     replans: list[tuple] = field(default_factory=list)    # (t, kind, reason)
-    path_rows: list[tuple] = field(default_factory=list)  # per-sample rows of executed paths
+    # Per-sample rows of executed paths: leg, sample, x, y, z, yaw, pitch, surge, sway,
+    # yaw_rate, t.
+    path_rows: np.ndarray = field(default_factory=lambda: np.empty((0, 11)))
     de_traces: list[tuple] = field(default_factory=list)  # (label, [best costs])
     executed_sequence: list[int] = field(default_factory=list)
 
@@ -176,7 +178,9 @@ class _Executor:
         self.local_plans = 0
         self.seed_genes: tuple[np.ndarray, ...] = ()  # the last global plan's best genes
         self.report = MissionReport(scenario=sc.name, seed=seed)
-        self.tick_blocks = [self.report.ticks]  # the tick table, one block per path flown
+        # The tick and path tables, one block per path flown.
+        self.tick_blocks = [self.report.ticks]
+        self.path_blocks = [self.report.path_rows]
         self.rows_at_arrival = 0  # legs.csv rows when the last station was reached
         # The vehicle: where the last tick left it.
         self.position = self.network.position(self.network.start_id)
@@ -248,9 +252,10 @@ class _Executor:
         """
         mission = self.sc.mission
         while True:
-            rows = np.column_stack((path.points, path.yaw, path.pitch, path.surge, path.sway,
-                                    path.yaw_rate, path.times)).tolist()
-            self.report.path_rows.extend((leg_index, k, *row) for k, row in enumerate(rows))
+            k = np.arange(len(path.times), dtype=float)
+            self.path_blocks.append(np.column_stack(
+                (np.full_like(k, leg_index), k, path.points, path.yaw, path.pitch, path.surge,
+                 path.sway, path.yaw_rate, path.times)))
             leg.max_surge = max(leg.max_surge, float(np.max(path.surge)))
             leg.max_sway = max(leg.max_sway, float(np.max(np.abs(path.sway))))
             leg.max_yaw_rate = max(leg.max_yaw_rate, float(np.max(np.abs(path.yaw_rate))))
@@ -422,6 +427,7 @@ class _Executor:
 
     def _finalize(self, report: MissionReport) -> MissionReport:
         report.ticks = np.concatenate(self.tick_blocks)
+        report.path_rows = np.concatenate(self.path_blocks)
         report.path_time = self.elapsed
         report.residual_time = self.budget - self.elapsed
         report.stations_visited = len(set(report.executed_sequence))

@@ -296,7 +296,7 @@ def test_obstacles_step_on_their_own_clock(scenario, seed, hazard, tmp_path, mon
     assert any(r[1] == "local" for r in report.replans) == hazard
     assert sum(steps) == pytest.approx(report.path_time, rel=0.0, abs=1e-9)
     assert max(steps) <= mission_module.OBSTACLE_STEP + sc.mission.dt
-    paths = sum(row[1] == 0 for row in report.path_rows)
+    paths = int(np.sum(report.path_rows[:, 1] == 0))
     assert len(steps) <= math.ceil(report.path_time / mission_module.OBSTACLE_STEP) + paths
 
 
@@ -402,9 +402,10 @@ def test_hazard_on_the_planned_path_replans_the_leg_around_it():
     np.testing.assert_array_equal(ex.position, plan.path.end)
     envelope = blocker.inflated(0.0, 0.0, ex.sc.mission.obstacle_margin).envelope_radius
     # The paths table holds the plan's samples, then the replan's, each from sample 0.
-    starts = [i for i, row in enumerate(ex.report.path_rows) if row[1] == 0]
+    rows = ex._finalize(ex.report).path_rows
+    starts = np.flatnonzero(rows[:, 1] == 0).tolist()
     assert starts == [0, len(plan.path.points)]
-    replanned = np.array([row[2:5] for row in ex.report.path_rows[starts[1]:]])
+    replanned = rows[starts[1]:, 2:5]
     gap = np.linalg.norm(replanned - np.asarray(blocker.position), axis=1)
     assert gap.min() > envelope
 

@@ -7,9 +7,10 @@
 `uuvsim plan` for `paper_baseline` seed 42 and for a test-only variant of it
 on 40 stations, whose plans divert onto shortest paths far more often, and the
 `uuvsim run` files of a test-only hazard world: the 2 x 2 km two-record world
-of `tests/test_cli.py` with its default six obstacles.  There seed 6 flies one
-hazard replan, and seed 26 meets a hazard whose replan and retreat both find
-no path, so the mission ends trapped mid-leg (exit 3).  Only a
+of `tests/test_cli.py` with its default six obstacles.  There seed 6 flies its
+one leg with no replan, and seed 26 flies one hazard replan; stepped on every
+tick, seed 26 ends trapped mid-leg (exit 3), which
+`tests/test_mission.py` pins at `OBSTACLE_STEP = 1.0`.  Only a
 change that declares an output change may edit the hashes of a case;
 `python -m tests.test_golden`, run from the repo root with `src` on the path,
 prints the current hashes in its format.

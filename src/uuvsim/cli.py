@@ -35,6 +35,11 @@ from .scenario import (POSITIVE, Rule, Scenario, build_field, build_map,
                        resolve_scenario)
 
 
+# _write_csv formats and writes this many rows at a time, so a long table never
+# holds all its row tuples and text at once.
+_WRITE_ROWS = 4096
+
+
 def _real(x: float) -> str:
     return f"{x:.17g}"  # exact float64 round-trip
 
@@ -51,16 +56,22 @@ def _header(sc: Scenario, seed: int) -> str:
 
 
 def _write_csv(path: Path, sc: Scenario, seed: int, columns: list[str], fmt: str, rows) -> None:
-    """The header line, the column names, then `fmt % row` for each row tuple.
+    """The header line, the column names, then `fmt % row` for each row.
 
-    `fmt` formats a whole row: "%d" for indexes, ids and flags, "%.17g" for
-    reals (the exact float64 round-trip; integers print as integers), and
+    `rows` is a list of row tuples or a 2-D array, written _WRITE_ROWS rows
+    at a time; an array's rows become tuples of Python numbers one block at a
+    time.  `fmt` formats a whole row: "%d" for indexes, ids and flags, "%.17g"
+    for reals (the exact float64 round-trip; integers print as integers), and
     "%s" for text that is already `_quote`d.
     """
     line = fmt + "\n"
     with path.open("w", newline="") as fh:
         fh.write(f"{_header(sc, seed)}\n{','.join(columns)}\n")
-        fh.write("".join([line % row for row in rows]))
+        for start in range(0, len(rows), _WRITE_ROWS):
+            block = rows[start:start + _WRITE_ROWS]
+            if isinstance(block, np.ndarray):
+                block = map(tuple, block.tolist())
+            fh.write("".join([line % row for row in block]))
 
 
 def _write_record(path: Path, sc: Scenario, seed: int, items) -> None:
@@ -101,12 +112,12 @@ def write_outputs(report: MissionReport, sc: Scenario, out_dir: Path) -> list[Pa
                    leg.aborted, leg.max_surge, leg.max_sway, math.degrees(leg.max_yaw_rate),
                    leg.value_gained) for i, leg in enumerate(report.legs)]),
         ("ticks.csv", ["t", "x", "y", "z", "yaw", "leg"], "%.17g,%.17g,%.17g,%.17g,%.17g,%d",
-         lambda: map(tuple, report.ticks.tolist())),
+         lambda: report.ticks),
         ("replans.csv", ["t", "kind", "reason"], "%.17g,%s,%s",
          lambda: [(t, _quote(kind), _quote(reason)) for t, kind, reason in report.replans]),
         ("paths.csv", ["leg", "sample", "x", "y", "z", "yaw", "pitch", "surge", "sway",
                        "yaw_rate", "t"], "%d,%d" + ",%.17g" * 9,
-         lambda: map(tuple, report.path_rows.tolist())),
+         lambda: report.path_rows),
         ("de_traces.csv", *_DE_TRACES, lambda: _trace_rows(report.de_traces)),
     ]
     for name, columns, fmt, rows in tables:
@@ -133,8 +144,8 @@ def field_dump(sc: Scenario, seed: int, resolution: int, out_path: Path,
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     vel = current_grid(pts, fld)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    rows = map(tuple, np.column_stack([pts, vel]).tolist())
-    _write_csv(out_path, sc, seed, ["x", "y", "v_cx", "v_cy"], "%.17g,%.17g,%.17g,%.17g", rows)
+    _write_csv(out_path, sc, seed, ["x", "y", "v_cx", "v_cy"], "%.17g,%.17g,%.17g,%.17g",
+               np.column_stack([pts, vel]))
     return out_path
 
 

@@ -37,9 +37,13 @@ _NEAR = 40.0
 _TILE = 8
 
 # Lloyd iterations cluster_map runs at most, and the cells per block of its
-# final labelling pass, whose temporaries stay cache-sized.
+# 8-bit histogram count, whose intp temporary stays cache-sized.
 _KMEANS_ITERS = 100
-_LABEL_BLOCK = 1 << 16
+_COUNT_BLOCK = 1 << 16
+
+# synthesize_raster draws the water normals _DRAW_ROWS raster rows at a time,
+# so the float block it rounds and clips stays cache-sized.
+_DRAW_ROWS = 64
 
 # Two-sided 98% envelope z-score for obstacle position/radius uncertainty.
 CONFIDENCE_Z = 2.05
@@ -47,7 +51,11 @@ CONFIDENCE_Z = 2.05
 
 @dataclass(frozen=True)
 class GridMap:
-    """Raster occupancy grid; `values` is intensity before clustering, 0/1 after."""
+    """Raster occupancy grid; `values` is intensity before clustering, 0/1 after.
+
+    Intensities are uint8 when synthesized and float64 when loaded from a
+    file; the clustered occupancy is int8.
+    """
 
     width: int
     height: int
@@ -155,8 +163,7 @@ def _initial_centers(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarr
 def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the centre nearest each x, by a running strict minimum.
 
-    Ties keep the lower index, as argmin does.  Equal x get equal labels, so
-    labelling a distinct value labels every cell that holds it.
+    Ties keep the lower index, as argmin does.
     """
     labels = np.zeros(x.shape, dtype=np.min_scalar_type(len(centers) - 1))
     best = np.abs(x - centers[0])
@@ -179,11 +186,28 @@ def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
     Cells of one intensity share their label, so the iterations run over the
     intensity histogram: each distinct value is labelled once and a centre is
     (counts . values) / count, which equals the mean of its cells whenever
-    their sum is exact, as for any integer raster.  The cells are labelled
-    once, after the last iteration, with the centres it assigned with.
+    their sum is exact, as for any integer raster.  An 8-bit raster is counted
+    with `np.bincount` in blocks of _COUNT_BLOCK cells; any other is read as
+    float64 and counted by `np.unique`.
+
+    The cells are labelled once, after the last iteration, with the labels it
+    gave the distinct values, by one comparison.  Those labels are a 1-D
+    nearest-centre partition, so each cluster holds a run of the sorted
+    values, and the means of ordered runs are ordered: water, the lowest
+    (highest) centroid, holds the lowest (highest) values, ties included.
+    Coast is every intensity above the largest (below the smallest) of them.
     """
-    flat = np.asarray(raster.values, dtype=float).ravel()
-    values, counts = np.unique(flat, return_counts=True)
+    if raster.values.dtype == np.uint8:
+        cells = raster.values
+        flat = cells.ravel()
+        hist = np.zeros(256, dtype=np.intp)
+        for block in range(0, flat.size, _COUNT_BLOCK):
+            hist += np.bincount(flat[block:block + _COUNT_BLOCK], minlength=256)
+        held = np.flatnonzero(hist)
+        values, counts = held.astype(float), hist[held]
+    else:
+        cells = np.asarray(raster.values, dtype=float)
+        values, counts = np.unique(cells, return_counts=True)
     if not np.isfinite(values).all():
         raise ValueError("raster intensities must be finite")
     if k < 2:
@@ -206,11 +230,13 @@ def cluster_map(raster: GridMap, k: int, water: str = "low") -> ClusteredMap:
             break
 
     water_label = int(np.argmin(centers) if water == "low" else np.argmax(centers))
-    coast = np.empty(flat.size, dtype=bool)
-    for block in range(0, flat.size, _LABEL_BLOCK):
-        cells = slice(block, block + _LABEL_BLOCK)
-        coast[cells] = _nearest(flat[cells], trace[-1]) != water_label
-    grid = replace(raster, values=coast.view(np.int8).reshape(raster.values.shape))
+    water_values = values[labels == water_label]
+    low = water == "low"
+    bound = water_values.max(initial=-np.inf) if low else water_values.min(initial=np.inf)
+    if cells.dtype == np.uint8:  # a Python int bound compares in uint8, not float64
+        bound = int(np.clip(bound, -1, 256))
+    coast = cells > bound if low else cells < bound
+    grid = replace(raster, values=coast.view(np.int8))
     return ClusteredMap(grid=grid, centers=centers, k=k, water_label=water_label,
                         center_trace=tuple(trace))
 
@@ -242,13 +268,18 @@ def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: f
     """Generate a coastline-style intensity raster: dark water, bright land.
 
     Water cells draw from N(40, 12^2), land cells from N(220, 12^2), rounded
-    and clipped to 0..255.  Land is `islands` random discs plus an optional
-    solid border of `coast_border` cells.  Some land must exist, otherwise
-    2-means would split the water noise instead of separating water from coast.
+    and clipped to 0..255 and stored as uint8.  Land is `islands` random discs
+    plus an optional solid border of `coast_border` cells.  Some land must
+    exist, otherwise 2-means would split the water noise instead of separating
+    water from coast.  The water normals are drawn _DRAW_ROWS rows at a time,
+    the same stream as one whole-raster draw.
     """
     if islands <= 0 and coast_border <= 0:
         raise ValueError("synthetic map needs islands or a coast border")
-    vals = rng.normal(40.0, 12.0, size=(height, width))
+    vals = np.empty((height, width), dtype=np.uint8)
+    for row in range(0, height, _DRAW_ROWS):
+        block = rng.normal(40.0, 12.0, size=(min(_DRAW_ROWS, height - row), width))
+        vals[row:row + _DRAW_ROWS] = np.clip(np.rint(block, out=block), 0, 255, out=block)
     land = np.zeros((height, width), dtype=bool)
     if coast_border > 0:
         land[:coast_border, :] = land[-coast_border:, :] = True
@@ -266,8 +297,8 @@ def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: f
         if cols.size and rows.size:
             c, d = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
             land[d, c] |= dx2[None, c] + dy2[d, None] <= r * r
-    vals[land] = rng.normal(220.0, 12.0, size=int(land.sum()))
-    np.clip(np.rint(vals, out=vals), 0, 255, out=vals)
+    peaks = rng.normal(220.0, 12.0, size=np.count_nonzero(land))
+    vals[land] = np.clip(np.rint(peaks, out=peaks), 0, 255, out=peaks)
     return GridMap(width=width, height=height, cell_size=cell_size, values=vals,
                    depth_extent=depth_extent)
 

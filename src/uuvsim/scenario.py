@@ -279,6 +279,14 @@ def _require(cond: bool, message: str):
         raise ScenarioValidationError(message)
 
 
+def _require_map_extent(sc: Scenario, x: float, y: float):
+    """The map's (x, y) span in meters must be the field's: the current field
+    and obstacle placement use `field`, the map and the corridor bounds the map."""
+    _require(math.isclose(x, sc.field.x) and math.isclose(y, sc.field.y),
+             f"map extent {x:g} x {y:g} m (width/height x cell_size) differs from "
+             f"field.x/field.y {sc.field.x:g} x {sc.field.y:g} m")
+
+
 def validate(sc: Scenario) -> Scenario:
     """Check the rules that span keys; returns the scenario for chaining.
 
@@ -290,6 +298,8 @@ def validate(sc: Scenario) -> Scenario:
     else:
         _require(sc.map.islands > 0 or sc.map.coast_border > 0,
                  "synthetic map needs map.islands > 0 or map.coast_border > 0")
+        _require_map_extent(sc, sc.map.width * sc.map.cell_size,
+                            sc.map.height * sc.map.cell_size)
     _require(sc.obstacles.count == 0 or len(sc.obstacles.kinds) > 0,
              "obstacles.kinds must not be empty when obstacles.count > 0")
     ns = sc.network
@@ -380,21 +390,18 @@ def resolve_scenario(ref: str) -> Scenario:
 def build_map(sc: Scenario, seed: int) -> ClusteredMap:
     """Load or synthesize the raster and cluster it into water and coast.
 
-    The raster must span the field extents: the current field and obstacle
-    placement use `field`, the map and the corridor bounds use the raster.
+    A synthetic raster's extent is checked by `validate`; a raster file's
+    size is known only once it is read, so its extent is checked here.
     """
     rng = seeding.stream(seed, seeding.ENV, 0)
     if sc.map.source == "raster":
         raster = load_raster(sc.map.path, sc.map.cell_size, sc.field.z)
+        _require_map_extent(sc, *raster.extent)
     else:
         raster = synthesize_raster(sc.map.width, sc.map.height, sc.map.cell_size, sc.field.z,
                                    rng, islands=sc.map.islands,
                                    island_radius=tuple(sc.map.island_radius),
                                    coast_border=sc.map.coast_border)
-    x, y = raster.extent
-    _require(math.isclose(x, sc.field.x) and math.isclose(y, sc.field.y),
-             f"map extent {x:g} x {y:g} m (width/height x cell_size) differs from "
-             f"field.x/field.y {sc.field.x:g} x {sc.field.y:g} m")
     return cluster_map(raster, sc.map.k, water=sc.map.water)
 
 

@@ -54,6 +54,24 @@ def test_startup_block_holds_each_fresh_process_and_their_median(monkeypatch):
         assert got[name] == sorted(runs)[1]
 
 
+def test_setup_block_times_and_traces_build_map_on_each_side(monkeypatch):
+    # Both sides are this tree here; under --against the parent's is the other.
+    monkeypatch.setattr(bench_record, "SETUP_BUILDS", 3)
+    monkeypatch.setattr(bench_record, "SETUP_CASES", (("two_station", 1), ("paper_baseline", 42)))
+    root = bench_record.ROOT
+    got = bench_record.setup({"change": root, "parent": root})
+    assert set(got) == {"change", "parent"}
+    for side in got.values():
+        assert set(side) == {"two_station_1", "paper_baseline_42"}
+        for case in side.values():
+            assert len(case["runs_s"]) == 3 and all(v > 0 for v in case["runs_s"])
+            assert case["build_map_s"] == sorted(case["runs_s"])[1]
+            assert 0 < case["peak_bytes"] <= 4e6
+    # The paper world's 1000 x 1000 raster outweighs the two-station one.
+    change = got["change"]
+    assert change["paper_baseline_42"]["peak_bytes"] > change["two_station_1"]["peak_bytes"]
+
+
 def test_environment_records_whether_pyyaml_has_libyaml():
     # Scenario parsing, and so setup_s, is faster with libyaml; under --against
     # the parent's tree is asked the same in a fresh process.

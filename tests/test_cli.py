@@ -166,6 +166,21 @@ def test_row_formats_write_what_csv_writer_wrote_per_value(rows, tmp_path_factor
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+def test_write_csv_blocks_keep_the_bytes_of_the_whole_table(tmp_path, n):
+    # Rows are formatted and written _WRITE_ROWS (4,096) at a time, an
+    # array's turned into Python numbers block by block; the bytes are those
+    # of the whole table formatted at once, from an array or a list.
+    rng = np.random.default_rng(n)
+    table = np.column_stack([rng.normal(size=(n, 2)), rng.integers(0, 9, n)])
+    sc, fmt = Scenario(name="csv"), "%.17g,%.17g,%d"
+    expected = "".join([f"{cli._header(sc, 1)}\na,b,c\n",
+                        *(fmt % tuple(row) + "\n" for row in table.tolist())])
+    for rows in (table, [tuple(row) for row in table.tolist()]):
+        cli._write_csv(tmp_path / "t.csv", sc, 1, ["a", "b", "c"], fmt, rows)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
 def test_monte_carlo_records_trial_failures(tmp_path):
     sc = small_scenario()
     sc.network.records = None
@@ -505,6 +520,16 @@ def test_cli_rejects_a_montecarlo_redraw_of_explicit_records(tmp_path, capsys, c
     assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     assert ("scenario error: montecarlo.stations redraws generated stations; it cannot go "
             "with network.records") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["echo", "plan"])
+def test_cli_rejects_a_synthetic_map_that_misses_the_field(tmp_path, capsys, command):
+    # echo used to pass it, and plan refused it only after drawing the raster.
+    path = small_world_file(tmp_path, {"field": {"x": 4000.0}})
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert ("scenario error: map extent 2000 x 2000 m (width/height x cell_size) differs "
+            "from field.x/field.y 4000 x 2000 m") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -16,7 +16,11 @@ tests' reference basis uses, the machine
 model) and the line count of `src/uuvsim/*.py`. Its `startup` block holds
 the peak RSS of a fresh process after `import uuvsim.cli` and the wall time
 of `python -m uuvsim.cli --help`, each the median of 5 processes. Its
-`end_to_end` block holds the wall time of `cli.run_once` on `paper_baseline`
+`setup` block holds, for `paper_baseline` seeds 42 and 43 and `mc_reduced`
+seed 1008, the median wall time of 15 in-process `scenario.build_map` calls
+(after one untimed build) and the tracemalloc peak of one more, each case
+in a fresh process: a world set-up number that no other layer's heap moves.
+Its `end_to_end` block holds the wall time of `cli.run_once` on `paper_baseline`
 seeds 42, 43 and 20180520 (median of 2 runs) and the trials per minute of a
 30-trial `run_monte_carlo` of `paper_baseline` at jobs 1 and 2, run in this
 process. If any run is not correct or has a failed operation, it writes
@@ -30,7 +34,9 @@ runs and traced per-layer metrics, and per end-to-end metric both sides'
 median and quartiles, the pairs the checkout won, lost and tied in the
 direction `BENCHMARK.json` declares as better, and whether the gap between
 the medians exceeds REV's quartile spread. The top-level `against` block
-holds REV's commit, its `startup` block and its `pyyaml_libyaml`.
+holds REV's commit, its `startup` and `setup` blocks and its
+`pyyaml_libyaml`; each `setup` case is measured on both trees in turn,
+alternating which goes first.
 """
 
 from __future__ import annotations
@@ -62,6 +68,26 @@ STARTUP_RUNS = 5
 IMPORT_RSS = ("import resource, uuvsim.cli; "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 LIBYAML = "import yaml; print(yaml.__with_libyaml__)"
+SETUP_CASES = (("paper_baseline", 42), ("paper_baseline", 43),
+               ("perfbench/scenarios/mc_reduced.yaml", 1008))
+SETUP_BUILDS = 15
+# argv: scenario, seed, builds.  Prints the median and every timed build's
+# wall (s) and the tracemalloc peak (B) of one more build.
+SETUP = """
+import json, statistics, sys, time, tracemalloc
+from uuvsim import scenario
+sc, seed, builds = scenario.resolve_scenario(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+scenario.build_map(sc, seed)
+walls = []
+for _ in range(builds):
+    start = time.perf_counter()
+    scenario.build_map(sc, seed)
+    walls.append(time.perf_counter() - start)
+tracemalloc.start()
+scenario.build_map(sc, seed)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"build_map_s": statistics.median(walls), "peak_bytes": peak, "runs_s": walls}))
+"""
 
 
 def bench(workload: str, seed: int, trace: int, root: Path = ROOT) -> tuple[dict, int | None]:
@@ -134,6 +160,21 @@ def startup(root: Path = ROOT) -> dict:
         walls.append(time.perf_counter() - start)
     return {"import_rss_mb": statistics.median(rss), "help_wall_s": statistics.median(walls),
             "runs": {"import_rss_mb": rss, "help_wall_s": walls}}
+
+
+def setup(sides: dict[str, Path]) -> dict[str, dict]:
+    """Per side (a tree root) and SETUP_CASES case, named `<scenario>_<seed>`:
+    `scenario.build_map`'s median wall over SETUP_BUILDS builds and its
+    tracemalloc peak, each case in a fresh process of each tree in turn."""
+    out = {side: {} for side in sides}
+    for k, (ref, seed) in enumerate(SETUP_CASES):
+        for side in sorted(sides, reverse=k % 2 == 1):
+            root = sides[side]
+            done = subprocess.run([sys.executable, "-c", SETUP, ref, str(seed), str(SETUP_BUILDS)],
+                                  cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                                  capture_output=True, text=True, check=True)
+            out[side][f"{Path(ref).stem}_{seed}"] = json.loads(done.stdout)
+    return out
 
 
 def version(distribution: str) -> str | None:
@@ -238,8 +279,10 @@ def main(argv: list[str]) -> int:
                                               {k: v for k, v in better.items() if k in names}),
                 }
         started = startup()
+        built = setup({"change": ROOT, "parent": parent} if against else {"change": ROOT})
         if against:
             against["startup"] = startup(parent)
+            against["setup"] = built["parent"]
             against["pyyaml_libyaml"] = libyaml(parent)
     if bad:
         print(f"not written: incorrect or failed runs: {', '.join(bad)}", file=sys.stderr)
@@ -254,6 +297,7 @@ def main(argv: list[str]) -> int:
     doc = {"command": f"python3 perfbench/run.py --workload W --seed i --seconds {SECONDS}",
            "seeds": list(SEEDS), "commit": commit, "dirty": bool(changed.strip()),
            **environment(), "src_lines": src_lines, "startup": started,
+           "setup": built["change"],
            "workloads": record, "end_to_end": measured}
     if against:
         doc["against"] = against

@@ -237,7 +237,7 @@ def test_cluster_matches_threshold_sweep_optimum():
 @example(seed=3, width=9, height=128, cell_size=10.0, islands=3, radius=(0.0, 0.3), border=2)
 def test_synthesize_raster_matches_full_raster_island_draw(seed, width, height, cell_size,
                                                            islands, radius, border):
-    """Values and the rng state after equal the whole-raster draw bit for bit.
+    """Intensities and the rng state after equal the whole-raster draw exactly.
 
     Radii are drawn as fractions of the larger side, so discs range from
     under a cell to over the whole raster, and centres near an edge cut them.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -602,3 +603,54 @@ def reference_ticks(path: LocalPath, dt: float) -> list[tuple[float, np.ndarray,
                     reference_sample_index_at_time(path, tau)))
         if tau >= path.duration:
             return out
+
+
+# What `_Executor.run` may give as a failure reason; a plan failure's own text
+# comes from `plan_global`.
+FAILURE_REASONS = re.compile("|".join((
+    r"initial plan failed: .+",
+    r"battery exhausted (mid-leg|at station)",
+    r"collision during execution",
+    r"trapped mid-leg with no retreat path",
+    r"replan required \((no feasible local path|route edge missing"
+    r"|remaining route exceeds budget)\) beyond limit",
+    r"goal cut off from station \d+",
+    r"goal \d+ unreachable from station \d+",
+    r"minimum route time \d+s exceeds budget -?\d+s",
+    r"no decodable route found")))
+
+
+def check_report(report, sc) -> None:
+    """Assert the executor's contract on one mission report of scenario `sc`.
+
+    Ticks run forward and the last is the path time; residual is budget minus
+    path time; on success the legs' times sum to the path time and the
+    mission ends at the goal; the stations' values sum to the total value;
+    no edge is flown twice; global replans stay within the limit; and a
+    failure names one reason of `FAILURE_REASONS`.
+    """
+    budget, path_time = sc.vehicle.time_budget, report.path_time
+    times = report.ticks[:, 0]
+    assert np.all(np.diff(times) >= 0)
+    assert (times[-1] if len(times) else 0.0) == path_time
+    assert report.residual_time == budget - path_time
+    legs = report.legs
+    flown = math.fsum(leg.actual for leg in legs)
+    assert flown <= path_time * (1 + 1e-9) + 1e-9
+    assert math.isclose(math.fsum(leg.value_gained for leg in legs), report.total_value,
+                        rel_tol=1e-12, abs_tol=1e-12)
+    edges = [_pair(leg.from_id, leg.to_id) for leg in legs if not leg.aborted]
+    assert len(edges) == len(set(edges))
+    seq = report.executed_sequence
+    assert edges == [_pair(a, b) for a, b in zip(seq, seq[1:])]
+    assert report.global_replans <= sc.mission.max_global_replans
+    assert report.global_replans == sum(r[1] == "global" for r in report.replans)
+    if report.success:
+        ns = sc.network
+        goal = ns.goal if ns.goal is not None else (
+            ns.stations if ns.records is None else max(rec["id"] for rec in ns.records))
+        assert seq[0] == ns.start and seq[-1] == goal
+        assert report.residual_time >= 0 and report.failure_reason == ""
+        assert math.isclose(flown, path_time, rel_tol=1e-9, abs_tol=1e-9)
+    else:
+        assert FAILURE_REASONS.fullmatch(report.failure_reason), report.failure_reason

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import uuvsim
-from uuvsim.errors import NoFeasiblePathError, UndecodableError
+from uuvsim.errors import NoFeasiblePathError, UndecodableError, UUVSimError
 import uuvsim.mission as mission_module
 from uuvsim.env import (EnvSnapshot, Obstacle, ObstacleColumns, VortexField, VortexParams,
                         cluster_map, current_at, step_obstacles)
@@ -21,8 +21,8 @@ from uuvsim.mission import (LegOutcome, _Executor, _hazard, path_ticks, run_miss
                             should_replan_global)
 from uuvsim.network import edge_length
 from uuvsim.scenario import from_dict, resolve_scenario
-from tests.oracles import (reference_position_at_time, reference_sample_index_at_time,
-                          reference_ticks)
+from tests.oracles import (check_report, reference_position_at_time,
+                           reference_sample_index_at_time, reference_ticks)
 from tests.test_env import grid_from
 from tests.test_golden import VARIANTS, artifact_hashes, scenario_file
 from tests.test_network import line_network
@@ -757,3 +757,51 @@ def test_overrun_replan_whose_seed_genes_decode_to_the_route_keeps_it(seed):
 def test_no_global_replan_returns_a_costlier_route(seed):
     log = replan_log("paper_baseline", seed)
     assert log and all(r["new_cost"] <= r["kept_cost"] for r in log)
+
+
+# --- the executor's contract over random worlds -----------------------------
+
+
+@st.composite
+def small_worlds(draw):
+    """A small random world: a 2-4 km square, 0-2 islands, 3-9 generated stations,
+    0-7 obstacles, currents up to 0.8 m/s (above the sway limit), dt 0.5-7 s,
+    scripted edge failures and a replan limit of 0-3, with DE populations of 8."""
+    side = draw(st.sampled_from([2000.0, 3000.0, 4000.0]))
+    islands = draw(st.integers(0, 2))
+    stations = draw(st.integers(3, 9))
+    failures = [{"after_leg": draw(st.integers(1, 4)),
+                 "edge": draw(st.lists(st.integers(1, stations), min_size=2, max_size=2,
+                                       unique=True))}
+                for _ in range(draw(st.integers(0, 3)))]
+    return from_dict({
+        "name": "fuzz", "seed": draw(st.integers(0, 2**31 - 1)),
+        "field": {"x": side, "y": side, "z": 200.0},
+        "map": {"width": int(side / 20), "height": int(side / 20), "cell_size": 20.0,
+                "islands": islands, "island_radius": [100.0, 400.0],
+                "coast_border": draw(st.integers(1 if islands == 0 else 0, 2))},
+        "current": {"window": 1000.0, "count": [0, draw(st.integers(0, 3))],
+                    "peak_speed": [0.0, draw(st.floats(0.0, 0.8))]},
+        "obstacles": {"count": draw(st.integers(0, 7)), "radius": [50.0, 300.0],
+                      "station_clearance": 100.0,
+                      "kinds": draw(st.sampled_from([["static", "uncertain", "mobile"],
+                                                     ["uncertain", "mobile"], ["mobile"]])),
+                      "motion_sigma": draw(st.floats(0.0, 2.0))},
+        "network": {"stations": stations, "comm_range": draw(st.floats(600.0, 4000.0)),
+                    "drift_bound": [100.0, 100.0, 20.0]},
+        "vehicle": {"time_budget": draw(st.floats(600.0, 6000.0))},
+        "de_global": {"population": 8, "generations": 10, "restarts": 1},
+        "de_local": {"population": 8, "generations": 10},
+        "spline": {"control_points": 6, "samples": 60},
+        "mission": {"dt": draw(st.floats(0.5, 7.0)), "edge_failures": failures,
+                    "max_global_replans": draw(st.integers(0, 3))}})
+
+
+@settings(max_examples=40, deadline=None)
+@given(sc=small_worlds())
+def test_the_executor_keeps_its_contract_on_random_worlds(sc):
+    try:
+        ex = _Executor(sc, sc.seed)
+    except UUVSimError:  # a world whose stations or edges do not build
+        reject()
+    check_report(ex.run(), sc)

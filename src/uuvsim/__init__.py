@@ -6,9 +6,9 @@ reactive global/local replanning driven by differential evolution."""
 __version__ = "0.1.0"
 
 from .de import DEConfig, DEResult, Individual, optimize
-from .env import (ClusteredMap, CurrentSample, EnvSnapshot, GridMap, Obstacle,
-                  ObstacleColumns, VortexField, VortexParams, cluster_map, current_at,
-                  perturb_field, point_in_collision, step_obstacles)
+from .env import (ClusteredMap, CurrentSample, EnvSnapshot, GridMap, Obstacle, VortexField,
+                  VortexParams, cluster_map, current_at, perturb_field, point_in_collision,
+                  step_obstacles)
 from .errors import UUVSimError
 from .global_planner import Route, decode_route, plan_global
 from .local_planner import (LocalCostWeights, LocalPath, SplineConfig, evaluate_paths,

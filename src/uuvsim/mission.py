@@ -14,14 +14,15 @@ non-negative residual time.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import seeding
-from .env import (EnvSnapshot, ObstacleColumns, envelope, perturb_field, points_in_collision,
-                  step_obstacles)
+from .env import (EnvSnapshot, Obstacle, envelope, obstacle_currents, perturb_field,
+                  point_in_obstacles, points_in_collision, step_obstacles)
 from .errors import (NoFeasiblePathError, NoFeasibleRouteError, UndecodableError,
                      UnreachableGoalError)
 from .global_planner import GlobalPlan, plan_global, walk_cost
@@ -97,29 +98,31 @@ def should_replan_global(leg: LegOutcome, remaining_route: list[int], network: N
 
 
 def _hazard(position: np.ndarray, path: LocalPath, tau: float, k0: int,
-            obstacles: ObstacleColumns, sensing_radius: float, margin: float) -> int | None:
+            obstacles: list[Obstacle], currents: list[list[float]], sensing_radius: float,
+            margin: float) -> int | None:
     """Id of the first obstacle whose `envelope` cuts the remaining path: its
     samples from `k0`, the sample index at `tau`, on.
 
-    A mobile obstacle's speed is the one `step_obstacles` left in the columns.
+    A mobile obstacle's speed is that of its row's `obstacle_currents` entry.
     """
     px, py, pz = (float(v) for v in position)
+    currents = iter(currents)
     rem = None
-    for i, kind in enumerate(obstacles.kinds):
-        if kind == "static":
+    for obs in obstacles:
+        if obs.kind == "static":
             continue
-        ox, oy, oz = obstacles.x[i], obstacles.y[i], obstacles.z[i]
+        speed = math.hypot(*next(currents)) if obs.kind == "mobile" else 0.0
+        ox, oy, oz = obs.position
         dx, dy, dz = ox - px, oy - py, oz - pz
         if dx * dx + dy * dy + dz * dz > sensing_radius ** 2:
             continue
         if rem is None:
             rem, horizons = path.points[k0:], path.times[k0:] - tau
-        d2 = np.sum((rem - np.array((ox, oy, oz))) ** 2, axis=1)
-        r = envelope(kind, obstacles.radius[i], obstacles.base_radius[i],
-                     obstacles.radius_sigma[i], obstacles.motion_sigma[i], horizons,
-                     obstacles.speed[i], margin)
+        d2 = np.sum((rem - np.array(obs.position)) ** 2, axis=1)
+        r = envelope(obs.kind, obs.radius, obs.base_radius, obs.radius_sigma, obs.motion_sigma,
+                     horizons, speed, margin)
         if np.any(d2 <= r ** 2):
-            return obstacles.ids[i]
+            return obs.id
     return None
 
 
@@ -158,7 +161,8 @@ class _Executor:
         self.base_field = build_field(sc, seed)
         self.field = self.base_field
         self.network = build_network_from_spec(sc, self.cmap, seed, station_count=station_count)
-        self.obstacles = ObstacleColumns.of(build_obstacles(sc, self.cmap, self.network, seed))
+        self.obstacles = build_obstacles(sc, self.cmap, self.network, seed)
+        self.currents = obstacle_currents(self.obstacles, self.field)  # always self.field's
         self.weights = weights_from_spec(sc)
         self.spline = spline_from_spec(sc)
         self.rng_ticks = seeding.stream(seed, seeding.MISSION, 0)
@@ -214,9 +218,10 @@ class _Executor:
         return replace(self.network, used=self.network.used | self.blocked)
 
     def _planning_env(self, horizon: float) -> EnvSnapshot:
-        self.obstacles.track(self.field)
-        inflated = tuple(obs.inflated(horizon, speed, margin=self.sc.mission.obstacle_margin)
-                         for obs, speed in zip(self.obstacles.rows(), self.obstacles.speed))
+        currents, margin = iter(self.currents), self.sc.mission.obstacle_margin
+        inflated = tuple(obs.inflated(horizon, math.hypot(*next(currents))
+                                      if obs.kind == "mobile" else 0.0, margin=margin)
+                         for obs in self.obstacles)
         return EnvSnapshot(self.cmap, self.field, inflated)
 
     def _plan_leg(self, start_pos, target_pos, horizon: float,
@@ -271,19 +276,21 @@ class _Executor:
                     flown.append(self.elapsed)
                     if self.elapsed > self.budget:
                         raise _MissionAbort("battery exhausted mid-leg")
-                    if coast[i] or self.obstacles.contains(*xyz[i]):
+                    if coast[i] or point_in_obstacles(xyz[i], self.obstacles):
                         raise _MissionAbort("collision during execution")
                     self.unstepped += step
                     arrived = i == len(xyz) - 1
                     if arrived or self.unstepped >= OBSTACLE_STEP:
-                        step_obstacles(self.obstacles, self.field, self.unstepped,
-                                       self.rng_ticks)
+                        self.obstacles, self.currents = step_obstacles(
+                            self.obstacles, self.currents, self.field, self.unstepped,
+                            self.rng_ticks)
                         self.unstepped = 0.0
                     if arrived:
                         break
                     if allow_replans:
                         hazard = _hazard(points[i], path, taus[i], samples[i], self.obstacles,
-                                         mission.sensing_radius, mission.obstacle_margin)
+                                         self.currents, mission.sensing_radius,
+                                         mission.obstacle_margin)
                         if hazard is not None:
                             break
             finally:
@@ -309,6 +316,7 @@ class _Executor:
         # Perturb around the originally sampled field: chaining the
         # multiplicative update compounds into unbounded parameter drift.
         self.field = perturb_field(self.base_field, self.rng_perturb)
+        self.currents = obstacle_currents(self.obstacles, self.field)
         self.blocked.clear()
         # A failure fires at the first arrival that leaves at least after_leg rows.
         seen, self.rows_at_arrival = self.rows_at_arrival, len(self.report.legs)

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uuvsim.env as env_module
-from uuvsim.env import (ClusteredMap, GridMap, Obstacle, ObstacleColumns, VortexField,
-                        VortexParams, cluster_map, current_at, current_grid, load_raster,
-                        perturb_field, point_in_collision, points_in_collision,
+from uuvsim.env import (ClusteredMap, GridMap, Obstacle, VortexField, VortexParams, cluster_map,
+                        current_at, current_grid, load_raster, obstacle_currents, perturb_field,
+                        point_in_collision, point_in_obstacles, points_in_collision,
                         step_obstacles, synthesize_raster)
 from uuvsim import seeding
 from uuvsim.errors import EmptyRasterError, KTooLargeError, ScenarioValidationError
@@ -477,10 +477,14 @@ def make_obstacle(kind="mobile", position=(0.0, 0.0, 0.0), radius=5.0, **kw) -> 
 
 
 def stepped(obstacles, fld, dt, rng) -> list[Obstacle]:
-    """The obstacles after one column step, as Obstacle values."""
-    cols = ObstacleColumns.of(obstacles)
-    step_obstacles(cols, fld, dt, rng)
-    return cols.rows()
+    """The obstacles after one step."""
+    return step_obstacles(obstacles, obstacle_currents(obstacles, fld), fld, dt, rng)[0]
+
+
+def mobile_currents(obstacles, fld) -> list[list[float]]:
+    """`current_at` at each mobile obstacle, as (v_cx, v_cy) pairs."""
+    return [[c.v_cx, c.v_cy] for c in (current_at(o.position[:2], fld) for o in obstacles
+                                       if o.kind == "mobile")]
 
 
 def obstacle_values(obstacles) -> np.ndarray:
@@ -511,12 +515,13 @@ def test_step_obstacles_matches_per_obstacle_steps():
     # a mobile obstacle sitting on a vortex centre drifts by exactly zero
     obstacles.append(Obstacle(id=99, kind="mobile", position=(*fld.vortices[0].center, 5.0),
                               radius=3.0, motion_sigma=0.5))
-    got, want = ObstacleColumns.of(obstacles), list(obstacles)
+    got = want = obstacles
+    currents = obstacle_currents(got, fld)
     rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(25):
-        step_obstacles(got, fld, 2.0, rng_got)
+        got, currents = step_obstacles(got, currents, fld, 2.0, rng_got)
         want = reference_step_obstacles(want, fld, 2.0, rng_want)
-        assert got.rows() == want
+        assert got == want
     assert rng_got.random() == rng_want.random()
 
 
@@ -543,39 +548,19 @@ def obstacle_mixes(draw):
 @settings(max_examples=150, deadline=None)
 @given(mix=obstacle_mixes(), dts=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
-def test_column_step_is_bit_equal_to_per_obstacle_steps(mix, dts, seed):
+def test_row_step_is_bit_equal_to_per_obstacle_steps(mix, dts, seed):
     # Short dts stand for a path's truncated last tick.
     obstacles, fld = mix
-    got = ObstacleColumns.of(obstacles)
+    got, currents = obstacles, obstacle_currents(obstacles, fld)
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
     for dt in dts:
-        step_obstacles(got, fld, dt, rng_got)
+        got, currents = step_obstacles(got, currents, fld, dt, rng_got)
         obstacles = reference_step_obstacles(obstacles, fld, dt, rng_want)
-        np.testing.assert_array_equal(bits(obstacle_values(got.rows())),
+        np.testing.assert_array_equal(bits(obstacle_values(got)),
                                       bits(obstacle_values(obstacles)))
-        # The step leaves the speeds at the stepped positions, for the hazard test.
-        assert got.speed == [current_at(o.position[:2], fld).magnitude if o.kind == "mobile"
-                             else 0.0 for o in obstacles]
+        # The step returns the currents at the stepped positions, for the hazard test.
+        assert currents == mobile_currents(obstacles, fld)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
-
-
-def test_columns_track_a_new_field_once(monkeypatch):
-    cols = ObstacleColumns.of([make_obstacle("mobile", position=(30.0, 0.0, 5.0)),
-                               make_obstacle("static", position=(0.0, 40.0, 5.0))])
-    fld, other = single_vortex(strength=50.0, radius=10.0), single_vortex(strength=-20.0)
-    speeds = [current_at((30.0, 0.0), f).magnitude for f in (fld, other)]
-    calls = []
-
-    def counting(points, f):
-        calls.append(len(points))
-        return current_grid(points, f)
-
-    monkeypatch.setattr(env_module, "current_grid", counting)
-    cols.track(fld)
-    cols.track(fld)
-    assert calls == [1] and cols.speed == [speeds[0], 0.0]
-    cols.track(other)
-    assert calls == [1, 1] and cols.speed == [speeds[1], 0.0]
 
 
 def test_static_obstacle_never_moves():
@@ -611,12 +596,12 @@ def test_mobile_jitter_is_brownian_per_second(dt):
 
 
 def test_uncertain_obstacle_resamples_radius_positive():
-    cols = ObstacleColumns.of([make_obstacle("uncertain", radius=5.0, radius_sigma=4.0)])
+    rows = [make_obstacle("uncertain", radius=5.0, radius_sigma=4.0)]
     rng = np.random.default_rng(5)
     radii = []
     for _ in range(500):
-        step_obstacles(cols, VortexField(vortices=()), 1.0, rng)
-        radii.append(cols.radius[0])
+        rows, _ = step_obstacles(rows, [], VortexField(vortices=()), 1.0, rng)
+        radii.append(rows[0].radius)
     assert all(r > 0 for r in radii)
     assert np.std(radii) == pytest.approx(4.0, rel=0.2)
 
@@ -651,11 +636,11 @@ def test_coast_cell_collides():
 def test_obstacle_center_and_boundary_collide():
     cmap = water_map()
     obs = make_obstacle(position=(5.0, 5.0, 10.0), radius=2.0)
-    cols = ObstacleColumns.of([obs])
     for point, hit in [((5.0, 5.0, 10.0), True), ((7.0, 5.0, 10.0), True),  # on the ball
                        ((7.0 + 1e-9, 5.0, 10.0), False)]:
-        assert cols.contains(*point) == points_in_collision(np.array([point]), cmap, [obs])[0]
-        assert cols.contains(*point) == hit
+        assert point_in_obstacles(point, [obs]) == points_in_collision(np.array([point]), cmap,
+                                                                       [obs])[0]
+        assert point_in_obstacles(point, [obs]) == hit
 
 
 def test_out_of_bounds_is_conservatively_hit():
@@ -677,7 +662,7 @@ def test_collision_monotone_in_envelope():
 
 
 def test_point_in_collision_matches_vector_form():
-    """The scalar point rule, then the obstacle columns' balls, agree with
+    """The scalar point rule, then the obstacles' balls, agree with
     points_in_collision point for point: the executor's tick test."""
     rng = np.random.default_rng(21)
     values = np.where(rng.random((40, 60)) < 0.1, 255.0, 0.0)
@@ -698,9 +683,8 @@ def test_point_in_collision_matches_vector_form():
     for padded in (False, True):
         with np.errstate(invalid="ignore", over="ignore"):
             want = points_in_collision(pts, cmap, obstacles, padded=padded)
-        cols = ObstacleColumns.of(obstacles)
-        got = [point_in_collision(p, cmap, padded=padded) or cols.contains(*p.tolist())
-               for p in pts]
+        got = [point_in_collision(p, cmap, padded=padded)
+               or point_in_obstacles(p.tolist(), obstacles) for p in pts]
         assert got == want.tolist()
         assert want[~np.isfinite(pts).all(axis=1)].all()
         assert point_in_collision((5.0, 5.0), cmap, padded=padded) == points_in_collision(

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import uuvsim
 from uuvsim.errors import NoFeasiblePathError, UndecodableError, UUVSimError
 import uuvsim.mission as mission_module
-from uuvsim.env import (EnvSnapshot, Obstacle, ObstacleColumns, VortexField, VortexParams,
-                        cluster_map, current_at, step_obstacles)
+from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
+                        current_at, obstacle_currents, step_obstacles)
 from uuvsim.global_planner import decode_graph, decode_route, walk_cost
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
                                   replan_local, straight_genes)
@@ -176,8 +176,7 @@ def test_tick_advances_by_ground_speed():
     taus, pos, samples = path_ticks(path, dt=1.0)
     assert taus[0] == 1.0 and len(taus) > 1  # the executor charges tau to the battery
     assert np.linalg.norm(pos[0] - path.start) == pytest.approx(2.0, rel=1e-9)
-    assert _hazard(pos[0], path, taus[0], samples[0], ObstacleColumns.of(()), 500.0,
-                   20.0) is None
+    assert _hazard(pos[0], path, taus[0], samples[0], [], [], 500.0, 20.0) is None
 
 
 def with_repeated_sample(path, k):
@@ -214,11 +213,12 @@ def test_tick_sums_to_planner_duration(length, dt_share, repeat):
 
 def test_tick_detects_obstacle_stepping_onto_path():
     path, env = still_path(length=1000.0)
-    obs = ObstacleColumns.of([Obstacle(id=7, kind="mobile", position=(600.0, 1000.0, 100.0),
-                                       radius=50.0, motion_sigma=0.0)])
+    obs = [Obstacle(id=7, kind="mobile", position=(600.0, 1000.0, 100.0), radius=50.0,
+                    motion_sigma=0.0)]
     taus, pos, samples = path_ticks(path, dt=1.0)
-    step_obstacles(obs, env.field, 1.0, np.random.default_rng(0))
-    assert _hazard(pos[0], path, taus[0], samples[0], obs, 500.0, 20.0) == 7
+    obs, currents = step_obstacles(obs, obstacle_currents(obs, env.field), env.field, 1.0,
+                                   np.random.default_rng(0))
+    assert _hazard(pos[0], path, taus[0], samples[0], obs, currents, 500.0, 20.0) == 7
 
 
 def test_advance_truncates_at_arrival():
@@ -239,12 +239,13 @@ def test_truncated_last_tick_moves_obstacles_for_its_real_duration(monkeypatch):
     ex.field = VortexField(vortices=(VortexParams(center=(1500.0, 700.0), radius=300.0,
                                                   strength=2000.0),))
     obs = Obstacle(id=3, kind="mobile", position=(1500.0, 500.0, 100.0), radius=20.0)
-    ex.obstacles = ObstacleColumns.of([obs])
+    ex.obstacles, ex.currents = [obs], obstacle_currents([obs], ex.field)
     steps = []
 
-    def recording(cols, fld, dt, rng):
-        steps.append((dt, cols.x[0], cols.y[0], current_at((cols.x[0], cols.y[0]), fld)))
-        step_obstacles(cols, fld, dt, rng)
+    def recording(obstacles, currents, fld, dt, rng):
+        x, y, _ = obstacles[0].position
+        steps.append((dt, x, y, current_at((x, y), fld)))
+        return step_obstacles(obstacles, currents, fld, dt, rng)
 
     monkeypatch.setattr(mission_module, "step_obstacles", recording)
     ex._execute_path(path, 0, LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0),
@@ -253,14 +254,51 @@ def test_truncated_last_tick_moves_obstacles_for_its_real_duration(monkeypatch):
     assert [dt for dt, *_ in steps] == np.diff(taus, prepend=0.0).tolist()
     dt, x, y, cur = steps[-1]
     assert dt < ex.sc.mission.dt and cur.magnitude > 0.1
-    np.testing.assert_allclose([ex.obstacles.x[0] - x, ex.obstacles.y[0] - y],
+    np.testing.assert_allclose([ex.obstacles[0].position[0] - x, ex.obstacles[0].position[1] - y],
                                [cur.v_cx * dt, cur.v_cy * dt], rtol=1e-9, atol=1e-12)
+
+
+def test_obstacle_currents_take_one_field_call_per_step_and_per_field(monkeypatch):
+    # The executor's currents always belong to its field: a step makes one field call at
+    # the stepped mobile positions, a perturbed field one more, and a planning env none.
+    ex = _Executor(two_station_scenario(), 7)  # fixed stations: the drift reads no field
+    ex.obstacles = [Obstacle(id=i + 1, kind=kind, position=(300.0 * i + 400.0, 900.0, 100.0),
+                             radius=30.0, motion_sigma=0.5)
+                    for i, kind in enumerate(["mobile", "static", "mobile"])]
+    ex.currents = obstacle_currents(ex.obstacles, ex.field)
+    calls = []
+    real = mission_module.obstacle_currents.__globals__["current_grid"]
+
+    def counting(points, fld):
+        calls.append(len(points))
+        return real(points, fld)
+
+    def planning_env_calls() -> int:
+        """Field calls of one planning env, whose envelopes must be those of the field now."""
+        before = len(calls)
+        got = ex._planning_env(60.0).obstacles
+        made = len(calls) - before
+        margin = ex.sc.mission.obstacle_margin
+        assert got == tuple(o.inflated(60.0, current_at(o.position[:2], ex.field).magnitude
+                                       if o.kind == "mobile" else 0.0, margin)
+                            for o in ex.obstacles)
+        del calls[before:]
+        return made
+
+    monkeypatch.setattr("uuvsim.env.current_grid", counting)
+    assert planning_env_calls() == planning_env_calls() == 0
+    ex.obstacles, ex.currents = step_obstacles(ex.obstacles, ex.currents, ex.field, 10.0,
+                                               ex.rng_ticks)
+    assert calls == [2] and planning_env_calls() == 0
+    field = ex.field
+    ex._after_leg()
+    assert ex.field is not field and calls == [2, 2] and planning_env_calls() == 0
 
 
 def test_aborted_path_keeps_the_ticks_it_flew():
     ex = _Executor(two_station_scenario(), 7)
     path, _ = still_path(length=1000.0)
-    ex.obstacles = ObstacleColumns.of(())
+    ex.obstacles, ex.currents = [], []
     ex.budget = 100.5
     with pytest.raises(mission_module._MissionAbort, match="battery exhausted mid-leg"):
         ex._execute_path(path, 4, LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0),
@@ -286,9 +324,9 @@ def test_obstacles_step_on_their_own_clock(scenario, seed, hazard, tmp_path, mon
                           else scenario)
     steps = []
 
-    def recording(cols, fld, dt, rng):
+    def recording(obstacles, currents, fld, dt, rng):
         steps.append(dt)
-        step_obstacles(cols, fld, dt, rng)
+        return step_obstacles(obstacles, currents, fld, dt, rng)
 
     monkeypatch.setattr(mission_module, "step_obstacles", recording)
     report = run_mission(sc, seed)
@@ -369,8 +407,6 @@ def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_s
                                              strength=3000.0),))
     tau = tau_share * path.duration
     pos = reference_position_at_time(path, tau)
-    cols = ObstacleColumns.of(obstacles)
-    cols.track(fld)
     k0 = reference_sample_index_at_time(path, tau)
     expected = None
     for obs in obstacles:
@@ -383,18 +419,19 @@ def test_hazard_tests_each_sample_against_the_planners_envelope(obstacles, tau_s
                for d, h in zip(d2, path.times[k0:] - tau)):
             expected = obs.id
             break
-    assert _hazard(pos, path, tau, k0, cols, sensing, margin) == expected
+    assert _hazard(pos, path, tau, k0, obstacles, obstacle_currents(obstacles, fld), sensing,
+                   margin) == expected
 
 
 def test_hazard_on_the_planned_path_replans_the_leg_around_it():
     ex = _Executor(two_station_scenario(), 7)
-    ex.obstacles = ObstacleColumns.of(())
+    ex.obstacles, ex.currents = [], []
     plan = ex._plan_leg(ex.network.position(1), ex.network.position(2), horizon=0.0)
     k = int(np.searchsorted(plan.path.times, 150.0))  # about 300 m along the leg
     # An uncertain obstacle without spread stands still at its base radius.
     blocker = Obstacle(id=9, kind="uncertain", position=tuple(plan.path.points[k]),
                        radius=60.0)
-    ex.obstacles = ObstacleColumns.of([blocker])
+    ex.obstacles = [blocker]  # no mobile row, so no currents
     leg = LegOutcome(from_id=1, to_id=2, planned=0.0, actual=0.0)
     ex._execute_path(plan.path, 0, leg, allow_replans=True)
     assert [r[1:] for r in ex.report.replans] == [("local", "hazard obstacle 9")]

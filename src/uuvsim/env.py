@@ -52,8 +52,8 @@ CONFIDENCE_Z = 2.05
 class GridMap:
     """Raster occupancy grid; `values` is intensity before clustering, 0/1 after.
 
-    Intensities are uint8 when synthesized and float64 when loaded from a
-    file; the clustered occupancy is int8.
+    Intensities are uint8 when synthesized or read from a file of 0..255
+    integers, float64 from any other file; the clustered occupancy is int8.
     """
 
     width: int
@@ -244,7 +244,8 @@ def load_raster(path, cell_size: float, depth_extent: float) -> GridMap:
     """Read a headerless whitespace-separated integer grid, one row per line.
 
     Every row holds the same number of finite integer intensities; any
-    other file is a `ScenarioValidationError` naming it.
+    other file is a `ScenarioValidationError` naming it.  Intensities that all
+    fit 0..255 are stored as uint8, which `cluster_map` counts by `np.bincount`.
     """
     try:
         with warnings.catch_warnings():
@@ -256,6 +257,8 @@ def load_raster(path, cell_size: float, depth_extent: float) -> GridMap:
         raise ScenarioValidationError(f"raster {path}: no intensities")
     if not (np.isfinite(values).all() and np.array_equal(values, np.rint(values))):
         raise ScenarioValidationError(f"raster {path}: intensities must be finite integers")
+    if values.min() >= 0 and values.max() <= 255:
+        values = values.astype(np.uint8)
     h, w = values.shape
     return GridMap(width=w, height=h, cell_size=cell_size, values=values, depth_extent=depth_extent)
 
@@ -270,8 +273,9 @@ def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: f
     and clipped to 0..255 and stored as uint8.  Land is `islands` random discs
     plus an optional solid border of `coast_border` cells.  Some land must
     exist, otherwise 2-means would split the water noise instead of separating
-    water from coast.  The water normals are drawn _DRAW_ROWS rows at a time,
-    the same stream as one whole-raster draw.
+    water from coast, so a draw with no land cell is a
+    `ScenarioValidationError`.  The water normals are drawn _DRAW_ROWS rows at
+    a time, the same stream as one whole-raster draw.
     """
     if islands <= 0 and coast_border <= 0:
         raise ValueError("synthetic map needs islands or a coast border")
@@ -296,6 +300,9 @@ def synthesize_raster(width: int, height: int, cell_size: float, depth_extent: f
         if cols.size and rows.size:
             c, d = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
             land[d, c] |= dx2[None, c] + dy2[d, None] <= r * r
+    if not land.any():
+        raise ScenarioValidationError("synthetic map drew no land: no island covers a cell "
+                                      "centre (map.island_radius) and map.coast_border is 0")
     peaks = rng.normal(220.0, 12.0, size=np.count_nonzero(land))
     vals[land] = np.clip(np.rint(peaks, out=peaks), 0, 255, out=peaks)
     return GridMap(width=width, height=height, cell_size=cell_size, values=vals,

@@ -471,12 +471,19 @@ def raster_map(text: str):
     (edge_failure(1, [1, 2, 3]), "mission.edge_failures[0].edge must be two station ids"),
     (edge_failure(1.5, [1, 2]), "mission.edge_failures[0].after_leg must be an integer"),
     (edge_failure(0, [1, 2]), "mission.edge_failures[0].after_leg must be an integer >= 1"),
+    # Discs that cover no cell centre, and no border: the k-means split the water noise,
+    # and `run` failed later with an unreachable goal.
+    ({"map": {"islands": 2, "coast_border": 0, "island_radius": [0, 0]}},
+     "synthetic map drew no land: no island covers a cell centre (map.island_radius) and "
+     "map.coast_border is 0"),
+    ({"map": {"islands": 2, "coast_border": 0, "island_radius": [0.5, 1.0]}},
+     "synthetic map drew no land"),
 ], ids=["k-too-large", "raster-empty", "raster-ragged", "raster-word", "raster-nan",
         "raster-fraction", "unreachable-goal", "station-nan", "station-below-depth",
         "station-in-coast-band", "station-2d", "station-kind", "station-value", "edge-to-nowhere",
         "record-not-mapping", "record-without-id", "position-scalar", "record-id-twice",
         "edge-three-ids", "failure-edge-three-ids", "failure-after-leg-float",
-        "failure-after-leg-zero"])
+        "failure-after-leg-zero", "no-land-radius-zero", "no-land-sub-cell-radius"])
 def test_cli_world_build_errors_exit_2(tmp_path, capsys, command, doc, message):
     # Each is one line naming the key: validation refuses the input's shape,
     # and the build refuses a map or network that cannot be built from it.

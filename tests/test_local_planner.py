@@ -11,7 +11,7 @@ import uuvsim.local_planner as lp
 from uuvsim.de import DEConfig
 from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
                         points_in_collision, synthesize_raster)
-from uuvsim.errors import NoFeasiblePathError
+from uuvsim.errors import NoFeasiblePathError, ScenarioValidationError
 from uuvsim.local_planner import (LocalCostWeights, LocalPath, SplineConfig, corridor_bounds,
                                   evaluate_paths, plan_local, replan_local, straight_genes)
 from tests.oracles import _reference_basis_matrix, reference_evaluate_paths, reference_violations
@@ -329,12 +329,17 @@ def test_violations_match_reference_subdivision(seed):
     w, h = (int(v) for v in rng.integers(9, 41, 2))
     cs = float(rng.choice([0.7, 1.0, 2.5, 10.0]))
     D = float(rng.choice([20.0, 100.0]))
+    raster = None
     if rng.random() < 0.5:  # islands and a coast border
         islands, border = int(rng.integers(0, 4)), int(rng.integers(0, 3))
         ext = min(w, h) * cs
-        raster = synthesize_raster(w, h, cs, D, rng, islands=islands if islands or border else 1,
-                                   coast_border=border, island_radius=(0.05 * ext, 0.2 * ext))
-    else:  # scattered single coast cells, many of them next to a tile edge
+        try:
+            raster = synthesize_raster(w, h, cs, D, rng, coast_border=border,
+                                       islands=islands if islands or border else 1,
+                                       island_radius=(0.05 * ext, 0.2 * ext))
+        except ScenarioValidationError:  # a sub-cell disc that drew no land (5 in 20,000 seeds)
+            pass
+    if raster is None:  # scattered single coast cells, many of them next to a tile edge
         values = np.where(rng.random((h, w)) < rng.uniform(0.005, 0.05), 220.0, 40.0)
         values[rng.integers(h), rng.integers(w)] = 220.0
         raster = grid_from(values, cs, D)

@@ -13,7 +13,7 @@ import uuvsim
 from uuvsim.errors import NoFeasiblePathError, UndecodableError, UUVSimError
 import uuvsim.mission as mission_module
 from uuvsim.env import (EnvSnapshot, Obstacle, VortexField, VortexParams, cluster_map,
-                        current_at, obstacle_currents, step_obstacles)
+                        current_at, current_grid, obstacle_currents, step_obstacles)
 from uuvsim.global_planner import decode_graph, decode_route, walk_cost
 from uuvsim.local_planner import (LocalCostWeights, SplineConfig, evaluate_paths,
                                   replan_local, straight_genes)
@@ -267,11 +267,10 @@ def test_obstacle_currents_take_one_field_call_per_step_and_per_field(monkeypatc
                     for i, kind in enumerate(["mobile", "static", "mobile"])]
     ex.currents = obstacle_currents(ex.obstacles, ex.field)
     calls = []
-    real = mission_module.obstacle_currents.__globals__["current_grid"]
 
     def counting(points, fld):
         calls.append(len(points))
-        return real(points, fld)
+        return current_grid(points, fld)
 
     def planning_env_calls() -> int:
         """Field calls of one planning env, whose envelopes must be those of the field now."""
